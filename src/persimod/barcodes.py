@@ -121,9 +121,6 @@ class Barcode:
         idx = sorted(set(indices))
         return Barcode(self.bars[i] for i in idx)
 
-    def indices_where(self, predicate) -> List[int]:
-        return [i for i, b in enumerate(self.bars) if predicate(b)]
-
     def split_by_degree(self) -> Dict[int, Tuple["Barcode", List[int]]]:
         """degree -> (sub-barcode, original indices)."""
         out: Dict[int, Tuple[Barcode, List[int]]] = {}

@@ -212,11 +212,16 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
     diag = m.to_morphism(G, Gp)
 
     ident = identity(Gp, field)
-    assert compose(u, phi_m) == diag, "tracked matrix drifted from the recomputed composite"
-    assert compose(phi_m, phi_inv_m) == ident, "tracked inverse fails on the left"
-    assert compose(phi_inv_m, phi_m) == ident, "tracked inverse fails on the right"
-    assert diag.entries == {(r, i): field.one for i, r in sigma.items()}
-    assert len(set(sigma.values())) == len(sigma)
+    postconditions = (
+        (compose(u, phi_m) == diag, "tracked matrix drifted from the recomputed composite"),
+        (compose(phi_m, phi_inv_m) == ident, "tracked inverse fails on the left"),
+        (compose(phi_inv_m, phi_m) == ident, "tracked inverse fails on the right"),
+        (diag.entries == {(r, i): field.one for i, r in sigma.items()}, "result is not a 0/1 diagonal"),
+        (len(set(sigma.values())) == len(sigma), "two source bars share a target bar"),
+    )
+    for holds, message in postconditions:
+        if not holds:
+            raise DiagonalizationError(f"postcondition failed: {message}")
 
     for i, r in sigma.items():
         src = G.bars[i].interval

@@ -37,17 +37,30 @@ from .spectral import spectral_invariants, sublevel_barcode
 __all__ = ["main", "rational_degeneracy"]
 
 
+_INT_CONFIG_KEYS = ("budget", "seed")
+
+
 def _load_config() -> dict:
+    """`key = value` defaults from the file named by PERSIMOD_CONFIG.
+
+    Integer flags are converted here, so a malformed value raises
+    ParseError with its line instead of a bare ValueError."""
     path = os.environ.get("PERSIMOD_CONFIG")
     if not path or not os.path.exists(path):
         return {}
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for n, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if line and "=" in line:
                 key, val = line.split("=", 1)
-                out[key.strip()] = val.strip()
+                key, val = key.strip(), val.strip()
+                if key in _INT_CONFIG_KEYS:
+                    try:
+                        val = int(val)
+                    except ValueError:
+                        raise ParseError(path, n, f"{key} must be an integer, got {val!r}") from None
+                out[key] = val
     return out
 
 
@@ -56,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="persimod", description=__doc__)
     top.add_argument("--field", default=cfg.get("field", "2"),
                      help="scalar field: a prime p or 'q' for rationals")
-    top.add_argument("--budget", type=int, default=int(cfg.get("budget", 2 ** 20)),
+    top.add_argument("--budget", type=int, default=cfg.get("budget", 2 ** 20),
                      help="search budget for exhaustive interleaving checks")
-    top.add_argument("--seed", type=int, default=int(cfg.get("seed", 0)),
+    top.add_argument("--seed", type=int, default=cfg.get("seed", 0),
                      help="seed for randomized subroutines (none currently)")
     top.add_argument("--machine", action="store_true",
                      default=cfg.get("machine", "").lower() in ("1", "true", "yes"),
@@ -303,7 +316,12 @@ def _cmd_demo(args, field) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except (ParseError, OSError, UnicodeDecodeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     try:
         field = field_by_name(args.field)
         if args.command == "dist":

@@ -19,9 +19,11 @@ ever returned.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
@@ -142,65 +144,94 @@ def _infinite_mismatch(F: Barcode, G: Barcode) -> bool:
     return sig(F) != sig(G)
 
 
-def _finite_endpoints(*barcodes: Barcode) -> List[Fraction]:
-    vals = set()
-    for b in barcodes:
-        for bar in b.bars:
+def _as_int(e: ExtRat, scale: int) -> Optional[int]:
+    """Finite e times `scale` (a multiple of its denominator), None if infinite."""
+    if not e.is_finite:
+        return None
+    q = e.as_fraction()
+    return q.numerator * (scale // q.denominator)
+
+
+def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
+    """Scale one problem to Python ints.
+
+    Returns the common denominator D of every finite endpoint and every
+    shift, and per barcode its bars as (degree, lo*D, hi*D); None stands
+    for an infinite endpoint.  Differences and lengths of endpoints share
+    the denominator D, so the whole search runs on exact ints.
+    """
+    dens = {s.denominator for s in shifts}
+    for bc in barcodes:
+        for bar in bc.bars:
             for e in (bar.interval.lo, bar.interval.hi):
                 if e.is_finite:
-                    vals.add(e.as_fraction())
-    return sorted(vals)
+                    dens.add(e.as_fraction().denominator)
+    scale = lcm(*dens)
+    return scale, [
+        [(bar.degree, _as_int(bar.interval.lo, scale), _as_int(bar.interval.hi, scale)) for bar in bc.bars]
+        for bc in barcodes
+    ]
 
 
-def _difference_grid(*barcodes: Barcode) -> List[Fraction]:
-    pts = _finite_endpoints(*barcodes)
-    diffs = {Fraction(0)}
+def _int_grid(F: Barcode, G: Barcode) -> Tuple[int, List[int], List[int]]:
+    """Scale D, the sorted endpoint differences (0 included) and the sorted
+    finite bar lengths of F and G, the last two as ints in units of 1/D."""
+    scale, bars = _int_bars((F, G))
+    pts = sorted({x for rows in bars for _, lo, hi in rows for x in (lo, hi) if x is not None})
+    diffs = {0}
     for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            diffs.add(y - x)
-    return sorted(diffs)
-
-
-def _finite_lengths(*barcodes: Barcode) -> List[Fraction]:
-    out = set()
-    for b in barcodes:
-        for bar in b.bars:
-            ln = bar.interval.length
-            if ln.is_finite:
-                out.add(ln.as_fraction())
-    return sorted(out)
+        diffs.update(y - x for y in pts[i + 1:])
+    lengths = {hi - lo for rows in bars for _, lo, hi in rows if lo is not None and hi is not None}
+    return scale, sorted(diffs), sorted(lengths)
 
 
 def _matching_entries(F: Barcode, G: Barcode, a: Fraction, b: Fraction):
     """Find a covering matching and convert it to entry dictionaries for
-    (u, v), or return None when no interleaving exists."""
-    fd = F.split_by_degree()
-    gd = G.split_by_degree()
+    (u, v), or return None when no interleaving exists.
+
+    Bars i of F and j of G may pair when hom(F_i, G_j + a) and
+    hom(G_j, F_i + b) are both DEG0, i.e. when
+    flo <= glo+a < fhi <= ghi+a and glo <= flo+b < ghi <= fhi+b.  All of it
+    runs on the scaled ints of `_int_bars`; an infinite endpoint becomes
+    -inf or +inf, ints beyond every finite value plus a+b, which keeps each
+    inequality exact (a float infinity would overflow on huge ints).
+    """
+    scale, (fb, gb) = _int_bars((F, G), (a, b))
+    a = a.numerator * (scale // a.denominator)
+    b = b.numerator * (scale // b.denominator)
+    total = a + b
+    big = max((abs(x) for rows in (fb, gb) for _, lo, hi in rows for x in (lo, hi) if x is not None), default=0)
+    inf = big + total + 1
+
+    def by_degree(rows):
+        out: Dict[int, List[Tuple[int, int, int]]] = {}
+        for idx, (deg, lo, hi) in enumerate(rows):
+            out.setdefault(deg, []).append((idx, -inf if lo is None else lo, inf if hi is None else hi))
+        return out
+
+    fd, gd = by_degree(fb), by_degree(gb)
     u_entries: Dict[Tuple[int, int], int] = {}
     v_entries: Dict[Tuple[int, int], int] = {}
-    total = a + b
     for deg in sorted(set(fd) | set(gd)):
-        f_piece, f_idx = fd.get(deg, (Barcode([]), []))
-        g_piece, g_idx = gd.get(deg, (Barcode([]), []))
-        f_shifted = [bar.interval.shift(b) for bar in f_piece.bars]
-        g_shifted = [bar.interval.shift(a) for bar in g_piece.bars]
+        f_bars = fd.get(deg, [])
+        g_bars = gd.get(deg, [])
+        g_ends = [(glo, ghi, glo + a, ghi + a) for _, glo, ghi in g_bars]
         adj: List[List[int]] = []
-        for i, fbar in enumerate(f_piece.bars):
-            row = [
+        for _, flo, fhi in f_bars:
+            flo_b, fhi_b = flo + b, fhi + b
+            adj.append([
                 j
-                for j, gbar in enumerate(g_piece.bars)
-                if hom(fbar.interval, g_shifted[j]) is DEG0
-                and hom(gbar.interval, f_shifted[i]) is DEG0
-            ]
-            adj.append(row)
-        req_l = [i for i, bar in enumerate(f_piece.bars) if bar.interval.length > total]
-        req_r = [j for j, bar in enumerate(g_piece.bars) if bar.interval.length > total]
-        m = matching_covering(len(f_piece), len(g_piece), adj, req_l, req_r)
+                for j, (glo, ghi, glo_a, ghi_a) in enumerate(g_ends)
+                if flo <= glo_a < fhi <= ghi_a and glo <= flo_b < ghi <= fhi_b
+            ])
+        req_l = [i for i, (_, lo, hi) in enumerate(f_bars) if hi - lo > total]
+        req_r = [j for j, (_, lo, hi) in enumerate(g_bars) if hi - lo > total]
+        m = matching_covering(len(f_bars), len(g_bars), adj, req_l, req_r)
         if m is None:
             return None
         for i, j in m.items():
-            u_entries[(g_idx[j], f_idx[i])] = 1
-            v_entries[(f_idx[i], g_idx[j])] = 1
+            u_entries[(g_bars[j][0], f_bars[i][0])] = 1
+            v_entries[(f_bars[i][0], g_bars[j][0])] = 1
     return u_entries, v_entries
 
 
@@ -360,35 +391,33 @@ def _degree_gamma(F: Barcode, G: Barcode, decide) -> Tuple[ExtRat, Optional[Tupl
     grid of endpoint differences for one coordinate and binary-searches the
     other; bar lengths enter as a+b thresholds, so length-minus-coordinate
     values complete the candidate set.  Both orientations are scanned:
-    either coordinate of an optimal pair may be the gridded one.
+    either coordinate of an optimal pair may be the gridded one.  Grid,
+    lengths and candidates are ints in units of 1/D (see `_int_grid`); only
+    the probed points are turned back into Fractions for `decide`.
     """
     if not len(F) and not len(G):
         return ExtRat(0), (Fraction(0), Fraction(0))
     if _infinite_mismatch(F, G):
         return POS_INF, None
-    diffs = _difference_grid(F, G)
-    lengths = _finite_lengths(F, G)
-    cache: Dict[Tuple[Fraction, Fraction], object] = {}
+    scale, diffs, lengths = _int_grid(F, G)
+    diff_set = set(diffs)
+    cache: Dict[Tuple[int, int], object] = {}
 
-    def cached(a: Fraction, b: Fraction):
+    def cached(a: int, b: int):
         key = (a, b)
         if key not in cache:
-            cache[key] = decide(a, b)
+            cache[key] = decide(Fraction(a, scale), Fraction(b, scale))
         return cache[key]
 
-    best: Optional[Fraction] = None
-    best_pair: Optional[Tuple[Fraction, Fraction]] = None
+    best: Optional[int] = None
+    best_pair: Optional[Tuple[int, int]] = None
 
-    def partner_candidates(x: Fraction) -> List[Fraction]:
-        vals = set(diffs)
-        vals.add(Fraction(0))
-        for ln in lengths:
-            if ln > x:
-                vals.add(ln - x)
+    def partner_candidates(x: int) -> List[int]:
+        head = diffs if best is None else diffs[:bisect_left(diffs, best - x)]
+        extra = {ln - x for ln in lengths[bisect_right(lengths, x):]} - diff_set
         if best is not None:
-            cap = best - x
-            vals = {v for v in vals if v < cap}
-        return sorted(vals)
+            extra = {v for v in extra if v < best - x}
+        return sorted(head + list(extra)) if extra else head
 
     for x in diffs:
         if best is not None and x >= best:
@@ -404,7 +433,7 @@ def _degree_gamma(F: Barcode, G: Barcode, decide) -> Tuple[ExtRat, Optional[Tupl
 
     if best is None:
         return POS_INF, None
-    return ExtRat(best), best_pair
+    return ExtRat(Fraction(best, scale)), (Fraction(best_pair[0], scale), Fraction(best_pair[1], scale))
 
 
 def gamma(
@@ -488,25 +517,28 @@ def gamma_symmetric(
     """Least 2c such that a (c, c)-interleaving exists."""
     if _infinite_mismatch(F, G):
         return DistanceReport(POS_INF, POS_INF, POS_INF, None)
-    diffs = _difference_grid(F, G)
-    cands = sorted({Fraction(0)} | set(diffs) | {2 * d for d in diffs})
+    # Candidates c are ints in units of 1/D; a probe at c/2 is c/(2D).
+    scale, diffs, _ = _int_grid(F, G)
+    cands = sorted(set(diffs) | {2 * d for d in diffs})
     unknown: List[Fraction] = []
 
-    def feasible(c: Fraction):
-        res = check_interleaving(F, G, c / 2, c / 2, field=field, method=method, budget=budget)
+    def feasible(c: int):
+        half = Fraction(c, 2 * scale)
+        res = check_interleaving(F, G, half, half, field=field, method=method, budget=budget)
         if res is UNKNOWN:
-            unknown.append(c)
+            unknown.append(Fraction(c, scale))
             return UNKNOWN
         return res is not None
 
     got = _min_feasible(cands, feasible)
     if got is None:
         return DistanceReport(POS_INF, ExtRat(min(unknown)) if unknown else POS_INF, POS_INF, None)
-    cert = check_interleaving(F, G, got / 2, got / 2, field=field, method=method, budget=budget)
+    total = Fraction(got, scale)
+    cert = check_interleaving(F, G, total / 2, total / 2, field=field, method=method, budget=budget)
     cert = cert if isinstance(cert, InterleavingCertificate) else None
-    value = ExtRat(got)
+    value = ExtRat(total)
     lower = value
-    if unknown and min(unknown) < got:
+    if unknown and min(unknown) < total:
         lower = ExtRat(min(unknown))
     return DistanceReport(value, lower, value, cert)
 

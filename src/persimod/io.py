@@ -23,6 +23,7 @@ from .morphisms import Morphism
 from .spectral import PLFunction
 
 __all__ = [
+    "MAX_MULTIPLICITY",
     "ParseError",
     "parse_barcode",
     "parse_barcode_text",
@@ -59,6 +60,10 @@ def _lines(text: str):
 
 # -- barcodes ---------------------------------------------------------------
 
+# Bars are stored expanded, one entry per copy, so a multiplicity column is
+# capped before anything is allocated for it.
+MAX_MULTIPLICITY = 100_000
+
 
 def parse_barcode_text(text: str, path="<string>") -> Barcode:
     bars: List[Bar] = []
@@ -75,6 +80,8 @@ def parse_barcode_text(text: str, path="<string>") -> Barcode:
             raise ParseError(path, n, f"unknown token ({err})") from None
         if mult < 1:
             raise ParseError(path, n, "multiplicity must be >= 1")
+        if mult > MAX_MULTIPLICITY:
+            raise ParseError(path, n, f"multiplicity {mult} exceeds the cap of {MAX_MULTIPLICITY}")
         if lo >= hi:
             raise ParseError(path, n, f"empty interval [{lo},{hi})")
         bars.extend([Bar(degree, Interval(lo, hi))] * mult)
@@ -93,6 +100,10 @@ def emit_barcode(b: Barcode) -> str:
     out = ["# degree lo hi [multiplicity]"]
     for bar, count in b.counts():
         line = f"{bar.degree} {bar.interval.lo} {bar.interval.hi}"
+        # Runs longer than the parser's cap are split so the text reads back.
+        while count > MAX_MULTIPLICITY:
+            out.append(f"{line} {MAX_MULTIPLICITY}")
+            count -= MAX_MULTIPLICITY
         out.append(line if count == 1 else f"{line} {count}")
     return "\n".join(out) + "\n"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-__all__ = ["max_matching", "matching_covering"]
+__all__ = ["matching_covering"]
 
 
 def _try_augment(u: int, adj: Sequence[Sequence[int]], match_r: Dict[int, int], seen: Set[int]) -> bool:
@@ -24,14 +24,6 @@ def _try_augment(u: int, adj: Sequence[Sequence[int]], match_r: Dict[int, int], 
             match_r[v] = u
             return True
     return False
-
-
-def max_matching(num_left: int, adj: Sequence[Sequence[int]]) -> Dict[int, int]:
-    """Maximum matching, returned as {left: right}."""
-    match_r: Dict[int, int] = {}
-    for u in range(num_left):
-        _try_augment(u, adj, match_r, set())
-    return {u: v for v, u in match_r.items()}
 
 
 def _saturating(order: Iterable[int], adj: Sequence[Sequence[int]], required: Set[int]) -> Optional[Dict[int, int]]:
@@ -123,6 +115,8 @@ def matching_covering(
             out.update(pick2)
 
     # Sanity: the per-component choice must cover everything required.
-    assert req_l <= set(out), "required left vertex lost in the merge"
-    assert req_r <= set(out.values()), "required right vertex lost in the merge"
+    if not req_l <= set(out):
+        raise RuntimeError("internal error: required left vertex lost in the merge")
+    if not req_r <= set(out.values()):
+        raise RuntimeError("internal error: required right vertex lost in the merge")
     return out

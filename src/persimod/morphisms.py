@@ -98,13 +98,6 @@ class Morphism:
         ent = {(pos[t], s): v for (t, s), v in self.entries.items() if t in pos}
         return Morphism(self.source, self.target.restrict(idx), ent, self.field)
 
-    def dense(self) -> List[List[object]]:
-        z = self.field.zero
-        mat = [[z] * len(self.source) for _ in range(len(self.target))]
-        for (t, s), v in self.entries.items():
-            mat[t][s] = v
-        return mat
-
     def __eq__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented

@@ -5,15 +5,22 @@ stratification of the line (points and open intervals between the relevant
 endpoints).  No code path below calls the library's hom/compose/cone/
 persistence routines -- only the plain data containers are shared.  The
 implementations favour obviousness over speed.
+
+The one exception is the differential oracle for the interleaving search:
+the earlier Fraction/ExtRat implementation, kept to check the library's
+integer kernel against (see its section).
 """
 
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
-from persimod.intervals import ExtRat, Interval, NEG_INF, POS_INF
+from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom
 from persimod.barcodes import Bar, Barcode
 from persimod.fields import GF2
+from persimod.interleaving import DistanceReport, InterleavingCertificate
+from persimod.matching import matching_covering
+from persimod.morphisms import Morphism
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +391,185 @@ def interleaved_oracle(F: Barcode, G: Barcode, a, b, field=GF2, max_cells=14) ->
         if solve_field(rows, rhs, field):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the interleaving search
+#
+# The library decides and searches on endpoints scaled to Python ints.  The
+# functions below are the earlier implementation on Fraction/ExtRat values:
+# adjacency from the library's `hom` per pair of shifted intervals, and the
+# same grid scan with every candidate rebuilt as a Fraction set.  Unlike the
+# oracles above they share `hom`, `matching_covering` and the certificate
+# verifier with the library; what they check is the integer kernel.
+
+
+def finite_endpoints_oracle(*barcodes: Barcode) -> List[Fraction]:
+    vals = set()
+    for bc in barcodes:
+        for bar in bc.bars:
+            for e in (bar.interval.lo, bar.interval.hi):
+                if e.is_finite:
+                    vals.add(e.as_fraction())
+    return sorted(vals)
+
+
+def difference_grid_oracle(*barcodes: Barcode) -> List[Fraction]:
+    pts = finite_endpoints_oracle(*barcodes)
+    diffs = {Fraction(0)}
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            diffs.add(y - x)
+    return sorted(diffs)
+
+
+def finite_lengths_oracle(*barcodes: Barcode) -> List[Fraction]:
+    out = set()
+    for bc in barcodes:
+        for bar in bc.bars:
+            ln = bar.interval.length
+            if ln.is_finite:
+                out.add(ln.as_fraction())
+    return sorted(out)
+
+
+def _infinite_signature(bc: Barcode) -> Dict[Tuple[int, bool, bool], int]:
+    out: Dict[Tuple[int, bool, bool], int] = {}
+    for bar in bc.bars:
+        left, right = bar.interval.lo.is_neg_inf, bar.interval.hi.is_pos_inf
+        if left or right:
+            key = (bar.degree, left, right)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def matching_entries_oracle(F: Barcode, G: Barcode, a, b):
+    """(u_entries, v_entries) of a covering matching at shifts (a, b), or None."""
+    a, b = Fraction(a), Fraction(b)
+    fd, gd = F.split_by_degree(), G.split_by_degree()
+    u_entries: Dict[Tuple[int, int], int] = {}
+    v_entries: Dict[Tuple[int, int], int] = {}
+    for deg in sorted(set(fd) | set(gd)):
+        f_piece, f_idx = fd.get(deg, (Barcode([]), []))
+        g_piece, g_idx = gd.get(deg, (Barcode([]), []))
+        f_shifted = [bar.interval.shift(b) for bar in f_piece.bars]
+        g_shifted = [bar.interval.shift(a) for bar in g_piece.bars]
+        adj = [
+            [j for j, gbar in enumerate(g_piece.bars)
+             if hom(fbar.interval, g_shifted[j]) is DEG0 and hom(gbar.interval, f_shifted[i]) is DEG0]
+            for i, fbar in enumerate(f_piece.bars)
+        ]
+        req_l = [i for i, bar in enumerate(f_piece.bars) if bar.interval.length > a + b]
+        req_r = [j for j, bar in enumerate(g_piece.bars) if bar.interval.length > a + b]
+        m = matching_covering(len(f_piece), len(g_piece), adj, req_l, req_r)
+        if m is None:
+            return None
+        for i, j in m.items():
+            u_entries[(g_idx[j], f_idx[i])] = 1
+            v_entries[(f_idx[i], g_idx[j])] = 1
+    return u_entries, v_entries
+
+
+def check_interleaving_oracle(F: Barcode, G: Barcode, a, b, field=GF2):
+    """Verified certificate at (a, b) from the Fraction adjacency, or None."""
+    found = matching_entries_oracle(F, G, a, b)
+    if found is None:
+        return None
+    u = Morphism(F, G.shift(a), found[0], field)
+    v = Morphism(G, F.shift(b), found[1], field)
+    return InterleavingCertificate(a, b, u, v)
+
+
+def _min_feasible_oracle(candidates, feasible):
+    if not candidates or not feasible(candidates[-1]):
+        return None
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[lo]
+
+
+def _degree_gamma_oracle(F: Barcode, G: Barcode, field):
+    if not len(F) and not len(G):
+        return ExtRat(0), (Fraction(0), Fraction(0))
+    if _infinite_signature(F) != _infinite_signature(G):
+        return POS_INF, None
+    diffs = difference_grid_oracle(F, G)
+    lengths = finite_lengths_oracle(F, G)
+    cache: Dict[Tuple[Fraction, Fraction], bool] = {}
+
+    def cached(a, b):
+        if (a, b) not in cache:
+            cache[(a, b)] = check_interleaving_oracle(F, G, a, b, field) is not None
+        return cache[(a, b)]
+
+    best = best_pair = None
+
+    def partner_candidates(x):
+        vals = set(diffs) | {Fraction(0)} | {ln - x for ln in lengths if ln > x}
+        if best is not None:
+            vals = {v for v in vals if v < best - x}
+        return sorted(vals)
+
+    for x in diffs:
+        if best is not None and x >= best:
+            break
+        got = _min_feasible_oracle(partner_candidates(x), lambda t: cached(x, t))
+        if got is not None and (best is None or x + got < best):
+            best, best_pair = x + got, (x, got)
+        got = _min_feasible_oracle(partner_candidates(x), lambda t: cached(t, x))
+        if got is not None and (best is None or x + got < best):
+            best, best_pair = x + got, (got, x)
+    if best is None:
+        return POS_INF, None
+    return ExtRat(best), best_pair
+
+
+def gamma_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
+    """Least a+b over the per-degree grid scans, with its certificate."""
+    fd, gd = F.split_by_degree(), G.split_by_degree()
+    degrees = sorted(set(fd) | set(gd))
+    if not degrees:
+        return DistanceReport(ExtRat(0), ExtRat(0), ExtRat(0), check_interleaving_oracle(F, G, 0, 0, field))
+    per_degree = []
+    for deg in degrees:
+        val, pair = _degree_gamma_oracle(fd.get(deg, (Barcode([]), []))[0], gd.get(deg, (Barcode([]), []))[0], field)
+        if val == POS_INF:
+            return DistanceReport(POS_INF, POS_INF, POS_INF, None)
+        per_degree.append((val, pair))
+    value = max(v for v, _ in per_degree)
+    total = value.as_fraction()
+    certificate = None
+    tried = set()
+    for _, pair in per_degree:
+        slack = total - (pair[0] + pair[1])
+        for candidate in ((pair[0] + slack, pair[1]), (pair[0], pair[1] + slack)):
+            if candidate in tried:
+                continue
+            tried.add(candidate)
+            certificate = check_interleaving_oracle(F, G, *candidate, field)
+            if certificate is not None:
+                break
+        if certificate is not None:
+            break
+    return DistanceReport(value, value, value, certificate)
+
+
+def gamma_symmetric_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
+    """Least 2c with a (c, c)-interleaving, by binary search over the grid."""
+    if _infinite_signature(F) != _infinite_signature(G):
+        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
+    diffs = difference_grid_oracle(F, G)
+    cands = sorted({Fraction(0)} | set(diffs) | {2 * d for d in diffs})
+    got = _min_feasible_oracle(cands, lambda c: check_interleaving_oracle(F, G, c / 2, c / 2, field) is not None)
+    if got is None:
+        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
+    value = ExtRat(got)
+    return DistanceReport(value, value, value, check_interleaving_oracle(F, G, got / 2, got / 2, field))
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,17 @@ def test_dying_short_bar_excluded():
     assert out[0].result.sigma == {0: 0}
 
 
+def test_failed_postcondition_raises(monkeypatch):
+    # A wrong identity makes the tracked-inverse check fail; it must raise
+    # DiagonalizationError rather than rely on assert, which -O strips.
+    import persimod.canonical as canonical
+
+    g = B((0, Interval(0, 10)))
+    monkeypatch.setattr(canonical, "identity", lambda b, field: Morphism(b, b, {}, field))
+    with pytest.raises(DiagonalizationError, match="postcondition failed: tracked inverse"):
+        canonical_form(identity(g), tau_morphism(g, 1, field=GF2), 1)
+
+
 def test_stage_error_reports_stage():
     bc = B((0, Interval(0, 1)))
     stages = [bc, bc]

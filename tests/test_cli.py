@@ -260,6 +260,14 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_multiplicity_above_cap_exits_2(tmp_path, capsys):
+    p = tmp_path / "huge.bc"
+    p.write_text("0 0 1 1000000000\n")
+    rc, out, err = run(capsys, "validate", str(p))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the cap" in err
+
+
 def test_unknown_field_exits_1(unit_pair, capsys):
     rc, _, err = run(capsys, "--field", "4", "dist", "gamma", "F.bc", "G.bc")
     assert rc == 1
@@ -273,6 +281,15 @@ def test_config_file_sets_defaults(unit_pair, monkeypatch, capsys):
     rc, out, _ = run(capsys, "dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
     assert rc == 0
     assert out.splitlines() == ["a=0", "b=1", "result=interleaved"]
+
+
+def test_malformed_config_exits_2(unit_pair, monkeypatch, capsys):
+    cfg = unit_pair / "persimod.cfg"
+    cfg.write_text("field = 5\nbudget = abc\n")
+    monkeypatch.setenv("PERSIMOD_CONFIG", str(cfg))
+    rc, out, err = run(capsys, "dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [f"error: {cfg}:2: budget must be an integer, got 'abc'"]
 
 
 def test_console_script_smoke(tmp_path):

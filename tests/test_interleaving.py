@@ -1,5 +1,7 @@
 """The interleaving pseudo-distance: decision procedure, optimization, witnesses."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -246,3 +248,22 @@ def test_matching_witness_upper_bounds_gamma(rng):
         cert = matching_witness(F, G, delta)
         if cert is not None:
             assert ExtRat(cert.total) >= value
+
+
+# --- matching ------------------------------------------------------------------
+
+
+def test_matching_merge_check_survives_python_O():
+    # The merge's coverage check must raise, not assert: -O strips asserts.
+    # Saturating matchings that cover nothing make the merge lose vertex 0.
+    code = (
+        "import persimod.matching as m\n"
+        "m._saturating = lambda order, adj, required: {}\n"
+        "try:\n"
+        "    m.matching_covering(1, 1, [[0]], [0], [0])\n"
+        "except RuntimeError as err:\n"
+        "    print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "internal error: required left vertex lost in the merge\n"

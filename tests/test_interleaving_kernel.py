@@ -1,0 +1,110 @@
+"""The integer endpoint kernel under check_interleaving, gamma and
+gamma_symmetric, checked for exact agreement with the Fraction/ExtRat
+implementation kept in `oracles.py`."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetric
+from persimod.intervals import ExtRat, NEG_INF, POS_INF
+from oracles import check_interleaving_oracle, gamma_oracle, gamma_symmetric_oracle
+
+KINDS = ("finite", "finite", "finite", "left", "right", "both")
+
+
+def _interval(kind, lo, hi):
+    return Interval(NEG_INF if kind in ("left", "both") else lo, POS_INF if kind in ("right", "both") else hi)
+
+
+@st.composite
+def barcode_pairs(draw, den):
+    """(F, G) on degrees {0, 1} with endpoints k/den and infinite bars of
+    every kind.  Half the time G keeps F's degrees and infinite sides with
+    fresh endpoints, so the search runs instead of stopping at a mismatch."""
+    endpoint = st.integers(0, 10 * den).map(lambda k: Fraction(k, den))
+    length = st.integers(1, 10 * den).map(lambda k: Fraction(k, den))
+
+    def bar(degree, kind):
+        lo = draw(endpoint)
+        return degree, _interval(kind, lo, lo + draw(length))
+
+    shape = draw(st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(KINDS)), max_size=4))
+    F = Barcode([bar(d, k) for d, k in shape])
+    if draw(st.booleans()):
+        shape = draw(st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(KINDS)), max_size=4))
+    G = Barcode([bar(d, k) for d, k in shape])
+    return F, G
+
+
+def shifts(den):
+    return st.integers(0, 12 * den).map(lambda k: Fraction(k, 2 * den))
+
+
+def report_key(report):
+    cert = report.certificate
+    return report.value, report.lower, report.upper, None if cert is None else (cert.a, cert.b)
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gamma_matches_fraction_oracle(den, data):
+    F, G = data.draw(barcode_pairs(den))
+    assert report_key(gamma(F, G)) == report_key(gamma_oracle(F, G))
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gamma_symmetric_matches_fraction_oracle(den, data):
+    F, G = data.draw(barcode_pairs(den))
+    assert report_key(gamma_symmetric(F, G)) == report_key(gamma_symmetric_oracle(F, G))
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_check_interleaving_matches_fraction_oracle(den, data):
+    F, G = data.draw(barcode_pairs(den))
+    a, b = data.draw(shifts(den)), data.draw(shifts(den))
+    got, want = check_interleaving(F, G, a, b), check_interleaving_oracle(F, G, a, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.u.entries == want.u.entries
+        assert got.v.entries == want.v.entries
+
+
+def _primes_above(start, count):
+    out = []
+    n = start
+    while len(out) < count:
+        n += 1
+        if all(n % p for p in range(2, int(n ** 0.5) + 1)):
+            out.append(n)
+    return out
+
+
+def test_scaled_endpoints_beyond_float_range():
+    # 64 distinct prime denominators near 1e5: the common denominator, and
+    # so every scaled endpoint, exceeds 1e308, where int + float('inf')
+    # would raise OverflowError.
+    primes = _primes_above(100_000, 64)
+    scale = 1
+    for p in primes:
+        scale *= p
+    assert scale > 10 ** 308
+    pairs = list(zip(primes[::2], primes[1::2]))
+    F = Barcode([(0, Interval(Fraction(1, p), 5 + Fraction(1, q))) for p, q in pairs] + [(0, Interval(0, POS_INF))])
+    G = Barcode([(0, Interval(Fraction(2, p), 5 + Fraction(2, q))) for p, q in pairs] + [(0, Interval(1, POS_INF))])
+
+    cert = check_interleaving(F, G, Fraction(1, 7), 1)
+    assert cert is not None and cert.total == Fraction(8, 7)
+    assert check_interleaving(F, G, Fraction(1, 7), Fraction(1, 7)) is None
+
+    same = gamma(F, F)
+    assert same.value == ExtRat(0) and same.certificate.total == 0
+    sym = gamma_symmetric(F, G)
+    assert sym.value.is_finite and sym.certificate.total == sym.value

@@ -52,6 +52,16 @@ def test_barcode_emit_folds_multiplicity():
     assert "0 0 1 3" in emit_barcode(b)
 
 
+def test_barcode_emit_splits_runs_above_the_multiplicity_cap(monkeypatch):
+    import persimod.io as pio
+
+    monkeypatch.setattr(pio, "MAX_MULTIPLICITY", 2)
+    b = B(*[(0, Interval(0, 1))] * 5, (1, Interval(0, 1)))
+    text = emit_barcode(b)
+    assert text.splitlines()[1:] == ["0 0 1 2", "0 0 1 2", "0 0 1", "1 0 1"]
+    assert parse_barcode_text(text) == b
+
+
 def test_barcode_parse_accepts_comments_and_infinities():
     text = """
     # clipped
@@ -73,6 +83,8 @@ def test_barcode_parse_errors_carry_position(tmp_path):
         parse_barcode_text("0 zero 1\n")
     with pytest.raises(ParseError, match="multiplicity must be >= 1"):
         parse_barcode_text("0 0 1 0\n")
+    with pytest.raises(ParseError, match=r"<string>:1: multiplicity 1000000000 exceeds the cap of 100000"):
+        parse_barcode_text("0 0 1 1000000000\n")
     with pytest.raises(ParseError, match="expected 'degree lo hi"):
         parse_barcode_text("0 0\n")
     with pytest.raises(ParseError, match="cannot read"):
