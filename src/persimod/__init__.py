@@ -25,13 +25,11 @@ from .canonical import (
     diagonalize_system,
 )
 from .interleaving import (
-    UNKNOWN,
     DistanceReport,
     InterleavingCertificate,
     check_interleaving,
     gamma,
     gamma_symmetric,
-    matching_witness,
 )
 from .limits import (
     Chain,

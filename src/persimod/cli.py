@@ -19,7 +19,7 @@ from .canonical import DiagonalizationError
 from .cones import ConeParams, cantor_cubes, cone_coisotropy_test, corner_cloud, displacement_bound
 from .fields import GF2, field_by_name
 from .intervals import Interval, POS_INF
-from .interleaving import UNKNOWN, check_interleaving, gamma, gamma_symmetric
+from .interleaving import check_interleaving, gamma, gamma_symmetric
 from .io import (
     ParseError,
     emit_barcode,
@@ -37,14 +37,13 @@ from .spectral import spectral_invariants, sublevel_barcode
 __all__ = ["main", "rational_degeneracy"]
 
 
-_INT_CONFIG_KEYS = ("budget", "seed")
+_CONFIG_KEYS = ("field", "machine")
 
 
 def _load_config() -> dict:
     """`key = value` defaults from the file named by PERSIMOD_CONFIG.
 
-    Integer flags are converted here, so a malformed value raises
-    ParseError with its line instead of a bare ValueError."""
+    An unknown key raises ParseError with its line."""
     path = os.environ.get("PERSIMOD_CONFIG")
     if not path or not os.path.exists(path):
         return {}
@@ -55,11 +54,8 @@ def _load_config() -> dict:
             if line and "=" in line:
                 key, val = line.split("=", 1)
                 key, val = key.strip(), val.strip()
-                if key in _INT_CONFIG_KEYS:
-                    try:
-                        val = int(val)
-                    except ValueError:
-                        raise ParseError(path, n, f"{key} must be an integer, got {val!r}") from None
+                if key not in _CONFIG_KEYS:
+                    raise ParseError(path, n, f"unknown key {key!r}")
                 out[key] = val
     return out
 
@@ -69,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="persimod", description=__doc__)
     top.add_argument("--field", default=cfg.get("field", "2"),
                      help="scalar field: a prime p or 'q' for rationals")
-    top.add_argument("--budget", type=int, default=cfg.get("budget", 2 ** 20),
-                     help="search budget for exhaustive interleaving checks")
-    top.add_argument("--seed", type=int, default=cfg.get("seed", 0),
-                     help="seed for randomized subroutines (none currently)")
     top.add_argument("--machine", action="store_true",
                      default=cfg.get("machine", "").lower() in ("1", "true", "yes"),
                      help="emit line-oriented key=value records")
@@ -91,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("right")
     dc.add_argument("--a", required=True)
     dc.add_argument("--b", required=True)
-    dc.add_argument("--method", default="matching", choices=("matching", "exhaustive"))
 
     sp = sub.add_parser("spectral", help="read spectral numbers off a barcode")
     sp.add_argument("file")
@@ -154,7 +145,7 @@ def rational_degeneracy(denom_max: int, field=GF2):
     if F == G:
         raise ValueError("degeneracy demo produced equal barcodes")
     cert = check_interleaving(F, G, 0, Fraction(1, denom_max), field=field)
-    if cert is None or cert is UNKNOWN:
+    if cert is None:
         raise ValueError("no certificate at the advertised shifts")
     return F, G, cert
 
@@ -171,17 +162,13 @@ def _cmd_dist(args, field) -> int:
     F = parse_barcode(args.left)
     G = parse_barcode(args.right)
     if args.subcommand == "check":
-        result = check_interleaving(F, G, Fraction(args.a), Fraction(args.b),
-                                    field=field, method=args.method, budget=args.budget)
-        if result is UNKNOWN:
-            word = "unknown"
-        else:
-            word = "interleaved" if result is not None else "not-interleaved"
+        result = check_interleaving(F, G, Fraction(args.a), Fraction(args.b), field=field)
+        word = "interleaved" if result is not None else "not-interleaved"
         _emit(args, word, [f"a={args.a}", f"b={args.b}", f"result={word}"])
         return 0
 
     fn = gamma_symmetric if args.symmetric else gamma
-    report = fn(F, G, field=field, budget=args.budget)
+    report = fn(F, G, field=field)
     records = [
         f"value={report.value}",
         f"exactness={report.exactness}",
@@ -189,8 +176,6 @@ def _cmd_dist(args, field) -> int:
         f"upper={report.upper}",
     ]
     human = f"{report.value} {report.exactness.lower()}"
-    if not report.is_exact:
-        human += f" {report.lower} {report.upper}"
     if report.certificate is not None:
         text = emit_certificate(F, G, report.certificate)
         with open(args.certificate, "w", encoding="utf-8") as fh:
@@ -247,7 +232,7 @@ def _cmd_complete(args, field) -> int:
     if not names:
         raise ParseError(args.dir, None, "no stage files F<n>.bc")
     seq = [parse_barcode(os.path.join(args.dir, f)) for _, f in names]
-    result = complete_cauchy(seq, Fraction(args.tol), field=field, budget=args.budget)
+    result = complete_cauchy(seq, Fraction(args.tol), field=field)
     _emit(
         args,
         f"start: {result.start}; distance to last stage: {result.final_gamma.value}",

@@ -1,8 +1,8 @@
 """Scalar fields for morphism matrices: GF(p) for a prime p, or exact rationals.
 
-The default field everywhere is GF(2): feasibility searches become finite and
-the examples in the test-suite stay exhaustive.  Exact rationals are supported
-as an alternative for small instances.
+The default field everywhere is GF(2), whose few elements let the test-suite
+oracles enumerate every entry assignment.  Exact rationals are supported as an
+alternative for small instances.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class PrimeField:
 
 
 class RationalField:
-    """Exact rational scalars.  No finite enumeration -> no exhaustive search."""
+    """Exact rational scalars.  Not enumerable: `elements()` raises."""
 
     __slots__ = ()
 

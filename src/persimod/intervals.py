@@ -338,12 +338,3 @@ def compose_generator(i: Interval, j: Interval, k: Interval) -> HomType:
     if hom(j, k) is not DEG0:
         raise ValueError(f"no degree-0 generator {j} -> {k}")
     return hom(i, k)
-
-
-def endpoint_absdiff(x: ExtRat, y: ExtRat) -> ExtRat:
-    """|x - y| with the convention that two equal infinities are 0 apart."""
-    if x == y:
-        return ExtRat(0)
-    if not (x.is_finite and y.is_finite):
-        return POS_INF
-    return abs(x - y)

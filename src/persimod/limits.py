@@ -25,7 +25,7 @@ from .barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
 from .canonical import DiagonalizationError, StageDiagonalization, diagonalize_system
 from .fields import GF2, solve_linear
 from .intervals import DEG0, ExtRat, Interval, hom
-from .interleaving import DEFAULT_BUDGET, DistanceReport, InterleavingCertificate, gamma
+from .interleaving import DistanceReport, InterleavingCertificate, gamma
 from .morphisms import Morphism, compose, equals_tau, tau_morphism
 
 __all__ = [
@@ -403,8 +403,6 @@ def complete_cauchy(
     start: Optional[int] = None,
     exact: bool = True,
     field=GF2,
-    method: str = "matching",
-    budget: int = DEFAULT_BUDGET,
 ) -> CompletionResult:
     """Limit of a Cauchy sequence of barcodes, to within `tol`.
 
@@ -419,14 +417,22 @@ def complete_cauchy(
     if not seq:
         raise CompletionError("empty sequence")
     tol = Fraction(tol)
-    kw = dict(field=field, method=method, budget=budget)
 
-    steps = [gamma(seq[i], seq[i + 1], **kw) for i in range(len(seq) - 1)]
+    # Degrees never interact: every step is measured and certified degree
+    # by degree, and its distance is the largest per-degree distance.
+    degrees = sorted({bar.degree for b in seq for bar in b.bars})
+    pieces = [
+        {deg: sp.get(deg, (Barcode([]), []))[0] for deg in degrees}
+        for sp in (b.split_by_degree() for b in seq)
+    ]
+    step_reports = [
+        {deg: gamma(pieces[i][deg], pieces[i + 1][deg], field=field) for deg in degrees}
+        for i in range(len(seq) - 1)
+    ]
+    steps = [max((rep.value for rep in reps.values()), default=ExtRat(0)) for reps in step_reports]
 
     def suffix_ok(s: int) -> bool:
-        return all(
-            steps[s + j].value <= Fraction(1, 2 ** j) for j in range(len(steps) - s)
-        )
+        return all(steps[s + j] <= Fraction(1, 2 ** j) for j in range(len(steps) - s))
 
     if start is None:
         start = next((s for s in range(len(seq)) if suffix_ok(s)), None)
@@ -442,28 +448,25 @@ def complete_cauchy(
     m = len(sub) - 1
 
     if m == 0:
-        final = gamma(sub[0], seq[-1], **kw)
+        final = gamma(sub[0], seq[-1], field=field)
         if final.value > tol:
             raise ToleranceError(f"gamma {final.value} exceeds tolerance {tol}")
         return CompletionResult(sub[0], start, indices, (), final)
 
-    # Per-degree certificates for every step; degrees never interact.
-    degrees = sorted({bar.degree for b in sub for bar in b.bars})
-    splits = [b.split_by_degree() for b in sub]
     step_certs: List[Dict[int, InterleavingCertificate]] = [dict() for _ in range(m)]
     out_bars: List[Bar] = []
 
-    for deg in degrees:
-        stages_h = [sp.get(deg, (Barcode([]), []))[0] for sp in splits]
+    for deg in sorted({bar.degree for b in sub for bar in b.bars}):
+        stages_h = [pieces[start + j][deg] for j in range(m + 1)]
         certs: List[InterleavingCertificate] = []
         for j in range(m):
-            rep = gamma(stages_h[j], stages_h[j + 1], **kw)
-            if rep.certificate is None:
+            cert = step_reports[start + j][deg].certificate
+            if cert is None:
                 raise CompletionError(
                     f"no certificate for degree {deg} between stages {start + j} and {start + j + 1}"
                 )
-            certs.append(rep.certificate)
-            step_certs[j][deg] = rep.certificate
+            certs.append(cert)
+            step_certs[j][deg] = cert
         # Cumulative anchors: eps_j sums the remaining per-step costs, so
         # the re-anchored forward maps need no negative shifts.
         eps = [Fraction(0)] * (m + 1)
@@ -495,7 +498,7 @@ def complete_cauchy(
                 out_bars.append(Bar(deg, Interval(lo, hi)))
 
     output = Barcode(out_bars)
-    final = gamma(output, seq[-1], **kw)
+    final = gamma(output, seq[-1], field=field)
     if final.value > tol:
         raise ToleranceError(f"gamma {final.value} exceeds tolerance {tol}")
     return CompletionResult(output, start, indices, tuple(step_certs), final)

@@ -493,7 +493,7 @@ def _min_feasible_oracle(candidates, feasible):
     return candidates[lo]
 
 
-def _degree_gamma_oracle(F: Barcode, G: Barcode, field):
+def _least_total_oracle(F: Barcode, G: Barcode, field):
     if not len(F) and not len(G):
         return ExtRat(0), (Fraction(0), Fraction(0))
     if _infinite_signature(F) != _infinite_signature(G):
@@ -530,33 +530,11 @@ def _degree_gamma_oracle(F: Barcode, G: Barcode, field):
 
 
 def gamma_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
-    """Least a+b over the per-degree grid scans, with its certificate."""
-    fd, gd = F.split_by_degree(), G.split_by_degree()
-    degrees = sorted(set(fd) | set(gd))
-    if not degrees:
-        return DistanceReport(ExtRat(0), ExtRat(0), ExtRat(0), check_interleaving_oracle(F, G, 0, 0, field))
-    per_degree = []
-    for deg in degrees:
-        val, pair = _degree_gamma_oracle(fd.get(deg, (Barcode([]), []))[0], gd.get(deg, (Barcode([]), []))[0], field)
-        if val == POS_INF:
-            return DistanceReport(POS_INF, POS_INF, POS_INF, None)
-        per_degree.append((val, pair))
-    value = max(v for v, _ in per_degree)
-    total = value.as_fraction()
-    certificate = None
-    tried = set()
-    for _, pair in per_degree:
-        slack = total - (pair[0] + pair[1])
-        for candidate in ((pair[0] + slack, pair[1]), (pair[0], pair[1] + slack)):
-            if candidate in tried:
-                continue
-            tried.add(candidate)
-            certificate = check_interleaving_oracle(F, G, *candidate, field)
-            if certificate is not None:
-                break
-        if certificate is not None:
-            break
-    return DistanceReport(value, value, value, certificate)
+    """Least a+b over one grid scan of the whole pair, with its certificate."""
+    value, pair = _least_total_oracle(F, G, field)
+    if pair is None:
+        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
+    return DistanceReport(value, value, value, check_interleaving_oracle(F, G, *pair, field))
 
 
 def gamma_symmetric_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:

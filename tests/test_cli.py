@@ -75,14 +75,11 @@ def test_dist_check(unit_pair, capsys):
     assert (rc, out) == (0, "not-interleaved\n")
 
 
-def test_dist_check_exhaustive_budget(tmp_path, monkeypatch, capsys):
-    wide = "".join(f"0 {i} {i + 40}\n" for i in range(8))
-    (tmp_path / "F.bc").write_text(wide)
-    (tmp_path / "G.bc").write_text(wide)
-    monkeypatch.chdir(tmp_path)
-    rc, out, _ = run(capsys, "--budget", "16", "dist", "check", "F.bc", "G.bc",
-                     "--a", "1", "--b", "1", "--method", "exhaustive")
-    assert (rc, out) == (0, "unknown\n")
+def test_dist_check_method_flag_is_gone(unit_pair, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", "check", "F.bc", "G.bc", "--a", "1", "--b", "1", "--method", "matching"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method matching" in capsys.readouterr().err
 
 
 # --- spectral / sublevel -------------------------------------------------------
@@ -289,7 +286,7 @@ def test_malformed_config_exits_2(unit_pair, monkeypatch, capsys):
     monkeypatch.setenv("PERSIMOD_CONFIG", str(cfg))
     rc, out, err = run(capsys, "dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
     assert (rc, out) == (2, "")
-    assert err.splitlines() == [f"error: {cfg}:2: budget must be an integer, got 'abc'"]
+    assert err.splitlines() == [f"error: {cfg}:2: unknown key 'budget'"]
 
 
 def test_console_script_smoke(tmp_path):

@@ -10,13 +10,7 @@ from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetr
 from persimod.barcodes import gamma_to_zero
 from persimod.fields import GF2, PrimeField
 from persimod.intervals import ExtRat, POS_INF, NEG_INF
-from persimod.interleaving import (
-    DEFAULT_BUDGET,
-    DistanceReport,
-    InterleavingCertificate,
-    UNKNOWN,
-    matching_witness,
-)
+from persimod.interleaving import DistanceReport, InterleavingCertificate
 from persimod.morphisms import Morphism, identity, tau_morphism
 from conftest import rand_barcode
 from oracles import interleaved_oracle
@@ -27,7 +21,7 @@ def B(*bars):
 
 
 def certificate_found(result):
-    return result is not UNKNOWN and result is not None
+    return result is not None
 
 
 # --- check_interleaving frozen cases ------------------------------------------
@@ -125,6 +119,19 @@ def test_gamma_graded_is_per_degree_max():
     assert gamma(F, G).value == ExtRat(1)
 
 
+def test_gamma_graded_needs_one_pair_for_all_degrees():
+    # Each degree alone reaches 3/2, degree 0 only at (3/2, 0) and degree 1
+    # only at (0, 3/2); no single (a, b) with a+b = 3/2 serves both, so the
+    # distance is 2, not the per-degree max.
+    F = B((0, Interval(Fraction(5, 2), Fraction(9, 2))), (1, Interval(Fraction(1, 2), 1)))
+    G = B((0, Interval(Fraction(3, 2), 3)), (1, Interval(Fraction(1, 2), Fraction(5, 2))))
+    rep = gamma(F, G)
+    assert rep.value == ExtRat(2)
+    assert (rep.certificate.a, rep.certificate.b) == (0, 2)
+    again = InterleavingCertificate(rep.certificate.a, rep.certificate.b, rep.certificate.u, rep.certificate.v)
+    assert again.total == 2
+
+
 # --- metric properties ----------------------------------------------------------
 
 
@@ -170,10 +177,11 @@ def test_decision_agrees_with_exhaustive_oracle(rng):
 
 def test_gamma_matches_bruteforce_refinement(rng):
     # design assumption behind the grid search: the optimum is found even when
-    # scanning a refinement strictly finer than the endpoint-difference grid
-    for _ in range(8):
-        F = rand_barcode(rng, 2, lo_range=(0, 4), den=2, max_len=4)
-        G = rand_barcode(rng, 2, lo_range=(0, 4), den=2, max_len=4)
+    # scanning a refinement strictly finer than the endpoint-difference grid;
+    # on graded pairs one (a, b) must serve every degree
+    for degrees, n_bars in [((0,), 2)] * 8 + [((0, 1), 3)] * 24:
+        F = rand_barcode(rng, n_bars, degrees=degrees, lo_range=(0, 4), den=2, max_len=4)
+        G = rand_barcode(rng, n_bars, degrees=degrees, lo_range=(0, 4), den=2, max_len=4)
         val = gamma(F, G).value
         best = None
         for an in range(0, 33):
@@ -189,24 +197,6 @@ def test_gamma_matches_bruteforce_refinement(rng):
         assert best == val
 
 
-def test_exhaustive_method_agrees(rng):
-    for _ in range(10):
-        F = rand_barcode(rng, rng.randint(1, 2), lo_range=(0, 3), den=2, max_len=3)
-        G = rand_barcode(rng, rng.randint(1, 2), lo_range=(0, 3), den=2, max_len=3)
-        a = Fraction(rng.randint(0, 4), 2)
-        b = Fraction(rng.randint(0, 4), 2)
-        match = check_interleaving(F, G, a, b, method="matching")
-        exh = check_interleaving(F, G, a, b, method="exhaustive")
-        assert certificate_found(match) == certificate_found(exh)
-
-
-def test_exhaustive_budget_exhaustion_reports_unknown():
-    bars = [(0, Interval(k, k + 40)) for k in range(8)]
-    F, G = Barcode(bars), Barcode(bars)
-    out = check_interleaving(F, G, 2, 2, method="exhaustive", budget=16)
-    assert out is UNKNOWN
-
-
 def test_gamma_zero_iff_equal(rng):
     for _ in range(20):
         F = rand_barcode(rng, rng.randint(0, 4))
@@ -215,39 +205,6 @@ def test_gamma_zero_iff_equal(rng):
         else:
             G = rand_barcode(rng, rng.randint(0, 4))
         assert (gamma(F, G).value == ExtRat(0)) == (F == G)
-
-
-# --- matching witness -----------------------------------------------------------
-
-
-def test_matching_witness_identity():
-    bc = B((0, Interval(0, 10)))
-    cert = matching_witness(bc, bc, 0)
-    assert cert is not None and cert.total == 0
-
-
-def test_matching_witness_unit():
-    cert = matching_witness(B((0, Interval(0, 10))), B((0, Interval(1, 11))), 1)
-    assert cert is not None
-    assert cert.a == cert.b == 1
-
-
-def test_matching_witness_long_unmatched_bar():
-    assert matching_witness(B((0, Interval(0, 10))), Barcode(), 1) is None
-
-
-def test_matching_witness_upper_bounds_gamma(rng):
-    for _ in range(15):
-        F = rand_barcode(rng, rng.randint(0, 4))
-        G = rand_barcode(rng, rng.randint(0, 4))
-        value = gamma(F, G).value
-        if not value.is_finite:
-            continue
-        # the symmetric matching bound is sound at delta = value
-        delta = value.as_fraction()
-        cert = matching_witness(F, G, delta)
-        if cert is not None:
-            assert ExtRat(cert.total) >= value
 
 
 # --- matching ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from persimod.intervals import (
     NEG_INF,
     POS_INF,
     compose_generator,
-    endpoint_absdiff,
     hom,
     leq,
     parse_endpoint,
@@ -147,9 +146,3 @@ def test_generator_calculus_associative(i, j, k, l):
         right = compose_generator(j, k, l)
         if right is DEG0:
             assert compose_generator(i, j, l) is hom(i, l)
-
-
-def test_endpoint_absdiff_extended():
-    assert endpoint_absdiff(ExtRat(3), ExtRat(5)) == ExtRat(2)
-    assert endpoint_absdiff(NEG_INF, NEG_INF) == ExtRat(0)
-    assert endpoint_absdiff(NEG_INF, ExtRat(0)) == POS_INF
