@@ -40,7 +40,13 @@ class Bar:
         return (self.degree, self.interval.lo, self.interval.hi)
 
     def shift(self, c) -> "Bar":
-        return Bar(self.degree, self.interval.shift(c))
+        return self._shifted(Fraction(c))
+
+    def _shifted(self, c: Fraction) -> "Bar":
+        out = Bar.__new__(Bar)
+        _set_degree(out, self.degree)
+        _set_interval(out, self.interval._shifted(c))
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Bar):
@@ -53,6 +59,9 @@ class Bar:
     def __repr__(self):
         return f"Bar({self.degree}, {self.interval})"
 
+
+_set_degree = Bar.degree.__set__
+_set_interval = Bar.interval.__set__
 
 BarLike = Union[Bar, tuple]
 
@@ -76,6 +85,15 @@ class Barcode:
     def __init__(self, bars: Iterable[BarLike] = ()):
         items = sorted((_as_bar(b) for b in bars), key=Bar.key)
         object.__setattr__(self, "bars", tuple(items))
+
+    @staticmethod
+    def _from_sorted(bars: Tuple[Bar, ...]) -> "Barcode":
+        """Trusted constructor: `bars` is a tuple of Bar already in
+        (degree, lo, hi) order, as a translation or an index subsequence of
+        a barcode leaves it."""
+        out = Barcode.__new__(Barcode)
+        _set_bars(out, bars)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("Barcode is immutable")
@@ -108,7 +126,15 @@ class Barcode:
 
     def shift(self, c) -> "Barcode":
         c = Fraction(c)
-        return Barcode(b.shift(c) for b in self.bars)
+        return Barcode._from_sorted(tuple(b._shifted(c) for b in self.bars))
+
+    def is_shift_of(self, other: "Barcode", c) -> bool:
+        """Whether this barcode equals other.shift(c), compared bar by bar
+        without building the shift."""
+        c = Fraction(c)
+        return len(self.bars) == len(other.bars) and all(
+            t.degree == s.degree and t.interval._is_shift_of(s.interval, c) for t, s in zip(self.bars, other.bars)
+        )
 
     def degrees(self) -> List[int]:
         return sorted({b.degree for b in self.bars})
@@ -119,7 +145,9 @@ class Barcode:
     def restrict(self, indices: Iterable[int]) -> "Barcode":
         """Sub-barcode at the given sorted indices (order is preserved)."""
         idx = sorted(set(indices))
-        return Barcode(self.bars[i] for i in idx)
+        if idx and idx[0] < 0:  # negative indices may wrap out of order
+            return Barcode(self.bars[i] for i in idx)
+        return Barcode._from_sorted(tuple(self.bars[i] for i in idx))
 
     def split_by_degree(self) -> Dict[int, Tuple["Barcode", List[int]]]:
         """degree -> (sub-barcode, original indices)."""
@@ -138,6 +166,9 @@ class Barcode:
             else:
                 out.append((b, 1))
         return out
+
+
+_set_bars = Barcode.bars.__set__
 
 
 def shift(b: Barcode, c) -> Barcode:

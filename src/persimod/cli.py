@@ -43,7 +43,8 @@ _CONFIG_KEYS = ("field", "machine")
 def _load_config() -> dict:
     """`key = value` defaults from the file named by PERSIMOD_CONFIG.
 
-    An unknown key raises ParseError with its line."""
+    An unknown key, or a line that is not `key = value`, raises ParseError
+    with its line."""
     path = os.environ.get("PERSIMOD_CONFIG")
     if not path or not os.path.exists(path):
         return {}
@@ -51,12 +52,15 @@ def _load_config() -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         for n, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if line and "=" in line:
-                key, val = line.split("=", 1)
-                key, val = key.strip(), val.strip()
-                if key not in _CONFIG_KEYS:
-                    raise ParseError(path, n, f"unknown key {key!r}")
-                out[key] = val
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError(path, n, "expected 'key = value'")
+            key, val = line.split("=", 1)
+            key, val = key.strip(), val.strip()
+            if key not in _CONFIG_KEYS:
+                raise ParseError(path, n, f"unknown key {key!r}")
+            out[key] = val
     return out
 
 

@@ -81,7 +81,7 @@ class PrimeField:
 
 
 class RationalField:
-    """Exact rational scalars.  Not enumerable: `elements()` raises."""
+    """Exact rational scalars."""
 
     __slots__ = ()
 
@@ -112,9 +112,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverting 0")
         return 1 / Fraction(a)
-
-    def elements(self):
-        raise NotImplementedError("rationals are not enumerable")
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -54,13 +54,18 @@ class InterleavingCertificate:
         F, G = u.source, v.source
         if u.field != v.field:
             raise ValueError("certificate maps use different scalar fields")
-        if u.target != G.shift(a):
+        if not u.target.is_shift_of(G, a):
             raise ValueError("u must land in the a-shift of G")
-        if v.target != F.shift(b):
+        if not v.target.is_shift_of(F, b):
             raise ValueError("v must land in the b-shift of F")
-        if not equals_tau(compose(u, v.shift(a)), a + b):
+        # v.shift(a) and u.shift(b): the checked targets are the shifted
+        # sources, so only F and G shifted by a+b are built here.
+        total = a + b
+        v_a = v._moved(u.target, F.shift(total))
+        u_b = u._moved(v.target, G.shift(total))
+        if not equals_tau(compose(u, v_a), total):
             raise ValueError("round trip through G is not the canonical comparison")
-        if not equals_tau(compose(v, u.shift(b)), a + b):
+        if not equals_tau(compose(v, u_b), total):
             raise ValueError("round trip through F is not the canonical comparison")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

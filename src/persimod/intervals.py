@@ -80,6 +80,14 @@ class ExtRat:
         out._q = None
         return out
 
+    @staticmethod
+    def _finite(q: Fraction) -> "ExtRat":
+        """Trusted constructor: `q` must already be a Fraction."""
+        out = ExtRat.__new__(ExtRat)
+        out._kind = 0
+        out._q = q
+        return out
+
     # -- predicates --------------------------------------------------------
 
     @property
@@ -113,31 +121,48 @@ class ExtRat:
             return ExtRat(other)
         return NotImplemented
 
+    # Two ExtRat operands compare kind first, then the finite values; other
+    # operands are coerced and compared through `_key`.
+
     def __eq__(self, other):
+        if type(other) is ExtRat:
+            return self._kind == other._kind and (self._kind != 0 or self._q == other._q)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self._key() == o._key()
 
     def __lt__(self, other):
+        if type(other) is ExtRat:
+            k, ok = self._kind, other._kind
+            return k < ok if k != ok else (k == 0 and self._q < other._q)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self._key() < o._key()
 
     def __le__(self, other):
+        if type(other) is ExtRat:
+            k, ok = self._kind, other._kind
+            return k < ok if k != ok else (k != 0 or self._q <= other._q)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self._key() <= o._key()
 
     def __gt__(self, other):
+        if type(other) is ExtRat:
+            k, ok = self._kind, other._kind
+            return k > ok if k != ok else (k == 0 and self._q > other._q)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self._key() > o._key()
 
     def __ge__(self, other):
+        if type(other) is ExtRat:
+            k, ok = self._kind, other._kind
+            return k > ok if k != ok else (k != 0 or self._q >= other._q)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -151,11 +176,11 @@ class ExtRat:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ExtRat else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if self._kind == 0 and o._kind == 0:
-            return ExtRat(self._q + o._q)
+            return ExtRat._finite(self._q + o._q)
         if self._kind != 0 and o._kind != 0:
             if self._kind != o._kind:
                 raise ArithmeticError("inf + (-inf) is undefined")
@@ -166,7 +191,7 @@ class ExtRat:
 
     def __neg__(self):
         if self._kind == 0:
-            return ExtRat(-self._q)
+            return ExtRat._finite(-self._q)
         return ExtRat._make_inf(-self._kind)
 
     def __sub__(self, other):
@@ -251,8 +276,26 @@ class Interval:
         return self.hi - self.lo
 
     def shift(self, c) -> "Interval":
-        c = Fraction(c)
-        return Interval(self.lo + c, self.hi + c)
+        return self._shifted(Fraction(c))
+
+    def _shifted(self, c: Fraction) -> "Interval":
+        """Translation by the Fraction `c`, built without re-parsing the
+        endpoints; an infinite endpoint stays as it is."""
+        lo, hi = self.lo, self.hi
+        if lo._kind == 0:
+            lo = ExtRat._finite(lo._q + c)
+        if hi._kind == 0:
+            hi = ExtRat._finite(hi._q + c)
+        if not lo < hi:
+            raise ValueError(f"empty interval [{lo},{hi})")
+        out = Interval.__new__(Interval)
+        _set_lo(out, lo)
+        _set_hi(out, hi)
+        return out
+
+    def _is_shift_of(self, other: "Interval", c: Fraction) -> bool:
+        """Whether this interval equals other.shift(c), for a Fraction c."""
+        return _is_translate(self.lo, other.lo, c) and _is_translate(self.hi, other.hi, c)
 
     def contains(self, x) -> bool:
         x = ExtRat(x)
@@ -278,6 +321,16 @@ class Interval:
     def __repr__(self):
         return f"Interval({str(self.lo)!r}, {str(self.hi)!r})"
 
+
+def _is_translate(e: ExtRat, base: ExtRat, c: Fraction) -> bool:
+    """e == base + c; an infinite endpoint translates to itself."""
+    if base._kind:
+        return e._kind == base._kind
+    return e._kind == 0 and e._q == base._q + c
+
+
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
 
 _INTERVAL_RE = re.compile(r"^\[\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)$")
 

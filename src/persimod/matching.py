@@ -15,15 +15,35 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 __all__ = ["matching_covering"]
 
 
-def _try_augment(u: int, adj: Sequence[Sequence[int]], match_r: Dict[int, int], seen: Set[int]) -> bool:
-    for v in adj[u]:
-        if v in seen:
-            continue
-        seen.add(v)
-        if v not in match_r or _try_augment(match_r[v], adj, match_r, seen):
+def _try_augment(root: int, adj: Sequence[Sequence[int]], match_r: Dict[int, int], seen: Set[int]) -> bool:
+    """Depth-first search for an augmenting path from left vertex `root`;
+    on success, flip the path into `match_r`.
+
+    An explicit stack replaces recursion, so a path may be as long as the
+    graph.  Each suspended frame is (left vertex, its remaining neighbours,
+    the matched right vertex it descended through); neighbours are tried in
+    `adj` order and the path is flipped from its far end back to `root`.
+    """
+    stack = []
+    u, nbrs = root, iter(adj[root])
+    while True:
+        for v in nbrs:
+            if v in seen:
+                continue
+            seen.add(v)
+            w = match_r.get(v)
+            if w is not None:
+                stack.append((u, nbrs, v))
+                u, nbrs = w, iter(adj[w])
+                break
             match_r[v] = u
+            for u, _, v in reversed(stack):
+                match_r[v] = u
             return True
-    return False
+        else:
+            if not stack:
+                return False
+            u, nbrs, _ = stack.pop()
 
 
 def _saturating(order: Iterable[int], adj: Sequence[Sequence[int]], required: Set[int]) -> Optional[Dict[int, int]]:

@@ -84,7 +84,13 @@ class Morphism:
     def shift(self, c) -> "Morphism":
         """Translate source and target by c; the matrix is unchanged."""
         c = Fraction(c)
-        return Morphism(self.source.shift(c), self.target.shift(c), self.entries, self.field)
+        return self._moved(self.source.shift(c), self.target.shift(c))
+
+    def _moved(self, source: Barcode, target: Barcode) -> "Morphism":
+        """The same entries between `source` and `target`, which must be this
+        morphism's source and target translated by one common c.  hom is
+        translation-invariant, so the validated entries stay valid."""
+        return _trusted(source, target, dict(self.entries), self.field)
 
     def restrict_source(self, indices: Sequence[int]) -> "Morphism":
         idx = sorted(set(indices))
@@ -113,6 +119,17 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({len(self.source)}->{len(self.target)}, {len(self.entries)} entries, {self.field!r})"
+
+
+def _trusted(source: Barcode, target: Barcode, entries: Dict[Entry, object], field) -> Morphism:
+    """Trusted constructor: `entries` are canonical, nonzero and allowed."""
+    out = Morphism.__new__(Morphism)
+    object.__setattr__(out, "source", source)
+    object.__setattr__(out, "target", target)
+    object.__setattr__(out, "entries", entries)
+    object.__setattr__(out, "field", field)
+    object.__setattr__(out, "zeroed", ())
+    return out
 
 
 def make_morphism(source: Barcode, target: Barcode, entries: Mapping[Entry, object], field=GF2) -> Morphism:
@@ -177,7 +194,18 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             continue
         if _cell_allowed(f.source.bars[s], g.target.bars[t]):
             out[(t, s)] = v
-    return Morphism(f.source, g.target, out, field)
+    return _trusted(f.source, g.target, out, field)
+
+
+def _tau_entries(source: Barcode, shifted: Barcode, one) -> Dict[Entry, object]:
+    """Diagonal of the comparison source -> shifted, where shifted is the
+    c-shift of source: bar i survives its own c-shift (c < length) exactly
+    when its shifted copy starts before it ends."""
+    return {
+        (i, i): one
+        for i, (s, t) in enumerate(zip(source.bars, shifted.bars))
+        if t.interval.lo < s.interval.hi
+    }
 
 
 def tau_morphism(b: Barcode, c, field=None) -> Morphism:
@@ -186,8 +214,8 @@ def tau_morphism(b: Barcode, c, field=None) -> Morphism:
     c = Fraction(c)
     if c < 0:
         raise ValueError(f"negative shift {c}")
-    ent = {(i, i): field.one for i, bar in enumerate(b.bars) if bar.interval.length > c}
-    return Morphism(b, b.shift(c), ent, field)
+    shifted = b.shift(c)
+    return Morphism(b, shifted, _tau_entries(b, shifted, field.one), field)
 
 
 def equals_tau(f: Morphism, c) -> bool:
@@ -195,14 +223,9 @@ def equals_tau(f: Morphism, c) -> bool:
     c = Fraction(c)
     if c < 0:
         raise ValueError(f"negative shift {c}")
-    if f.target != f.source.shift(c):
+    if not f.target.is_shift_of(f.source, c):
         raise ValueError("target is not the c-shift of the source")
-    want = {
-        (i, i): f.field.one
-        for i, bar in enumerate(f.source.bars)
-        if bar.interval.length > c
-    }
-    return f.entries == want
+    return f.entries == _tau_entries(f.source, f.target, f.field.one)
 
 
 def merge_barcodes(parts: Sequence[Barcode]) -> Tuple[Barcode, List[List[int]]]:

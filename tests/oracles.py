@@ -6,9 +6,11 @@ endpoints).  No code path below calls the library's hom/compose/cone/
 persistence routines -- only the plain data containers are shared.  The
 implementations favour obviousness over speed.
 
-The one exception is the differential oracle for the interleaving search:
-the earlier Fraction/ExtRat implementation, kept to check the library's
-integer kernel against (see its section).
+The exceptions are the differential oracles kept to check a faster
+library path against its earlier implementation: the Fraction/ExtRat
+interleaving search under the integer kernel, the validating rebuilds
+under the trusted constructors, and the recursive augmenting search under
+the matching (see their sections).
 """
 
 from fractions import Fraction
@@ -17,10 +19,18 @@ from typing import Dict, List, Sequence, Tuple
 
 from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom
 from persimod.barcodes import Bar, Barcode
-from persimod.fields import GF2
+from persimod.fields import GF2, RationalField
 from persimod.interleaving import DistanceReport, InterleavingCertificate
 from persimod.matching import matching_covering
 from persimod.morphisms import Morphism
+
+
+def field_elements(field) -> List:
+    """Every element of a prime field, in order.  Rationals are not
+    enumerable: raises NotImplementedError."""
+    if isinstance(field, RationalField):
+        raise NotImplementedError("rationals are not enumerable")
+    return list(range(field.p))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +329,7 @@ def interleaved_oracle(F: Barcode, G: Barcode, a, b, field=GF2, max_cells=14) ->
     cells_v = [(t, j) for t in range(len(Fb)) for j in range(len(G))
                if G[j].degree == Fb[t].degree
                and hom_ext_oracle(G[j].interval, Fb[t].interval)[0] == 1]
-    nz = [x for x in field.elements() if x != field.zero]
+    nz = [x for x in field_elements(field) if x != field.zero]
     if (len(nz) + 1) ** len(cells_u) > 2 ** max_cells:
         raise ValueError("u search space too large for the exhaustive oracle")
 
@@ -604,3 +614,63 @@ def sublevel_oracle(values: Sequence[Fraction], circle: bool) -> Barcode:
     if circle:
         bars.append(Bar(1, Interval(max(values), POS_INF)))
     return Barcode(bars)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the trusted constructors
+#
+# The library builds shifted and restricted barcodes, shifted morphisms and
+# composites without re-validating them, and compares ExtRat values without
+# coercion.  These rebuild each result through the validating constructors
+# and compare through `ExtRat._key`.
+
+
+def shift_oracle(bc: Barcode, c) -> Barcode:
+    c = Fraction(c)
+    return Barcode(Bar(b.degree, Interval(b.interval.lo + c, b.interval.hi + c)) for b in bc.bars)
+
+
+def restrict_oracle(bc: Barcode, indices) -> Barcode:
+    return Barcode(bc.bars[i] for i in sorted(set(indices)))
+
+
+def morphism_shift_oracle(m: Morphism, c) -> Morphism:
+    return Morphism(shift_oracle(m.source, c), shift_oracle(m.target, c), m.entries, m.field)
+
+
+def tau_entries_oracle(bc: Barcode, c) -> Dict[Tuple[int, int], int]:
+    """GF(2) diagonal of the comparison bc -> shift(bc, c): bars longer than c."""
+    return {(i, i): 1 for i, bar in enumerate(bc.bars) if bar.interval.length > ExtRat(Fraction(c))}
+
+
+def compare_oracle(x, y) -> Tuple[bool, bool, bool, bool, bool]:
+    """(==, <, <=, >, >=) of two endpoint-like values by their `_key`s."""
+    kx, ky = ExtRat(x)._key(), ExtRat(y)._key()
+    return kx == ky, kx < ky, kx <= ky, kx > ky, kx >= ky
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the augmenting search
+#
+# `matching._try_augment` walks an explicit stack; this is the recursive
+# search it replaced.  Same neighbour order and `seen` set, so the same
+# matching; recursion limits it to short augmenting paths.
+
+
+def _try_augment_recursive(u, adj, match_r, seen) -> bool:
+    for v in adj[u]:
+        if v in seen:
+            continue
+        seen.add(v)
+        if v not in match_r or _try_augment_recursive(match_r[v], adj, match_r, seen):
+            match_r[v] = u
+            return True
+    return False
+
+
+def augment_oracle(order, adj) -> Tuple[Dict[int, int], List[bool]]:
+    """Right-to-left matching after augmenting from each left vertex of
+    `order`, and whether each augmentation succeeded."""
+    match_r: Dict[int, int] = {}
+    found = [_try_augment_recursive(u, adj, match_r, set()) for u in order]
+    return match_r, found

@@ -15,6 +15,7 @@ from persimod.canonical import (
 from persimod.fields import GF2, PrimeField
 from persimod.intervals import hom, leq, DEG0
 from persimod.morphisms import Morphism, compose, identity, tau_morphism
+from oracles import field_elements
 
 GF5 = PrimeField(5)
 
@@ -119,7 +120,7 @@ def _random_automorphism(bc, rng, fld):
         and bc[s].key() < bc[t].key()
         and hom(bc[s].interval, bc[t].interval) is DEG0
     ]
-    nz = [x for x in fld.elements() if x != fld.zero]
+    nz = [x for x in field_elements(fld) if x != fld.zero]
     for _ in range(rng.randint(0, 2 * len(cells))):
         t, s = rng.choice(cells) if cells else (None, None)
         if t is None:

@@ -289,6 +289,15 @@ def test_malformed_config_exits_2(unit_pair, monkeypatch, capsys):
     assert err.splitlines() == [f"error: {cfg}:2: unknown key 'budget'"]
 
 
+def test_config_line_without_equals_exits_2(unit_pair, monkeypatch, capsys):
+    cfg = unit_pair / "persimod.cfg"
+    cfg.write_text("# defaults\n\nfield: 5\n")
+    monkeypatch.setenv("PERSIMOD_CONFIG", str(cfg))
+    rc, out, err = run(capsys, "dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [f"error: {cfg}:3: expected 'key = value'"]
+
+
 def test_console_script_smoke(tmp_path):
     proc = subprocess.run(
         ["persimod", "cantor", "--a", "1/4", "--n", "1", "--k", "2"],

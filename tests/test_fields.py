@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from persimod.fields import GF2, QQ, PrimeField, field_by_name, solve_linear
+from oracles import field_elements
 
 GF5 = PrimeField(5)
 
@@ -17,7 +18,7 @@ def test_prime_required():
 
 @pytest.mark.parametrize("fld", [GF2, GF5, PrimeField(7)])
 def test_finite_field_axioms(fld):
-    els = list(fld.elements())
+    els = field_elements(fld)
     assert len(els) == fld.p
     for a in els:
         assert fld.add(a, fld.zero) == a

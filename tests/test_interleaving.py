@@ -11,6 +11,7 @@ from persimod.barcodes import gamma_to_zero
 from persimod.fields import GF2, PrimeField
 from persimod.intervals import ExtRat, POS_INF, NEG_INF
 from persimod.interleaving import DistanceReport, InterleavingCertificate
+from persimod.matching import matching_covering
 from persimod.morphisms import Morphism, identity, tau_morphism
 from conftest import rand_barcode
 from oracles import interleaved_oracle
@@ -224,3 +225,37 @@ def test_matching_merge_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "internal error: required left vertex lost in the merge\n"
+
+
+def test_matching_covering_on_a_long_augmenting_chain():
+    # Vertex n-1 can only reach its right twin through a path of length n,
+    # beyond Python's default recursion limit.
+    n = 2000
+    adj = [[j for j in (i + 1, i) if j < n] for i in range(n)]
+    got = matching_covering(n, n, adj, range(n), range(n))
+    assert got == {i: i for i in range(n)}
+
+
+def test_certificate_check_survives_python_O():
+    # The verifier must raise, not assert: -O strips asserts.  One entry of
+    # a real certificate's u is changed (GF(3)) or dropped (GF(2)).
+    code = (
+        "from persimod import Barcode, Interval, check_interleaving\n"
+        "from persimod.fields import GF2, PrimeField\n"
+        "from persimod.interleaving import InterleavingCertificate\n"
+        "from persimod.morphisms import Morphism\n"
+        "F = Barcode([(0, Interval(0, 4)), (0, Interval(2, 7))])\n"
+        "G = Barcode([(0, Interval(1, 5)), (0, Interval(2, 8))])\n"
+        "for field, value in ((PrimeField(3), 2), (GF2, 0)):\n"
+        "    cert = check_interleaving(F, G, 1, 1, field=field)\n"
+        "    u = cert.u\n"
+        "    key = min(u.entries)\n"
+        "    bad = Morphism(u.source, u.target, {**u.entries, key: value}, field)\n"
+        "    try:\n"
+        "        InterleavingCertificate(cert.a, cert.b, bad, cert.v)\n"
+        "    except ValueError as err:\n"
+        "        print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["round trip through G is not the canonical comparison"] * 2
