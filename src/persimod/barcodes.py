@@ -139,9 +139,6 @@ class Barcode:
     def degrees(self) -> List[int]:
         return sorted({b.degree for b in self.bars})
 
-    def is_degree_pure(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def restrict(self, indices: Iterable[int]) -> "Barcode":
         """Sub-barcode at the given sorted indices (order is preserved)."""
         idx = sorted(set(indices))

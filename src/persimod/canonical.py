@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .barcodes import Barcode
-from .intervals import DEG0, hom
-from .morphisms import Morphism, compose, equals_tau, identity
+from .morphisms import Morphism, _cell_allowed, compose, equals_tau, identity
 
 __all__ = [
     "DiagonalizationError",
@@ -89,12 +88,8 @@ class _Tracked:
         ent = {(i, i): field.one for i in range(len(b))}
         return cls(b.bars, b.bars, ent, field)
 
-    def _allowed(self, t: int, s: int) -> bool:
-        sb, tb = self.src[s], self.tgt[t]
-        return sb.degree == tb.degree and hom(sb.interval, tb.interval) is DEG0
-
     def _put(self, t: int, s: int, val) -> None:
-        if val == self.field.zero or not self._allowed(t, s):
+        if val == self.field.zero or not _cell_allowed(self.src[s], self.tgt[t]):
             self.entries.pop((t, s), None)
         else:
             self.entries[(t, s)] = val
@@ -133,11 +128,14 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
     """Diagonalize u by an automorphism of its target.
 
     Contract: u goes from G to G', v goes back from G' to the eps-shift
-    of G, every bar of G is longer than eps, both barcodes sit in a
-    single common degree, and v after u equals the canonical comparison
-    at shift eps.  Under that contract a diagonalization by target
-    automorphisms exists and is found here; violations raise
-    :class:`DiagonalizationError`.
+    of G, every bar of G is longer than eps, and v after u equals the
+    canonical comparison at shift eps.  Under that contract a
+    diagonalization by target automorphisms exists and is found here;
+    violations raise :class:`DiagonalizationError`.
+
+    G and G' may be graded.  A morphism has no entries between degrees,
+    so every support, pivot and row operation stays inside one degree,
+    and the result is the direct sum of the per-degree results.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -148,10 +146,6 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
         raise DiagonalizationError("mismatched scalar fields")
     if v.source != Gp or v.target != G.shift(eps):
         raise DiagonalizationError("v must map the target of u back to the shifted source")
-    if not G.is_degree_pure() or not Gp.is_degree_pure():
-        raise DiagonalizationError("barcodes must be concentrated in a single degree")
-    if len(G) and len(Gp) and G.bars[0].degree != Gp.bars[0].degree:
-        raise DiagonalizationError("source and target sit in different degrees")
     for bar in G.bars:
         if not (bar.interval.length > eps):
             raise DiagonalizationError(f"bar {bar!r} is not longer than the shift {eps}")
@@ -246,7 +240,8 @@ def diagonalize_system(
     reverse: Sequence[Morphism],
     slacks: Sequence,
 ) -> List[StageDiagonalization]:
-    """Diagonalize every comparison map of a tower, stage by stage.
+    """Diagonalize every comparison map of a tower, stage by stage, all
+    degrees at once.
 
     At stage n only bars longer than twice the stage slack take part; the
     forward map is restricted to those source bars, the reverse map to the

@@ -21,9 +21,11 @@ from .fields import GF2, field_by_name
 from .intervals import Interval, POS_INF
 from .interleaving import check_interleaving, gamma, gamma_symmetric
 from .io import (
+    _STAGE_RE,
     ParseError,
     emit_barcode,
     emit_certificate,
+    emit_cloud,
     load_certificate,
     load_system,
     parse_barcode,
@@ -226,12 +228,8 @@ def _cmd_limit(args, field) -> int:
 
 
 def _cmd_complete(args, field) -> int:
-    import re as _re
-
     names = sorted(
-        (int(m.group(1)), f)
-        for f in os.listdir(args.dir)
-        if (m := _re.match(r"^F(\d+)\.bc$", f))
+        (int(m.group(1)), f) for f in os.listdir(args.dir) if (m := _STAGE_RE.match(f))
     )
     if not names:
         raise ParseError(args.dir, None, "no stage files F<n>.bc")
@@ -273,8 +271,6 @@ def _cmd_cantor(args) -> int:
         return 0
     family = cantor_cubes(a, args.k, args.n)
     if args.emit_cloud:
-        from .io import emit_cloud
-
         sys.stdout.write(emit_cloud(corner_cloud(family)))
         return 0
     bound = displacement_bound(a, args.k, args.n)

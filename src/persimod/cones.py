@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -203,8 +203,7 @@ def contingent(cloud: PointCloud, x, scales=None, *, params: Optional[ConeParams
     finest half of the scale list."""
     params = params or ConeParams()
     if scales is not None:
-        params = ConeParams(tuple(float(s) for s in scales), params.theta_res,
-                            params.sv_rel_tol, params.grid_deg, params.n_scales)
+        params = replace(params, scales=tuple(float(s) for s in scales))
     return _cone(cloud, x, params, pairs=False)
 
 
@@ -213,8 +212,7 @@ def paratingent(cloud: PointCloud, x, scales=None, *, params: Optional[ConeParam
     under v -> -v by construction."""
     params = params or ConeParams()
     if scales is not None:
-        params = ConeParams(tuple(float(s) for s in scales), params.theta_res,
-                            params.sv_rel_tol, params.grid_deg, params.n_scales)
+        params = replace(params, scales=tuple(float(s) for s in scales))
     return _cone(cloud, x, params, pairs=True)
 
 
@@ -289,8 +287,7 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
     for u in _sphere_grid(n2 - rank, params.grid_deg):
         candidates.append(u @ null_basis)
 
-    finer = ConeParams(params.scales, params.theta_res / 2.0,
-                       params.sv_rel_tol, params.grid_deg, params.n_scales)
+    finer = replace(params, theta_res=params.theta_res / 2.0)
     small_fine = None
     for nu in candidates:
         w = j_mat @ nu

@@ -22,7 +22,6 @@ from typing import Union
 
 __all__ = [
     "ExtRat",
-    "Endpoint",
     "NEG_INF",
     "POS_INF",
     "Interval",
@@ -225,9 +224,6 @@ class ExtRat:
 
     __rmul__ = __mul__
 
-    def __abs__(self):
-        return -self if self < 0 else self
-
     # -- display -----------------------------------------------------------
 
     def __str__(self):
@@ -242,9 +238,6 @@ class ExtRat:
     def __repr__(self):
         return f"ExtRat({str(self)!r})"
 
-
-# alias naming what an interval stores
-Endpoint = ExtRat
 
 NEG_INF = ExtRat._make_inf(-1)
 POS_INF = ExtRat._make_inf(1)
@@ -296,16 +289,6 @@ class Interval:
     def _is_shift_of(self, other: "Interval", c: Fraction) -> bool:
         """Whether this interval equals other.shift(c), for a Fraction c."""
         return _is_translate(self.lo, other.lo, c) and _is_translate(self.hi, other.hi, c)
-
-    def contains(self, x) -> bool:
-        x = ExtRat(x)
-        return self.lo <= x and x < self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
-
-    def key(self):
-        return (self.lo, self.hi)
 
     def __eq__(self, other):
         if not isinstance(other, Interval):

@@ -50,6 +50,22 @@ class ParseError(Exception):
         super().__init__(f"{where}: {msg}")
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise ParseError(path, None, f"cannot read ({err})") from None
+
+
+def _header(path, key: str, raw: str, parse):
+    """A header value read by `parse`; a malformed value names the file."""
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ParseError(path, None, f"bad {key} header ({err})") from None
+
+
 def _lines(text: str):
     """Yield (lineno, content) with comments and blank lines removed."""
     for n, raw in enumerate(text.splitlines(), 1):
@@ -89,11 +105,7 @@ def parse_barcode_text(text: str, path="<string>") -> Barcode:
 
 
 def parse_barcode(path) -> Barcode:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_barcode_text(fh.read(), path)
-    except OSError as err:
-        raise ParseError(path, None, f"cannot read ({err})") from None
+    return parse_barcode_text(_read_text(path), path)
 
 
 def emit_barcode(b: Barcode) -> str:
@@ -112,11 +124,7 @@ def emit_barcode(b: Barcode) -> str:
 
 
 def parse_plfunction(path) -> PLFunction:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ParseError(path, None, f"cannot read ({err})") from None
+    text = _read_text(path)
     domain = None
     bps: List[Fraction] = []
     vals: List[Fraction] = []
@@ -190,28 +198,28 @@ def emit_cloud(cloud) -> str:
 _HEADER_RE = re.compile(r"^(source|target|shift|field)\s*:\s*(.+)$")
 
 
-def _parse_morphism_entries(path) -> Tuple[Dict[str, str], List[Tuple[int, int, Fraction, int]]]:
+def _parse_entry(path, n: int, line: str) -> Tuple[int, int, Fraction, int]:
+    """One `<target> <source> <scalar>` line, tagged with its line number."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ParseError(path, n, f"expected '<target> <source> <scalar>', got {line!r}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ParseError(path, None, f"cannot read ({err})") from None
+        return int(parts[0]), int(parts[1]), Fraction(parts[2]), n
+    except (ValueError, ZeroDivisionError) as err:
+        raise ParseError(path, n, f"unknown token ({err})") from None
+
+
+def _parse_morphism_entries(path) -> Tuple[Dict[str, str], List[Tuple[int, int, Fraction, int]]]:
     headers: Dict[str, str] = {}
     entries: List[Tuple[int, int, Fraction, int]] = []
-    for n, line in _lines(text):
+    for n, line in _lines(_read_text(path)):
         m = _HEADER_RE.match(line)
         if m:
             if m.group(1) in headers:
                 raise ParseError(path, n, f"duplicate {m.group(1)} header")
             headers[m.group(1)] = m.group(2).strip()
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, n, f"expected '<target> <source> <scalar>', got {line!r}")
-        try:
-            entries.append((int(parts[0]), int(parts[1]), Fraction(parts[2]), n))
-        except (ValueError, ZeroDivisionError) as err:
-            raise ParseError(path, n, f"unknown token ({err})") from None
+        entries.append(_parse_entry(path, n, line))
     return headers, entries
 
 
@@ -248,12 +256,7 @@ def load_system(dirpath, field=GF2) -> InductiveSystem:
     slacks: List[Fraction] = []
     slacks_path = os.path.join(dirpath, "slacks.txt")
     if n_steps > 0 or os.path.exists(slacks_path):
-        try:
-            with open(slacks_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise ParseError(slacks_path, None, f"cannot read ({err})") from None
-        for n, line in _lines(text):
+        for n, line in _lines(_read_text(slacks_path)):
             for tok in line.split():
                 try:
                     slacks.append(Fraction(tok))
@@ -292,7 +295,7 @@ def _check_headers(path, headers, want_source, want_target, want_shift):
         raise ParseError(path, None, f"source header is not {want_source}")
     if "target" in headers and os.path.basename(headers["target"]) != want_target:
         raise ParseError(path, None, f"target header is not {want_target}")
-    if "shift" in headers and Fraction(headers["shift"]) != want_shift:
+    if "shift" in headers and _header(path, "shift", headers["shift"], Fraction) != want_shift:
         raise ParseError(path, None, f"shift header is not {want_shift}")
 
 
@@ -336,15 +339,10 @@ def load_certificate(path):
     Returns (F, G, certificate); the certificate constructor re-checks the
     round-trip identities, so a doctored file fails loudly.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ParseError(path, None, f"cannot read ({err})") from None
     headers: Dict[str, str] = {}
     sections: Dict[str, List[Tuple[int, str]]] = {}
     current: Optional[str] = None
-    for n, line in _lines(text):
+    for n, line in _lines(_read_text(path)):
         m = _SECTION_RE.match(line)
         if m:
             current = m.group(1)
@@ -368,23 +366,14 @@ def load_certificate(path):
         a, b = Fraction(headers["a"]), Fraction(headers["b"])
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(path, None, f"bad shift ({err})") from None
-    field = field_by_name(headers.get("field", "2"))
+    field = _header(path, "field", headers.get("field", "2"), field_by_name)
 
     def bc(name):
         body = "\n".join(line for _, line in sections[name])
         return parse_barcode_text(body, f"{path}[{name}]")
 
     def entries(name):
-        out = []
-        for n, line in sections[name]:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(path, n, f"expected '<target> <source> <scalar>', got {line!r}")
-            try:
-                out.append((int(parts[0]), int(parts[1]), Fraction(parts[2]), n))
-            except (ValueError, ZeroDivisionError) as err:
-                raise ParseError(path, n, f"unknown token ({err})") from None
-        return out
+        return [_parse_entry(path, n, line) for n, line in sections[name]]
 
     source, target = bc("source"), bc("target")
     u = _build_morphism(path, source, target.shift(a), entries("forward"), field)
@@ -446,8 +435,8 @@ def validate_file(path) -> str:
         base = os.path.dirname(os.path.abspath(str(path)))
         source = parse_barcode(os.path.join(base, headers["source"]))
         target = parse_barcode(os.path.join(base, headers["target"]))
-        shift = Fraction(headers.get("shift", 0))
-        field = field_by_name(headers.get("field", "2"))
+        shift = _header(path, "shift", headers.get("shift", "0"), Fraction)
+        field = _header(path, "field", headers.get("field", "2"), field_by_name)
         f = _build_morphism(path, source, target.shift(shift), entries, field)
         return f"morphism: {len(f.entries)} entries, shift {shift}"
     raise ParseError(path, None, f"unknown fixture kind {ext!r}")

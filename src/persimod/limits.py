@@ -3,10 +3,10 @@
 A tower is a finite run of barcodes with forward comparison maps and a
 nonnegative slack per step: the reverse map at slack eps undoes a step up
 to the canonical comparison.  Diagonalizing every step (stage by stage,
-rebasing as we go) turns the tower into chains of bars; the truncated
-colimit reports the last witnessed endpoints of every surviving chain,
-plus bars born at the final stage, together with a certified bound on how
-far the truncation can still drift.
+all degrees at once, rebasing as we go) turns the tower into chains of
+bars; the truncated colimit reports the last witnessed endpoints of every
+surviving chain, plus bars born at the final stage, together with a
+certified bound on how far the truncation can still drift.
 
 Cauchy completion subsamples a sequence until consecutive distances halve,
 re-anchors every stage by its accumulated slack so the comparison maps
@@ -17,16 +17,16 @@ the last witnessed value otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
-from .canonical import DiagonalizationError, StageDiagonalization, diagonalize_system
+from .canonical import StageDiagonalization, diagonalize_system
 from .fields import GF2, solve_linear
-from .intervals import DEG0, ExtRat, Interval, hom
+from .intervals import ExtRat, Interval
 from .interleaving import DistanceReport, InterleavingCertificate, gamma
-from .morphisms import Morphism, compose, equals_tau, tau_morphism
+from .morphisms import Morphism, _cell_allowed, compose, equals_tau, tau_morphism
 
 __all__ = [
     "CompletionError",
@@ -131,7 +131,7 @@ def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
     cells = []
     for j, pbar in enumerate(Fp.bars):
         for i, sbar in enumerate(shifted.bars):
-            if pbar.degree == sbar.degree and hom(pbar.interval, sbar.interval) is DEG0:
+            if _cell_allowed(pbar, sbar):
                 cells.append((i, j))
     pos = {c: k for k, c in enumerate(cells)}
     rows: List[List] = []
@@ -139,7 +139,7 @@ def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
     zero, one = fld.zero, fld.one
     for i, src in enumerate(F.bars):
         for ip, tgt in enumerate(shifted.bars):
-            if src.degree != tgt.degree or hom(src.interval, tgt.interval) is not DEG0:
+            if not _cell_allowed(src, tgt):
                 continue
             row = [zero] * len(cells)
             hit = False
@@ -178,56 +178,15 @@ class HocolimResult:
     barcode: Barcode
     error_bound: ExtRat
     chains: Tuple[Chain, ...]
-    stage_data: Mapping[int, Tuple[StageDiagonalization, ...]]
 
     def __iter__(self):
         yield self.barcode
         yield self.error_bound
 
 
-class _Piece:
-    """One degree's slice of a system, with per-stage index maps back into
-    the original stage barcodes."""
-
-    __slots__ = ("degree", "stages", "maps", "reverses", "indices", "records")
-
-    def __init__(self, degree, stages, maps, reverses, indices):
-        self.degree = degree
-        self.stages = stages
-        self.maps = maps
-        self.reverses = reverses
-        self.indices = indices
-        self.records: List[StageDiagonalization] = []
-
-
-def _split_system(system: InductiveSystem) -> List[_Piece]:
-    degrees = sorted({bar.degree for st in system.stages for bar in st.bars})
-    pieces = []
-    splits = [st.split_by_degree() for st in system.stages]
-    for deg in degrees:
-        stages_d, idx_d = [], []
-        for sp in splits:
-            piece, idx = sp.get(deg, (Barcode([]), []))
-            stages_d.append(piece)
-            idx_d.append(list(idx))
-        maps_d = [
-            f.restrict_source(idx_d[n]).restrict_target(idx_d[n + 1])
-            for n, f in enumerate(system.maps)
-        ]
-        revs_d = [
-            g.restrict_source(idx_d[n + 1]).restrict_target(idx_d[n])
-            for n, g in enumerate(system.reverses)
-        ]
-        pieces.append(_Piece(deg, stages_d, maps_d, revs_d, idx_d))
-    return pieces
-
-
-def _diagonalized_pieces(system: InductiveSystem) -> List[_Piece]:
+def _diagonalized(system: InductiveSystem) -> List[StageDiagonalization]:
     system = system.with_reverses()
-    pieces = _split_system(system)
-    for p in pieces:
-        p.records = diagonalize_system(p.stages, p.maps, p.reverses, system.slacks)
-    return pieces
+    return diagonalize_system(system.stages, system.maps, system.reverses, system.slacks)
 
 
 def _follow_chains(records: Sequence[StageDiagonalization]):
@@ -256,54 +215,45 @@ def _follow_chains(records: Sequence[StageDiagonalization]):
     return chains, active
 
 
-def _extended_diagonal(piece: _Piece, k: int, fld) -> Morphism:
-    """The stage-k diagonalized map as a full-stage morphism: zero on the
+def _extended_diagonal(system: InductiveSystem, rec: StageDiagonalization) -> Morphism:
+    """The step's diagonalized map as a full-stage morphism: zero on the
     columns that were below threshold."""
-    rec = piece.records[k]
-    entries = {
-        (rec.result.sigma[p], rec.live[p]): fld.one for p in range(len(rec.live))
-    }
-    return Morphism(piece.stages[k], piece.stages[k + 1], entries, fld)
+    one = system.field.one
+    entries = {(rec.result.sigma[p], i): one for p, i in enumerate(rec.live)}
+    return Morphism(system.stages[rec.stage], system.stages[rec.stage + 1], entries, system.field)
 
 
 def hocolim(system: InductiveSystem) -> HocolimResult:
     """Truncated colimit of the tower: surviving chains' last bars plus
     final-stage newborns above the last slack, with an error bound of four
-    times the gamma-size of the last diagonalized step's cone."""
+    times the gamma-size of the last diagonalized step's cone.
+
+    The whole tower is diagonalized stage by stage, all degrees at once;
+    chains are listed by degree, and within a degree by birth stage and
+    bar index, newborns last."""
     n_steps = len(system.maps)
     if n_steps == 0:
         base = system.stages[0]
         chains = tuple(
             Chain(bar.degree, 0, (i,), True) for i, bar in enumerate(base.bars)
         )
-        return HocolimResult(base, ExtRat(0), chains, {})
+        return HocolimResult(base, ExtRat(0), chains)
 
-    pieces = _diagonalized_pieces(system)
-    out_bars: List[Bar] = []
-    all_chains: List[Chain] = []
-    last_cone_bars: List[Bar] = []
-    stage_data: Dict[int, Tuple[StageDiagonalization, ...]] = {}
-    fld = system.field
-    final_slack = system.slacks[-1]
-
-    for p in pieces:
-        raw_chains, heads = _follow_chains(p.records)
-        final_piece = p.stages[-1]
-        for j, bar in enumerate(final_piece.bars):
-            if j not in heads and bar.interval.length > final_slack:
-                raw_chains.append({"birth": n_steps, "indices": [j], "alive": True})
-        for ch in raw_chains:
-            glob = tuple(
-                p.indices[ch["birth"] + k][i] for k, i in enumerate(ch["indices"])
-            )
-            all_chains.append(Chain(p.degree, ch["birth"], glob, ch["alive"]))
-            if ch["alive"]:
-                out_bars.append(final_piece.bars[ch["indices"][-1]])
-        last_cone_bars.extend(cone_diagonal(_extended_diagonal(p, n_steps - 1, fld)).bars)
-        stage_data[p.degree] = tuple(p.records)
-
-    bound = 4 * gamma_to_zero(Barcode(last_cone_bars))
-    return HocolimResult(Barcode(out_bars), bound, tuple(all_chains), stage_data)
+    records = _diagonalized(system)
+    raw_chains, heads = _follow_chains(records)
+    final = system.stages[-1]
+    for j, bar in enumerate(final.bars):
+        if j not in heads and bar.interval.length > system.slacks[-1]:
+            raw_chains.append({"birth": n_steps, "indices": [j], "alive": True})
+    chains = [
+        Chain(system.stages[ch["birth"]].bars[ch["indices"][0]].degree,
+              ch["birth"], tuple(ch["indices"]), ch["alive"])
+        for ch in raw_chains
+    ]
+    chains.sort(key=lambda ch: ch.degree)  # stable: keeps each degree's order
+    out_bars = [final.bars[ch.indices[-1]] for ch in chains if ch.alive]
+    bound = 4 * gamma_to_zero(cone_diagonal(_extended_diagonal(system, records[-1])))
+    return HocolimResult(Barcode(out_bars), bound, tuple(chains))
 
 
 def defect_check(system: InductiveSystem, n: int):
@@ -315,22 +265,14 @@ def defect_check(system: InductiveSystem, n: int):
         raise ValueError(f"stage index {n} outside 0..{n_steps}")
     if n == n_steps:
         return ExtRat(0), ExtRat(0), True
-    pieces = _diagonalized_pieces(system)
-    fld = system.field
-    composite_cone: List[Bar] = []
-    step_cones: List[List[Bar]] = [[] for _ in range(n, n_steps)]
-    for p in pieces:
-        ext = [_extended_diagonal(p, k, fld) for k in range(n, n_steps)]
-        comp = ext[0]
-        for nxt in ext[1:]:
-            comp = compose(comp, nxt)
-        composite_cone.extend(cone_diagonal(comp).bars)
-        for k, e in enumerate(ext):
-            step_cones[k].extend(cone_diagonal(e).bars)
-    lhs = gamma_to_zero(Barcode(composite_cone))
+    ext = [_extended_diagonal(system, rec) for rec in _diagonalized(system)[n:]]
+    comp = ext[0]
+    for nxt in ext[1:]:
+        comp = compose(comp, nxt)
+    lhs = gamma_to_zero(cone_diagonal(comp))
     rhs = ExtRat(0)
-    for bars in step_cones:
-        rhs = rhs + gamma_to_zero(Barcode(bars))
+    for e in ext:
+        rhs = rhs + gamma_to_zero(cone_diagonal(e))
     rhs = 2 * rhs
     return lhs, rhs, lhs <= rhs
 

@@ -75,12 +75,6 @@ class Morphism:
     def __setattr__(self, *a):
         raise AttributeError("Morphism is immutable")
 
-    def entry(self, t: int, s: int):
-        return self.entries.get((t, s), self.field.zero)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def shift(self, c) -> "Morphism":
         """Translate source and target by c; the matrix is unchanged."""
         c = Fraction(c)

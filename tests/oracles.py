@@ -9,8 +9,9 @@ implementations favour obviousness over speed.
 The exceptions are the differential oracles kept to check a faster
 library path against its earlier implementation: the Fraction/ExtRat
 interleaving search under the integer kernel, the validating rebuilds
-under the trusted constructors, and the recursive augmenting search under
-the matching (see their sections).
+under the trusted constructors, the recursive augmenting search under
+the matching, and the per-degree tower split under graded
+diagonalization (see their sections).
 """
 
 from fractions import Fraction
@@ -18,11 +19,13 @@ from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom
-from persimod.barcodes import Bar, Barcode
+from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
+from persimod.canonical import diagonalize_system
 from persimod.fields import GF2, RationalField
 from persimod.interleaving import DistanceReport, InterleavingCertificate
+from persimod.limits import Chain, HocolimResult, _follow_chains
 from persimod.matching import matching_covering
-from persimod.morphisms import Morphism
+from persimod.morphisms import Morphism, compose
 
 
 def field_elements(field) -> List:
@@ -282,7 +285,7 @@ def cone_dims_oracle(m) -> Dict[Tuple[int, int], int]:
         for k, s in enumerate(strata):
             live_t = [t for t in rows_t if stalk(tgt[t].interval, s)]
             live_s = [i for i in cols_s if stalk(src[i].interval, s)]
-            block = [[fld.canon(m.entry(t, i)) for i in live_s] for t in live_t]
+            block = [[fld.canon(m.entries.get((t, i), fld.zero)) for i in live_s] for t in live_t]
             r = rank_field(block, fld) if live_t and live_s else 0
             ker = len(live_s) - r
             coker = len(live_t) - r
@@ -674,3 +677,85 @@ def augment_oracle(order, adj) -> Tuple[Dict[int, int], List[bool]]:
     match_r: Dict[int, int] = {}
     found = [_try_augment_recursive(u, adj, match_r, set()) for u in order]
     return match_r, found
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for graded tower diagonalization
+#
+# `limits` diagonalizes a whole graded tower in one pass.  This is the
+# per-degree split it replaced: cut the tower (reverses filled in) into one
+# sub-tower per degree, diagonalize each, and glue the chains, bars and
+# cones back together through per-stage index maps.
+
+
+def split_system_oracle(system):
+    """[(degree, stages, maps, reverses, indices)] per degree, where
+    indices[k][i] is the full stage-k index of piece bar i."""
+    system = system.with_reverses()
+    splits = [st.split_by_degree() for st in system.stages]
+    pieces = []
+    for deg in sorted({bar.degree for st in system.stages for bar in st.bars}):
+        stages, idx = [], []
+        for sp in splits:
+            piece, ind = sp.get(deg, (Barcode([]), []))
+            stages.append(piece)
+            idx.append(list(ind))
+        maps = [f.restrict_source(idx[n]).restrict_target(idx[n + 1]) for n, f in enumerate(system.maps)]
+        revs = [g.restrict_source(idx[n + 1]).restrict_target(idx[n]) for n, g in enumerate(system.reverses)]
+        pieces.append((deg, stages, maps, revs, idx))
+    return pieces
+
+
+def _diagonalized_pieces(system):
+    """(degree, stages, indices, stage records) per degree."""
+    return [
+        (deg, stages, idx, diagonalize_system(stages, maps, revs, system.slacks))
+        for deg, stages, maps, revs, idx in split_system_oracle(system)
+    ]
+
+
+def _piece_diagonal(stages, rec, fld) -> Morphism:
+    entries = {(rec.result.sigma[p], i): fld.one for p, i in enumerate(rec.live)}
+    return Morphism(stages[rec.stage], stages[rec.stage + 1], entries, fld)
+
+
+def hocolim_oracle(system) -> HocolimResult:
+    """`hocolim` of a tower of two or more stages, degree by degree."""
+    n_steps = len(system.maps)
+    out_bars, chains, cone = [], [], []
+    for deg, stages, idx, records in _diagonalized_pieces(system):
+        raw, heads = _follow_chains(records)
+        for j, bar in enumerate(stages[-1].bars):
+            if j not in heads and bar.interval.length > system.slacks[-1]:
+                raw.append({"birth": n_steps, "indices": [j], "alive": True})
+        for ch in raw:
+            full = tuple(idx[ch["birth"] + k][i] for k, i in enumerate(ch["indices"]))
+            chains.append(Chain(deg, ch["birth"], full, ch["alive"]))
+            if ch["alive"]:
+                out_bars.append(stages[-1].bars[ch["indices"][-1]])
+        cone.extend(cone_diagonal(_piece_diagonal(stages, records[-1], system.field)).bars)
+    return HocolimResult(Barcode(out_bars), 4 * gamma_to_zero(Barcode(cone)), tuple(chains))
+
+
+def defect_check_oracle(system, n: int):
+    """`defect_check` degree by degree: cone bars of every degree are pooled
+    before each gamma-size is taken."""
+    n_steps = len(system.maps)
+    if n == n_steps:
+        return ExtRat(0), ExtRat(0), True
+    composite_cone: List[Bar] = []
+    step_cones: List[List[Bar]] = [[] for _ in range(n, n_steps)]
+    for _, stages, _, records in _diagonalized_pieces(system):
+        ext = [_piece_diagonal(stages, rec, system.field) for rec in records[n:]]
+        comp = ext[0]
+        for nxt in ext[1:]:
+            comp = compose(comp, nxt)
+        composite_cone.extend(cone_diagonal(comp).bars)
+        for k, e in enumerate(ext):
+            step_cones[k].extend(cone_diagonal(e).bars)
+    lhs = gamma_to_zero(Barcode(composite_cone))
+    rhs = ExtRat(0)
+    for bars in step_cones:
+        rhs = rhs + gamma_to_zero(Barcode(bars))
+    rhs = 2 * rhs
+    return lhs, rhs, lhs <= rhs

@@ -257,6 +257,33 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_malformed_tower_shift_header_exits_2(tmp_path, capsys):
+    emit_system(tmp_path / "tower", geometric_tower(2, 4))
+    mor = tmp_path / "tower" / "f0.mor"
+    mor.write_text("shift: abc\n" + mor.read_text())
+    rc, out, err = run(capsys, "limit", str(tmp_path / "tower"))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {mor}: bad shift header")
+
+
+@pytest.mark.parametrize("value", ["4", "zz"])
+def test_malformed_certificate_field_header_exits_2(unit_pair, capsys, value):
+    assert run(capsys, "dist", "gamma", "F.bc", "G.bc")[0] == 0
+    cert = unit_pair / "gamma.cert"
+    cert.write_text(cert.read_text().replace("field: 2", f"field: {value}"))
+    rc, out, err = run(capsys, "validate", str(cert))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {cert}: bad field header")
+
+
+def test_malformed_morphism_shift_header_exits_2(unit_pair, capsys):
+    mor = unit_pair / "m.mor"
+    mor.write_text("source: F.bc\ntarget: G.bc\nshift: 1/0\n0 0 1\n")
+    rc, out, err = run(capsys, "validate", str(mor))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {mor}: bad shift header")
+
+
 def test_multiplicity_above_cap_exits_2(tmp_path, capsys):
     p = tmp_path / "huge.bc"
     p.write_text("0 0 1 1000000000\n")

@@ -1,11 +1,12 @@
 """Towers: colimits with error bounds, defect inequalities, Cauchy completion."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from persimod import Barcode, Interval, gamma
-from persimod.fields import GF2
+from persimod.fields import GF2, QQ, PrimeField
 from persimod.intervals import ExtRat
 from persimod.limits import (
     CompletionError,
@@ -16,7 +17,9 @@ from persimod.limits import (
     hocolim,
     subsample_system,
 )
-from persimod.morphisms import Morphism, identity, tau_morphism
+from persimod.morphisms import Morphism, compose, identity, tau_morphism
+from oracles import defect_check_oracle, hocolim_oracle
+from test_canonical import _find_sorted_positions, _random_automorphism
 
 
 def B(*bars):
@@ -182,6 +185,64 @@ def test_defect_single_stage():
                              [tau_morphism(bc, 0, field=GF2)])
     lhs, rhs, ok = defect_check(system, 0)
     assert ok and lhs == rhs == ExtRat(0)
+
+
+# --- graded towers against the per-degree split -----------------------------------
+
+
+def graded_tower(rng, fld, n_stages, degrees=(0, 1, 2)):
+    """Planted tower over several degrees.  Each step drifts the bars that
+    outlive its slack right by at most the slack, drops the rest and adds
+    short newcomers in random degrees; a random automorphism rebases the
+    final stage."""
+    den = 4
+    bars = []
+    for _ in range(rng.randint(2, 6)):
+        lo = Fraction(rng.randint(0, 40), den)
+        bars.append((rng.choice(degrees), Interval(lo, lo + Fraction(rng.randint(1, 40), den))))
+    stages = [Barcode(bars)]
+    fwd, rev, slacks = [], [], []
+    for _ in range(n_stages - 1):
+        src, eps = stages[-1], Fraction(rng.randint(1, 4), den)
+        kept, tgt_bars = [], []
+        for i, bar in enumerate(src):
+            if bar.interval.length > eps:
+                a, b = bar.interval.lo.as_fraction(), bar.interval.hi.as_fraction()
+                a2 = a + Fraction(rng.randint(0, int(eps * den)), den)
+                b2 = b + Fraction(rng.randint(0, int(eps * den)), den)
+                kept.append(i)
+                tgt_bars.append((bar.degree, Interval(a2, b2)))
+        for _ in range(rng.randint(0, 3)):
+            lo = Fraction(rng.randint(0, 60), den)
+            tgt_bars.append((rng.choice(degrees), Interval(lo, lo + Fraction(rng.randint(1, 8), den))))
+        tgt = Barcode(tgt_bars)
+        planted = _find_sorted_positions(tgt, tgt_bars[: len(kept)])
+        fwd.append(Morphism(src, tgt, {(planted[k], i): 1 for k, i in enumerate(kept)}, fld))
+        rev.append(Morphism(tgt, src.shift(eps), {(i, planted[k]): 1 for k, i in enumerate(kept)}, fld))
+        stages.append(tgt)
+        slacks.append(eps)
+    psi, psi_inv = _random_automorphism(stages[-1], rng, fld)
+    fwd[-1] = compose(fwd[-1], psi)
+    rev[-1] = compose(psi_inv, rev[-1])
+    return stages, fwd, rev, slacks
+
+
+@pytest.mark.parametrize("fld", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+def test_graded_towers_match_the_per_degree_split(fld):
+    rng = random.Random(0x6AADED)
+    graded = 0
+    for _ in range(12):
+        stages, fwd, rev, slacks = graded_tower(rng, fld, rng.randint(2, 6))
+        graded += any(len(st.degrees()) > 1 for st in stages)
+        for reverses in (rev, None):
+            system = InductiveSystem(stages, fwd, slacks, reverses, fld)
+            out, want = hocolim(system), hocolim_oracle(system)
+            assert (out.barcode, out.error_bound, out.chains) == (
+                want.barcode, want.error_bound, want.chains
+            )
+            for n in range(len(stages)):
+                assert defect_check(system, n) == defect_check_oracle(system, n)
+    assert graded >= 6
 
 
 # --- subsampling -----------------------------------------------------------------
