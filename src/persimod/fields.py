@@ -139,8 +139,8 @@ def solve_linear(
 ) -> Optional[List]:
     """One solution of A x = b over ``field``, or None if inconsistent.
 
-    Dense Gaussian elimination; sized for the small systems that appear in
-    certificate synthesis (tens of unknowns).
+    Dense Gaussian elimination, sized for small systems: each block of a
+    reverse-map synthesis has at most one unknown per bar of a stage.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0

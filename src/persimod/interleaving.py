@@ -129,10 +129,9 @@ def _infinite_mismatch(F: Barcode, G: Barcode) -> bool:
 
 def _as_int(e: ExtRat, scale: int) -> Optional[int]:
     """Finite e times `scale` (a multiple of its denominator), None if infinite."""
-    if not e.is_finite:
+    if e._kind:
         return None
-    q = e.as_fraction()
-    return q.numerator * (scale // q.denominator)
+    return e._n * (scale // e._d)
 
 
 def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
@@ -147,8 +146,8 @@ def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
     for bc in barcodes:
         for bar in bc.bars:
             for e in (bar.interval.lo, bar.interval.hi):
-                if e.is_finite:
-                    dens.add(e.as_fraction().denominator)
+                if not e._kind:
+                    dens.add(e._d)
     scale = lcm(*dens)
     return scale, [
         [(bar.degree, _as_int(bar.interval.lo, scale), _as_int(bar.interval.hi, scale)) for bar in bc.bars]

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 __all__ = [
@@ -39,10 +41,16 @@ __all__ = [
 RatLike = Union[int, Fraction, str, "ExtRat"]
 
 _INF_TOKENS = {"inf": 1, "+inf": 1, "-inf": -1, "oo": 1, "-oo": -1}
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 class ExtRat:
     """An exact rational extended with -inf and +inf.
+
+    A finite value is a reduced int pair: numerator `_n` and denominator
+    `_d` with gcd(_n, _d) == 1 and _d > 0, and `_kind` 0.  An infinity has
+    `_kind` -1 or +1 and the pair (0, 1), so two values compare by kind
+    first and then by cross-multiplication, with no Fraction in between.
 
     Totally ordered: -inf < every rational < +inf.  Arithmetic is defined
     for the combinations that make sense for endpoint/length bookkeeping
@@ -50,23 +58,20 @@ class ExtRat:
     indeterminate forms raise ArithmeticError.
     """
 
-    __slots__ = ("_kind", "_q")
+    __slots__ = ("_kind", "_n", "_d")
 
     def __init__(self, value: RatLike = 0):
         if isinstance(value, ExtRat):
-            self._kind = value._kind
-            self._q = value._q
+            self._kind, self._n, self._d = value._kind, value._n, value._d
             return
         if isinstance(value, str):
             token = value.strip()
             if token in _INF_TOKENS:
-                self._kind = _INF_TOKENS[token]
-                self._q = None
+                self._kind, self._n, self._d = _INF_TOKENS[token], 0, 1
                 return
             value = Fraction(token)
         if isinstance(value, (int, Fraction)):
-            self._kind = 0
-            self._q = Fraction(value)
+            self._kind, self._n, self._d = 0, value.numerator, value.denominator
             return
         raise TypeError(f"cannot build ExtRat from {value!r}")
 
@@ -75,16 +80,15 @@ class ExtRat:
     @staticmethod
     def _make_inf(sign: int) -> "ExtRat":
         out = ExtRat.__new__(ExtRat)
-        out._kind = sign
-        out._q = None
+        out._kind, out._n, out._d = sign, 0, 1
         return out
 
     @staticmethod
-    def _finite(q: Fraction) -> "ExtRat":
-        """Trusted constructor: `q` must already be a Fraction."""
+    def _ratio(n: int, d: int) -> "ExtRat":
+        """Trusted constructor: n/d for ints n and d > 0, reduced here."""
+        g = gcd(n, d)
         out = ExtRat.__new__(ExtRat)
-        out._kind = 0
-        out._q = q
+        out._kind, out._n, out._d = 0, n // g, d // g
         return out
 
     # -- predicates --------------------------------------------------------
@@ -104,123 +108,113 @@ class ExtRat:
     def as_fraction(self) -> Fraction:
         if self._kind != 0:
             raise ArithmeticError(f"{self} is not finite")
-        return self._q
+        return Fraction(self._n, self._d)
 
     # -- ordering ----------------------------------------------------------
 
-    def _key(self):
-        # kind dominates; finite values compare by q
-        return (self._kind, self._q if self._kind == 0 else 0)
-
     @staticmethod
     def _coerce(other) -> "ExtRat":
-        if isinstance(other, ExtRat):
-            return other
         if isinstance(other, (int, Fraction, str)):
             return ExtRat(other)
         return NotImplemented
 
-    # Two ExtRat operands compare kind first, then the finite values; other
-    # operands are coerced and compared through `_key`.
+    # Kind dominates; equal kinds compare n1/d1 against n2/d2 as
+    # n1*d2 against n2*d1 (denominators are positive), which also holds for
+    # two equal infinities through their (0, 1) pairs.
 
     def __eq__(self, other):
-        if type(other) is ExtRat:
-            return self._kind == other._kind and (self._kind != 0 or self._q == other._q)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        other = other if type(other) is ExtRat else self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self._key() == o._key()
+        return self._kind == other._kind and self._n == other._n and self._d == other._d
 
     def __lt__(self, other):
-        if type(other) is ExtRat:
-            k, ok = self._kind, other._kind
-            return k < ok if k != ok else (k == 0 and self._q < other._q)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        other = other if type(other) is ExtRat else self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self._key() < o._key()
+        k, ok = self._kind, other._kind
+        return k < ok if k != ok else self._n * other._d < other._n * self._d
 
     def __le__(self, other):
-        if type(other) is ExtRat:
-            k, ok = self._kind, other._kind
-            return k < ok if k != ok else (k != 0 or self._q <= other._q)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        other = other if type(other) is ExtRat else self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self._key() <= o._key()
+        k, ok = self._kind, other._kind
+        return k < ok if k != ok else self._n * other._d <= other._n * self._d
 
     def __gt__(self, other):
-        if type(other) is ExtRat:
-            k, ok = self._kind, other._kind
-            return k > ok if k != ok else (k == 0 and self._q > other._q)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        other = other if type(other) is ExtRat else self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self._key() > o._key()
+        k, ok = self._kind, other._kind
+        return k > ok if k != ok else self._n * other._d > other._n * self._d
 
     def __ge__(self, other):
-        if type(other) is ExtRat:
-            k, ok = self._kind, other._kind
-            return k > ok if k != ok else (k != 0 or self._q >= other._q)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        other = other if type(other) is ExtRat else self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self._key() >= o._key()
+        k, ok = self._kind, other._kind
+        return k > ok if k != ok else self._n * other._d >= other._n * self._d
 
     def __hash__(self):
-        if self._kind == 0:
-            return hash(self._q)
-        return hash(("ExtRat", self._kind))
+        # hash(Fraction(n, d)), computed from the pair (the numeric hash of
+        # the Python data model: n * d^-1 modulo the hash prime).
+        if self._kind != 0:
+            return hash(("ExtRat", self._kind))
+        n, d = self._n, self._d
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:
+            h = _HASH_INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = other if type(other) is ExtRat else self._coerce(other)
-        if o is NotImplemented:
+        other = other if type(other) is ExtRat else self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if self._kind == 0 and o._kind == 0:
-            return ExtRat._finite(self._q + o._q)
-        if self._kind != 0 and o._kind != 0:
-            if self._kind != o._kind:
+        k, ok = self._kind, other._kind
+        if k or ok:
+            if k and ok and k != ok:
                 raise ArithmeticError("inf + (-inf) is undefined")
-            return self
-        return self if self._kind != 0 else o
+            return self if k else other
+        return ExtRat._ratio(self._n * other._d + other._n * self._d, self._d * other._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._kind == 0:
-            return ExtRat._finite(-self._q)
-        return ExtRat._make_inf(-self._kind)
+        return ExtRat._make_inf(-self._kind) if self._kind else ExtRat._ratio(-self._n, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        other = other if type(other) is ExtRat else self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        k, ok = self._kind, other._kind
+        if k or ok:
+            if k == ok:
+                raise ArithmeticError("inf + (-inf) is undefined")
+            return self if k else -other
+        return ExtRat._ratio(self._n * other._d - other._n * self._d, self._d * other._d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        other = other if type(other) is ExtRat else self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if self._kind == 0 and o._kind == 0:
-            return ExtRat(self._q * o._q)
+        k, ok = self._kind, other._kind
+        if not (k or ok):
+            return ExtRat._ratio(self._n * other._n, self._d * other._d)
         # at least one infinite factor: require the other to be nonzero finite
         # or infinite; sign rule applies.
-        def sign(e: "ExtRat") -> int:
-            if e._kind != 0:
-                return e._kind
-            return (e._q > 0) - (e._q < 0)
-
-        if sign(self) == 0 or sign(o) == 0:
+        sign = k or (self._n > 0) - (self._n < 0)
+        osign = ok or (other._n > 0) - (other._n < 0)
+        if sign == 0 or osign == 0:
             raise ArithmeticError("0 * inf is undefined")
-        return ExtRat._make_inf(sign(self) * sign(o))
+        return ExtRat._make_inf(sign * osign)
 
     __rmul__ = __mul__
 
@@ -231,9 +225,9 @@ class ExtRat:
             return "inf"
         if self._kind < 0:
             return "-inf"
-        if self._q.denominator == 1:
-            return str(self._q.numerator)
-        return f"{self._q.numerator}/{self._q.denominator}"
+        if self._d == 1:
+            return str(self._n)
+        return f"{self._n}/{self._d}"
 
     def __repr__(self):
         return f"ExtRat({str(self)!r})"
@@ -275,10 +269,11 @@ class Interval:
         """Translation by the Fraction `c`, built without re-parsing the
         endpoints; an infinite endpoint stays as it is."""
         lo, hi = self.lo, self.hi
+        cn, cd = c.numerator, c.denominator
         if lo._kind == 0:
-            lo = ExtRat._finite(lo._q + c)
+            lo = ExtRat._ratio(lo._n * cd + cn * lo._d, lo._d * cd)
         if hi._kind == 0:
-            hi = ExtRat._finite(hi._q + c)
+            hi = ExtRat._ratio(hi._n * cd + cn * hi._d, hi._d * cd)
         if not lo < hi:
             raise ValueError(f"empty interval [{lo},{hi})")
         out = Interval.__new__(Interval)
@@ -309,7 +304,8 @@ def _is_translate(e: ExtRat, base: ExtRat, c: Fraction) -> bool:
     """e == base + c; an infinite endpoint translates to itself."""
     if base._kind:
         return e._kind == base._kind
-    return e._kind == 0 and e._q == base._q + c
+    cn, cd = c.numerator, c.denominator
+    return e._kind == 0 and e._n * base._d * cd == (base._n * cd + cn * base._d) * e._d
 
 
 _set_lo = Interval.lo.__set__

@@ -273,12 +273,12 @@ def load_system(dirpath, field=GF2) -> InductiveSystem:
         if not os.path.exists(fpath):
             raise ParseError(fpath, None, "missing forward map")
         headers, entries = _parse_morphism_entries(fpath)
-        _check_headers(fpath, headers, f"F{n}.bc", f"F{n + 1}.bc", Fraction(0))
+        _check_headers(fpath, headers, f"F{n}.bc", f"F{n + 1}.bc", Fraction(0), field)
         maps.append(_build_morphism(fpath, stages[n], stages[n + 1], entries, field))
         gpath = os.path.join(dirpath, f"g{n}.mor")
         if os.path.exists(gpath):
             headers, entries = _parse_morphism_entries(gpath)
-            _check_headers(gpath, headers, f"F{n + 1}.bc", f"F{n}.bc", slacks[n])
+            _check_headers(gpath, headers, f"F{n + 1}.bc", f"F{n}.bc", slacks[n], field)
             reverses.append(
                 _build_morphism(gpath, stages[n + 1], stages[n].shift(slacks[n]), entries, field)
             )
@@ -290,13 +290,15 @@ def load_system(dirpath, field=GF2) -> InductiveSystem:
         raise ParseError(dirpath, None, f"inconsistent tower: {err}") from None
 
 
-def _check_headers(path, headers, want_source, want_target, want_shift):
+def _check_headers(path, headers, want_source, want_target, want_shift, field):
     if "source" in headers and os.path.basename(headers["source"]) != want_source:
         raise ParseError(path, None, f"source header is not {want_source}")
     if "target" in headers and os.path.basename(headers["target"]) != want_target:
         raise ParseError(path, None, f"target header is not {want_target}")
     if "shift" in headers and _header(path, "shift", headers["shift"], Fraction) != want_shift:
         raise ParseError(path, None, f"shift header is not {want_shift}")
+    if "field" in headers and _header(path, "field", headers["field"], field_by_name) != field:
+        raise ParseError(path, None, f"field header is not {_field_name(field)}")
 
 
 def emit_system(dirpath, system: InductiveSystem) -> None:

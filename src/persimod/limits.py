@@ -121,44 +121,47 @@ class InductiveSystem:
 def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
     """One-sided inverse-up-to-comparison: find g with g∘f = tau_eps.
 
-    Linear in the entries of g, so plain Gaussian elimination decides it.
+    Linear in the entries of g.  The equation at cell (i, i') of g∘f reads
+    only row i' of g, so the system splits into one block per bar i' of the
+    eps-shifted source: its unknowns are the allowed j of F' in increasing
+    j, its equations the allowed i of F, read off column i of f.  Blocks
+    share no unknowns, so solving each alone picks the pivot columns of one
+    global elimination and, with free unknowns at zero, the same g; a block
+    with no equations leaves its row of g zero.
     XXX free unknowns default to zero, which biases synthesized reverses
     toward sparse ones; any solution satisfies the tower contract, so this
     only matters for readability of dumped systems.
     """
     F, Fp = f.source, f.target
     shifted = F.shift(eps)
-    cells = []
-    for j, pbar in enumerate(Fp.bars):
-        for i, sbar in enumerate(shifted.bars):
-            if _cell_allowed(pbar, sbar):
-                cells.append((i, j))
-    pos = {c: k for k, c in enumerate(cells)}
-    rows: List[List] = []
-    rhs: List = []
+    by_source: Dict[int, List[Tuple[int, object]]] = {}
+    for (j, i), coef in f.entries.items():
+        by_source.setdefault(i, []).append((j, coef))
     zero, one = fld.zero, fld.one
-    for i, src in enumerate(F.bars):
-        for ip, tgt in enumerate(shifted.bars):
+    found = []
+    for ip, tgt in enumerate(shifted.bars):
+        unknowns = [j for j, pbar in enumerate(Fp.bars) if _cell_allowed(pbar, tgt)]
+        pos = {j: k for k, j in enumerate(unknowns)}
+        rows, rhs = [], []
+        for i, src in enumerate(F.bars):
             if not _cell_allowed(src, tgt):
                 continue
-            row = [zero] * len(cells)
-            hit = False
-            for (j, i_src), coef in f.entries.items():
-                if i_src != i:
-                    continue
-                k = pos.get((ip, j))
-                if k is not None:
-                    row[k] = fld.add(row[k], coef)
-                    hit = True
+            coefs = [(pos[j], coef) for j, coef in by_source.get(i, ()) if j in pos]
             want = one if (ip == i and src.interval.length > eps) else zero
-            if hit or want != zero:
+            if coefs or want != zero:
+                row = [zero] * len(unknowns)
+                for k, coef in coefs:
+                    row[k] = coef
                 rows.append(row)
                 rhs.append(want)
-    sol = solve_linear(rows, rhs, fld)
-    if sol is None:
-        return None
-    entries = {c: v for c, v in zip(cells, sol) if v != zero}
-    return Morphism(Fp, shifted, entries, fld)
+        if not rows:
+            continue
+        sol = solve_linear(rows, rhs, fld)
+        if sol is None:
+            return None
+        found.extend(((ip, j), v) for j, v in zip(unknowns, sol) if v != zero)
+    found.sort(key=lambda cell: (cell[0][1], cell[0][0]))  # g's entries in column order
+    return Morphism(Fp, shifted, dict(found), fld)
 
 
 @dataclass(frozen=True)

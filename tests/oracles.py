@@ -10,10 +10,13 @@ The exceptions are the differential oracles kept to check a faster
 library path against its earlier implementation: the Fraction/ExtRat
 interleaving search under the integer kernel, the validating rebuilds
 under the trusted constructors, the recursive augmenting search under
-the matching, and the per-degree tower split under graded
-diagonalization (see their sections).
+the matching, the per-degree tower split under graded
+diagonalization, the Fraction-backed ExtRat under the int-pair one, and
+the global round-trip solve under the per-block reverse synthesis (see
+their sections).
 """
 
+import operator
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -21,11 +24,11 @@ from typing import Dict, List, Sequence, Tuple
 from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom
 from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
 from persimod.canonical import diagonalize_system
-from persimod.fields import GF2, RationalField
+from persimod.fields import GF2, RationalField, solve_linear
 from persimod.interleaving import DistanceReport, InterleavingCertificate
 from persimod.limits import Chain, HocolimResult, _follow_chains
 from persimod.matching import matching_covering
-from persimod.morphisms import Morphism, compose
+from persimod.morphisms import Morphism, _cell_allowed, compose
 
 
 def field_elements(field) -> List:
@@ -625,7 +628,7 @@ def sublevel_oracle(values: Sequence[Fraction], circle: bool) -> Barcode:
 # The library builds shifted and restricted barcodes, shifted morphisms and
 # composites without re-validating them, and compares ExtRat values without
 # coercion.  These rebuild each result through the validating constructors
-# and compare through `ExtRat._key`.
+# and compare through `FractionExtRat._key`.
 
 
 def shift_oracle(bc: Barcode, c) -> Barcode:
@@ -647,9 +650,213 @@ def tau_entries_oracle(bc: Barcode, c) -> Dict[Tuple[int, int], int]:
 
 
 def compare_oracle(x, y) -> Tuple[bool, bool, bool, bool, bool]:
-    """(==, <, <=, >, >=) of two endpoint-like values by their `_key`s."""
-    kx, ky = ExtRat(x)._key(), ExtRat(y)._key()
+    """(==, <, <=, >, >=) of two endpoint-like values by their
+    `FractionExtRat._key`s."""
+    kx, ky = FractionExtRat(x)._key(), FractionExtRat(y)._key()
     return kx == ky, kx < ky, kx <= ky, kx > ky, kx >= ky
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the int-pair ExtRat
+#
+# `intervals.ExtRat` stores a finite value as a reduced int pair.  This is
+# the Fraction-backed class it replaced: same constructor, operators,
+# errors, hash, str and repr, with every finite value held as a Fraction.
+
+
+_INF_TOKENS = {"inf": 1, "+inf": 1, "-inf": -1, "oo": 1, "-oo": -1}
+
+
+class FractionExtRat:
+    """An exact rational extended with -inf and +inf, held as a Fraction."""
+
+    __slots__ = ("_kind", "_q")
+
+    def __init__(self, value=0):
+        if isinstance(value, FractionExtRat):
+            self._kind = value._kind
+            self._q = value._q
+            return
+        if isinstance(value, str):
+            token = value.strip()
+            if token in _INF_TOKENS:
+                self._kind = _INF_TOKENS[token]
+                self._q = None
+                return
+            value = Fraction(token)
+        if isinstance(value, (int, Fraction)):
+            self._kind = 0
+            self._q = Fraction(value)
+            return
+        raise TypeError(f"cannot build ExtRat from {value!r}")
+
+    @staticmethod
+    def _make_inf(sign: int) -> "FractionExtRat":
+        out = FractionExtRat.__new__(FractionExtRat)
+        out._kind = sign
+        out._q = None
+        return out
+
+    @property
+    def is_finite(self) -> bool:
+        return self._kind == 0
+
+    @property
+    def is_pos_inf(self) -> bool:
+        return self._kind > 0
+
+    @property
+    def is_neg_inf(self) -> bool:
+        return self._kind < 0
+
+    def as_fraction(self) -> Fraction:
+        if self._kind != 0:
+            raise ArithmeticError(f"{self} is not finite")
+        return self._q
+
+    def _key(self):
+        # kind dominates; finite values compare by q
+        return (self._kind, self._q if self._kind == 0 else 0)
+
+    @staticmethod
+    def _coerce(other) -> "FractionExtRat":
+        if isinstance(other, FractionExtRat):
+            return other
+        if isinstance(other, (int, Fraction, str)):
+            return FractionExtRat(other)
+        return NotImplemented
+
+    def _compare(self, other, op):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return op(self._key(), o._key())
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other):
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._compare(other, operator.ge)
+
+    def __hash__(self):
+        if self._kind == 0:
+            return hash(self._q)
+        return hash(("ExtRat", self._kind))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if self._kind == 0 and o._kind == 0:
+            return FractionExtRat(self._q + o._q)
+        if self._kind != 0 and o._kind != 0:
+            if self._kind != o._kind:
+                raise ArithmeticError("inf + (-inf) is undefined")
+            return self
+        return self if self._kind != 0 else o
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self._kind == 0:
+            return FractionExtRat(-self._q)
+        return FractionExtRat._make_inf(-self._kind)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if self._kind == 0 and o._kind == 0:
+            return FractionExtRat(self._q * o._q)
+
+        def sign(e: "FractionExtRat") -> int:
+            if e._kind != 0:
+                return e._kind
+            return (e._q > 0) - (e._q < 0)
+
+        if sign(self) == 0 or sign(o) == 0:
+            raise ArithmeticError("0 * inf is undefined")
+        return FractionExtRat._make_inf(sign(self) * sign(o))
+
+    __rmul__ = __mul__
+
+    def __str__(self):
+        if self._kind > 0:
+            return "inf"
+        if self._kind < 0:
+            return "-inf"
+        if self._q.denominator == 1:
+            return str(self._q.numerator)
+        return f"{self._q.numerator}/{self._q.denominator}"
+
+    def __repr__(self):
+        return f"ExtRat({str(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for reverse-map synthesis
+#
+# `limits._solve_reverse` solves one small system per bar of the shifted
+# source.  This is the single global elimination over every allowed cell of
+# g that it replaced.
+
+
+def solve_reverse_oracle(f: Morphism, eps, fld):
+    """g with g∘f = tau_eps from one dense system, or None."""
+    F, Fp = f.source, f.target
+    shifted = F.shift(eps)
+    cells = []
+    for j, pbar in enumerate(Fp.bars):
+        for i, sbar in enumerate(shifted.bars):
+            if _cell_allowed(pbar, sbar):
+                cells.append((i, j))
+    pos = {c: k for k, c in enumerate(cells)}
+    rows: List[List] = []
+    rhs: List = []
+    zero, one = fld.zero, fld.one
+    for i, src in enumerate(F.bars):
+        for ip, tgt in enumerate(shifted.bars):
+            if not _cell_allowed(src, tgt):
+                continue
+            row = [zero] * len(cells)
+            hit = False
+            for (j, i_src), coef in f.entries.items():
+                if i_src != i:
+                    continue
+                k = pos.get((ip, j))
+                if k is not None:
+                    row[k] = fld.add(row[k], coef)
+                    hit = True
+            want = one if (ip == i and src.interval.length > eps) else zero
+            if hit or want != zero:
+                rows.append(row)
+                rhs.append(want)
+    sol = solve_linear(rows, rhs, fld)
+    if sol is None:
+        return None
+    entries = {c: v for c, v in zip(cells, sol) if v != zero}
+    return Morphism(Fp, shifted, entries, fld)
 
 
 # ---------------------------------------------------------------------------

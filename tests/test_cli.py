@@ -266,6 +266,44 @@ def test_malformed_tower_shift_header_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {mor}: bad shift header")
 
 
+@pytest.mark.parametrize("name", ["f0.mor", "g0.mor"])
+@pytest.mark.parametrize("value", ["4", "zz"])
+def test_malformed_tower_field_header_exits_2(tmp_path, capsys, name, value):
+    emit_system(tmp_path / "tower", geometric_tower(2, 4))
+    mor = tmp_path / "tower" / name
+    mor.write_text(f"field: {value}\n" + mor.read_text())
+    rc, out, err = run(capsys, "limit", str(tmp_path / "tower"))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {mor}: bad field header (")
+
+
+@pytest.mark.parametrize("name", ["f0.mor", "g1.mor"])
+@pytest.mark.parametrize("header, argv, loaded", [
+    ("5", (), "2"),
+    ("2", ("--field", "5"), "5"),
+    ("q", ("--field", "3"), "3"),
+    ("5", ("--field", "q"), "q"),
+])
+def test_contradicting_tower_field_header_exits_2(tmp_path, capsys, name, header, argv, loaded):
+    emit_system(tmp_path / "tower", geometric_tower(2, 5))
+    mor = tmp_path / "tower" / name
+    mor.write_text(f"field: {header}\n" + mor.read_text())
+    rc, out, err = run(capsys, *argv, "limit", str(tmp_path / "tower"))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {mor}: field header is not {loaded}\n"
+
+
+@pytest.mark.parametrize("header, argv", [("2", ()), ("5", ("--field", "5")), ("Q", ("--field", "q"))])
+def test_agreeing_tower_field_header_is_accepted(tmp_path, capsys, header, argv):
+    emit_system(tmp_path / "tower", geometric_tower(2, 5))
+    rc, want, _ = run(capsys, *argv, "limit", str(tmp_path / "tower"))
+    assert rc == 0 and want
+    for name in ("f0.mor", "g1.mor"):
+        mor = tmp_path / "tower" / name
+        mor.write_text(f"field: {header}\n" + mor.read_text())
+    assert run(capsys, *argv, "limit", str(tmp_path / "tower"))[:2] == (0, want)
+
+
 @pytest.mark.parametrize("value", ["4", "zz"])
 def test_malformed_certificate_field_header_exits_2(unit_pair, capsys, value):
     assert run(capsys, "dist", "gamma", "F.bc", "G.bc")[0] == 0

@@ -1,9 +1,12 @@
-"""The trusted constructors and the direct ExtRat comparisons, checked for
-exact agreement with the validating rebuilds kept in `oracles.py`, and the
-explicit-stack augmenting search against the recursive one."""
+"""The trusted constructors, checked for exact agreement with the
+validating rebuilds kept in `oracles.py`; the int-pair ExtRat against the
+Fraction-backed one; and the explicit-stack augmenting search against the
+recursive one."""
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from persimod.matching import _try_augment
 from persimod.morphisms import Morphism, compose, equals_tau, tau_morphism
 from conftest import rand_realized_morphism
 from oracles import (
+    FractionExtRat,
     augment_oracle,
     compare_oracle,
     morphism_shift_oracle,
@@ -46,20 +50,49 @@ def signed_shifts(den):
     return st.integers(-12 * den, 12 * den).map(lambda k: Fraction(k, 2 * den))
 
 
-def endpoints(den):
-    finite = st.integers(-4 * den, 4 * den).map(lambda k: ExtRat(Fraction(k, den)))
-    return st.one_of(finite, st.sampled_from((NEG_INF, POS_INF)))
-
-
-def operands(den):
-    """ExtRat values and the int, Fraction and str operands they coerce."""
+def raw_operands(den):
+    """Every operand type an ExtRat operation coerces: ints, Fractions of
+    denominator den, their strs, and the infinity tokens."""
     return st.one_of(
-        endpoints(den),
         st.integers(-4, 4),
         st.integers(-4 * den, 4 * den).map(lambda k: Fraction(k, den)),
         st.integers(-4 * den, 4 * den).map(lambda k: str(Fraction(k, den))),
-        st.sampled_from(("inf", "-inf", "oo", "-oo")),
+        st.sampled_from(("inf", "+inf", "-inf", "oo", "-oo")),
     )
+
+
+def extrats(den):
+    """(ExtRat, FractionExtRat) of one value: den-ary, integer or infinite."""
+    return raw_operands(den).map(lambda v: (ExtRat(v), FractionExtRat(v)))
+
+
+def operands(den):
+    """(library operand, oracle operand): an ExtRat pair, or a raw value
+    handed to both sides as it is."""
+    return st.one_of(extrats(den), raw_operands(den).map(lambda v: (v, v)))
+
+
+def outcome(op, *args):
+    try:
+        return "ok", op(*args)
+    except ArithmeticError as err:
+        return "error", f"{type(err).__name__}: {err}"
+
+
+def assert_same_value(got, want):
+    """The int-pair ExtRat `got` shows exactly what the Fraction-backed
+    `want` shows, and its pair is reduced with a positive denominator."""
+    assert type(got) is ExtRat and type(want) is FractionExtRat
+    assert (str(got), repr(got), hash(got)) == (str(want), repr(want), hash(want))
+    assert (got.is_finite, got.is_pos_inf, got.is_neg_inf) == (want.is_finite, want.is_pos_inf, want.is_neg_inf)
+    assert type(got._n) is int and type(got._d) is int
+    assert gcd(got._n, got._d) == 1 and got._d > 0
+    if got.is_finite:
+        q = got.as_fraction()
+        assert type(q) is Fraction and q == want.as_fraction()
+        assert (got._n, got._d) == (q.numerator, q.denominator) and hash(got) == hash(q)
+    else:
+        assert outcome(got.as_fraction) == outcome(want.as_fraction)
 
 
 @pytest.mark.parametrize("den", [4, 997])
@@ -132,29 +165,46 @@ def test_tau_and_compose_match_validating_constructors(den, data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_extrat_comparisons_match_key_order(den, data):
-    x, y = data.draw(operands(den)), data.draw(operands(den))
-    ex = ExtRat(x)
+    (x, ox), (y, oy) = data.draw(extrats(den)), data.draw(operands(den))
+    want = compare_oracle(ox, oy)
     # ExtRat on the left, then on the right (Python reflects the operator).
-    assert (ex == y, ex < y, ex <= y, ex > y, ex >= y) == compare_oracle(x, y)
-    assert (y == ex, y > ex, y >= ex, y < ex, y <= ex) == compare_oracle(x, y)
+    assert (x == y, x < y, x <= y, x > y, x >= y) == want
+    assert (y == x, y > x, y >= x, y < x, y <= x) == want
+    assert (x != y, y != x) == (not want[0],) * 2
+    if want[0]:
+        assert hash(x) == hash(ExtRat(y))
 
 
 @pytest.mark.parametrize("den", [4, 997])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_extrat_addition_matches_coerced_sum(den, data):
-    x, y = data.draw(endpoints(den)), data.draw(operands(den))
-    ey = ExtRat(y)
-    if x.is_finite and ey.is_finite:
-        got = x + y
-        assert type(got) is ExtRat and type(got._q) is Fraction
-        assert got._key() == ExtRat(x.as_fraction() + ey.as_fraction())._key()
-        assert (x - y)._key() == ExtRat(x.as_fraction() - ey.as_fraction())._key()
-    elif not x.is_finite and not ey.is_finite and x != ey:
-        with pytest.raises(ArithmeticError):
-            x + y
-    else:
-        assert (x + y)._key() == (x if not x.is_finite else ey)._key()
+    """+, - and * with ExtRat on either side, and neg, against the
+    Fraction-backed oracle: equal values, str, repr and hash, or the same
+    ArithmeticError."""
+    (x, ox), (y, oy) = data.draw(extrats(den)), data.draw(operands(den))
+    assert_same_value(x, ox)
+    assert_same_value(-x, -ox)
+    for op in (operator.add, operator.sub, operator.mul):
+        for args, oargs in (((x, y), (ox, oy)), ((y, x), (oy, ox))):
+            got, want = outcome(op, *args), outcome(op, *oargs)
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert_same_value(got[1], want[1])
+            else:
+                assert got == want
+
+
+@pytest.mark.parametrize("op, x, y, message", [
+    (operator.add, "inf", "-inf", "inf + (-inf) is undefined"),
+    (operator.sub, "inf", "inf", "inf + (-inf) is undefined"),
+    (operator.mul, "0", "inf", "0 * inf is undefined"),
+])
+def test_extrat_indeterminate_forms_raise_like_the_oracle(op, x, y, message):
+    want = ("error", f"ArithmeticError: {message}")
+    for a, b in ((x, y), (y, x)):
+        assert outcome(op, ExtRat(a), b) == outcome(op, FractionExtRat(a), b) == want
+        assert outcome(op, a, ExtRat(b)) == outcome(op, a, FractionExtRat(b)) == want
 
 
 @settings(max_examples=200, deadline=None)

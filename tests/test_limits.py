@@ -4,21 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, gamma
-from persimod.fields import GF2, QQ, PrimeField
+from persimod.fields import GF2, QQ, PrimeField, solve_linear
 from persimod.intervals import ExtRat
 from persimod.limits import (
     CompletionError,
     InductiveSystem,
     ToleranceError,
+    _solve_reverse,
     complete_cauchy,
     defect_check,
     hocolim,
     subsample_system,
 )
-from persimod.morphisms import Morphism, compose, identity, tau_morphism
-from oracles import defect_check_oracle, hocolim_oracle
+from persimod.morphisms import Morphism, compose, equals_tau, identity, tau_morphism
+from oracles import defect_check_oracle, hocolim_oracle, solve_reverse_oracle
 from test_canonical import _find_sorted_positions, _random_automorphism
 
 
@@ -243,6 +246,62 @@ def test_graded_towers_match_the_per_degree_split(fld):
             for n in range(len(stages)):
                 assert defect_check(system, n) == defect_check_oracle(system, n)
     assert graded >= 6
+
+
+# --- reverse synthesis against the global solve ----------------------------------
+
+
+def _reverse_problems(seed, fld, degrees):
+    """(f, eps, solvable) for both steps of a 3-stage planted tower -- the
+    second rebased by an automorphism -- and for variants that cannot be
+    solved (step 0 with a forward entry dropped) or may not be (a quarter
+    of the slack, so drifted bars may not fit)."""
+    rng = random.Random(seed)
+    stages, fwd, rev, slacks = graded_tower(rng, fld, 3, degrees)
+    out = [(f, eps, True) for f, eps in zip(fwd, slacks)]
+    out += [(f, eps / 4, None) for f, eps in zip(fwd, slacks)]
+    if fwd[0].entries:
+        cell = rng.choice(sorted(fwd[0].entries))
+        kept = {c: v for c, v in fwd[0].entries.items() if c != cell}
+        out.append((Morphism(fwd[0].source, fwd[0].target, kept, fld), slacks[0], False))
+    return out
+
+
+@pytest.mark.parametrize("fld", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), degrees=st.sampled_from([(0,), (0, 1, 2)]))
+def test_reverse_synthesis_matches_the_global_solve(fld, seed, degrees):
+    for f, eps, solvable in _reverse_problems(seed, fld, degrees):
+        got, want = _solve_reverse(f, eps, fld), solve_reverse_oracle(f, eps, fld)
+        if solvable is not None:
+            assert (got is not None) == solvable
+        assert got == want
+        if got is not None:
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert equals_tau(compose(f, got), eps)
+
+
+def test_reverse_synthesis_hands_over_one_small_system_per_bar(monkeypatch):
+    import persimod.limits as limits
+
+    shapes = []
+
+    def recording(rows, rhs, fld):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return solve_linear(rows, rhs, fld)
+
+    monkeypatch.setattr(limits, "solve_linear", recording)
+    rng = random.Random(0x5B10C)
+    for fld in (GF2, PrimeField(5), QQ):
+        for _ in range(6):
+            stages, fwd, _, slacks = graded_tower(rng, fld, 5)
+            for f, eps in zip(fwd, slacks):
+                before = len(shapes)
+                assert _solve_reverse(f, eps, fld) is not None
+                assert len(shapes) - before <= len(f.source)
+                for rows, cols in shapes[before:]:
+                    assert 0 < rows <= len(f.source) and cols <= len(f.target)
+    assert shapes
 
 
 # --- subsampling -----------------------------------------------------------------
