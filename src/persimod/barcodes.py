@@ -40,9 +40,9 @@ class Bar:
         return (self.degree, self.interval.lo, self.interval.hi)
 
     def shift(self, c) -> "Bar":
-        return self._shifted(Fraction(c))
+        return self._shifted(ExtRat(Fraction(c)))
 
-    def _shifted(self, c: Fraction) -> "Bar":
+    def _shifted(self, c: ExtRat) -> "Bar":
         out = Bar.__new__(Bar)
         _set_degree(out, self.degree)
         _set_interval(out, self.interval._shifted(c))
@@ -125,13 +125,13 @@ class Barcode:
     # -- structure helpers ---------------------------------------------------
 
     def shift(self, c) -> "Barcode":
-        c = Fraction(c)
+        c = ExtRat(Fraction(c))
         return Barcode._from_sorted(tuple(b._shifted(c) for b in self.bars))
 
     def is_shift_of(self, other: "Barcode", c) -> bool:
         """Whether this barcode equals other.shift(c), compared bar by bar
         without building the shift."""
-        c = Fraction(c)
+        c = ExtRat(Fraction(c))
         return len(self.bars) == len(other.bars) and all(
             t.degree == s.degree and t.interval._is_shift_of(s.interval, c) for t, s in zip(self.bars, other.bars)
         )

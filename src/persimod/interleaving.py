@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .barcodes import Barcode
 from .fields import GF2
-from .intervals import ExtRat, POS_INF
+from .intervals import ExtRat, POS_INF, int_pair
 from .matching import matching_covering
 from .morphisms import Morphism, compose, equals_tau
 
@@ -127,13 +127,6 @@ def _infinite_mismatch(F: Barcode, G: Barcode) -> bool:
     return sig(F) != sig(G)
 
 
-def _as_int(e: ExtRat, scale: int) -> Optional[int]:
-    """Finite e times `scale` (a multiple of its denominator), None if infinite."""
-    if e._kind:
-        return None
-    return e._n * (scale // e._d)
-
-
 def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
     """Scale one problem to Python ints.
 
@@ -142,16 +135,14 @@ def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
     for an infinite endpoint.  Differences and lengths of endpoints share
     the denominator D, so the whole search runs on exact ints.
     """
+    pairs = [[(bar.degree, int_pair(bar.interval.lo), int_pair(bar.interval.hi)) for bar in bc.bars] for bc in barcodes]
     dens = {s.denominator for s in shifts}
-    for bc in barcodes:
-        for bar in bc.bars:
-            for e in (bar.interval.lo, bar.interval.hi):
-                if not e._kind:
-                    dens.add(e._d)
+    dens.update(p[1] for bars in pairs for _, lo, hi in bars for p in (lo, hi) if p)
     scale = lcm(*dens)
+    # `lo and ...` keeps an infinite endpoint's None
     return scale, [
-        [(bar.degree, _as_int(bar.interval.lo, scale), _as_int(bar.interval.hi, scale)) for bar in bc.bars]
-        for bc in barcodes
+        [(deg, lo and lo[0] * (scale // lo[1]), hi and hi[0] * (scale // hi[1])) for deg, lo, hi in bars]
+        for bars in pairs
     ]
 
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 import re
-import sys
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "ExtRat",
@@ -41,7 +40,6 @@ __all__ = [
 RatLike = Union[int, Fraction, str, "ExtRat"]
 
 _INF_TOKENS = {"inf": 1, "+inf": 1, "-inf": -1, "oo": 1, "-oo": -1}
-_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 class ExtRat:
@@ -81,6 +79,13 @@ class ExtRat:
     def _make_inf(sign: int) -> "ExtRat":
         out = ExtRat.__new__(ExtRat)
         out._kind, out._n, out._d = sign, 0, 1
+        return out
+
+    @staticmethod
+    def _pair(n: int, d: int) -> "ExtRat":
+        """Trusted constructor: n/d for an already reduced pair with d > 0."""
+        out = ExtRat.__new__(ExtRat)
+        out._kind, out._n, out._d = 0, n, d
         return out
 
     @staticmethod
@@ -157,17 +162,9 @@ class ExtRat:
         return k > ok if k != ok else self._n * other._d >= other._n * self._d
 
     def __hash__(self):
-        # hash(Fraction(n, d)), computed from the pair (the numeric hash of
-        # the Python data model: n * d^-1 modulo the hash prime).
         if self._kind != 0:
             return hash(("ExtRat", self._kind))
-        n, d = self._n, self._d
-        try:
-            h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
-        except ValueError:
-            h = _HASH_INF
-        h = h if n >= 0 else -h
-        return -2 if h == -1 else h
+        return hash(Fraction(self._n, self._d))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -185,7 +182,7 @@ class ExtRat:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtRat._make_inf(-self._kind) if self._kind else ExtRat._ratio(-self._n, self._d)
+        return ExtRat._make_inf(-self._kind) if self._kind else ExtRat._pair(-self._n, self._d)
 
     def __sub__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
@@ -263,17 +260,12 @@ class Interval:
         return self.hi - self.lo
 
     def shift(self, c) -> "Interval":
-        return self._shifted(Fraction(c))
+        return self._shifted(ExtRat(Fraction(c)))
 
-    def _shifted(self, c: Fraction) -> "Interval":
-        """Translation by the Fraction `c`, built without re-parsing the
+    def _shifted(self, c: ExtRat) -> "Interval":
+        """Translation by the finite `c`, built without re-parsing the
         endpoints; an infinite endpoint stays as it is."""
-        lo, hi = self.lo, self.hi
-        cn, cd = c.numerator, c.denominator
-        if lo._kind == 0:
-            lo = ExtRat._ratio(lo._n * cd + cn * lo._d, lo._d * cd)
-        if hi._kind == 0:
-            hi = ExtRat._ratio(hi._n * cd + cn * hi._d, hi._d * cd)
+        lo, hi = self.lo + c, self.hi + c
         if not lo < hi:
             raise ValueError(f"empty interval [{lo},{hi})")
         out = Interval.__new__(Interval)
@@ -281,9 +273,9 @@ class Interval:
         _set_hi(out, hi)
         return out
 
-    def _is_shift_of(self, other: "Interval", c: Fraction) -> bool:
-        """Whether this interval equals other.shift(c), for a Fraction c."""
-        return _is_translate(self.lo, other.lo, c) and _is_translate(self.hi, other.hi, c)
+    def _is_shift_of(self, other: "Interval", c: ExtRat) -> bool:
+        """Whether this interval equals other.shift(c), for a finite c."""
+        return self.lo == other.lo + c and self.hi == other.hi + c
 
     def __eq__(self, other):
         if not isinstance(other, Interval):
@@ -300,12 +292,9 @@ class Interval:
         return f"Interval({str(self.lo)!r}, {str(self.hi)!r})"
 
 
-def _is_translate(e: ExtRat, base: ExtRat, c: Fraction) -> bool:
-    """e == base + c; an infinite endpoint translates to itself."""
-    if base._kind:
-        return e._kind == base._kind
-    cn, cd = c.numerator, c.denominator
-    return e._kind == 0 and e._n * base._d * cd == (base._n * cd + cn * base._d) * e._d
+def int_pair(e: ExtRat) -> Optional[Tuple[int, int]]:
+    """The reduced (numerator, denominator) of a finite e, None if infinite."""
+    return None if e._kind else (e._n, e._d)
 
 
 _set_lo = Interval.lo.__set__
