@@ -43,6 +43,8 @@ class PrimeField:
         return 1
 
     def canon(self, x) -> int:
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")

@@ -167,7 +167,10 @@ def _matching_entries(F: Barcode, G: Barcode, a: Fraction, b: Fraction):
     flo <= glo+a < fhi <= ghi+a and glo <= flo+b < ghi <= fhi+b.  All of it
     runs on the scaled ints of `_int_bars`; an infinite endpoint becomes
     -inf or +inf, ints beyond every finite value plus a+b, which keeps each
-    inequality exact (a float infinity would overflow on huge ints).
+    inequality exact (a float infinity would overflow on huge ints).  In
+    ints this is glo in [flo-a, min(fhi-a-1, flo+b)] and ghi in [max(fhi-a,
+    flo+b+1), fhi+b]; G's bars of a degree are sorted by lo, so the first is
+    an index window of two bisects and each row comes out increasing.
     """
     scale, (fb, gb) = _int_bars((F, G), (a, b))
     a = a.numerator * (scale // a.denominator)
@@ -188,15 +191,15 @@ def _matching_entries(F: Barcode, G: Barcode, a: Fraction, b: Fraction):
     for deg in sorted(set(fd) | set(gd)):
         f_bars = fd.get(deg, [])
         g_bars = gd.get(deg, [])
-        g_ends = [(glo, ghi, glo + a, ghi + a) for _, glo, ghi in g_bars]
+        g_lo = [lo for _, lo, _ in g_bars]
+        g_hi = [hi for _, _, hi in g_bars]
         adj: List[List[int]] = []
         for _, flo, fhi in f_bars:
-            flo_b, fhi_b = flo + b, fhi + b
-            adj.append([
-                j
-                for j, (glo, ghi, glo_a, ghi_a) in enumerate(g_ends)
-                if flo <= glo_a < fhi <= ghi_a and glo <= flo_b < ghi <= fhi_b
-            ])
+            # top = min(x-1, y), hi_min = max(x, y+1), without two builtin calls
+            x, y, hi_max = fhi - a, flo + b, fhi + b
+            top, hi_min = (x - 1, y + 1) if x <= y else (y, x)
+            window = range(bisect_left(g_lo, flo - a), bisect_right(g_lo, top))
+            adj.append([j for j in window if hi_min <= g_hi[j] <= hi_max])
         req_l = [i for i, (_, lo, hi) in enumerate(f_bars) if hi - lo > total]
         req_r = [j for j, (_, lo, hi) in enumerate(g_bars) if hi - lo > total]
         m = matching_covering(len(f_bars), len(g_bars), adj, req_l, req_r)

@@ -10,7 +10,8 @@ The exceptions are the differential oracles kept to check a faster
 library path against its earlier implementation: the Fraction/ExtRat
 interleaving search under the integer kernel, the validating rebuilds
 under the trusted constructors, the recursive augmenting search under
-the matching, the per-degree tower split under graded
+the matching, the full-merge matching and all-pairs adjacency under the
+windowed decision kernel, the per-degree tower split under graded
 diagonalization, the Fraction-backed ExtRat under the int-pair one, and
 the global round-trip solve under the per-block reverse synthesis (see
 their sections).
@@ -25,7 +26,7 @@ from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom
 from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
 from persimod.canonical import diagonalize_system
 from persimod.fields import GF2, RationalField, solve_linear
-from persimod.interleaving import DistanceReport, InterleavingCertificate
+from persimod.interleaving import DistanceReport, InterleavingCertificate, _int_bars
 from persimod.limits import Chain, HocolimResult, _follow_chains
 from persimod.matching import matching_covering
 from persimod.morphisms import Morphism, _cell_allowed, compose
@@ -884,6 +885,125 @@ def augment_oracle(order, adj) -> Tuple[Dict[int, int], List[bool]]:
     match_r: Dict[int, int] = {}
     found = [_try_augment_recursive(u, adj, match_r, set()) for u in order]
     return match_r, found
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the covering matching and its adjacency
+#
+# `matching` skips visited right vertices with a path-compressed map and
+# returns the left-saturating matching when it already covers the right
+# side; `interleaving._matching_entries` builds each row from an index
+# window over G's sorted lo ends.  These are the versions they replaced:
+# a `seen` set re-tested per neighbour, the second matching and merge on
+# every call, and the adjacency tested against every bar of G.
+
+
+def _try_augment_scan(root, adj, match_r, seen) -> bool:
+    stack = []
+    u, nbrs = root, iter(adj[root])
+    while True:
+        for v in nbrs:
+            if v in seen:
+                continue
+            seen.add(v)
+            w = match_r.get(v)
+            if w is not None:
+                stack.append((u, nbrs, v))
+                u, nbrs = w, iter(adj[w])
+                break
+            match_r[v] = u
+            for u, _, v in reversed(stack):
+                match_r[v] = u
+            return True
+        else:
+            if not stack:
+                return False
+            u, nbrs, _ = stack.pop()
+
+
+def _saturating_oracle(order, adj, required):
+    match_r: Dict[int, int] = {}
+    for u in order:
+        if not _try_augment_scan(u, adj, match_r, set()) and u in required:
+            return None
+    return {u: v for v, u in match_r.items()}
+
+
+def matching_covering_oracle(num_left, num_right, adj, required_left, required_right):
+    """Covering matching from both saturating matchings and the
+    per-component merge, always run in full."""
+    req_l, req_r = set(required_left), set(required_right)
+    m1 = _saturating_oracle(sorted(req_l) + [u for u in range(num_left) if u not in req_l], adj, req_l)
+    if m1 is None:
+        return None
+    radj: List[List[int]] = [[] for _ in range(num_right)]
+    for u in range(num_left):
+        for v in adj[u]:
+            radj[v].append(u)
+    m2r = _saturating_oracle(sorted(req_r) + [v for v in range(num_right) if v not in req_r], radj, req_r)
+    if m2r is None:
+        return None
+    m2 = {u: v for v, u in m2r.items()}
+    inv = ({v: u for u, v in m1.items()}, {v: u for u, v in m2.items()})
+    out: Dict[int, int] = {}
+    seen_l = set()
+    for start in range(num_left):
+        if start in seen_l or (start not in m1 and start not in m2):
+            continue
+        comp_l, comp_r, stack = set(), set(), [("L", start)]
+        while stack:
+            side, x = stack.pop()
+            if side == "L" and x not in comp_l:
+                comp_l.add(x)
+                stack.extend(("R", m[x]) for m in (m1, m2) if x in m)
+            elif side == "R" and x not in comp_r:
+                comp_r.add(x)
+                stack.extend(("L", i[x]) for i in inv if x in i)
+        seen_l |= comp_l
+        pick1 = {u: v for u, v in m1.items() if u in comp_l}
+        if comp_l & req_l <= set(pick1) and comp_r & req_r <= set(pick1.values()):
+            out.update(pick1)
+        else:
+            out.update({u: v for u, v in m2.items() if u in comp_l})
+    return out
+
+
+def int_matching_entries_oracle(F: Barcode, G: Barcode, a, b):
+    """`interleaving._matching_entries` with every pair of bars tested and
+    the full-merge matching."""
+    a, b = Fraction(a), Fraction(b)
+    scale, (fb, gb) = _int_bars((F, G), (a, b))
+    a = a.numerator * (scale // a.denominator)
+    b = b.numerator * (scale // b.denominator)
+    total = a + b
+    big = max((abs(x) for rows in (fb, gb) for _, lo, hi in rows for x in (lo, hi) if x is not None), default=0)
+    inf = big + total + 1
+
+    def by_degree(rows):
+        out: Dict[int, List[Tuple[int, int, int]]] = {}
+        for idx, (deg, lo, hi) in enumerate(rows):
+            out.setdefault(deg, []).append((idx, -inf if lo is None else lo, inf if hi is None else hi))
+        return out
+
+    fd, gd = by_degree(fb), by_degree(gb)
+    u_entries: Dict[Tuple[int, int], int] = {}
+    v_entries: Dict[Tuple[int, int], int] = {}
+    for deg in sorted(set(fd) | set(gd)):
+        f_bars, g_bars = fd.get(deg, []), gd.get(deg, [])
+        adj = [
+            [j for j, (_, glo, ghi) in enumerate(g_bars)
+             if flo <= glo + a < fhi <= ghi + a and glo <= flo + b < ghi <= fhi + b]
+            for _, flo, fhi in f_bars
+        ]
+        req_l = [i for i, (_, lo, hi) in enumerate(f_bars) if hi - lo > total]
+        req_r = [j for j, (_, lo, hi) in enumerate(g_bars) if hi - lo > total]
+        m = matching_covering_oracle(len(f_bars), len(g_bars), adj, req_l, req_r)
+        if m is None:
+            return None
+        for i, j in m.items():
+            u_entries[(g_bars[j][0], f_bars[i][0])] = 1
+            v_entries[(f_bars[i][0], g_bars[j][0])] = 1
+    return u_entries, v_entries
 
 
 # ---------------------------------------------------------------------------

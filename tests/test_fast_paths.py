@@ -1,7 +1,8 @@
 """The trusted constructors, checked for exact agreement with the
 validating rebuilds kept in `oracles.py`; the int-pair ExtRat against the
-Fraction-backed one; and the explicit-stack augmenting search against the
-recursive one."""
+Fraction-backed one; the explicit-stack augmenting search against the
+recursive one; and the covering matching and its windowed adjacency
+against the full-merge, all-pairs versions."""
 
 import operator
 import random
@@ -9,19 +10,22 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from persimod import Barcode, Interval
 from persimod.fields import GF2, PrimeField, QQ
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
-from persimod.matching import _try_augment
+from persimod.interleaving import _matching_entries
+from persimod.matching import _saturating, _try_augment, matching_covering
 from persimod.morphisms import Morphism, compose, equals_tau, tau_morphism
 from conftest import rand_realized_morphism
 from oracles import (
     FractionExtRat,
     augment_oracle,
     compare_oracle,
+    int_matching_entries_oracle,
+    matching_covering_oracle,
     morphism_shift_oracle,
     restrict_oracle,
     shift_oracle,
@@ -211,10 +215,67 @@ def test_extrat_indeterminate_forms_raise_like_the_oracle(op, x, y, message):
 @given(data=st.data())
 def test_augmenting_search_matches_recursive(data):
     n_left, n_right = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
-    adj = [data.draw(st.lists(st.integers(0, n_right - 1), unique=True)) if n_right else [] for _ in range(n_left)]
+    adj = [sorted(data.draw(st.sets(st.integers(0, n_right - 1)))) if n_right else [] for _ in range(n_left)]
     order = data.draw(st.permutations(range(n_left)))
     match_r = {}
-    found = [_try_augment(u, adj, match_r, set()) for u in order]
+    found = [_try_augment(u, adj, match_r, {}) for u in order]
     want_r, want_found = augment_oracle(order, adj)
     assert found == want_found
     assert list(match_r.items()) == list(want_r.items())
+
+
+@st.composite
+def bipartite(draw, max_side=9):
+    """(num_left, num_right, strictly increasing rows, required left,
+    required right)."""
+    n_left, n_right = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    adj = [sorted(draw(st.sets(st.integers(0, n_right - 1)))) if n_right else [] for _ in range(n_left)]
+    req_l = draw(st.sets(st.integers(0, n_left - 1))) if n_left else set()
+    req_r = draw(st.sets(st.integers(0, n_right - 1))) if n_right else set()
+    return n_left, n_right, adj, req_l, req_r
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=bipartite())
+def test_matching_covering_matches_full_merge(graph):
+    assert matching_covering(*graph) == matching_covering_oracle(*graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=bipartite())
+def test_early_return_equals_full_merge(graph):
+    # When the left-saturating matching covers the required right side the
+    # library returns it without the second matching; the merge of both
+    # matchings must give the same pairs.
+    n_left, _, adj, req_l, req_r = graph
+    m1 = _saturating(sorted(req_l) + [u for u in range(n_left) if u not in req_l], adj, req_l)
+    assume(m1 is not None and req_r <= set(m1.values()))
+    assert matching_covering(*graph) == m1 == matching_covering_oracle(*graph)
+
+
+@st.composite
+def decision_inputs(draw, den):
+    """(F, G, a, b): G is drawn afresh or as F with every finite endpoint
+    moved by at most 2, so both answers are common; a and b include 0."""
+    F = draw(barcodes(den))
+    if draw(st.booleans()):
+        G = draw(barcodes(den))
+    else:
+        move = st.integers(-2 * den, 2 * den).map(lambda k: Fraction(k, den))
+        bars = []
+        for bar in F.bars:
+            lo, hi = bar.interval.lo, bar.interval.hi
+            lo = lo if lo.is_neg_inf else lo + draw(move)
+            hi = hi if hi.is_pos_inf else max(hi + draw(move), lo + Fraction(1, den))
+            bars.append((bar.degree, Interval(lo, hi)))
+        G = Barcode(bars)
+    shift = st.integers(0, 6 * den).map(lambda k: Fraction(k, 2 * den))
+    return F, G, draw(shift), draw(shift)
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_windowed_matching_entries_match_all_pairs_oracle(den, data):
+    F, G, a, b = data.draw(decision_inputs(den))
+    assert _matching_entries(F, G, a, b) == int_matching_entries_oracle(F, G, a, b)

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -228,12 +229,25 @@ def test_matching_merge_check_survives_python_O():
 
 
 def test_matching_covering_on_a_long_augmenting_chain():
-    # Vertex n-1 can only reach its right twin through a path of length n,
-    # beyond Python's default recursion limit.
+    # Left i < n-1 takes right i greedily; the last left vertex reaches only
+    # right 0, so its augmenting path shifts every earlier vertex one step
+    # along: a path of length n, beyond Python's default recursion limit.
     n = 2000
-    adj = [[j for j in (i + 1, i) if j < n] for i in range(n)]
+    adj = [[i, i + 1] for i in range(n - 1)] + [[0]]
     got = matching_covering(n, n, adj, range(n), range(n))
-    assert got == {i: i for i in range(n)}
+    assert got == {**{i: i + 1 for i in range(n - 1)}, n - 1: 0}
+
+
+def test_identical_bars_decide_within_budget():
+    # 1,600 copies of one bar give a complete graph on which the greedy
+    # matching augments along paths of every length up to n; re-testing
+    # visited vertices made this about 45 s.
+    F = B(*[(0, Interval(0, 10))] * 1600)
+    start = time.perf_counter()
+    cert = check_interleaving(F, F, 0, 0)
+    elapsed = time.perf_counter() - start
+    assert cert is not None and cert.total == 0
+    assert elapsed < 15, f"check_interleaving took {elapsed:.1f} s"
 
 
 def test_certificate_check_survives_python_O():
