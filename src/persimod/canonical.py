@@ -7,10 +7,14 @@ element of that column's support.  A support with no least element is a
 genuine order-theoretic obstruction -- no automorphism of the target can
 diagonalize such a matrix -- and we raise instead of guessing.
 
-The elimination tracks the accumulated target automorphism and its
-inverse alongside the working matrix.  Every claimed identity (the
-factorization, the two inverse laws, the diagonal shape, the endpoint
-drift) is re-checked on the result before it is returned.
+The elimination tracks the accumulated target automorphism phi and its
+inverse alongside the working matrix phi after u, all three as plain
+dicts of sparse rows.  phi and the working matrix are kept by rows; phi
+inverse is kept by columns, so the column operation that mirrors each
+row operation is a row operation on its transpose.  Every claimed
+identity (the factorization, the two inverse laws, the diagonal shape,
+the endpoint drift) is re-checked on the strictly built morphisms before
+they are returned.
 """
 
 from __future__ import annotations
@@ -62,66 +66,27 @@ class StageDiagonalization:
     result: CanonicalFormResult
 
 
-class _Tracked:
-    """Hom-constrained working matrix: writes to forbidden cells vanish.
+def _scale_row(row: Dict[int, object], lam, field) -> None:
+    """row *= lam.  lam is a nonzero field element, so no cell vanishes."""
+    for k, val in row.items():
+        row[k] = field.mul(lam, val)
 
+
+def _add_row(dst: Dict[int, object], src: Dict[int, object], lam, field, allowed) -> None:
+    """dst += lam * src (dst is not src).
+
+    A cell that sums to zero, or whose key `allowed` rejects, is dropped.
     Forbidden cells can only ever hold values that the generator calculus
     already maps to zero (the row operations we apply are themselves
     morphisms, and composition kills those paths), so dropping them keeps
-    the matrix equal to the true composite at every step.
+    each matrix equal to the true composite at every step.
     """
-
-    __slots__ = ("src", "tgt", "entries", "field")
-
-    def __init__(self, src_bars, tgt_bars, entries, field):
-        self.src = list(src_bars)
-        self.tgt = list(tgt_bars)
-        self.entries: Dict[Tuple[int, int], object] = dict(entries)
-        self.field = field
-
-    @classmethod
-    def from_morphism(cls, m: Morphism) -> "_Tracked":
-        return cls(m.source.bars, m.target.bars, m.entries, m.field)
-
-    @classmethod
-    def identity_on(cls, b: Barcode, field) -> "_Tracked":
-        ent = {(i, i): field.one for i in range(len(b))}
-        return cls(b.bars, b.bars, ent, field)
-
-    def _put(self, t: int, s: int, val) -> None:
-        if val == self.field.zero or not _cell_allowed(self.src[s], self.tgt[t]):
-            self.entries.pop((t, s), None)
+    for k, val in src.items():
+        val = field.add(dst.get(k, field.zero), field.mul(lam, val))
+        if val == field.zero or not allowed(k):
+            dst.pop(k, None)
         else:
-            self.entries[(t, s)] = val
-
-    def row(self, r: int) -> List[Tuple[int, int]]:
-        return [k for k in self.entries if k[0] == r]
-
-    def col(self, c: int) -> List[Tuple[int, int]]:
-        return [k for k in self.entries if k[1] == c]
-
-    def rowscale(self, r: int, lam) -> None:
-        for t, s in self.row(r):
-            self._put(t, s, self.field.mul(lam, self.entries[(t, s)]))
-
-    def rowadd(self, t: int, r: int, lam) -> None:
-        """row_t += lam * row_r (t != r)."""
-        for _, s in self.row(r):
-            cur = self.entries.get((t, s), self.field.zero)
-            self._put(t, s, self.field.add(cur, self.field.mul(lam, self.entries[(r, s)])))
-
-    def colscale(self, c: int, lam) -> None:
-        for t, s in self.col(c):
-            self._put(t, s, self.field.mul(lam, self.entries[(t, s)]))
-
-    def coladd(self, dst: int, src: int, lam) -> None:
-        """col_dst += lam * col_src (dst != src)."""
-        for t, _ in self.col(src):
-            cur = self.entries.get((t, dst), self.field.zero)
-            self._put(t, dst, self.field.add(cur, self.field.mul(lam, self.entries[(t, src)])))
-
-    def to_morphism(self, source: Barcode, target: Barcode) -> Morphism:
-        return Morphism(source, target, self.entries, self.field)
+            dst[k] = val
 
 
 def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
@@ -152,14 +117,19 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
     if not equals_tau(compose(u, v), eps):
         raise DiagonalizationError("round trip is not the canonical comparison map")
 
-    m = _Tracked.from_morphism(u)
-    phi = _Tracked.identity_on(Gp, field)
-    phi_inv = _Tracked.identity_on(Gp, field)
+    src_bars, tgt_bars = G.bars, Gp.bars
+    # m = phi after u and phi by rows, phi^-1 by columns: row t of m maps
+    # column s to m[t][s], and phi_inv[c][t] is the (t, c) entry of phi^-1.
+    m: Dict[int, Dict[int, object]] = {t: {} for t in range(len(Gp))}
+    for (t, s), val in u.entries.items():
+        m[t][s] = val
+    phi = {t: {t: field.one} for t in range(len(Gp))}
+    phi_inv = {t: {t: field.one} for t in range(len(Gp))}
     used = set()
     sigma: Dict[int, int] = {}
 
     for col in range(len(G)):
-        support = sorted(t for (t, s) in m.entries if s == col)
+        support = [t for t, row in m.items() if col in row]
         if not support:
             # Cannot happen when the round-trip contract holds: the
             # comparison map keeps a unit on every (long) diagonal cell,
@@ -182,28 +152,28 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
                 f"column {col}: every least support row already pivots another column"
             )
         r = fresh[0]
-        lam = m.entries[(r, col)]
+        lam = m[r][col]
         if lam != field.one:
             inv = field.inv(lam)
-            m.rowscale(r, inv)
-            phi.rowscale(r, inv)
-            phi_inv.colscale(r, lam)
+            _scale_row(m[r], inv, field)
+            _scale_row(phi[r], inv, field)
+            _scale_row(phi_inv[r], lam, field)
         for t in support:
             if t == r:
                 continue
-            mu = m.entries.get((t, col))
-            if mu is None:
-                continue
+            # Row ops touch only row t, so m[t][col] is still in place.
+            mu = m[t][col]
             neg = field.neg(mu)
-            m.rowadd(t, r, neg)
-            phi.rowadd(t, r, neg)
-            phi_inv.coladd(r, t, mu)
+            _add_row(m[t], m[r], neg, field, lambda s: _cell_allowed(src_bars[s], tgt_bars[t]))
+            _add_row(phi[t], phi[r], neg, field, lambda s: _cell_allowed(tgt_bars[s], tgt_bars[t]))
+            # column r of phi^-1 += mu * column t
+            _add_row(phi_inv[r], phi_inv[t], mu, field, lambda k: _cell_allowed(tgt_bars[r], tgt_bars[k]))
         used.add(r)
         sigma[col] = r
 
-    phi_m = phi.to_morphism(Gp, Gp)
-    phi_inv_m = phi_inv.to_morphism(Gp, Gp)
-    diag = m.to_morphism(G, Gp)
+    phi_m = Morphism(Gp, Gp, {(t, s): x for t, row in phi.items() for s, x in row.items()}, field)
+    phi_inv_m = Morphism(Gp, Gp, {(t, c): x for c, col in phi_inv.items() for t, x in col.items()}, field)
+    diag = Morphism(G, Gp, {(t, s): x for t, row in m.items() for s, x in row.items()}, field)
 
     ident = identity(Gp, field)
     postconditions = (

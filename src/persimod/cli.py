@@ -21,7 +21,6 @@ from .fields import GF2, field_by_name
 from .intervals import Interval, POS_INF
 from .interleaving import check_interleaving, gamma, gamma_symmetric
 from .io import (
-    _STAGE_RE,
     ParseError,
     emit_barcode,
     emit_certificate,
@@ -31,6 +30,7 @@ from .io import (
     parse_barcode,
     parse_cloud,
     parse_plfunction,
+    stage_files,
     validate_file,
 )
 from .limits import CompletionError, complete_cauchy, defect_check, hocolim
@@ -40,6 +40,11 @@ __all__ = ["main", "rational_degeneracy"]
 
 
 _CONFIG_KEYS = ("field", "machine")
+
+# The Farey barcodes hold about 0.3 N^2 bars, and the order-preserving
+# matching walks the whole staircase for each: N = 64 takes about 1 s,
+# N = 100 about 5 s and N = 140 about 24 s.
+MAX_DEMO_DENOM = 64
 
 
 def _load_config() -> dict:
@@ -143,8 +148,8 @@ def rational_degeneracy(denom_max: int, field=GF2):
     Returns (F, G, certificate); the certificate is matching-built and
     verified, so the distance between the distinct barcodes is at most 1/N.
     """
-    if denom_max < 2:
-        raise ValueError("need denominator bound >= 2")
+    if not 2 <= denom_max <= MAX_DEMO_DENOM:
+        raise ValueError(f"need 2 <= denominator bound <= {MAX_DEMO_DENOM}, got {denom_max}")
     pts = _farey(denom_max)
     F = Barcode([Bar(0, Interval(x, POS_INF)) for x in pts if x < 1])
     G = Barcode([Bar(0, Interval(x, POS_INF)) for x in pts if x > 0])
@@ -228,12 +233,7 @@ def _cmd_limit(args, field) -> int:
 
 
 def _cmd_complete(args, field) -> int:
-    names = sorted(
-        (int(m.group(1)), f) for f in os.listdir(args.dir) if (m := _STAGE_RE.match(f))
-    )
-    if not names:
-        raise ParseError(args.dir, None, "no stage files F<n>.bc")
-    seq = [parse_barcode(os.path.join(args.dir, f)) for _, f in names]
+    seq = [parse_barcode(path) for path in stage_files(args.dir)]
     result = complete_cauchy(seq, Fraction(args.tol), field=field)
     _emit(
         args,
@@ -261,13 +261,11 @@ def _cmd_cone(args) -> int:
 def _cmd_cantor(args) -> int:
     a = Fraction(args.a)
     if args.bound_table:
-        rows = [(k, displacement_bound(a, k, args.n)) for k in range(1, args.k + 1)]
-        if args.machine:
-            for k, bound in rows:
-                print(f"level={k} bound={bound}")
-        else:
-            for k, bound in rows:
-                print(f"{k} {bound}")
+        # Deepest level first, so an over-budget table fails before any
+        # work; every line is formatted before the first is written.
+        rows = [(k, displacement_bound(a, k, args.n)) for k in range(args.k, 0, -1)]
+        form = "level={} bound={}\n" if args.machine else "{} {}\n"
+        sys.stdout.write("".join(form.format(k, bound) for k, bound in reversed(rows)))
         return 0
     family = cantor_cubes(a, args.k, args.n)
     if args.emit_cloud:

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 CUBE_BUDGET = 10 ** 6
+# displacement_bound holds 2^(2nk) exactly; capping the exponent keeps every
+# bound, and so every bound-table line, a few thousand digits long.
+BOUND_EXPONENT_BUDGET = 10 ** 4
 
 # Direction sets are deduplicated on a rounding grid of this cell size
 # (about 1.2 degrees) before any angular test; together with the per-scale
@@ -328,9 +331,9 @@ def cantor_cubes(a, k: int, n: int) -> CubeFamily:
         raise ValueError("ratio must satisfy 0 < a < 1/2 (disjointness)")
     if k < 1 or n < 1:
         raise ValueError("level and half-dimension must be >= 1")
-    count = 2 ** (2 * n * k)
-    if count > CUBE_BUDGET:
-        raise ValueError(f"cube count {count} exceeds budget {CUBE_BUDGET}")
+    # 2^e > CUBE_BUDGET exactly when e >= CUBE_BUDGET.bit_length()
+    if 2 * n * k >= CUBE_BUDGET.bit_length():
+        raise ValueError(f"cube count 2^{2 * n * k} exceeds budget {CUBE_BUDGET}")
     ends = _cantor_left_endpoints(a, k)
     edge = a ** k
     cubes = tuple(
@@ -360,4 +363,6 @@ def displacement_bound(a, k: int, n: int) -> Fraction:
         raise ValueError("ratio must lie in (0, 1)")
     if k < 1 or n < 1:
         raise ValueError("level and half-dimension must be >= 1")
+    if 2 * n * k > BOUND_EXPONENT_BUDGET:
+        raise ValueError(f"bound exponent 2nk = {2 * n * k} exceeds budget {BOUND_EXPONENT_BUDGET}")
     return Fraction(2) ** (2 * n * k) * a ** k

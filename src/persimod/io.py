@@ -32,6 +32,7 @@ __all__ = [
     "emit_plfunction",
     "parse_cloud",
     "emit_cloud",
+    "stage_files",
     "load_system",
     "emit_system",
     "load_certificate",
@@ -239,18 +240,28 @@ def _build_morphism(path, source: Barcode, target: Barcode, entries, field) -> M
 _STAGE_RE = re.compile(r"^F(\d+)\.bc$")
 
 
-def load_system(dirpath, field=GF2) -> InductiveSystem:
-    """Read `F0.bc .. FN.bc`, `f0.mor ..`, optional `g*.mor`, `slacks.txt`."""
+def stage_files(dirpath) -> List[str]:
+    """Paths of the stage files `F0.bc .. FN.bc` in `dirpath`, by index.
+
+    Raises ParseError unless every index from 0 to N has exactly one file
+    (`F01.bc` has index 1, so beside `F1.bc` it is a duplicate)."""
     if not os.path.isdir(dirpath):
         raise ParseError(dirpath, None, "not a directory")
-    stage_ids = sorted(
-        int(m.group(1)) for f in os.listdir(dirpath) if (m := _STAGE_RE.match(f))
-    )
-    if not stage_ids:
+    named = sorted((int(m.group(1)), f) for f in os.listdir(dirpath) if (m := _STAGE_RE.match(f)))
+    if not named:
         raise ParseError(dirpath, None, "no stage files F<n>.bc")
+    for (i, f), (j, g) in zip(named, named[1:]):
+        if i == j:
+            raise ParseError(dirpath, None, f"duplicate stage index {i}: {f}, {g}")
+    stage_ids = [i for i, _ in named]
     if stage_ids != list(range(len(stage_ids))):
         raise ParseError(dirpath, None, f"stage files not contiguous from F0: {stage_ids}")
-    stages = [parse_barcode(os.path.join(dirpath, f"F{i}.bc")) for i in stage_ids]
+    return [os.path.join(dirpath, f) for _, f in named]
+
+
+def load_system(dirpath, field=GF2) -> InductiveSystem:
+    """Read `F0.bc .. FN.bc`, `f0.mor ..`, optional `g*.mor`, `slacks.txt`."""
+    stages = [parse_barcode(path) for path in stage_files(dirpath)]
     n_steps = len(stages) - 1
 
     slacks: List[Fraction] = []

@@ -346,7 +346,6 @@ def complete_cauchy(
     tol,
     *,
     start: Optional[int] = None,
-    exact: bool = True,
     field=GF2,
 ) -> CompletionResult:
     """Limit of a Cauchy sequence of barcodes, to within `tol`.
@@ -426,9 +425,6 @@ def complete_cauchy(
             slk.append(certs[j].b + certs[j].total)
         system = InductiveSystem(anchored, fwd, slk, rev, field)
         res = hocolim(system)
-        if not exact:
-            out_bars.extend(res.barcode.bars)
-            continue
         for ch in res.chains:
             if not ch.alive:
                 continue

@@ -12,9 +12,10 @@ interleaving search under the integer kernel, the validating rebuilds
 under the trusted constructors, the recursive augmenting search under
 the matching, the full-merge matching and all-pairs adjacency under the
 windowed decision kernel, the per-degree tower split under graded
-diagonalization, the Fraction-backed ExtRat under the int-pair one, and
-the global round-trip solve under the per-block reverse synthesis (see
-their sections).
+diagonalization, the Fraction-backed ExtRat under the int-pair one, the
+global round-trip solve under the per-block reverse synthesis, and the
+tracked matrix class under the row-dict diagonalization (see their
+sections).
 """
 
 import operator
@@ -24,12 +25,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom
 from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
-from persimod.canonical import diagonalize_system
+from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
 from persimod.fields import GF2, RationalField, solve_linear
 from persimod.interleaving import DistanceReport, InterleavingCertificate, _int_bars
 from persimod.limits import Chain, HocolimResult, _follow_chains
 from persimod.matching import matching_covering
-from persimod.morphisms import Morphism, _cell_allowed, compose
+from persimod.morphisms import Morphism, _cell_allowed, compose, equals_tau, identity
 
 
 def field_elements(field) -> List:
@@ -1086,3 +1087,182 @@ def defect_check_oracle(system, n: int):
         rhs = rhs + gamma_to_zero(Barcode(bars))
     rhs = 2 * rhs
     return lhs, rhs, lhs <= rhs
+
+# ---------------------------------------------------------------------------
+# differential oracle for the row-dict diagonalization
+#
+# `canonical.canonical_form` eliminates on plain dicts of rows (phi inverse
+# by columns).  This is the hom-constrained matrix class it replaced, whose
+# row and column operations scan every entry, and the elimination on it.
+
+
+class _Tracked:
+    """Hom-constrained working matrix: writes to forbidden cells vanish.
+
+    Forbidden cells can only ever hold values that the generator calculus
+    already maps to zero (the row operations we apply are themselves
+    morphisms, and composition kills those paths), so dropping them keeps
+    the matrix equal to the true composite at every step.
+    """
+
+    __slots__ = ("src", "tgt", "entries", "field")
+
+    def __init__(self, src_bars, tgt_bars, entries, field):
+        self.src = list(src_bars)
+        self.tgt = list(tgt_bars)
+        self.entries: Dict[Tuple[int, int], object] = dict(entries)
+        self.field = field
+
+    @classmethod
+    def from_morphism(cls, m: Morphism) -> "_Tracked":
+        return cls(m.source.bars, m.target.bars, m.entries, m.field)
+
+    @classmethod
+    def identity_on(cls, b: Barcode, field) -> "_Tracked":
+        ent = {(i, i): field.one for i in range(len(b))}
+        return cls(b.bars, b.bars, ent, field)
+
+    def _put(self, t: int, s: int, val) -> None:
+        if val == self.field.zero or not _cell_allowed(self.src[s], self.tgt[t]):
+            self.entries.pop((t, s), None)
+        else:
+            self.entries[(t, s)] = val
+
+    def row(self, r: int) -> List[Tuple[int, int]]:
+        return [k for k in self.entries if k[0] == r]
+
+    def col(self, c: int) -> List[Tuple[int, int]]:
+        return [k for k in self.entries if k[1] == c]
+
+    def rowscale(self, r: int, lam) -> None:
+        for t, s in self.row(r):
+            self._put(t, s, self.field.mul(lam, self.entries[(t, s)]))
+
+    def rowadd(self, t: int, r: int, lam) -> None:
+        """row_t += lam * row_r (t != r)."""
+        for _, s in self.row(r):
+            cur = self.entries.get((t, s), self.field.zero)
+            self._put(t, s, self.field.add(cur, self.field.mul(lam, self.entries[(r, s)])))
+
+    def colscale(self, c: int, lam) -> None:
+        for t, s in self.col(c):
+            self._put(t, s, self.field.mul(lam, self.entries[(t, s)]))
+
+    def coladd(self, dst: int, src: int, lam) -> None:
+        """col_dst += lam * col_src (dst != src)."""
+        for t, _ in self.col(src):
+            cur = self.entries.get((t, dst), self.field.zero)
+            self._put(t, dst, self.field.add(cur, self.field.mul(lam, self.entries[(t, src)])))
+
+    def to_morphism(self, source: Barcode, target: Barcode) -> Morphism:
+        return Morphism(source, target, self.entries, self.field)
+
+
+def canonical_form_tracked_oracle(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
+    """Diagonalize u by an automorphism of its target.
+
+    Contract: u goes from G to G', v goes back from G' to the eps-shift
+    of G, every bar of G is longer than eps, and v after u equals the
+    canonical comparison at shift eps.  Under that contract a
+    diagonalization by target automorphisms exists and is found here;
+    violations raise :class:`DiagonalizationError`.
+
+    G and G' may be graded.  A morphism has no entries between degrees,
+    so every support, pivot and row operation stays inside one degree,
+    and the result is the direct sum of the per-degree results.
+    """
+    eps = Fraction(eps)
+    if eps < 0:
+        raise DiagonalizationError(f"negative shift {eps}")
+    G, Gp = u.source, u.target
+    field = u.field
+    if v.field != field:
+        raise DiagonalizationError("mismatched scalar fields")
+    if v.source != Gp or v.target != G.shift(eps):
+        raise DiagonalizationError("v must map the target of u back to the shifted source")
+    for bar in G.bars:
+        if not (bar.interval.length > eps):
+            raise DiagonalizationError(f"bar {bar!r} is not longer than the shift {eps}")
+    if not equals_tau(compose(u, v), eps):
+        raise DiagonalizationError("round trip is not the canonical comparison map")
+
+    m = _Tracked.from_morphism(u)
+    phi = _Tracked.identity_on(Gp, field)
+    phi_inv = _Tracked.identity_on(Gp, field)
+    used = set()
+    sigma: Dict[int, int] = {}
+
+    for col in range(len(G)):
+        support = sorted(t for (t, s) in m.entries if s == col)
+        if not support:
+            # Cannot happen when the round-trip contract holds: the
+            # comparison map keeps a unit on every (long) diagonal cell,
+            # and the tracked matrix stays a genuine factor of it.
+            raise DiagonalizationError(f"column {col} has empty support")
+        lo_min = min(Gp.bars[t].interval.lo for t in support)
+        hi_min = min(Gp.bars[t].interval.hi for t in support)
+        least = [
+            t
+            for t in support
+            if Gp.bars[t].interval.lo == lo_min and Gp.bars[t].interval.hi == hi_min
+        ]
+        if not least:
+            raise DiagonalizationError(
+                f"column {col}: support intervals are incomparable (no least element)"
+            )
+        fresh = [t for t in least if t not in used]
+        if not fresh:
+            raise DiagonalizationError(
+                f"column {col}: every least support row already pivots another column"
+            )
+        r = fresh[0]
+        lam = m.entries[(r, col)]
+        if lam != field.one:
+            inv = field.inv(lam)
+            m.rowscale(r, inv)
+            phi.rowscale(r, inv)
+            phi_inv.colscale(r, lam)
+        for t in support:
+            if t == r:
+                continue
+            mu = m.entries.get((t, col))
+            if mu is None:
+                continue
+            neg = field.neg(mu)
+            m.rowadd(t, r, neg)
+            phi.rowadd(t, r, neg)
+            phi_inv.coladd(r, t, mu)
+        used.add(r)
+        sigma[col] = r
+
+    phi_m = phi.to_morphism(Gp, Gp)
+    phi_inv_m = phi_inv.to_morphism(Gp, Gp)
+    diag = m.to_morphism(G, Gp)
+
+    ident = identity(Gp, field)
+    postconditions = (
+        (compose(u, phi_m) == diag, "tracked matrix drifted from the recomputed composite"),
+        (compose(phi_m, phi_inv_m) == ident, "tracked inverse fails on the left"),
+        (compose(phi_inv_m, phi_m) == ident, "tracked inverse fails on the right"),
+        (diag.entries == {(r, i): field.one for i, r in sigma.items()}, "result is not a 0/1 diagonal"),
+        (len(set(sigma.values())) == len(sigma), "two source bars share a target bar"),
+    )
+    for holds, message in postconditions:
+        if not holds:
+            raise DiagonalizationError(f"postcondition failed: {message}")
+
+    for i, r in sigma.items():
+        src = G.bars[i].interval
+        tgt = Gp.bars[r].interval
+        ok = (
+            src.lo <= tgt.lo
+            and tgt.lo <= src.lo + eps
+            and src.hi <= tgt.hi
+            and tgt.hi <= src.hi + eps
+        )
+        if not ok:
+            raise DiagonalizationError(
+                f"matched pair {src} -> {tgt} drifts by more than {eps}"
+            )
+
+    return CanonicalFormResult(phi=phi_m, phi_inverse=phi_inv_m, diagonalized=diag, sigma=sigma)

@@ -1,8 +1,11 @@
 """Diagonalization of half-interleaved morphisms and of whole towers."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persimod import Barcode, Interval
 from persimod.canonical import (
@@ -12,10 +15,10 @@ from persimod.canonical import (
     canonical_form,
     diagonalize_system,
 )
-from persimod.fields import GF2, PrimeField
+from persimod.fields import GF2, QQ, PrimeField
 from persimod.intervals import hom, leq, DEG0
-from persimod.morphisms import Morphism, compose, direct_sum, identity, merge_barcodes, tau_morphism
-from oracles import field_elements
+from persimod.morphisms import Morphism, _cell_allowed, compose, direct_sum, identity, merge_barcodes, tau_morphism
+from oracles import canonical_form_tracked_oracle, field_elements
 
 GF5 = PrimeField(5)
 
@@ -242,6 +245,89 @@ def test_graded_instance_is_the_direct_sum_of_its_degrees(rng):
         assert res.phi == direct_sum([r.phi for r in per_degree])
         assert res.phi_inverse == direct_sum([r.phi_inverse for r in per_degree])
         assert res.diagonalized == direct_sum([r.diagonalized for r in per_degree])
+
+
+# --- differential check against the tracked-matrix elimination ----------------
+
+
+def _outcome(diagonalize, u, v, eps):
+    try:
+        res = diagonalize(u, v, eps)
+    except DiagonalizationError as err:
+        return str(err)
+    return res.phi.entries, res.phi_inverse.entries, res.diagonalized.entries, dict(res.sigma)
+
+
+def _obstructed():
+    g = B((0, Interval(0, 10)))
+    gp = B((0, Interval(Fraction(1, 2), 25)), (0, Interval(1, Fraction(21, 2))))
+    return Morphism(g, gp, {(0, 0): 1, (1, 0): 1}, field=GF2), Morphism(gp, g.shift(1), {(0, 1): 1}, field=GF2), 1
+
+
+def _precondition_cases():
+    g = B((0, Interval(0, 10)))
+    short = B((0, Interval(0, Fraction(1, 2))))
+    tau = tau_morphism(g, 1, field=GF2)
+    return [
+        (identity(short), tau_morphism(short, 1, field=GF2), 1),
+        (identity(g), Morphism(g, g.shift(1), {}, field=GF2), 1),
+        (identity(g), tau, -1),
+        (identity(g), tau, 2),
+        (identity(g, field=GF5), tau, 1),
+    ]
+
+
+def _tied_instance(rng, fld, eps):
+    """Each source bar drifts into 1-3 identical target copies, all hit by u,
+    so the pivot is picked among several equal least rows."""
+    try:
+        nz = [x for x in field_elements(fld) if x != fld.zero]
+    except NotImplementedError:
+        nz = [Fraction(k) for k in (1, 2, 3, -1)]
+    src_bars, wanted, copies = [], [], []
+    for _ in range(rng.randint(1, 4)):
+        lo = Fraction(rng.randint(0, 40), 4)
+        hi = lo + eps + Fraction(rng.randint(1, 32), 4)
+        src_bars.append((0, Interval(lo, hi)))
+        drifted = (0, Interval(lo + Fraction(rng.randint(0, int(eps * 4)), 4), hi + Fraction(rng.randint(0, int(eps * 4)), 4)))
+        copies.append(rng.randint(1, 3))
+        wanted += [drifted] * copies[-1]
+    src, tgt = Barcode(src_bars), Barcode(wanted)
+    pos = iter(_find_sorted_positions(tgt, wanted))
+    rows = {i: [next(pos) for _ in range(c)] for i, c in zip(_find_sorted_positions(src, src_bars), copies)}
+    u_ent = {(t, i): rng.choice(nz) for i, ts in rows.items() for t in ts}
+    v_ent = {(i, ts[0]): fld.inv(fld.canon(u_ent[(ts[0], i)])) for i, ts in rows.items()}
+    return Morphism(src, tgt, u_ent, field=fld), Morphism(tgt, src.shift(eps), v_ent, field=fld)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_row_dicts_match_tracked_elimination(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    fld = data.draw(st.sampled_from([GF2, GF5, QQ]))
+    eps = Fraction(data.draw(st.integers(1, 8)), 4)
+    kind = data.draw(st.sampled_from(["planted", "graded", "tied", "perturbed", "obstructed", "precondition"]))
+    if kind == "graded":
+        parts = [
+            [_regraded(m, deg) for m in _planted_instance(rng, fld, rng.randint(1, 5), eps)[2:]]
+            for deg in (0, 1)
+        ]
+        u, v = direct_sum([p[0] for p in parts]), direct_sum([p[1] for p in parts])
+    elif kind == "tied":
+        u, v = _tied_instance(rng, fld, eps)
+    elif kind == "obstructed":
+        u, v, eps = _obstructed()
+    elif kind == "precondition":
+        u, v, eps = data.draw(st.sampled_from(_precondition_cases()))
+    else:
+        _, tgt, u, v = _planted_instance(rng, fld, rng.randint(1, 7), eps)
+        if kind == "perturbed":
+            # one more allowed cell in u: usually breaks the round trip
+            t, s = rng.randrange(len(tgt)), rng.randrange(len(u.source))
+            if _cell_allowed(u.source[s], tgt[t]):
+                bumped = fld.add(u.entries.get((t, s), fld.zero), fld.one)
+                u = Morphism(u.source, tgt, {**u.entries, (t, s): bumped}, field=fld)
+    assert _outcome(canonical_form, u, v, eps) == _outcome(canonical_form_tracked_oracle, u, v, eps)
 
 
 # --- towers -------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from persimod.cli import main, rational_degeneracy
+from persimod.cli import MAX_DEMO_DENOM, main, rational_degeneracy
 from persimod.interleaving import gamma
 from persimod.io import emit_plfunction, emit_system, load_certificate, parse_barcode_text
 from persimod.limits import defect_check
@@ -168,6 +168,20 @@ def test_complete_empty_dir_exits_2(tmp_path, capsys):
     assert "no stage files" in err
 
 
+@pytest.mark.parametrize("names, message", [
+    (["F0.bc", "F2.bc"], "stage files not contiguous from F0: [0, 2]"),
+    (["F0.bc", "F1.bc", "F01.bc"], "duplicate stage index 1: F01.bc, F1.bc"),
+])
+def test_complete_and_limit_reject_the_same_stage_sets(tmp_path, capsys, names, message):
+    d = tmp_path / "seq"
+    d.mkdir()
+    for name in names:
+        (d / name).write_text("0 0 1\n")
+    for argv in (["complete", str(d), "--tol", "1/4"], ["limit", str(d)]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", f"error: {d}: {message}\n")
+
+
 # --- cone-test / cantor ----------------------------------------------------------
 
 
@@ -217,6 +231,21 @@ def test_cantor_domain_error_exits_1(capsys):
     assert "disjointness" in err
 
 
+@pytest.mark.parametrize("k", ["100000000", "20000000000"])
+def test_cantor_huge_level_exits_1_before_counting(capsys, k):
+    # the budget is checked on the exponent: 2^(2nk) is never built
+    rc, out, err = run(capsys, "cantor", "--a", "1/4", "--n", "1", "--k", k)
+    assert (rc, out) == (1, "")
+    assert err == f"error: cube count 2^{2 * int(k)} exceeds budget 1000000\n"
+
+
+@pytest.mark.parametrize("n, k", [("1", "3000000"), ("1", "5001"), ("1000000000000", "1")])
+def test_cantor_bound_table_over_budget_exits_1_without_rows(capsys, n, k):
+    rc, out, err = run(capsys, "cantor", "--a", "1/4", "--n", n, "--k", k, "--bound-table")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: bound exponent") and err.count("\n") == 1
+
+
 # --- demo / validate / config ------------------------------------------------------
 
 
@@ -238,6 +267,12 @@ def test_demo_rejects_denominator_below_2(capsys):
     rc, _, err = run(capsys, "demo", "rational-degeneracy", "--denom-max", "1")
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_demo_rejects_denominator_above_cap(capsys):
+    rc, out, err = run(capsys, "demo", "rational-degeneracy", "--denom-max", str(MAX_DEMO_DENOM + 1))
+    assert (rc, out) == (1, "")
+    assert err == f"error: need 2 <= denominator bound <= {MAX_DEMO_DENOM}, got {MAX_DEMO_DENOM + 1}\n"
 
 
 def test_validate_cmd(tmp_path, capsys):

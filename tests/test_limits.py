@@ -385,12 +385,6 @@ def test_complete_empty_sequence():
         complete_cauchy([], Fraction(1))
 
 
-def test_complete_truncation_mode():
-    # exact=False reports the last witnessed endpoints instead of the limit
-    result = complete_cauchy(completion_tower(6), Fraction(1, 2), exact=False)
-    assert result.barcode == B((0, Interval(Fraction(1, 32), 1)))
-
-
 def test_complete_certificates_cover_steps():
     result = complete_cauchy(completion_tower(6), Fraction(1, 2))
     # one certificate mapping per consecutive pair after the start index
