@@ -6,17 +6,8 @@ sublevel spectral numbers, and sampled-set cone geometry.
 
 from .intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, hom, leq
 from .fields import GF2, QQ, PrimeField, RationalField, field_by_name
-from .barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero, shift, tau
-from .morphisms import (
-    Morphism,
-    compose,
-    direct_sum,
-    equals_tau,
-    identity,
-    make_morphism,
-    tau_morphism,
-    zero_morphism,
-)
+from .barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
+from .morphisms import Morphism, compose, equals_tau, identity, tau_morphism
 from .canonical import (
     CanonicalFormResult,
     DiagonalizationError,
@@ -41,7 +32,6 @@ from .limits import (
     complete_cauchy,
     defect_check,
     hocolim,
-    subsample_system,
 )
 from .spectral import (
     PLFunction,

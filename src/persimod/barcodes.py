@@ -17,8 +17,6 @@ from .intervals import DEG0, ExtRat, Interval, hom
 __all__ = [
     "Bar",
     "Barcode",
-    "shift",
-    "tau",
     "gamma_to_zero",
     "cone_diagonal",
 ]
@@ -38,9 +36,6 @@ class Bar:
 
     def key(self):
         return (self.degree, self.interval.lo, self.interval.hi)
-
-    def shift(self, c) -> "Bar":
-        return self._shifted(ExtRat(Fraction(c)))
 
     def _shifted(self, c: ExtRat) -> "Bar":
         out = Bar.__new__(Bar)
@@ -168,11 +163,6 @@ class Barcode:
 _set_bars = Barcode.bars.__set__
 
 
-def shift(b: Barcode, c) -> Barcode:
-    """Translate every bar by the finite rational c; degrees unchanged."""
-    return b.shift(c)
-
-
 def gamma_to_zero(b: Barcode) -> ExtRat:
     """Distance from the zero object: the maximal bar length.
 
@@ -182,17 +172,6 @@ def gamma_to_zero(b: Barcode) -> ExtRat:
     for bar in b.bars:
         out = max(out, bar.interval.length)
     return out
-
-
-def tau(b: Barcode, c, field=None):
-    """The canonical comparison morphism B -> shift(B, c), c >= 0.
-
-    Diagonal matrix with (i, i) entry 1 exactly when the bar survives its
-    own c-shift (c < length), 0 otherwise.
-    """
-    from .morphisms import tau_morphism
-
-    return tau_morphism(b, c, field=field)
 
 
 def cone_diagonal(m) -> Barcode:

@@ -18,7 +18,7 @@ from .barcodes import Bar, Barcode
 from .canonical import DiagonalizationError
 from .cones import ConeParams, cantor_cubes, cone_coisotropy_test, corner_cloud, displacement_bound
 from .fields import GF2, field_by_name
-from .intervals import Interval, POS_INF
+from .intervals import Interval, POS_INF, parse_rational
 from .interleaving import check_interleaving, gamma, gamma_symmetric
 from .io import (
     ParseError,
@@ -173,7 +173,7 @@ def _cmd_dist(args, field) -> int:
     F = parse_barcode(args.left)
     G = parse_barcode(args.right)
     if args.subcommand == "check":
-        result = check_interleaving(F, G, Fraction(args.a), Fraction(args.b), field=field)
+        result = check_interleaving(F, G, parse_rational(args.a), parse_rational(args.b), field=field)
         word = "interleaved" if result is not None else "not-interleaved"
         _emit(args, word, [f"a={args.a}", f"b={args.b}", f"result={word}"])
         return 0
@@ -234,7 +234,7 @@ def _cmd_limit(args, field) -> int:
 
 def _cmd_complete(args, field) -> int:
     seq = [parse_barcode(path) for path in stage_files(args.dir)]
-    result = complete_cauchy(seq, Fraction(args.tol), field=field)
+    result = complete_cauchy(seq, parse_rational(args.tol), field=field)
     _emit(
         args,
         f"start: {result.start}; distance to last stage: {result.final_gamma.value}",
@@ -259,7 +259,7 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_cantor(args) -> int:
-    a = Fraction(args.a)
+    a = parse_rational(args.a)
     if args.bound_table:
         # Deepest level first, so an over-budget table fails before any
         # work; every line is formatted before the first is written.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -35,8 +36,8 @@ __all__ = [
 ]
 
 CUBE_BUDGET = 10 ** 6
-# displacement_bound holds 2^(2nk) exactly; capping the exponent keeps every
-# bound, and so every bound-table line, a few thousand digits long.
+# displacement_bound holds 2^(2nk) exactly, so the exponent is capped; a^k is
+# not, and a bound too long for the interpreter to print is refused there.
 BOUND_EXPONENT_BUDGET = 10 ** 4
 
 # Direction sets are deduplicated on a rounding grid of this cell size
@@ -365,4 +366,12 @@ def displacement_bound(a, k: int, n: int) -> Fraction:
         raise ValueError("level and half-dimension must be >= 1")
     if 2 * n * k > BOUND_EXPONENT_BUDGET:
         raise ValueError(f"bound exponent 2nk = {2 * n * k} exceeds budget {BOUND_EXPONENT_BUDGET}")
-    return Fraction(2) ** (2 * n * k) * a ** k
+    r = Fraction(4) ** n * a  # reduced, so r^k is the reduced bound
+    m = max(r.numerator, r.denominator)
+    digits = k * math.log10(m)
+    limit = sys.get_int_max_str_digits()
+    # m^k has about `digits` digits; within one of the interpreter's int/str
+    # limit the exact power decides.
+    if limit and (digits > limit + 1 or (digits > limit - 1 and m ** k >= 10 ** limit)):
+        raise ValueError(f"level-{k} bound has about {int(digits) + 1} digits, over the printable limit of {limit}")
+    return r ** k

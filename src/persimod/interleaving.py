@@ -86,21 +86,22 @@ class InterleavingCertificate:
 @dataclass(frozen=True)
 class DistanceReport:
     """A distance and a verified certificate at an optimal (a, b) (None
-    when the distance is infinite).  Every decision resolves, so `lower`
-    and `upper` always equal `value`."""
+    when the distance is infinite).  Every decision resolves, so the value
+    is exact: `lower` and `upper` are `value` itself."""
 
     value: ExtRat
-    lower: ExtRat
-    upper: ExtRat
     certificate: Optional[InterleavingCertificate]
 
-    @property
-    def is_exact(self) -> bool:
-        return self.lower == self.value == self.upper
+    is_exact = True
+    exactness = "Exact"
 
     @property
-    def exactness(self) -> str:
-        return "Exact" if self.is_exact else "Bracket"
+    def lower(self) -> ExtRat:
+        return self.value
+
+    @property
+    def upper(self) -> ExtRat:
+        return self.value
 
     def __iter__(self):
         yield self.value
@@ -302,14 +303,14 @@ def gamma(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     (a, b) must interleave every degree at once."""
     value, pair = _least_total(F, G, lambda a, b: check_interleaving(F, G, a, b, field=field) is not None)
     if pair is None:
-        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
-    return DistanceReport(value, value, value, check_interleaving(F, G, *pair, field=field))
+        return DistanceReport(POS_INF, None)
+    return DistanceReport(value, check_interleaving(F, G, *pair, field=field))
 
 
 def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     """Least 2c such that a (c, c)-interleaving exists."""
     if _infinite_mismatch(F, G):
-        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
+        return DistanceReport(POS_INF, None)
     # Candidates c are ints in units of 1/D; a probe at c/2 is c/(2D).
     scale, diffs, _ = _int_grid(F, G)
     cands = sorted(set(diffs) | {2 * d for d in diffs})
@@ -320,7 +321,7 @@ def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
 
     got = _min_feasible(cands, feasible)
     if got is None:
-        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
+        return DistanceReport(POS_INF, None)
     total = Fraction(got, scale)
     value = ExtRat(total)
-    return DistanceReport(value, value, value, check_interleaving(F, G, total / 2, total / 2, field=field))
+    return DistanceReport(value, check_interleaving(F, G, total / 2, total / 2, field=field))

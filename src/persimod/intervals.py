@@ -16,7 +16,7 @@ here as well, since everything else in the package is built on top of it:
 from __future__ import annotations
 
 import enum
-import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
@@ -34,7 +34,6 @@ __all__ = [
     "hom",
     "compose_generator",
     "parse_endpoint",
-    "parse_interval",
 ]
 
 RatLike = Union[int, Fraction, str, "ExtRat"]
@@ -67,7 +66,7 @@ class ExtRat:
             if token in _INF_TOKENS:
                 self._kind, self._n, self._d = _INF_TOKENS[token], 0, 1
                 return
-            value = Fraction(token)
+            value = parse_rational(token)
         if isinstance(value, (int, Fraction)):
             self._kind, self._n, self._d = 0, value.numerator, value.denominator
             return
@@ -234,6 +233,19 @@ NEG_INF = ExtRat._make_inf(-1)
 POS_INF = ExtRat._make_inf(1)
 
 
+def parse_rational(token: str) -> Fraction:
+    """Fraction(token) for text from outside the program.  Fraction builds
+    10**exponent for a decimal exponent, so an exponent over the interpreter's
+    int/str digit limit raises ValueError before that unbounded work."""
+    low = token.lower()
+    if "e" in low:
+        exponent = low.rpartition("e")[2].strip().lstrip("+-0").replace("_", "")
+        limit = sys.get_int_max_str_digits()
+        if exponent.isdecimal() and limit and (len(exponent) > len(str(limit)) or int(exponent) > limit):
+            raise ValueError(f"decimal exponent over the limit of {limit}")
+    return Fraction(token)
+
+
 def parse_endpoint(token: str) -> ExtRat:
     """Parse ``p/q``, an integer, a finite decimal, or ``-inf``/``inf``."""
     return ExtRat(token)
@@ -299,17 +311,6 @@ def int_pair(e: ExtRat) -> Optional[Tuple[int, int]]:
 
 _set_lo = Interval.lo.__set__
 _set_hi = Interval.hi.__set__
-
-_INTERVAL_RE = re.compile(r"^\[\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)$")
-
-
-def parse_interval(text: str) -> Interval:
-    """Parse the literal syntax ``[a,b)``."""
-    m = _INTERVAL_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"malformed interval literal {text!r}")
-    return Interval(parse_endpoint(m.group(1)), parse_endpoint(m.group(2)))
-
 
 class HomType(enum.Enum):
     """Shape of the (derived) morphism space between two interval modules.

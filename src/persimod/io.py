@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
 from .fields import GF2, field_by_name
-from .intervals import Interval, parse_endpoint
+from .intervals import Interval, parse_endpoint, parse_rational
 from .interleaving import InterleavingCertificate
 from .limits import InductiveSystem
 from .morphisms import Morphism
@@ -139,8 +139,8 @@ def parse_plfunction(path) -> PLFunction:
         if len(parts) != 2:
             raise ParseError(path, n, f"expected '<breakpoint> <value>', got {line!r}")
         try:
-            bps.append(Fraction(parts[0]))
-            vals.append(Fraction(parts[1]))
+            bps.append(parse_rational(parts[0]))
+            vals.append(parse_rational(parts[1]))
         except (ValueError, ZeroDivisionError) as err:
             raise ParseError(path, n, f"unknown token ({err})") from None
     if domain is None:
@@ -205,7 +205,7 @@ def _parse_entry(path, n: int, line: str) -> Tuple[int, int, Fraction, int]:
     if len(parts) != 3:
         raise ParseError(path, n, f"expected '<target> <source> <scalar>', got {line!r}")
     try:
-        return int(parts[0]), int(parts[1]), Fraction(parts[2]), n
+        return int(parts[0]), int(parts[1]), parse_rational(parts[2]), n
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(path, n, f"unknown token ({err})") from None
 
@@ -270,7 +270,7 @@ def load_system(dirpath, field=GF2) -> InductiveSystem:
         for n, line in _lines(_read_text(slacks_path)):
             for tok in line.split():
                 try:
-                    slacks.append(Fraction(tok))
+                    slacks.append(parse_rational(tok))
                 except (ValueError, ZeroDivisionError) as err:
                     raise ParseError(slacks_path, n, f"unknown token ({err})") from None
         if len(slacks) != n_steps:
@@ -306,7 +306,7 @@ def _check_headers(path, headers, want_source, want_target, want_shift, field):
         raise ParseError(path, None, f"source header is not {want_source}")
     if "target" in headers and os.path.basename(headers["target"]) != want_target:
         raise ParseError(path, None, f"target header is not {want_target}")
-    if "shift" in headers and _header(path, "shift", headers["shift"], Fraction) != want_shift:
+    if "shift" in headers and _header(path, "shift", headers["shift"], parse_rational) != want_shift:
         raise ParseError(path, None, f"shift header is not {want_shift}")
     if "field" in headers and _header(path, "field", headers["field"], field_by_name) != field:
         raise ParseError(path, None, f"field header is not {_field_name(field)}")
@@ -376,7 +376,7 @@ def load_certificate(path):
     if "a" not in headers or "b" not in headers:
         raise ParseError(path, None, "missing a:/b: headers")
     try:
-        a, b = Fraction(headers["a"]), Fraction(headers["b"])
+        a, b = parse_rational(headers["a"]), parse_rational(headers["b"])
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(path, None, f"bad shift ({err})") from None
     field = _header(path, "field", headers.get("field", "2"), field_by_name)
@@ -448,7 +448,7 @@ def validate_file(path) -> str:
         base = os.path.dirname(os.path.abspath(str(path)))
         source = parse_barcode(os.path.join(base, headers["source"]))
         target = parse_barcode(os.path.join(base, headers["target"]))
-        shift = _header(path, "shift", headers.get("shift", "0"), Fraction)
+        shift = _header(path, "shift", headers.get("shift", "0"), parse_rational)
         field = _header(path, "field", headers.get("field", "2"), field_by_name)
         f = _build_morphism(path, source, target.shift(shift), entries, field)
         return f"morphism: {len(f.entries)} entries, shift {shift}"

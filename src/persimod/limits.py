@@ -38,7 +38,6 @@ __all__ = [
     "hocolim",
     "defect_check",
     "complete_cauchy",
-    "subsample_system",
 ]
 
 
@@ -278,36 +277,6 @@ def defect_check(system: InductiveSystem, n: int):
         rhs = rhs + gamma_to_zero(cone_diagonal(e))
     rhs = 2 * rhs
     return lhs, rhs, lhs <= rhs
-
-
-def subsample_system(system: InductiveSystem, indices: Sequence[int]) -> InductiveSystem:
-    """Restrict the tower to the given strictly increasing stage indices,
-    composing the skipped maps and accumulating their slacks."""
-    idx = list(indices)
-    if not idx or any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError("indices must be strictly increasing and nonempty")
-    if idx[0] < 0 or idx[-1] >= len(system.stages):
-        raise ValueError("indices out of range")
-    stages = [system.stages[i] for i in idx]
-    maps, slacks, reverses = [], [], []
-    for a, b in zip(idx, idx[1:]):
-        f = system.maps[a]
-        for k in range(a + 1, b):
-            f = compose(f, system.maps[k])
-        maps.append(f)
-        slacks.append(sum(system.slacks[a:b], Fraction(0)))
-        g = system.reverses[b - 1]
-        if g is not None:
-            acc = Fraction(system.slacks[b - 1])
-            for k in range(b - 2, a - 1, -1):
-                gk = system.reverses[k]
-                if gk is None:
-                    g = None
-                    break
-                g = compose(g, gk.shift(acc))
-                acc += system.slacks[k]
-        reverses.append(g)
-    return InductiveSystem(stages, maps, slacks, reverses, system.field)
 
 
 @dataclass(frozen=True)

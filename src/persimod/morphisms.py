@@ -15,9 +15,8 @@ order-respecting operations.)
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
 from .fields import GF2
@@ -25,14 +24,10 @@ from .intervals import DEG0, hom
 
 __all__ = [
     "Morphism",
-    "make_morphism",
     "identity",
-    "zero_morphism",
     "compose",
     "equals_tau",
     "tau_morphism",
-    "merge_barcodes",
-    "direct_sum",
 ]
 
 Entry = Tuple[int, int]  # (target index, source index)
@@ -43,14 +38,13 @@ def _cell_allowed(src_bar: Bar, tgt_bar: Bar) -> bool:
 
 
 class Morphism:
-    """Sparse Hom-constrained matrix between two barcodes (strict constructor).
+    """Sparse Hom-constrained matrix between two barcodes.
 
-    Raises ValueError if a nonzero entry violates the Hom constraint; use
-    :func:`make_morphism` for the forgiving constructor that zeroes bad
-    entries instead.
+    Raises IndexError for an entry outside the matrix and ValueError for a
+    nonzero entry that violates the Hom constraint; zero entries are dropped.
     """
 
-    __slots__ = ("source", "target", "entries", "field", "zeroed")
+    __slots__ = ("source", "target", "entries", "field")
 
     def __init__(self, source: Barcode, target: Barcode, entries: Mapping[Entry, object], field=GF2):
         clean: Dict[Entry, object] = {}
@@ -70,7 +64,6 @@ class Morphism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", dict(clean))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "zeroed", ())
 
     def __setattr__(self, *a):
         raise AttributeError("Morphism is immutable")
@@ -122,41 +115,11 @@ def _trusted(source: Barcode, target: Barcode, entries: Dict[Entry, object], fie
     object.__setattr__(out, "target", target)
     object.__setattr__(out, "entries", entries)
     object.__setattr__(out, "field", field)
-    object.__setattr__(out, "zeroed", ())
     return out
-
-
-def make_morphism(source: Barcode, target: Barcode, entries: Mapping[Entry, object], field=GF2) -> Morphism:
-    """Build a morphism, forcing entries at forbidden cells to 0.
-
-    The returned morphism records which entries were dropped in its
-    ``zeroed`` attribute, and a warning is emitted when that happens.
-    """
-    kept: Dict[Entry, object] = {}
-    zeroed: List[Entry] = []
-    for (t, s), raw in entries.items():
-        if not (0 <= s < len(source) and 0 <= t < len(target)):
-            raise IndexError(f"entry index {(t, s)} out of range")
-        val = field.canon(raw)
-        if val == field.zero:
-            continue
-        if _cell_allowed(source.bars[s], target.bars[t]):
-            kept[(t, s)] = val
-        else:
-            zeroed.append((t, s))
-    m = Morphism(source, target, kept, field)
-    if zeroed:
-        warnings.warn(f"{len(zeroed)} entries had no generator to scale and were zeroed: {zeroed}")
-        object.__setattr__(m, "zeroed", tuple(sorted(zeroed)))
-    return m
 
 
 def identity(b: Barcode, field=GF2) -> Morphism:
     return Morphism(b, b, {(i, i): field.one for i in range(len(b))}, field)
-
-
-def zero_morphism(source: Barcode, target: Barcode, field=GF2) -> Morphism:
-    return Morphism(source, target, {}, field)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -220,34 +183,3 @@ def equals_tau(f: Morphism, c) -> bool:
     if not f.target.is_shift_of(f.source, c):
         raise ValueError("target is not the c-shift of the source")
     return f.entries == _tau_entries(f.source, f.target, f.field.one)
-
-
-def merge_barcodes(parts: Sequence[Barcode]) -> Tuple[Barcode, List[List[int]]]:
-    """Disjoint union of barcodes plus, per part, the index of each bar
-    inside the merged canonical ordering."""
-    tagged = []
-    for pi, part in enumerate(parts):
-        for i, bar in enumerate(part.bars):
-            tagged.append((bar.key(), pi, i, bar))
-    tagged.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
-    merged = Barcode(rec[3] for rec in tagged)
-    maps: List[List[int]] = [[0] * len(p) for p in parts]
-    for new_idx, (_, pi, i, _) in enumerate(tagged):
-        maps[pi][i] = new_idx
-    return merged, maps
-
-
-def direct_sum(morphisms: Sequence[Morphism]) -> Morphism:
-    """Block-diagonal sum; sources and targets are merged canonically."""
-    if not morphisms:
-        raise ValueError("empty direct sum")
-    field = morphisms[0].field
-    if any(m.field != field for m in morphisms):
-        raise ValueError("mismatched scalar fields")
-    src, src_maps = merge_barcodes([m.source for m in morphisms])
-    tgt, tgt_maps = merge_barcodes([m.target for m in morphisms])
-    ent: Dict[Entry, object] = {}
-    for k, m in enumerate(morphisms):
-        for (t, s), v in m.entries.items():
-            ent[(tgt_maps[k][t], src_maps[k][s])] = v
-    return Morphism(src, tgt, ent, field)

@@ -14,8 +14,9 @@ the matching, the full-merge matching and all-pairs adjacency under the
 windowed decision kernel, the per-degree tower split under graded
 diagonalization, the Fraction-backed ExtRat under the int-pair one, the
 global round-trip solve under the per-block reverse synthesis, and the
-tracked matrix class under the row-dict diagonalization (see their
-sections).
+tracked matrix class under the row-dict diagonalization, and trial
+division under the Miller-Rabin primality test (see their sections).
+Direct sums of morphisms are reference code for the graded checks.
 """
 
 import operator
@@ -39,6 +40,18 @@ def field_elements(field) -> List:
     if isinstance(field, RationalField):
         raise NotImplementedError("rationals are not enumerable")
     return list(range(field.p))
+
+
+def is_prime_oracle(p: int) -> bool:
+    """Trial division up to sqrt(p), which `fields` used before Miller-Rabin."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +564,21 @@ def gamma_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
     """Least a+b over one grid scan of the whole pair, with its certificate."""
     value, pair = _least_total_oracle(F, G, field)
     if pair is None:
-        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
-    return DistanceReport(value, value, value, check_interleaving_oracle(F, G, *pair, field))
+        return DistanceReport(POS_INF, None)
+    return DistanceReport(value, check_interleaving_oracle(F, G, *pair, field))
 
 
 def gamma_symmetric_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
     """Least 2c with a (c, c)-interleaving, by binary search over the grid."""
     if _infinite_signature(F) != _infinite_signature(G):
-        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
+        return DistanceReport(POS_INF, None)
     diffs = difference_grid_oracle(F, G)
     cands = sorted({Fraction(0)} | set(diffs) | {2 * d for d in diffs})
     got = _min_feasible_oracle(cands, lambda c: check_interleaving_oracle(F, G, c / 2, c / 2, field) is not None)
     if got is None:
-        return DistanceReport(POS_INF, POS_INF, POS_INF, None)
+        return DistanceReport(POS_INF, None)
     value = ExtRat(got)
-    return DistanceReport(value, value, value, check_interleaving_oracle(F, G, got / 2, got / 2, field))
+    return DistanceReport(value, check_interleaving_oracle(F, G, got / 2, got / 2, field))
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1018,44 @@ def int_matching_entries_oracle(F: Barcode, G: Barcode, a, b):
             u_entries[(g_bars[j][0], f_bars[i][0])] = 1
             v_entries[(f_bars[i][0], g_bars[j][0])] = 1
     return u_entries, v_entries
+
+
+# ---------------------------------------------------------------------------
+# direct sums
+#
+# A graded instance built one degree at a time is the block-diagonal sum of
+# its degrees; the canonical graded check compares against these.
+
+
+def merge_barcodes(parts: Sequence[Barcode]) -> Tuple[Barcode, List[List[int]]]:
+    """Disjoint union of barcodes plus, per part, the index of each bar
+    inside the merged canonical ordering."""
+    tagged = []
+    for pi, part in enumerate(parts):
+        for i, bar in enumerate(part.bars):
+            tagged.append((bar.key(), pi, i, bar))
+    tagged.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+    merged = Barcode(rec[3] for rec in tagged)
+    maps: List[List[int]] = [[0] * len(p) for p in parts]
+    for new_idx, (_, pi, i, _) in enumerate(tagged):
+        maps[pi][i] = new_idx
+    return merged, maps
+
+
+def direct_sum(morphisms: Sequence[Morphism]) -> Morphism:
+    """Block-diagonal sum; sources and targets are merged canonically."""
+    if not morphisms:
+        raise ValueError("empty direct sum")
+    field = morphisms[0].field
+    if any(m.field != field for m in morphisms):
+        raise ValueError("mismatched scalar fields")
+    src, src_maps = merge_barcodes([m.source for m in morphisms])
+    tgt, tgt_maps = merge_barcodes([m.target for m in morphisms])
+    ent: Dict[Tuple[int, int], object] = {}
+    for k, m in enumerate(morphisms):
+        for (t, s), v in m.entries.items():
+            ent[(tgt_maps[k][t], src_maps[k][s])] = v
+    return Morphism(src, tgt, ent, field)
 
 
 # ---------------------------------------------------------------------------

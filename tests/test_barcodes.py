@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from persimod import Barcode, Interval
-from persimod.barcodes import Bar, cone_diagonal, gamma_to_zero, shift, tau
+from persimod.barcodes import Bar, cone_diagonal, gamma_to_zero
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
 from persimod.morphisms import Morphism, compose, identity, tau_morphism
 from persimod.fields import GF2
@@ -27,9 +27,9 @@ def test_barcode_is_sorted_multiset():
 
 
 def test_shift_examples():
-    assert shift(B((0, Interval(0, 1))), 2) == B((0, Interval(2, 3)))
-    assert shift(B((0, Interval(NEG_INF, 3))), 1) == B((0, Interval(NEG_INF, 4)))
-    assert shift(Barcode(), 5) == Barcode()
+    assert B((0, Interval(0, 1))).shift(2) == B((0, Interval(2, 3)))
+    assert B((0, Interval(NEG_INF, 3))).shift(1) == B((0, Interval(NEG_INF, 4)))
+    assert Barcode().shift(5) == Barcode()
 
 
 def test_gamma_to_zero_examples():
@@ -40,18 +40,18 @@ def test_gamma_to_zero_examples():
 
 def test_tau_examples():
     one_bar = B((0, Interval(0, 5)))
-    assert tau(one_bar, 2).entries == {(0, 0): 1}
-    assert not tau(one_bar, 5).entries
+    assert tau_morphism(one_bar, 2).entries == {(0, 0): 1}
+    assert not tau_morphism(one_bar, 5).entries
     some = B((0, Interval(0, 5)), (1, Interval(2, 4)))
-    assert tau(some, 0) == identity(some)
+    assert tau_morphism(some, 0) == identity(some)
     with pytest.raises(ValueError):
-        tau(some, -1)
+        tau_morphism(some, -1)
 
 
 def test_tau_composes_to_tau():
     bc = B((0, Interval(0, 5)), (0, Interval(1, 3)), (0, Interval(2, 9)))
     a, b = Fraction(1), Fraction(3, 2)
-    lhs = compose(tau(bc, a), tau(bc.shift(a), b))
+    lhs = compose(tau_morphism(bc, a), tau_morphism(bc.shift(a), b))
     assert lhs == tau_morphism(bc, a + b, field=GF2)
 
 

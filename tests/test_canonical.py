@@ -17,8 +17,8 @@ from persimod.canonical import (
 )
 from persimod.fields import GF2, QQ, PrimeField
 from persimod.intervals import hom, leq, DEG0
-from persimod.morphisms import Morphism, _cell_allowed, compose, direct_sum, identity, merge_barcodes, tau_morphism
-from oracles import canonical_form_tracked_oracle, field_elements
+from persimod.morphisms import Morphism, _cell_allowed, compose, identity, tau_morphism
+from oracles import canonical_form_tracked_oracle, direct_sum, field_elements, merge_barcodes
 
 GF5 = PrimeField(5)
 

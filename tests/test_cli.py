@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -363,6 +364,28 @@ def test_multiplicity_above_cap_exits_2(tmp_path, capsys):
     rc, out, err = run(capsys, "validate", str(p))
     assert (rc, out) == (2, "")
     assert err.startswith("error:") and "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("case", ["exponent in a file", "exponent in a flag", "bound size", "field size"])
+def test_oversized_input_ends_in_one_error_line(unit_pair, capsys, case):
+    if case == "exponent in a file":
+        (unit_pair / "huge.bc").write_text("0 0 1e30000000\n")
+        argv, want_rc, want = ("validate", "huge.bc"), 2, "huge.bc:1: unknown token (decimal exponent"
+    elif case == "exponent in a flag":
+        argv, want_rc, want = ("dist", "check", "F.bc", "G.bc", "--a", "1e30000000", "--b", "0"), 1, "decimal exponent"
+    elif case == "bound size":
+        argv = ("cantor", "--a", "999/1000", "--n", "1", "--k", "5000", "--bound-table")
+        want_rc, want = 1, "level-5000 bound has about 14998 digits"
+    else:
+        emit_system(unit_pair / "tower", geometric_tower(2, 4))
+        mor = unit_pair / "tower" / "f0.mor"
+        mor.write_text(f"field: {2**61 - 1}\n" + mor.read_text())
+        argv, want_rc, want = ("limit", "tower"), 2, "field header is not 2"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert (rc, out) == (want_rc, "")
+    assert err.startswith("error: ") and want in err and err.count("\n") == 1
 
 
 def test_unknown_field_exits_1(unit_pair, capsys):

@@ -280,6 +280,14 @@ def test_displacement_bound_trichotomy(n):
         assert diffs == {expect}, (a, n, vals)
 
 
+def test_displacement_bound_must_be_printable():
+    # 4a = 1/10, so the level-k bound is 1/10^k with k + 1 digits; the
+    # interpreter prints at most 4300 (sys.get_int_max_str_digits()).
+    assert displacement_bound(Fraction(1, 40), 4299, 1) == Fraction(1, 10 ** 4299)
+    with pytest.raises(ValueError, match="level-4300 bound has about 4301 digits"):
+        displacement_bound(Fraction(1, 40), 4300, 1)
+
+
 def test_displacement_bound_domain():
     with pytest.raises(ValueError, match="ratio"):
         displacement_bound(1, 1, 1)

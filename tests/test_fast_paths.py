@@ -143,7 +143,6 @@ def test_morphism_shift_matches_validating_rebuild(den, field, data):
     c = data.draw(signed_shifts(den))
     got, want = m.shift(c), morphism_shift_oracle(m, c)
     assert got == want
-    assert (got.entries, got.zeroed) == (want.entries, want.zeroed)
     got.entries.clear()
     assert m.entries == want.entries
 

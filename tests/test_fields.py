@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from persimod.fields import GF2, QQ, PrimeField, field_by_name, solve_linear
-from oracles import field_elements
+from persimod.fields import GF2, QQ, PrimeField, _is_prime, field_by_name, solve_linear
+from oracles import field_elements, is_prime_oracle
 
 GF5 = PrimeField(5)
 
@@ -14,6 +14,19 @@ def test_prime_required():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_miller_rabin_matches_trial_division():
+    assert all(_is_prime(n) == is_prime_oracle(n) for n in range(-2, 50_000))
+    # the least strong pseudoprimes to the first 1..12 prime bases (OEIS A014233);
+    # the last passes every base up to 37, so base 41 must catch it
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError, match="primality test"):
+        PrimeField(2**89 - 1)
 
 
 @pytest.mark.parametrize("fld", [GF2, GF5, PrimeField(7)])

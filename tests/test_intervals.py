@@ -17,7 +17,7 @@ from persimod.intervals import (
     hom,
     leq,
     parse_endpoint,
-    parse_interval,
+    parse_rational,
 )
 from oracles import hom_ext_oracle
 
@@ -52,16 +52,20 @@ def test_extrat_infinite_arithmetic():
         POS_INF + NEG_INF
 
 
+@pytest.mark.parametrize("token", ["1e4301", "1E99999", "-2.5e+99999", "1e-99999", "1e" + "9" * 5000],
+                         ids=["limit+1", "upper-case", "signed", "negative", "5000-digit"])
+def test_parse_rational_refuses_an_exponent_over_the_digit_limit(token):
+    with pytest.raises(ValueError, match="decimal exponent over the limit of 4300"):
+        parse_rational(token)
+    assert parse_rational("1e0000000000005") == 10**5
+    assert parse_rational("2.5E-0003") == Fraction(1, 400)
+
+
 def test_parse_endpoint():
     assert parse_endpoint("3/4") == ExtRat(Fraction(3, 4))
     assert parse_endpoint("-inf") == NEG_INF
     assert parse_endpoint("inf") == POS_INF
     assert parse_endpoint("0.25") == ExtRat(Fraction(1, 4))
-
-
-def test_parse_interval_literal():
-    assert parse_interval("[0,2)") == Interval(0, 2)
-    assert parse_interval("[-inf,3/2)") == Interval(NEG_INF, Fraction(3, 2))
 
 
 # --- Interval ---------------------------------------------------------------

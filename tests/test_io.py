@@ -232,6 +232,44 @@ def test_morphism_entry_errors(tmp_path):
         load_system(d)
 
 
+@pytest.mark.parametrize("kind, want", [
+    ("barcode", r"b\.bc:1: unknown token"),
+    ("breakpoint", r"f\.plf:2: unknown token"),
+    ("slack", r"slacks\.txt:1: unknown token"),
+    ("scalar", r"f0\.mor:1: unknown token"),
+    ("tower shift", r"f0\.mor: bad shift header"),
+    ("certificate shift", r"c\.cert: bad shift"),
+    ("morphism shift", r"u\.mor: bad shift header"),
+])
+def test_decimal_exponent_over_the_digit_limit_is_a_parse_error(tmp_path, kind, want):
+    # Fraction would build 10**99999 digit by digit; the cap is the
+    # interpreter's int/str limit, 4300 by default.
+    huge = "1e99999"
+    emit_system(tmp_path, geometric_tower(2, 4))
+    F, G, cert = unit_shift_certificate()
+    path = tmp_path
+    if kind == "barcode":
+        path = tmp_path / "b.bc"
+        path.write_text(f"0 0 {huge}\n")
+    elif kind == "breakpoint":
+        path = tmp_path / "f.plf"
+        path.write_text(f"domain: circle\n{huge} 1\n")
+    elif kind == "slack":
+        (tmp_path / "slacks.txt").write_text(f"{huge}\n")
+    elif kind == "scalar":
+        (tmp_path / "f0.mor").write_text(f"0 0 {huge}\n")
+    elif kind == "tower shift":
+        (tmp_path / "f0.mor").write_text(f"shift: {huge}\n0 0 1\n")
+    elif kind == "certificate shift":
+        path = tmp_path / "c.cert"
+        path.write_text(emit_certificate(F, G, cert).replace("a: 0", f"a: {huge}"))
+    else:
+        path = tmp_path / "u.mor"
+        path.write_text(f"source: F0.bc\ntarget: F1.bc\nshift: {huge}\n")
+    with pytest.raises(ParseError, match=want + r".*decimal exponent over the limit of 4300"):
+        validate_file(path)
+
+
 # --- certificates ------------------------------------------------------------
 
 

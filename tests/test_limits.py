@@ -18,7 +18,6 @@ from persimod.limits import (
     complete_cauchy,
     defect_check,
     hocolim,
-    subsample_system,
 )
 from persimod.morphisms import Morphism, compose, equals_tau, identity, tau_morphism
 from oracles import defect_check_oracle, hocolim_oracle, solve_reverse_oracle
@@ -302,33 +301,6 @@ def test_reverse_synthesis_hands_over_one_small_system_per_bar(monkeypatch):
                 for rows, cols in shapes[before:]:
                     assert 0 < rows <= len(f.source) and cols <= len(f.target)
     assert shapes
-
-
-# --- subsampling -----------------------------------------------------------------
-
-
-def test_subsample_composes_maps_and_slacks():
-    system = geometric_tower(2, 7)
-    sub = subsample_system(system, [0, 2, 4])
-    assert len(sub.stages) == 3
-    assert sub.stages[0] == system.stages[0]
-    assert sub.stages[1] == system.stages[2]
-    assert sub.slacks[0] == system.slacks[0] + system.slacks[1]
-    assert all(g is not None for g in sub.reverses)
-    out_full, out_sub = hocolim(system), hocolim(sub)
-    tail_full = out_full.error_bound
-    # strided output stays within the combined error bounds of both runs
-    assert gamma(out_full.barcode, out_sub.barcode).value <= (
-        tail_full + out_sub.error_bound + ExtRat(sum(system.slacks[4:], Fraction(0)))
-    )
-
-
-def test_subsample_validates_indices():
-    system = geometric_tower(2, 5)
-    with pytest.raises(ValueError):
-        subsample_system(system, [2, 1])
-    with pytest.raises(ValueError):
-        subsample_system(system, [0, 9])
 
 
 # --- Cauchy completion -----------------------------------------------------------

@@ -1,25 +1,14 @@
 """Morphism matrices: Hom-constrained entries and exact composition."""
 
-import warnings
 from fractions import Fraction
 
 import pytest
 
 from persimod import Barcode, Interval
 from persimod.fields import GF2, QQ, PrimeField
-from persimod.morphisms import (
-    Morphism,
-    compose,
-    direct_sum,
-    equals_tau,
-    identity,
-    make_morphism,
-    merge_barcodes,
-    tau_morphism,
-    zero_morphism,
-)
+from persimod.morphisms import Morphism, compose, equals_tau, identity, tau_morphism
 from conftest import rand_barcode, rand_realized_morphism
-from oracles import compose_oracle, equals_tau_oracle
+from oracles import compose_oracle, direct_sum, equals_tau_oracle, merge_barcodes
 
 GF5 = PrimeField(5)
 
@@ -30,17 +19,8 @@ def B(*bars):
 
 def test_make_morphism_accepts_realized_cell():
     src, tgt = B((0, Interval(0, 10))), B((0, Interval(1, 11)))
-    m = make_morphism(src, tgt, {(0, 0): 1})
+    m = Morphism(src, tgt, {(0, 0): 1})
     assert m.entries == {(0, 0): 1}
-
-
-def test_make_morphism_zeroes_phantom_cell():
-    src, tgt = B((0, Interval(0, 10))), B((0, Interval(5, 6)))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        m = make_morphism(src, tgt, {(0, 0): 1})
-    assert not m.entries
-    assert any("zeroed" in str(w.message) for w in caught)
 
 
 def test_strict_constructor_rejects_phantom_cell():
@@ -51,39 +31,39 @@ def test_strict_constructor_rejects_phantom_cell():
 
 def test_empty_entries_is_zero_morphism():
     src, tgt = B((0, Interval(0, 10))), B((0, Interval(1, 11)))
-    assert make_morphism(src, tgt, {}) == zero_morphism(src, tgt)
+    assert Morphism(src, tgt, {(0, 0): 0}) == Morphism(src, tgt, {})
 
 
 def test_index_out_of_range():
     src, tgt = B((0, Interval(0, 10))), B((0, Interval(1, 11)))
     with pytest.raises(IndexError):
-        make_morphism(src, tgt, {(3, 0): 1})
+        Morphism(src, tgt, {(3, 0): 1})
 
 
 def test_compose_identity():
     src, tgt = B((0, Interval(0, 10))), B((0, Interval(1, 11)))
-    f = make_morphism(src, tgt, {(0, 0): 1})
+    f = Morphism(src, tgt, {(0, 0): 1})
     assert compose(identity(src), f) == f
     assert compose(f, identity(tgt)) == f
 
 
 def test_compose_chain_example():
     a, b, c = B((0, Interval(0, 3))), B((0, Interval(1, 4))), B((0, Interval(2, 5)))
-    f = make_morphism(a, b, {(0, 0): 1})
-    g = make_morphism(b, c, {(0, 0): 1})
+    f = Morphism(a, b, {(0, 0): 1})
+    g = Morphism(b, c, {(0, 0): 1})
     assert compose(f, g).entries == {(0, 0): 1}
 
 
 def test_compose_outer_generator_vanishes():
     a, b, c = B((0, Interval(0, 2))), B((0, Interval(1, 3))), B((0, Interval(2, 4)))
-    f = make_morphism(a, b, {(0, 0): 1})
-    g = make_morphism(b, c, {(0, 0): 1})
+    f = Morphism(a, b, {(0, 0): 1})
+    g = Morphism(b, c, {(0, 0): 1})
     assert not compose(f, g).entries
 
 
 def test_compose_mismatched_middle():
     a, b = B((0, Interval(0, 2))), B((0, Interval(1, 3)))
-    f = make_morphism(a, b, {(0, 0): 1})
+    f = Morphism(a, b, {(0, 0): 1})
     with pytest.raises(ValueError):
         compose(f, f)
 
@@ -134,15 +114,15 @@ def test_equals_tau_on_tau():
 
 def test_equals_tau_zero_morphism():
     long_bc = B((0, Interval(0, 5)))
-    assert not equals_tau(zero_morphism(long_bc, long_bc.shift(2)), 2)
+    assert not equals_tau(Morphism(long_bc, long_bc.shift(2), {}), 2)
     short_bc = B((0, Interval(0, 2)))
-    assert equals_tau(zero_morphism(short_bc, short_bc.shift(2)), 2)
+    assert equals_tau(Morphism(short_bc, short_bc.shift(2), {}), 2)
 
 
 def test_equals_tau_rejects_non_shift_target():
     src, tgt = B((0, Interval(0, 5))), B((0, Interval(1, 7)))
     with pytest.raises(ValueError):
-        equals_tau(make_morphism(src, tgt, {(0, 0): 1}), 1)
+        equals_tau(Morphism(src, tgt, {(0, 0): 1}), 1)
 
 
 def test_equals_tau_matches_oracle(rng):
