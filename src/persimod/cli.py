@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .barcodes import Bar, Barcode
 from .canonical import DiagonalizationError
-from .cones import ConeParams, cantor_cubes, cone_coisotropy_test, corner_cloud, displacement_bound
+from .cones import ConeParams, _cantor_ratio, cantor_cubes, cone_coisotropy_test, corner_cloud, displacement_bound
 from .fields import GF2, field_by_name
 from .intervals import Interval, POS_INF, parse_rational
 from .interleaving import check_interleaving, gamma, gamma_symmetric
@@ -267,11 +267,13 @@ def _cmd_cantor(args) -> int:
         form = "level={} bound={}\n" if args.machine else "{} {}\n"
         sys.stdout.write("".join(form.format(k, bound) for k, bound in reversed(rows)))
         return 0
-    family = cantor_cubes(a, args.k, args.n)
     if args.emit_cloud:
-        sys.stdout.write(emit_cloud(corner_cloud(family)))
+        sys.stdout.write(emit_cloud(corner_cloud(cantor_cubes(a, args.k, args.n))))
         return 0
-    bound = displacement_bound(a, args.k, args.n)
+    # An unprintable bound is refused before any cube is built; bad
+    # parameters are still reported as `cantor_cubes` reports them.
+    bound = displacement_bound(_cantor_ratio(a, args.k, args.n), args.k, args.n)
+    family = cantor_cubes(a, args.k, args.n)
     _emit(
         args,
         f"{len(family.cubes)} cubes of edge {a ** args.k}; displacement bound {bound}",

@@ -325,8 +325,9 @@ def _cantor_left_endpoints(a: Fraction, k: int) -> List[Fraction]:
     return sorted(ends)
 
 
-def cantor_cubes(a, k: int, n: int) -> CubeFamily:
-    """All 2^{2nk} products of level-k Cantor intervals, edge a^k."""
+def _cantor_ratio(a, k: int, n: int) -> Fraction:
+    """a as a Fraction once the parameters of `cantor_cubes` pass its
+    checks, which build nothing."""
     a = Fraction(a)
     if not 0 < a < Fraction(1, 2):
         raise ValueError("ratio must satisfy 0 < a < 1/2 (disjointness)")
@@ -335,6 +336,12 @@ def cantor_cubes(a, k: int, n: int) -> CubeFamily:
     # 2^e > CUBE_BUDGET exactly when e >= CUBE_BUDGET.bit_length()
     if 2 * n * k >= CUBE_BUDGET.bit_length():
         raise ValueError(f"cube count 2^{2 * n * k} exceeds budget {CUBE_BUDGET}")
+    return a
+
+
+def cantor_cubes(a, k: int, n: int) -> CubeFamily:
+    """All 2^{2nk} products of level-k Cantor intervals, edge a^k."""
+    a = _cantor_ratio(a, k, n)
     ends = _cantor_left_endpoints(a, k)
     edge = a ** k
     cubes = tuple(

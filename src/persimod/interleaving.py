@@ -14,6 +14,13 @@ matching.  So every decision is either a certificate or a proof that
 none exists, and every finite distance comes with a certificate at an
 optimal (a, b).
 
+Each problem (F, G) is scaled to ints once: one private view holds the
+scaled bars of every degree and decides each probe of a search through a
+single kernel, and `check_interleaving` builds a one-shot view of its own.
+`gamma`'s probes go through `check_interleaving`, so each "yes" is a
+certificate; `gamma_symmetric`'s probes ask the kernel only, and its one
+certificate is built at the optimum.
+
 Every certificate is re-verified at construction; nothing unverified is
 ever returned.
 """
@@ -128,91 +135,114 @@ def _infinite_mismatch(F: Barcode, G: Barcode) -> bool:
     return sig(F) != sig(G)
 
 
-def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
-    """Scale one problem to Python ints.
+class _IntView:
+    """One (F, G) problem scaled to Python ints once, then probed many times.
 
-    Returns the common denominator D of every finite endpoint and every
-    shift, and per barcode its bars as (degree, lo*D, hi*D); None stands
-    for an infinite endpoint.  Differences and lengths of endpoints share
-    the denominator D, so the whole search runs on exact ints.
+    `scale` is `unit` times the common denominator of every finite endpoint
+    and every shift in `shifts`; endpoints, lengths and probed shifts are
+    ints in units of 1/scale, so the whole search runs on exact ints.  An
+    infinite endpoint becomes -inf or +inf: ints beyond every finite
+    endpoint by more than `reach`, which keeps each inequality of `entries`
+    exact for a + b <= reach (a float infinity would overflow on huge ints).
+    `reach` covers the distance grid, at most twice the endpoint span per
+    coordinate, plus the given shifts.
+
+    Per degree, in increasing order, `degrees` holds one side per barcode:
+    the index range, lo ends, hi ends and lengths of its bars of that degree.
+    The bars of a barcode are sorted, so each side's lo ends increase.
     """
-    pairs = [[(bar.degree, int_pair(bar.interval.lo), int_pair(bar.interval.hi)) for bar in bc.bars] for bc in barcodes]
-    dens = {s.denominator for s in shifts}
-    dens.update(p[1] for bars in pairs for _, lo, hi in bars for p in (lo, hi) if p)
-    scale = lcm(*dens)
-    # `lo and ...` keeps an infinite endpoint's None
-    return scale, [
-        [(deg, lo and lo[0] * (scale // lo[1]), hi and hi[0] * (scale // hi[1])) for deg, lo, hi in bars]
-        for bars in pairs
-    ]
 
+    __slots__ = ("scale", "reach", "inf", "degrees")
 
-def _int_grid(F: Barcode, G: Barcode) -> Tuple[int, List[int], List[int]]:
-    """Scale D, the sorted endpoint differences (0 included) and the sorted
-    finite bar lengths of F and G, the last two as ints in units of 1/D."""
-    scale, bars = _int_bars((F, G))
-    pts = sorted({x for rows in bars for _, lo, hi in rows for x in (lo, hi) if x is not None})
-    diffs = {0}
-    for i, x in enumerate(pts):
-        diffs.update(y - x for y in pts[i + 1:])
-    lengths = {hi - lo for rows in bars for _, lo, hi in rows if lo is not None and hi is not None}
-    return scale, sorted(diffs), sorted(lengths)
+    def __init__(self, F: Barcode, G: Barcode, shifts: Sequence[Fraction] = (), unit: int = 1):
+        cols = [
+            (
+                [bar.degree for bar in bc.bars],
+                [int_pair(bar.interval.lo) for bar in bc.bars],
+                [int_pair(bar.interval.hi) for bar in bc.bars],
+            )
+            for bc in (F, G)
+        ]
+        dens = {s.denominator for s in shifts}
+        dens.update(p[1] for _, los, his in cols for ends in (los, his) for p in ends if p)
+        scale = unit * lcm(*dens)
+        # `p and ...` keeps an infinite endpoint's None
+        cols = [
+            (degs, [p and p[0] * (scale // p[1]) for p in los], [p and p[0] * (scale // p[1]) for p in his])
+            for degs, los, his in cols
+        ]
+        big = max((abs(x) for _, los, his in cols for ends in (los, his) for x in ends if x is not None), default=0)
+        self.scale = scale
+        self.reach = 4 * big + sum(s.numerator * (scale // s.denominator) for s in shifts)
+        self.inf = inf = big + self.reach + 1
+        fd, gd = sides = ({}, {})
+        for by_degree, (degs, los, his) in zip(sides, cols):
+            los = [-inf if x is None else x for x in los]
+            his = [inf if x is None else x for x in his]
+            lens = [hi - lo for lo, hi in zip(los, his)]
+            # bars are sorted by degree first, so a degree's bars are one run
+            for deg in set(degs):
+                i, j = bisect_left(degs, deg), bisect_right(degs, deg)
+                by_degree[deg] = (range(i, j), los[i:j], his[i:j], lens[i:j])
+        empty = (range(0), [], [], [])
+        self.degrees = [(fd.get(deg, empty), gd.get(deg, empty)) for deg in sorted(set(fd) | set(gd))]
 
-
-def _matching_entries(F: Barcode, G: Barcode, a: Fraction, b: Fraction):
-    """Find a covering matching and convert it to entry dictionaries for
-    (u, v), or return None when no interleaving exists.
-
-    Bars i of F and j of G may pair when hom(F_i, G_j + a) and
-    hom(G_j, F_i + b) are both DEG0, i.e. when
-    flo <= glo+a < fhi <= ghi+a and glo <= flo+b < ghi <= fhi+b.  All of it
-    runs on the scaled ints of `_int_bars`; an infinite endpoint becomes
-    -inf or +inf, ints beyond every finite value plus a+b, which keeps each
-    inequality exact (a float infinity would overflow on huge ints).  In
-    ints this is glo in [flo-a, min(fhi-a-1, flo+b)] and ghi in [max(fhi-a,
-    flo+b+1), fhi+b]; G's bars of a degree are sorted by lo, so the first is
-    an index window of two bisects and each row comes out increasing.
-    """
-    scale, (fb, gb) = _int_bars((F, G), (a, b))
-    a = a.numerator * (scale // a.denominator)
-    b = b.numerator * (scale // b.denominator)
-    total = a + b
-    big = max((abs(x) for rows in (fb, gb) for _, lo, hi in rows for x in (lo, hi) if x is not None), default=0)
-    inf = big + total + 1
-
-    def by_degree(rows):
-        out: Dict[int, List[Tuple[int, int, int]]] = {}
-        for idx, (deg, lo, hi) in enumerate(rows):
-            out.setdefault(deg, []).append((idx, -inf if lo is None else lo, inf if hi is None else hi))
-        return out
-
-    fd, gd = by_degree(fb), by_degree(gb)
-    u_entries: Dict[Tuple[int, int], int] = {}
-    v_entries: Dict[Tuple[int, int], int] = {}
-    for deg in sorted(set(fd) | set(gd)):
-        f_bars = fd.get(deg, [])
-        g_bars = gd.get(deg, [])
-        g_lo = [lo for _, lo, _ in g_bars]
-        g_hi = [hi for _, _, hi in g_bars]
-        adj: List[List[int]] = []
-        for _, flo, fhi in f_bars:
-            # top = min(x-1, y), hi_min = max(x, y+1), without two builtin calls
-            x, y, hi_max = fhi - a, flo + b, fhi + b
-            top, hi_min = (x - 1, y + 1) if x <= y else (y, x)
-            window = range(bisect_left(g_lo, flo - a), bisect_right(g_lo, top))
-            adj.append([j for j in window if hi_min <= g_hi[j] <= hi_max])
-        req_l = [i for i, (_, lo, hi) in enumerate(f_bars) if hi - lo > total]
-        req_r = [j for j, (_, lo, hi) in enumerate(g_bars) if hi - lo > total]
-        m = matching_covering(len(f_bars), len(g_bars), adj, req_l, req_r)
-        if m is None:
+    def scaled(self, a: Fraction, b: Fraction) -> Optional[Tuple[int, int]]:
+        """(a, b) in this view's units, or None when a denominator does not
+        divide the scale or a + b passes `reach`."""
+        s = self.scale
+        if s % a.denominator or s % b.denominator:
             return None
-        for i, j in m.items():
-            u_entries[(g_bars[j][0], f_bars[i][0])] = 1
-            v_entries[(f_bars[i][0], g_bars[j][0])] = 1
-    return u_entries, v_entries
+        a, b = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
+        return (a, b) if a + b <= self.reach else None
+
+    def grid(self) -> Tuple[List[int], List[int]]:
+        """The sorted endpoint differences (0 included) and the sorted finite
+        bar lengths of F and G."""
+        inf = self.inf
+        bars = [bar for sides in self.degrees for _, los, his, _ in sides for bar in zip(los, his)]
+        pts = sorted({x for bar in bars for x in bar if -inf < x < inf})
+        diffs = {0}
+        for i, x in enumerate(pts):
+            diffs.update(y - x for y in pts[i + 1:])
+        return sorted(diffs), sorted({hi - lo for lo, hi in bars if -inf < lo and hi < inf})
+
+    def entries(self, a: int, b: int):
+        """Find a covering matching at the shifts (a, b), ints in this view's
+        units with a + b <= reach, and convert it to entry dictionaries for
+        (u, v); None when no interleaving exists.
+
+        Bars i of F and j of G may pair when hom(F_i, G_j + a) and
+        hom(G_j, F_i + b) are both DEG0, i.e. when
+        flo <= glo+a < fhi <= ghi+a and glo <= flo+b < ghi <= fhi+b.  In ints
+        this is glo in [flo-a, min(fhi-a-1, flo+b)] and ghi in [max(fhi-a,
+        flo+b+1), fhi+b]; G's lo ends increase, so the first is an index
+        window of two bisects and each row comes out increasing.  A bar must
+        be matched when it is longer than a+b.
+        """
+        total = a + b
+        u_entries: Dict[Tuple[int, int], int] = {}
+        v_entries: Dict[Tuple[int, int], int] = {}
+        for (f_idx, f_lo, f_hi, f_len), (g_idx, g_lo, g_hi, g_len) in self.degrees:
+            adj: List[List[int]] = []
+            for flo, fhi in zip(f_lo, f_hi):
+                # top = min(x-1, y), hi_min = max(x, y+1), without two builtin calls
+                x, y, hi_max = fhi - a, flo + b, fhi + b
+                top, hi_min = (x - 1, y + 1) if x <= y else (y, x)
+                window = range(bisect_left(g_lo, flo - a), bisect_right(g_lo, top))
+                adj.append([j for j in window if hi_min <= g_hi[j] <= hi_max])
+            req_l = [i for i, ln in enumerate(f_len) if ln > total]
+            req_r = [j for j, ln in enumerate(g_len) if ln > total]
+            m = matching_covering(len(f_idx), len(g_idx), adj, req_l, req_r)
+            if m is None:
+                return None
+            for i, j in m.items():
+                u_entries[(g_idx[j], f_idx[i])] = 1
+                v_entries[(f_idx[i], g_idx[j])] = 1
+        return u_entries, v_entries
 
 
-def check_interleaving(F: Barcode, G: Barcode, a, b, *, field=GF2) -> Optional[InterleavingCertificate]:
+def check_interleaving(F: Barcode, G: Barcode, a, b, *, field=GF2, _view: Optional[_IntView] = None) -> Optional[InterleavingCertificate]:
     """Decide whether an (a,b)-interleaving between F and G exists.
 
     Returns a verified certificate, or None when no interleaving exists.
@@ -220,7 +250,13 @@ def check_interleaving(F: Barcode, G: Barcode, a, b, *, field=GF2) -> Optional[I
     a, b = Fraction(a), Fraction(b)
     if a < 0 or b < 0:
         raise ValueError("interleaving shifts must be nonnegative")
-    found = _matching_entries(F, G, a, b)
+    # A distance search hands in the view of its (F, G); shifts it cannot
+    # hold get a view of their own.
+    shifts = None if _view is None else _view.scaled(a, b)
+    if shifts is None:
+        _view = _IntView(F, G, (a, b))
+        shifts = _view.scaled(a, b)
+    found = _view.entries(*shifts)
     if found is None:
         return None
     u_entries, v_entries = found
@@ -243,8 +279,9 @@ def _min_feasible(candidates: Sequence[int], feasible) -> Optional[int]:
     return candidates[lo]
 
 
-def _least_total(F: Barcode, G: Barcode, decide) -> Tuple[ExtRat, Optional[Tuple[Fraction, Fraction]]]:
-    """Minimal a+b accepted by `decide(a, b)`, plus an optimal pair.
+def _least_total(view: _IntView, decide) -> Optional[Tuple[int, int]]:
+    """An optimal (a, b), the least a+b accepted by `decide(a, b)`, or None
+    when no point of the grid is accepted.
 
     Feasibility is upward closed in (a, b), so for a fixed coordinate the
     other one is binary-searched.  The scan walks the grid of endpoint
@@ -253,21 +290,19 @@ def _least_total(F: Barcode, G: Barcode, decide) -> Tuple[ExtRat, Optional[Tuple
     orientations are scanned: either coordinate of an optimal pair may be
     the gridded one.  The grid is taken over all degrees at once, so it
     holds every corner of the intersected per-degree staircases.  Grid,
-    lengths and candidates are ints in units of 1/D (see `_int_grid`); only
-    the probed points are turned back into Fractions for `decide`.
+    lengths, candidates and the pair are ints in the units of the one view
+    of the problem, which `decide` also probes.
     """
-    if not len(F) and not len(G):
-        return ExtRat(0), (Fraction(0), Fraction(0))
-    if _infinite_mismatch(F, G):
-        return POS_INF, None
-    scale, diffs, lengths = _int_grid(F, G)
+    if not view.degrees:
+        return 0, 0
+    diffs, lengths = view.grid()
     diff_set = set(diffs)
     cache: Dict[Tuple[int, int], bool] = {}
 
     def cached(a: int, b: int) -> bool:
         key = (a, b)
         if key not in cache:
-            cache[key] = decide(Fraction(a, scale), Fraction(b, scale))
+            cache[key] = decide(a, b)
         return cache[key]
 
     best: Optional[int] = None
@@ -291,37 +326,42 @@ def _least_total(F: Barcode, G: Barcode, decide) -> Tuple[ExtRat, Optional[Tuple
         got = _min_feasible(cands, lambda t: cached(t, x))
         if got is not None and (best is None or x + got < best):
             best, best_pair = x + got, (got, x)
-
-    if best is None:
-        return POS_INF, None
-    return ExtRat(Fraction(best, scale)), (Fraction(best_pair[0], scale), Fraction(best_pair[1], scale))
+    return best_pair
 
 
 def gamma(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     """Least interleaving cost a+b, with a verified certificate at an
     optimal (a, b).  A graded pair is searched as one problem: a single
-    (a, b) must interleave every degree at once."""
-    value, pair = _least_total(F, G, lambda a, b: check_interleaving(F, G, a, b, field=field) is not None)
+    (a, b) must interleave every degree at once.  One scaled view of
+    (F, G) serves every probe."""
+    if _infinite_mismatch(F, G):
+        return DistanceReport(POS_INF, None)
+    view = _IntView(F, G)
+    scale = view.scale
+
+    def decide(a: int, b: int) -> bool:
+        return check_interleaving(F, G, Fraction(a, scale), Fraction(b, scale), field=field, _view=view) is not None
+
+    pair = _least_total(view, decide)
     if pair is None:
         return DistanceReport(POS_INF, None)
-    return DistanceReport(value, check_interleaving(F, G, *pair, field=field))
+    a, b = Fraction(pair[0], scale), Fraction(pair[1], scale)
+    return DistanceReport(ExtRat(a + b), check_interleaving(F, G, a, b, field=field, _view=view))
 
 
 def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
-    """Least 2c such that a (c, c)-interleaving exists."""
+    """Least 2c such that a (c, c)-interleaving exists.
+
+    The candidates for c are the endpoint differences and their halves.
+    One view at twice the common denominator D holds them all as ints, and
+    a probe only asks its kernel for a covering matching: no certificate is
+    built until the optimum, where it is built and re-verified."""
     if _infinite_mismatch(F, G):
         return DistanceReport(POS_INF, None)
-    # Candidates c are ints in units of 1/D; a probe at c/2 is c/(2D).
-    scale, diffs, _ = _int_grid(F, G)
-    cands = sorted(set(diffs) | {2 * d for d in diffs})
-
-    def feasible(c: int) -> bool:
-        half = Fraction(c, 2 * scale)
-        return check_interleaving(F, G, half, half, field=field) is not None
-
-    got = _min_feasible(cands, feasible)
+    view = _IntView(F, G, unit=2)
+    diffs, _ = view.grid()  # even: every endpoint is a multiple of 2
+    got = _min_feasible(sorted(set(diffs) | {d // 2 for d in diffs}), lambda c: view.entries(c, c) is not None)
     if got is None:
         return DistanceReport(POS_INF, None)
-    total = Fraction(got, scale)
-    value = ExtRat(total)
-    return DistanceReport(value, check_interleaving(F, G, total / 2, total / 2, field=field))
+    half = Fraction(got, view.scale)
+    return DistanceReport(ExtRat(2 * half), check_interleaving(F, G, half, half, field=field, _view=view))

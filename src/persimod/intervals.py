@@ -234,16 +234,25 @@ POS_INF = ExtRat._make_inf(1)
 
 
 def parse_rational(token: str) -> Fraction:
-    """Fraction(token) for text from outside the program.  Fraction builds
-    10**exponent for a decimal exponent, so an exponent over the interpreter's
-    int/str digit limit raises ValueError before that unbounded work."""
+    """Fraction(token) for text from outside the program, refused with
+    ValueError unless it can be printed back: its numerator and denominator
+    may have at most the interpreter's int/str digit limit of digits.
+    Fraction builds 10**exponent for a decimal exponent, so an exponent over
+    that limit is refused before that unbounded work."""
     low = token.lower()
+    limit = sys.get_int_max_str_digits()
     if "e" in low:
         exponent = low.rpartition("e")[2].strip().lstrip("+-0").replace("_", "")
-        limit = sys.get_int_max_str_digits()
         if exponent.isdecimal() and limit and (len(exponent) > len(str(limit)) or int(exponent) > limit):
             raise ValueError(f"decimal exponent over the limit of {limit}")
-    return Fraction(token)
+    value = Fraction(token)
+    # Without an exponent, no term has more digits than the token has
+    # characters; a term of over `limit` digits is >= 10**limit > 8**limit.
+    if limit and ("e" in low or len(token) > limit):
+        top = max(abs(value.numerator), value.denominator)
+        if top.bit_length() > 3 * limit and top >= 10**limit:
+            raise ValueError(f"value has over {limit} digits, the printable limit")
+    return value
 
 
 def parse_endpoint(token: str) -> ExtRat:

@@ -53,14 +53,6 @@ class PLFunction:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def min_value(self) -> Fraction:
-        return min(self.values)
-
-    @property
-    def max_value(self) -> Fraction:
-        return max(self.values)
-
 
 def sublevel_barcode(f: PLFunction) -> Barcode:
     """Sublevel-set persistence of a PL function on an interval or circle.

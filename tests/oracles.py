@@ -22,13 +22,14 @@ Direct sums of morphisms are reference code for the graded checks.
 import operator
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom
+from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom, int_pair
 from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
 from persimod.fields import GF2, RationalField, solve_linear
-from persimod.interleaving import DistanceReport, InterleavingCertificate, _int_bars
+from persimod.interleaving import DistanceReport, InterleavingCertificate
 from persimod.limits import Chain, HocolimResult, _follow_chains
 from persimod.matching import matching_covering
 from persimod.morphisms import Morphism, _cell_allowed, compose, equals_tau, identity
@@ -906,7 +907,7 @@ def augment_oracle(order, adj) -> Tuple[Dict[int, int], List[bool]]:
 #
 # `matching` skips visited right vertices with a path-compressed map and
 # returns the left-saturating matching when it already covers the right
-# side; `interleaving._matching_entries` builds each row from an index
+# side; `interleaving._IntView.entries` builds each row from an index
 # window over G's sorted lo ends.  These are the versions they replaced:
 # a `seen` set re-tested per neighbour, the second matching and merge on
 # every call, and the adjacency tested against every bar of G.
@@ -982,9 +983,25 @@ def matching_covering_oracle(num_left, num_right, adj, required_left, required_r
     return out
 
 
+def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
+    """The common denominator D of every finite endpoint and every shift,
+    and per barcode its bars as (degree, lo*D, hi*D); None stands for an
+    infinite endpoint.  A copy of the per-probe scaling the library used
+    before its scaled view, so this oracle does not share it."""
+    pairs = [[(bar.degree, int_pair(bar.interval.lo), int_pair(bar.interval.hi)) for bar in bc.bars] for bc in barcodes]
+    dens = {s.denominator for s in shifts}
+    dens.update(p[1] for bars in pairs for _, lo, hi in bars for p in (lo, hi) if p)
+    scale = lcm(*dens)
+    return scale, [
+        [(deg, lo and lo[0] * (scale // lo[1]), hi and hi[0] * (scale // hi[1])) for deg, lo, hi in bars]
+        for bars in pairs
+    ]
+
+
 def int_matching_entries_oracle(F: Barcode, G: Barcode, a, b):
-    """`interleaving._matching_entries` with every pair of bars tested and
-    the full-merge matching."""
+    """The entries of `interleaving._IntView.entries` at (a, b), from one
+    scaling per call with every pair of bars tested and the full-merge
+    matching."""
     a, b = Fraction(a), Fraction(b)
     scale, (fb, gb) = _int_bars((F, G), (a, b))
     a = a.numerator * (scale // a.denominator)

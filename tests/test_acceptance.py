@@ -6,6 +6,7 @@ assertions; nothing here loosens a bound to make a run go green.
 """
 
 import math
+import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -283,9 +284,9 @@ def test_10_circle_spectral_numbers(rng):
         for _ in range(200):
             f = rand_plf(rng, "circle")
             rep = spectral_invariants(sublevel_barcode(f), "Sublevel", 1)
-            assert rep.c_minus == f.min_value
-            assert rep.c_plus == f.max_value
-            assert rep.gamma == f.max_value - f.min_value
+            assert rep.c_minus == min(f.values)
+            assert rep.c_plus == max(f.values)
+            assert rep.gamma == max(f.values) - min(f.values)
 
 
 def test_11_displacement_bound_trichotomy():
@@ -322,3 +323,22 @@ def test_12_coisotropy_verdicts():
             cone_coisotropy_test(subspace_cloud((0, 1, 3)), np.zeros(4)).kind
             == "Coisotropic"
         )
+
+
+def test_13_generic_denominator_distances():
+    # Endpoints of denominator 997 make the difference grid, and so the
+    # probe count, as large as the pair allows; the budget keeps that cost
+    # from coming back unseen.
+    with _budget("13 den=997: gamma at 32 bars, gamma_symmetric at 128 bars", 8):
+        for seed in (2, 3):
+            rng = random.Random(seed)
+            F, G = rand_barcode(rng, 32, den=997), rand_barcode(rng, 32, den=997)
+            one_sided, symmetric = gamma(F, G), gamma_symmetric(F, G)
+            for rep in (one_sided, symmetric):
+                assert rep.certificate.total == rep.value.as_fraction()
+            lo, hi = one_sided.value.as_fraction(), symmetric.value.as_fraction()
+            assert lo <= hi <= 2 * lo
+            rng = random.Random(seed)
+            F, G = rand_barcode(rng, 128, den=997), rand_barcode(rng, 128, den=997)
+            rep = gamma_symmetric(F, G)
+            assert rep.certificate.total == rep.value.as_fraction()

@@ -366,16 +366,27 @@ def test_multiplicity_above_cap_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "exceeds the cap" in err
 
 
-@pytest.mark.parametrize("case", ["exponent in a file", "exponent in a flag", "bound size", "field size"])
+@pytest.mark.parametrize(
+    "case",
+    ["exponent in a file", "digits in a file", "exponent in a flag", "bound size", "bound before cubes", "field size"],
+)
 def test_oversized_input_ends_in_one_error_line(unit_pair, capsys, case):
     if case == "exponent in a file":
         (unit_pair / "huge.bc").write_text("0 0 1e30000000\n")
         argv, want_rc, want = ("validate", "huge.bc"), 2, "huge.bc:1: unknown token (decimal exponent"
+    elif case == "digits in a file":
+        # 10^4300 has 4,301 digits: it parses, but could not be printed back
+        (unit_pair / "huge.bc").write_text("0 0 1\n0 0 1e4300\n")
+        argv, want_rc, want = ("dist", "gamma", "huge.bc", "huge.bc"), 2, "huge.bc:2: unknown token (value has over 4300 digits"
     elif case == "exponent in a flag":
         argv, want_rc, want = ("dist", "check", "F.bc", "G.bc", "--a", "1e30000000", "--b", "0"), 1, "decimal exponent"
     elif case == "bound size":
         argv = ("cantor", "--a", "999/1000", "--n", "1", "--k", "5000", "--bound-table")
         want_rc, want = 1, "level-5000 bound has about 14998 digits"
+    elif case == "bound before cubes":
+        # 2^18 cubes with coordinates of about 27,000 digits are never built
+        argv = ("cantor", "--a", f"1/{10 ** 3000 + 7}", "--n", "1", "--k", "9")
+        want_rc, want = 1, "level-9 bound has about 27001 digits"
     else:
         emit_system(unit_pair / "tower", geometric_tower(2, 4))
         mor = unit_pair / "tower" / "f0.mor"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from persimod import Barcode, Interval
 from persimod.fields import GF2, PrimeField, QQ
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
-from persimod.interleaving import _matching_entries
+from persimod.interleaving import _IntView
 from persimod.matching import _saturating, _try_augment, matching_covering
 from persimod.morphisms import Morphism, compose, equals_tau, tau_morphism
 from conftest import rand_realized_morphism
@@ -277,4 +277,5 @@ def decision_inputs(draw, den):
 @given(data=st.data())
 def test_windowed_matching_entries_match_all_pairs_oracle(den, data):
     F, G, a, b = data.draw(decision_inputs(den))
-    assert _matching_entries(F, G, a, b) == int_matching_entries_oracle(F, G, a, b)
+    view = _IntView(F, G, (a, b))
+    assert view.entries(*view.scaled(a, b)) == int_matching_entries_oracle(F, G, a, b)

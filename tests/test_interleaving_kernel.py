@@ -1,6 +1,7 @@
 """The integer endpoint kernel under check_interleaving, gamma and
 gamma_symmetric, checked for exact agreement with the Fraction/ExtRat
-implementation kept in `oracles.py`."""
+implementation kept in `oracles.py`, and its scaled view of one (F, G)
+probed against the per-probe scaling kept there."""
 
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetric
+from persimod.interleaving import _IntView
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
-from oracles import check_interleaving_oracle, gamma_oracle, gamma_symmetric_oracle
+from oracles import check_interleaving_oracle, gamma_oracle, gamma_symmetric_oracle, int_matching_entries_oracle
 
 KINDS = ("finite", "finite", "finite", "left", "right", "both")
 
@@ -20,10 +22,11 @@ def _interval(kind, lo, hi):
 
 
 @st.composite
-def barcode_pairs(draw, den):
-    """(F, G) on degrees {0, 1} with endpoints k/den and infinite bars of
-    every kind.  Half the time G keeps F's degrees and infinite sides with
-    fresh endpoints, so the search runs instead of stopping at a mismatch."""
+def barcode_pairs(draw, den, max_size=4):
+    """(F, G) on degrees {0, 1} with endpoints k/den, infinite bars of
+    every kind and repeated bars.  Half the time G keeps F's degrees and
+    infinite sides with fresh endpoints, so the search runs instead of
+    stopping at a mismatch."""
     endpoint = st.integers(0, 10 * den).map(lambda k: Fraction(k, den))
     length = st.integers(1, 10 * den).map(lambda k: Fraction(k, den))
 
@@ -31,11 +34,17 @@ def barcode_pairs(draw, den):
         lo = draw(endpoint)
         return degree, _interval(kind, lo, lo + draw(length))
 
-    shape = draw(st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(KINDS)), max_size=4))
-    F = Barcode([bar(d, k) for d, k in shape])
+    def barcode(shape):
+        bars = [bar(d, k) for d, k in shape]
+        repeats = draw(st.lists(st.sampled_from(bars), max_size=max_size - len(bars))) if 0 < len(bars) < max_size else []
+        return Barcode(bars + repeats)
+
+    shapes = st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(KINDS)), max_size=max_size)
+    shape = draw(shapes)
+    F = barcode(shape)
     if draw(st.booleans()):
-        shape = draw(st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(KINDS)), max_size=4))
-    G = Barcode([bar(d, k) for d, k in shape])
+        shape = draw(shapes)
+    G = barcode(shape)
     return F, G
 
 
@@ -60,7 +69,7 @@ def test_gamma_matches_fraction_oracle(den, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_gamma_symmetric_matches_fraction_oracle(den, data):
-    F, G = data.draw(barcode_pairs(den))
+    F, G = data.draw(barcode_pairs(den, max_size=12))
     assert report_key(gamma_symmetric(F, G)) == report_key(gamma_symmetric_oracle(F, G))
 
 
@@ -75,6 +84,51 @@ def test_check_interleaving_matches_fraction_oracle(den, data):
     if got is not None:
         assert got.u.entries == want.u.entries
         assert got.v.entries == want.v.entries
+
+
+def probe_shifts(den):
+    """0, shifts on the endpoint grid, shifts whose denominator 3*den the
+    view's scale may lack, and shifts past every view's sentinel range."""
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(0, 12 * den).map(lambda k: Fraction(k, den)),
+        st.integers(1, 36 * den).map(lambda k: Fraction(k, 3 * den)),
+        st.integers(0, 1000).map(Fraction),
+    )
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_view_probes_match_per_probe_scaling_oracle(den, data):
+    F, G = data.draw(barcode_pairs(den))
+    view = _IntView(F, G)
+    probes = data.draw(st.lists(st.tuples(probe_shifts(den), probe_shifts(den)), min_size=1, max_size=12))
+    for a, b in probes + [(Fraction(0), Fraction(0))]:
+        want = int_matching_entries_oracle(F, G, a, b)
+        ints = view.scaled(a, b)
+        if ints is not None:
+            assert view.entries(*ints) == want
+        # outside the view's units or range, check_interleaving scales afresh
+        cert = check_interleaving(F, G, a, b, _view=view)
+        assert (cert is None) == (want is None)
+        if cert is not None:
+            assert (cert.u.entries, cert.v.entries) == want
+
+
+def test_view_sentinel_range_ends_at_reach():
+    F = Barcode([(0, Interval(0, 1)), (0, Interval(Fraction(1, 2), POS_INF)), (1, Interval(NEG_INF, 3))])
+    G = Barcode([(0, Interval(2, 5)), (0, Interval(4, POS_INF)), (1, Interval(NEG_INF, 1))])
+    view = _IntView(F, G)
+    assert (view.scale, view.reach) == (2, 40)  # 4 * the largest endpoint, 5 * 2
+    for a, b in [(0, 40), (40, 0), (17, 23)]:
+        assert view.scaled(Fraction(a, 2), Fraction(b, 2)) == (a, b)
+        assert view.entries(a, b) == int_matching_entries_oracle(F, G, Fraction(a, 2), Fraction(b, 2))
+    assert view.scaled(Fraction(41, 2), Fraction(0)) is None
+    assert view.scaled(Fraction(1, 3), Fraction(0)) is None
+    far = check_interleaving(F, G, Fraction(41, 2), Fraction(13, 3), _view=view)
+    assert far is not None
+    assert (far.u.entries, far.v.entries) == int_matching_entries_oracle(F, G, Fraction(41, 2), Fraction(13, 3))
 
 
 def _primes_above(start, count):

@@ -61,6 +61,15 @@ def test_parse_rational_refuses_an_exponent_over_the_digit_limit(token):
     assert parse_rational("2.5E-0003") == Fraction(1, 400)
 
 
+@pytest.mark.parametrize("token", ["1e4300", "-1e4300", "1e-4300", "0." + "0" * 4299 + "1", "9" * 4300 + ".5"],
+                         ids=["numerator", "negative", "denominator", "decimal denominator", "decimal numerator"])
+def test_parse_rational_refuses_a_value_too_long_to_print(token):
+    with pytest.raises(ValueError, match="value has over 4300 digits"):
+        parse_rational(token)
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("1/" + "9" * 4300) == Fraction(1, 10**4300 - 1)
+
+
 def test_parse_endpoint():
     assert parse_endpoint("3/4") == ExtRat(Fraction(3, 4))
     assert parse_endpoint("-inf") == NEG_INF

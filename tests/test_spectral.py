@@ -39,8 +39,8 @@ def test_plfunction_rejects_bad_input():
 
 def test_plfunction_extremes():
     f = PLFunction("interval", [0, 1, 2, 3], [0, 2, 1, 3])
-    assert f.min_value == 0
-    assert f.max_value == 3
+    assert min(f.values) == 0
+    assert max(f.values) == 3
 
 
 # --- sublevel barcodes -------------------------------------------------------
@@ -135,9 +135,9 @@ def test_spectral_left_infinite_example():
 def test_spectral_sublevel_convention_reads_min_and_max():
     f = PLFunction("circle", [0, 1, 2, 3], [0, 2, 1, 3])
     rep = spectral_invariants(sublevel_barcode(f), "Sublevel", 1)
-    assert rep.c_minus == f.min_value
-    assert rep.c_plus == f.max_value
-    assert rep.gamma == f.max_value - f.min_value
+    assert rep.c_minus == min(f.values)
+    assert rep.c_plus == max(f.values)
+    assert rep.gamma == max(f.values) - min(f.values)
 
 
 def test_spectral_ignores_finite_bars():
