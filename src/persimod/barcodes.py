@@ -37,12 +37,6 @@ class Bar:
     def key(self):
         return (self.degree, self.interval.lo, self.interval.hi)
 
-    def _shifted(self, c: ExtRat) -> "Bar":
-        out = Bar.__new__(Bar)
-        _set_degree(out, self.degree)
-        _set_interval(out, self.interval._shifted(c))
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Bar):
             return NotImplemented
@@ -120,15 +114,23 @@ class Barcode:
     # -- structure helpers ---------------------------------------------------
 
     def shift(self, c) -> "Barcode":
-        c = ExtRat(Fraction(c))
-        return Barcode._from_sorted(tuple(b._shifted(c) for b in self.bars))
+        c = Fraction(c)
+        n, d = c.numerator, c.denominator
+        bars = []
+        for b in self.bars:
+            out = Bar.__new__(Bar)
+            _set_degree(out, b.degree)
+            _set_interval(out, b.interval._shifted(n, d))
+            bars.append(out)
+        return Barcode._from_sorted(tuple(bars))
 
     def is_shift_of(self, other: "Barcode", c) -> bool:
         """Whether this barcode equals other.shift(c), compared bar by bar
         without building the shift."""
-        c = ExtRat(Fraction(c))
+        c = Fraction(c)
+        n, d = c.numerator, c.denominator
         return len(self.bars) == len(other.bars) and all(
-            t.degree == s.degree and t.interval._is_shift_of(s.interval, c) for t, s in zip(self.bars, other.bars)
+            t.degree == s.degree and t.interval._is_shift_of(s.interval, n, d) for t, s in zip(self.bars, other.bars)
         )
 
     def degrees(self) -> List[int]:

@@ -109,7 +109,7 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
     field = u.field
     if v.field != field:
         raise DiagonalizationError("mismatched scalar fields")
-    if v.source != Gp or v.target != G.shift(eps):
+    if v.source != Gp or not v.target.is_shift_of(G, eps):
         raise DiagonalizationError("v must map the target of u back to the shifted source")
     for bar in G.bars:
         if not (bar.interval.length > eps):
@@ -228,7 +228,7 @@ def diagonalize_system(
     for n in range(n_maps):
         if fwd[n].source != stages[n] or fwd[n].target != stages[n + 1]:
             raise ValueError(f"forward map {n} does not match the stage barcodes")
-        if rev[n].source != stages[n + 1] or rev[n].target != stages[n].shift(slacks[n]):
+        if rev[n].source != stages[n + 1] or not rev[n].target.is_shift_of(stages[n], slacks[n]):
             raise ValueError(f"reverse map {n} does not match the shifted stage barcodes")
 
     out: List[StageDiagonalization] = []

@@ -18,7 +18,7 @@ from .barcodes import Bar, Barcode
 from .canonical import DiagonalizationError
 from .cones import ConeParams, _cantor_ratio, cantor_cubes, cone_coisotropy_test, corner_cloud, displacement_bound
 from .fields import GF2, field_by_name
-from .intervals import Interval, POS_INF, parse_rational
+from .intervals import Interval, POS_INF, check_printable, parse_rational
 from .interleaving import check_interleaving, gamma, gamma_symmetric
 from .io import (
     ParseError,
@@ -180,6 +180,9 @@ def _cmd_dist(args, field) -> int:
 
     fn = gamma_symmetric if args.symmetric else gamma
     report = fn(F, G, field=field)
+    # A distance between printable barcodes can be too long to print.
+    if report.value.is_finite:
+        check_printable("distance", report.value.as_fraction())
     records = [
         f"value={report.value}",
         f"exactness={report.exactness}",

@@ -37,7 +37,7 @@ from .barcodes import Barcode
 from .fields import GF2
 from .intervals import ExtRat, POS_INF, int_pair
 from .matching import matching_covering
-from .morphisms import Morphism, compose, equals_tau
+from .morphisms import Morphism, _tau_entries, compose
 
 __all__ = [
     "InterleavingCertificate",
@@ -66,13 +66,17 @@ class InterleavingCertificate:
         if not v.target.is_shift_of(F, b):
             raise ValueError("v must land in the b-shift of F")
         # v.shift(a) and u.shift(b): the checked targets are the shifted
-        # sources, so only F and G shifted by a+b are built here.
+        # sources, so only F and G shifted by a+b are built here.  Each round
+        # trip ends in one of these translations, so its entries are compared
+        # with the comparison's diagonal without re-checking the translation.
         total = a + b
-        v_a = v._moved(u.target, F.shift(total))
-        u_b = u._moved(v.target, G.shift(total))
-        if not equals_tau(compose(u, v_a), total):
+        F_total, G_total = F.shift(total), G.shift(total)
+        one = u.field.one
+        v_a = v._moved(u.target, F_total)
+        u_b = u._moved(v.target, G_total)
+        if compose(u, v_a).entries != _tau_entries(F, F_total, one):
             raise ValueError("round trip through G is not the canonical comparison")
-        if not equals_tau(compose(v, u_b), total):
+        if compose(v, u_b).entries != _tau_entries(G, G_total, one):
             raise ValueError("round trip through F is not the canonical comparison")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

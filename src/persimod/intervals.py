@@ -11,6 +11,16 @@ here as well, since everything else in the package is built on top of it:
     hom([a,b), [c,d)) == DEG0   iff  a <= c < b <= d      (dim Hom^0 = 1)
     hom([a,b), [c,d)) == DEG1   iff  c < a <= d < b       (dim Hom^1 = 1)
     hom([a,b), [c,d)) == ZERO   otherwise
+
+Every endpoint is a reduced triple (kind, n, d): kind -1 or +1 for -inf
+or +inf, which carry the pair (0, 1), and kind 0 for the rational n/d with
+gcd(n, d) == 1 and d > 0.  One comparison rule orders them: different
+kinds compare by kind, equal kinds compare n1*d2 against n2*d1.  It is
+written once, as `_lt` and `_le`, and `ExtRat`'s order operators, `hom`
+and `leq` all go through it.  Translating a barcode goes through `_plus`,
+which adds a reduced n/d to one endpoint with one reduction, and checking
+a translation goes through `_is_plus`, which cross-multiplies without
+building the sum.
 """
 
 from __future__ import annotations
@@ -122,9 +132,8 @@ class ExtRat:
             return ExtRat(other)
         return NotImplemented
 
-    # Kind dominates; equal kinds compare n1/d1 against n2/d2 as
-    # n1*d2 against n2*d1 (denominators are positive), which also holds for
-    # two equal infinities through their (0, 1) pairs.
+    # Equal values are equal triples, since finite pairs are reduced; the
+    # order goes through `_lt` and `_le` below.
 
     def __eq__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
@@ -136,29 +145,25 @@ class ExtRat:
         other = other if type(other) is ExtRat else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k, ok = self._kind, other._kind
-        return k < ok if k != ok else self._n * other._d < other._n * self._d
+        return _lt(self, other)
 
     def __le__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k, ok = self._kind, other._kind
-        return k < ok if k != ok else self._n * other._d <= other._n * self._d
+        return _le(self, other)
 
     def __gt__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k, ok = self._kind, other._kind
-        return k > ok if k != ok else self._n * other._d > other._n * self._d
+        return _lt(other, self)
 
     def __ge__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k, ok = self._kind, other._kind
-        return k > ok if k != ok else self._n * other._d >= other._n * self._d
+        return _le(other, self)
 
     def __hash__(self):
         if self._kind != 0:
@@ -171,12 +176,11 @@ class ExtRat:
         other = other if type(other) is ExtRat else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k, ok = self._kind, other._kind
-        if k or ok:
-            if k and ok and k != ok:
+        if other._kind:
+            if self._kind and self._kind != other._kind:
                 raise ArithmeticError("inf + (-inf) is undefined")
-            return self if k else other
-        return ExtRat._ratio(self._n * other._d + other._n * self._d, self._d * other._d)
+            return other
+        return _plus(self, other._n, other._d)
 
     __radd__ = __add__
 
@@ -187,12 +191,11 @@ class ExtRat:
         other = other if type(other) is ExtRat else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k, ok = self._kind, other._kind
-        if k or ok:
-            if k == ok:
+        if other._kind:
+            if self._kind == other._kind:
                 raise ArithmeticError("inf + (-inf) is undefined")
-            return self if k else -other
-        return ExtRat._ratio(self._n * other._d - other._n * self._d, self._d * other._d)
+            return self if self._kind else -other
+        return _plus(self, -other._n, other._d)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -233,6 +236,41 @@ NEG_INF = ExtRat._make_inf(-1)
 POS_INF = ExtRat._make_inf(1)
 
 
+# -- the endpoint kernel ------------------------------------------------------
+
+
+def _lt(x: ExtRat, y: ExtRat) -> bool:
+    """x < y: kinds first, then cross-multiplied pairs."""
+    k, ok = x._kind, y._kind
+    return k < ok if k != ok else x._n * y._d < y._n * x._d
+
+
+def _le(x: ExtRat, y: ExtRat) -> bool:
+    """x <= y: kinds first, then cross-multiplied pairs."""
+    k, ok = x._kind, y._kind
+    return k < ok if k != ok else x._n * y._d <= y._n * x._d
+
+
+def _plus(e: ExtRat, n: int, d: int) -> ExtRat:
+    """e + n/d for a reduced n/d with d > 0, reduced once; an infinite e
+    stays as it is."""
+    if e._kind:
+        return e
+    num, den = e._n * d + n * e._d, e._d * d
+    g = gcd(num, den)
+    out = ExtRat.__new__(ExtRat)
+    out._kind, out._n, out._d = 0, num // g, den // g
+    return out
+
+
+def _is_plus(t: ExtRat, s: ExtRat, n: int, d: int) -> bool:
+    """t == s + n/d for a reduced n/d with d > 0, decided by
+    cross-multiplication without building the sum."""
+    if s._kind:
+        return t._kind == s._kind
+    return not t._kind and t._n * s._d * d == (s._n * d + n * s._d) * t._d
+
+
 def parse_rational(token: str) -> Fraction:
     """Fraction(token) for text from outside the program, refused with
     ValueError unless it can be printed back: its numerator and denominator
@@ -247,12 +285,21 @@ def parse_rational(token: str) -> Fraction:
             raise ValueError(f"decimal exponent over the limit of {limit}")
     value = Fraction(token)
     # Without an exponent, no term has more digits than the token has
-    # characters; a term of over `limit` digits is >= 10**limit > 8**limit.
-    if limit and ("e" in low or len(token) > limit):
-        top = max(abs(value.numerator), value.denominator)
-        if top.bit_length() > 3 * limit and top >= 10**limit:
-            raise ValueError(f"value has over {limit} digits, the printable limit")
+    # characters.
+    if "e" in low or len(token) > limit:
+        check_printable("value", value)
     return value
+
+
+def check_printable(what: str, value: Fraction) -> None:
+    """Refuse with ValueError, naming `what`, a rational whose numerator or
+    denominator has more digits than the interpreter's int/str limit lets
+    it print."""
+    limit = sys.get_int_max_str_digits()
+    top = max(abs(value.numerator), value.denominator)
+    # a term of over `limit` digits is >= 10**limit > 8**limit
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        raise ValueError(f"{what} has over {limit} digits, the printable limit")
 
 
 def parse_endpoint(token: str) -> ExtRat:
@@ -281,22 +328,23 @@ class Interval:
         return self.hi - self.lo
 
     def shift(self, c) -> "Interval":
-        return self._shifted(ExtRat(Fraction(c)))
+        c = Fraction(c)
+        return self._shifted(c.numerator, c.denominator)
 
-    def _shifted(self, c: ExtRat) -> "Interval":
-        """Translation by the finite `c`, built without re-parsing the
+    def _shifted(self, n: int, d: int) -> "Interval":
+        """Translation by the reduced n/d, built without re-parsing the
         endpoints; an infinite endpoint stays as it is."""
-        lo, hi = self.lo + c, self.hi + c
-        if not lo < hi:
+        lo, hi = _plus(self.lo, n, d), _plus(self.hi, n, d)
+        if not _lt(lo, hi):
             raise ValueError(f"empty interval [{lo},{hi})")
         out = Interval.__new__(Interval)
         _set_lo(out, lo)
         _set_hi(out, hi)
         return out
 
-    def _is_shift_of(self, other: "Interval", c: ExtRat) -> bool:
-        """Whether this interval equals other.shift(c), for a finite c."""
-        return self.lo == other.lo + c and self.hi == other.hi + c
+    def _is_shift_of(self, other: "Interval", n: int, d: int) -> bool:
+        """Whether this interval equals other.shift(n/d), for a reduced n/d."""
+        return _is_plus(self.lo, other.lo, n, d) and _is_plus(self.hi, other.hi, n, d)
 
     def __eq__(self, other):
         if not isinstance(other, Interval):
@@ -343,17 +391,19 @@ DEG1 = HomType.DEG1
 
 def leq(i: Interval, j: Interval) -> bool:
     """Product order on endpoints: I <= J iff I.lo <= J.lo and I.hi <= J.hi."""
-    return i.lo <= j.lo and i.hi <= j.hi
+    return _le(i.lo, j.lo) and _le(i.hi, j.hi)
 
 
 def hom(i: Interval, j: Interval) -> HomType:
     """Classify the morphism space from k_I to k_J (see module docstring)."""
     a, b = i.lo, i.hi
     c, d = j.lo, j.hi
-    if a <= c and c < b and b <= d:
-        return DEG0
-    if c < a and a <= d and d < b:
-        return DEG1
+    # Both nonzero cases need c < b; given it, a <= c rules out DEG1.
+    if _lt(c, b):
+        if _le(a, c):
+            return DEG0 if _le(b, d) else ZERO
+        if _le(a, d) and _lt(d, b):
+            return DEG1
     return ZERO
 
 

@@ -75,7 +75,7 @@ class InductiveSystem:
                 raise ValueError(f"negative slack at step {n}")
             if g is None:
                 continue
-            if g.source != stages[n + 1] or g.target != stages[n].shift(eps):
+            if g.source != stages[n + 1] or not g.target.is_shift_of(stages[n], eps):
                 raise ValueError(f"reverse map {n} does not match the slack-{eps} shift")
             if not equals_tau(compose(maps[n], g), eps):
                 raise ValueError(f"round trip at step {n} is not the canonical comparison")

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
 from .fields import GF2
-from .intervals import DEG0, hom
+from .intervals import DEG0, _lt, hom
 
 __all__ = [
     "Morphism",
@@ -47,22 +47,25 @@ class Morphism:
     __slots__ = ("source", "target", "entries", "field")
 
     def __init__(self, source: Barcode, target: Barcode, entries: Mapping[Entry, object], field=GF2):
+        src_bars, tgt_bars = source.bars, target.bars
+        n_src, n_tgt = len(src_bars), len(tgt_bars)
+        canon, zero = field.canon, field.zero
         clean: Dict[Entry, object] = {}
         for (t, s), raw in entries.items():
-            if not (0 <= s < len(source) and 0 <= t < len(target)):
+            if not (0 <= s < n_src and 0 <= t < n_tgt):
                 raise IndexError(f"entry index {(t, s)} out of range")
-            val = field.canon(raw)
-            if val == field.zero:
+            val = canon(raw)
+            if val == zero:
                 continue
-            if not _cell_allowed(source.bars[s], target.bars[t]):
+            if not _cell_allowed(src_bars[s], tgt_bars[t]):
                 raise ValueError(
                     f"entry at {(t, s)} not allowed: no degree-0 generator "
-                    f"{source.bars[s].interval} -> {target.bars[t].interval}"
+                    f"{src_bars[s].interval} -> {tgt_bars[t].interval}"
                 )
             clean[(t, s)] = val
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entries", dict(clean))
+        object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "field", field)
 
     def __setattr__(self, *a):
@@ -133,6 +136,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     if f.target != g.source:
         raise ValueError("mismatched middle barcode")
     field = f.field
+    add, mul, zero = field.add, field.mul, field.zero
     by_src: Dict[int, List[Tuple[int, object]]] = {}
     for (t, s), v in f.entries.items():
         by_src.setdefault(s, []).append((t, v))
@@ -144,12 +148,11 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         for mid, fv in f_col:
             for t, gv in by_mid.get(mid, ()):
                 key = (t, s)
-                acc[key] = field.add(acc.get(key, field.zero), field.mul(gv, fv))
+                acc[key] = add(acc.get(key, zero), mul(gv, fv))
+    src_bars, tgt_bars = f.source.bars, g.target.bars
     out: Dict[Entry, object] = {}
     for (t, s), v in acc.items():
-        if v == field.zero:
-            continue
-        if _cell_allowed(f.source.bars[s], g.target.bars[t]):
+        if v != zero and _cell_allowed(src_bars[s], tgt_bars[t]):
             out[(t, s)] = v
     return _trusted(f.source, g.target, out, field)
 
@@ -161,7 +164,7 @@ def _tau_entries(source: Barcode, shifted: Barcode, one) -> Dict[Entry, object]:
     return {
         (i, i): one
         for i, (s, t) in enumerate(zip(source.bars, shifted.bars))
-        if t.interval.lo < s.interval.hi
+        if _lt(t.interval.lo, s.interval.hi)
     }
 
 

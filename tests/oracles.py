@@ -14,8 +14,10 @@ the matching, the full-merge matching and all-pairs adjacency under the
 windowed decision kernel, the per-degree tower split under graded
 diagonalization, the Fraction-backed ExtRat under the int-pair one, the
 global round-trip solve under the per-block reverse synthesis, and the
-tracked matrix class under the row-dict diagonalization, and trial
-division under the Miller-Rabin primality test (see their sections).
+tracked matrix class under the row-dict diagonalization, trial
+division under the Miller-Rabin primality test, and the operator-based
+hom, translation and round-trip check under the endpoint kernel (see
+their sections).
 Direct sums of morphisms are reference code for the graded checks.
 """
 
@@ -25,7 +27,7 @@ from itertools import product
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from persimod.intervals import DEG0, ExtRat, Interval, NEG_INF, POS_INF, hom, int_pair
+from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, hom, int_pair
 from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
 from persimod.fields import GF2, RationalField, solve_linear
@@ -670,6 +672,62 @@ def compare_oracle(x, y) -> Tuple[bool, bool, bool, bool, bool]:
     `FractionExtRat._key`s."""
     kx, ky = FractionExtRat(x)._key(), FractionExtRat(y)._key()
     return kx == ky, kx < ky, kx <= ky, kx > ky, kx >= ky
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the endpoint kernel
+#
+# `hom`, `Interval._shifted`, `Interval._is_shift_of` and the round-trip
+# check of `InterleavingCertificate` work on endpoint triples through
+# `intervals._lt`, `_le`, `_plus` and `_is_plus`.  These are the versions
+# they replaced, which go through ExtRat's operators and `equals_tau`.
+
+
+def hom_operator_oracle(i: Interval, j: Interval):
+    a, b = i.lo, i.hi
+    c, d = j.lo, j.hi
+    if a <= c and c < b and b <= d:
+        return DEG0
+    if c < a and a <= d and d < b:
+        return DEG1
+    return ZERO
+
+
+def interval_shift_oracle(iv: Interval, c) -> Interval:
+    c = ExtRat(Fraction(c))
+    lo, hi = iv.lo + c, iv.hi + c
+    if not lo < hi:
+        raise ValueError(f"empty interval [{lo},{hi})")
+    return Interval(lo, hi)
+
+
+def interval_is_shift_of_oracle(iv: Interval, other: Interval, c) -> bool:
+    c = ExtRat(Fraction(c))
+    return iv.lo == other.lo + c and iv.hi == other.hi + c
+
+
+def certificate_refusal_oracle(a, b, u: Morphism, v: Morphism):
+    """The message `InterleavingCertificate(a, b, u, v)` refuses with, or
+    None when it accepts: both round trips go through `equals_tau`, which
+    re-checks that each composite ends in the (a+b)-shift of its source."""
+    a, b = Fraction(a), Fraction(b)
+    if a < 0 or b < 0:
+        return "interleaving shifts must be nonnegative"
+    F, G = u.source, v.source
+    if u.field != v.field:
+        return "certificate maps use different scalar fields"
+    if not u.target.is_shift_of(G, a):
+        return "u must land in the a-shift of G"
+    if not v.target.is_shift_of(F, b):
+        return "v must land in the b-shift of F"
+    total = a + b
+    v_a = Morphism(u.target, F.shift(total), v.entries, v.field)
+    u_b = Morphism(v.target, G.shift(total), u.entries, u.field)
+    if not equals_tau(compose(u, v_a), total):
+        return "round trip through G is not the canonical comparison"
+    if not equals_tau(compose(v, u_b), total):
+        return "round trip through F is not the canonical comparison"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,19 @@ def test_precondition_errors():
     bad_v = Morphism(g, g.shift(1), {}, field=GF2)
     with pytest.raises(DiagonalizationError, match="round trip"):
         canonical_form(identity(g), bad_v, 1)
+    # v's target is not the 1-shift of g: one bar too many, shifted by
+    # 1 + 1/997, or the right interval in the wrong degree
+    for wrong in (g.shift(1).bars * 2, g.shift(1 + Fraction(1, 997)).bars, [(1, Interval(1, 11))]):
+        with pytest.raises(DiagonalizationError, match="^v must map the target of u back to the shifted source$"):
+            canonical_form(identity(g), Morphism(g, Barcode(wrong), {}, field=GF2), 1)
+
+
+def test_diagonalize_system_refuses_a_wrongly_shifted_reverse_target():
+    bc = B((0, Interval(0, 1)))
+    eps = Fraction(1, 4)
+    v_off = Morphism(bc, bc.shift(eps + Fraction(1, 997)), {}, field=GF2)
+    with pytest.raises(ValueError, match="^reverse map 0 does not match the shifted stage barcodes$"):
+        diagonalize_system([bc, bc], [identity(bc)], [v_off], [eps])
 
 
 # --- random planted instances ------------------------------------------------

@@ -368,7 +368,15 @@ def test_multiplicity_above_cap_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    ["exponent in a file", "digits in a file", "exponent in a flag", "bound size", "bound before cubes", "field size"],
+    [
+        "exponent in a file",
+        "digits in a file",
+        "digits of a distance",
+        "exponent in a flag",
+        "bound size",
+        "bound before cubes",
+        "field size",
+    ],
 )
 def test_oversized_input_ends_in_one_error_line(unit_pair, capsys, case):
     if case == "exponent in a file":
@@ -378,6 +386,12 @@ def test_oversized_input_ends_in_one_error_line(unit_pair, capsys, case):
         # 10^4300 has 4,301 digits: it parses, but could not be printed back
         (unit_pair / "huge.bc").write_text("0 0 1\n0 0 1e4300\n")
         argv, want_rc, want = ("dist", "gamma", "huge.bc", "huge.bc"), 2, "huge.bc:2: unknown token (value has over 4300 digits"
+    elif case == "digits of a distance":
+        # each file's 3,000-digit denominator prints, but the distance of
+        # the two bars has a denominator of about 6,000 digits
+        (unit_pair / "a.bc").write_text(f"0 0 1/{10**2999 + 7}\n")
+        (unit_pair / "b.bc").write_text(f"0 0 1/{10**2999 + 9}\n")
+        argv, want_rc, want = ("dist", "gamma", "a.bc", "b.bc"), 1, "distance has over 4300 digits, the printable limit"
     elif case == "exponent in a flag":
         argv, want_rc, want = ("dist", "check", "F.bc", "G.bc", "--a", "1e30000000", "--b", "0"), 1, "decimal exponent"
     elif case == "bound size":

@@ -15,16 +15,21 @@ from hypothesis import strategies as st
 
 from persimod import Barcode, Interval
 from persimod.fields import GF2, PrimeField, QQ
-from persimod.intervals import ExtRat, NEG_INF, POS_INF
-from persimod.interleaving import _IntView
+from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, hom, leq
+from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
 from persimod.matching import _saturating, _try_augment, matching_covering
 from persimod.morphisms import Morphism, compose, equals_tau, tau_morphism
 from conftest import rand_realized_morphism
 from oracles import (
     FractionExtRat,
     augment_oracle,
+    certificate_refusal_oracle,
     compare_oracle,
+    hom_ext_oracle,
+    hom_operator_oracle,
     int_matching_entries_oracle,
+    interval_is_shift_of_oracle,
+    interval_shift_oracle,
     matching_covering_oracle,
     morphism_shift_oracle,
     restrict_oracle,
@@ -52,6 +57,19 @@ def barcodes(draw, den, max_size=8):
 
 def signed_shifts(den):
     return st.integers(-12 * den, 12 * den).map(lambda k: Fraction(k, 2 * den))
+
+
+# A shift denominator coprime to the bars' denominator, so that a
+# translated endpoint needs a new denominator.
+COPRIME_DEN = {4: 6003, 997: 6002}
+
+
+def shifts(den):
+    """Shifts on the bars' half-grid, or on a grid coprime to it."""
+    coprime = COPRIME_DEN[den]
+    return st.one_of(
+        signed_shifts(den), st.integers(-6 * coprime, 6 * coprime).map(lambda k: Fraction(k, coprime))
+    )
 
 
 def raw_operands(den):
@@ -103,7 +121,7 @@ def assert_same_value(got, want):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_barcode_shift_matches_validating_rebuild(den, data):
-    bc, c = data.draw(barcodes(den)), data.draw(signed_shifts(den))
+    bc, c = data.draw(barcodes(den)), data.draw(shifts(den))
     got, want = bc.shift(c), shift_oracle(bc, c)
     assert got.bars == want.bars
     assert got.is_shift_of(bc, c) and want.is_shift_of(bc, c)
@@ -118,8 +136,48 @@ def test_barcode_shift_matches_validating_rebuild(den, data):
 @given(data=st.data())
 def test_barcode_is_shift_of_matches_rebuild_equality(den, data):
     a, b = data.draw(barcodes(den, max_size=3)), data.draw(barcodes(den, max_size=3))
-    c = data.draw(signed_shifts(den))
+    c = data.draw(shifts(den))
     assert a.is_shift_of(b, c) == (a == shift_oracle(b, c))
+    assert shift_oracle(b, c).is_shift_of(b, c)
+
+
+@st.composite
+def interval_pairs(draw, den):
+    """(I, J) on three shared points k/den plus -inf and inf, so equal
+    endpoints are common: a = c, b = d and c = b are where hom's strict and
+    non-strict inequalities part."""
+    points = [ExtRat(Fraction(draw(st.integers(-3 * den, 3 * den)), den)) for _ in range(3)]
+    out = []
+    for _ in range(2):
+        lo = draw(st.sampled_from(points + [NEG_INF]))
+        out.append(Interval(lo, draw(st.sampled_from([p for p in points if lo < p] + [POS_INF]))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_hom_matches_operator_and_stalk_oracles(den, data):
+    i, j = data.draw(interval_pairs(den))
+    kinds = {(1, 0): DEG0, (0, 1): DEG1, (0, 0): ZERO}
+    assert hom(i, j) is hom_operator_oracle(i, j) is kinds[hom_ext_oracle(i, j)]
+    assert leq(i, j) == (i.lo <= j.lo and i.hi <= j.hi)
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_interval_translation_matches_operator_oracle(den, data):
+    i, j = data.draw(interval_pairs(den))
+    c = data.draw(shifts(den))
+    got, want = i.shift(c), interval_shift_oracle(i, c)
+    assert got == want and (str(got.lo), str(got.hi)) == (str(want.lo), str(want.hi))
+    for e in (got.lo, got.hi):
+        assert e.is_finite or (e._n, e._d) == (0, 1)
+        assert gcd(e._n, e._d) == 1 and e._d > 0
+    for t in (got, j, j.shift(c)):
+        for s in (i, j):
+            assert t._is_shift_of(s, c.numerator, c.denominator) == interval_is_shift_of_oracle(t, s, c)
 
 
 @pytest.mark.parametrize("den", [4, 997])
@@ -279,3 +337,37 @@ def test_windowed_matching_entries_match_all_pairs_oracle(den, data):
     F, G, a, b = data.draw(decision_inputs(den))
     view = _IntView(F, G, (a, b))
     assert view.entries(*view.scaled(a, b)) == int_matching_entries_oracle(F, G, a, b)
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_certificate_check_matches_equals_tau_oracle(den, data):
+    """Planted certificates, one map's entry changed or dropped, random maps
+    and maps into a wrongly shifted target are accepted or refused, with
+    the same message, as through `equals_tau`."""
+    F, G, a, b = data.draw(decision_inputs(den))
+    field = data.draw(st.sampled_from((GF2, PrimeField(3))))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    cert = check_interleaving(F, G, a, b, field=field)
+    how = data.draw(st.sampled_from(("planted", "tampered", "random", "off-target")))
+    if cert is not None and how in ("planted", "tampered"):
+        u, v = cert.u, cert.v
+        if how == "tampered":
+            which = data.draw(st.sampled_from(("u", "v")))
+            m = u if which == "u" else v
+            if m.entries:
+                key = data.draw(st.sampled_from(sorted(m.entries)))
+                m = Morphism(m.source, m.target, {**m.entries, key: data.draw(st.sampled_from((0, 2)))}, field)
+            u, v = (m, v) if which == "u" else (u, m)
+    else:
+        off_u, off_v = data.draw(st.sampled_from(((1, 0), (0, 1)))) if how == "off-target" else (0, 0)
+        u = rand_realized_morphism(rng, F, G.shift(a + Fraction(off_u, 2 * den)), field)
+        v = rand_realized_morphism(rng, G, F.shift(b - Fraction(off_v, 2 * den)), field)
+    want = certificate_refusal_oracle(a, b, u, v)
+    try:
+        InterleavingCertificate(a, b, u, v)
+        got = None
+    except ValueError as err:
+        got = str(err)
+    assert got == want

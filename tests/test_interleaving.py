@@ -273,3 +273,31 @@ def test_certificate_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["round trip through G is not the canonical comparison"] * 2
+
+
+def test_certificate_refuses_mistranslated_targets_under_python_O():
+    # The round trips are compared against the shifts the certificate builds
+    # itself, so a map into a wrongly shifted barcode must be refused by the
+    # translation checks, asserts stripped or not.  Each map keeps its
+    # entries and lands 1/997 off: u above the a-shift of G, v below the
+    # b-shift of F.
+    code = (
+        "from fractions import Fraction\n"
+        "from persimod import Barcode, Interval, check_interleaving\n"
+        "from persimod.interleaving import InterleavingCertificate\n"
+        "from persimod.morphisms import _trusted\n"
+        "F = Barcode([(0, Interval(0, 4)), (0, Interval(2, 7))])\n"
+        "G = Barcode([(0, Interval(1, 5)), (0, Interval(2, 8))])\n"
+        "cert = check_interleaving(F, G, 1, 1)\n"
+        "u, v, nudge = cert.u, cert.v, Fraction(1, 997)\n"
+        "bad_u = _trusted(F, G.shift(cert.a + nudge), dict(u.entries), u.field)\n"
+        "bad_v = _trusted(G, F.shift(cert.b - nudge), dict(v.entries), v.field)\n"
+        "for maps in ((bad_u, v), (u, bad_v)):\n"
+        "    try:\n"
+        "        InterleavingCertificate(cert.a, cert.b, *maps)\n"
+        "    except ValueError as err:\n"
+        "        print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["u must land in the a-shift of G", "v must land in the b-shift of F"]

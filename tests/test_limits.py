@@ -57,6 +57,13 @@ def test_system_validates_round_trip():
         InductiveSystem([bc, bc], [identity(bc)], [Fraction(1, 4)], [bad])
 
 
+def test_system_refuses_a_wrongly_shifted_reverse_target():
+    bc = B((0, Interval(0, 1)))
+    off = Morphism(bc, bc.shift(Fraction(1, 4) - Fraction(1, 997)), {}, field=GF2)
+    with pytest.raises(ValueError, match="^reverse map 0 does not match the slack-1/4 shift$"):
+        InductiveSystem([bc, bc], [identity(bc)], [Fraction(1, 4)], [off])
+
+
 def test_system_rejects_negative_slack():
     bc = B((0, Interval(0, 1)))
     with pytest.raises(ValueError, match="negative"):
