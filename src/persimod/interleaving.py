@@ -16,13 +16,18 @@ optimal (a, b).
 
 Each problem (F, G) is scaled to ints once: one private view holds the
 scaled bars of every degree and decides each probe of a search through a
-single kernel, and `check_interleaving` builds a one-shot view of its own.
-`gamma`'s probes go through `check_interleaving`, so each "yes" is a
-certificate; `gamma_symmetric`'s probes ask the kernel only, and its one
-certificate is built at the optimum.
+single kernel, and a public `check_interleaving` call builds a one-shot
+view of its own.  Probes stay in the view's units: `gamma`'s probes hand
+`check_interleaving` int pairs, so each "yes" is a certificate and shifts
+become Fractions only for it; `gamma_symmetric`'s probes ask the kernel
+only, and its one certificate is built at the optimum.
 
-Every certificate is re-verified at construction; nothing unverified is
-ever returned.
+Every certificate is re-verified at construction, on its barcodes' own
+endpoints; nothing unverified is ever returned.  The round trips are
+checked on the untranslated bars: hom is translation-invariant, so a
+composite cell (t, s) is tested as hom(bar s, bar t + a+b) by the offset
+rule of the endpoint kernel, and only the maps' targets G + a and F + b
+are ever built.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .barcodes import Barcode
 from .fields import GF2
-from .intervals import ExtRat, POS_INF, int_pair
+from .intervals import ExtRat, POS_INF, _deg0_plus, int_pair
 from .matching import matching_covering
-from .morphisms import Morphism, _tau_entries, compose
+from .morphisms import Morphism, _product, _tau_entries
 
 __all__ = [
     "InterleavingCertificate",
@@ -46,6 +51,16 @@ __all__ = [
     "gamma",
     "gamma_symmetric",
 ]
+
+
+def _round_trip(f: Morphism, g: Morphism, c: Fraction) -> Dict[Tuple[int, int], object]:
+    """Entries of the composite "f then g", where g lands in the c-shift of
+    f's source: the product's nonzero cells (t, s) with hom(bar s, bar t + c)
+    DEG0, on f's source bars as they are.  f and g pair bars of equal
+    degree only, so every cell of the product does too."""
+    bars = [bar.interval for bar in f.source.bars]
+    n, d, zero = c.numerator, c.denominator, f.field.zero
+    return {(t, s): x for (t, s), x in _product(f, g).items() if x != zero and _deg0_plus(bars[s], bars[t], n, d)}
 
 
 class InterleavingCertificate:
@@ -65,18 +80,14 @@ class InterleavingCertificate:
             raise ValueError("u must land in the a-shift of G")
         if not v.target.is_shift_of(F, b):
             raise ValueError("v must land in the b-shift of F")
-        # v.shift(a) and u.shift(b): the checked targets are the shifted
-        # sources, so only F and G shifted by a+b are built here.  Each round
-        # trip ends in one of these translations, so its entries are compared
-        # with the comparison's diagonal without re-checking the translation.
+        # Each round trip lands in the (a+b)-shift of its source; both the
+        # composite and the comparison's diagonal are read off the source's
+        # untranslated bars, so no translation is built here.
         total = a + b
-        F_total, G_total = F.shift(total), G.shift(total)
         one = u.field.one
-        v_a = v._moved(u.target, F_total)
-        u_b = u._moved(v.target, G_total)
-        if compose(u, v_a).entries != _tau_entries(F, F_total, one):
+        if _round_trip(u, v, total) != _tau_entries(F, total, one):
             raise ValueError("round trip through G is not the canonical comparison")
-        if compose(v, u_b).entries != _tau_entries(G, G_total, one):
+        if _round_trip(v, u, total) != _tau_entries(G, total, one):
             raise ValueError("round trip through F is not the canonical comparison")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -251,16 +262,20 @@ def check_interleaving(F: Barcode, G: Barcode, a, b, *, field=GF2, _view: Option
 
     Returns a verified certificate, or None when no interleaving exists.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a < 0 or b < 0:
-        raise ValueError("interleaving shifts must be nonnegative")
-    # A distance search hands in the view of its (F, G); shifts it cannot
-    # hold get a view of their own.
-    shifts = None if _view is None else _view.scaled(a, b)
-    if shifts is None:
-        _view = _IntView(F, G, (a, b))
-        shifts = _view.scaled(a, b)
-    found = _view.entries(*shifts)
+    if _view is None:
+        a, b = Fraction(a), Fraction(b)
+        if a < 0 or b < 0:
+            raise ValueError("interleaving shifts must be nonnegative")
+        view = _IntView(F, G, (a, b))
+        found = view.entries(*view.scaled(a, b))
+    else:
+        # A distance search probes the one view of its (F, G) with ints in
+        # the view's units; shifts become Fractions only for a certificate.
+        if a < 0 or b < 0 or a + b > _view.reach:
+            raise ValueError("probe shifts must be nonnegative ints with a + b within the view's reach")
+        found = _view.entries(a, b)
+        if found is not None:
+            a, b = Fraction(a, _view.scale), Fraction(b, _view.scale)
     if found is None:
         return None
     u_entries, v_entries = found
@@ -326,7 +341,7 @@ def _least_total(view: _IntView, decide) -> Optional[Tuple[int, int]]:
         got = _min_feasible(cands, lambda t: cached(x, t))
         if got is not None and (best is None or x + got < best):
             best, best_pair = x + got, (x, got)
-        cands = partner_candidates(x)
+            cands = partner_candidates(x)
         got = _min_feasible(cands, lambda t: cached(t, x))
         if got is not None and (best is None or x + got < best):
             best, best_pair = x + got, (got, x)
@@ -341,16 +356,15 @@ def gamma(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     if _infinite_mismatch(F, G):
         return DistanceReport(POS_INF, None)
     view = _IntView(F, G)
-    scale = view.scale
 
     def decide(a: int, b: int) -> bool:
-        return check_interleaving(F, G, Fraction(a, scale), Fraction(b, scale), field=field, _view=view) is not None
+        return check_interleaving(F, G, a, b, field=field, _view=view) is not None
 
     pair = _least_total(view, decide)
     if pair is None:
         return DistanceReport(POS_INF, None)
-    a, b = Fraction(pair[0], scale), Fraction(pair[1], scale)
-    return DistanceReport(ExtRat(a + b), check_interleaving(F, G, a, b, field=field, _view=view))
+    cert = check_interleaving(F, G, *pair, field=field, _view=view)
+    return DistanceReport(ExtRat(cert.total), cert)
 
 
 def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
@@ -367,5 +381,5 @@ def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     got = _min_feasible(sorted(set(diffs) | {d // 2 for d in diffs}), lambda c: view.entries(c, c) is not None)
     if got is None:
         return DistanceReport(POS_INF, None)
-    half = Fraction(got, view.scale)
-    return DistanceReport(ExtRat(2 * half), check_interleaving(F, G, half, half, field=field, _view=view))
+    cert = check_interleaving(F, G, got, got, field=field, _view=view)
+    return DistanceReport(ExtRat(cert.total), cert)

@@ -20,7 +20,9 @@ written once, as `_lt` and `_le`, and `ExtRat`'s order operators, `hom`
 and `leq` all go through it.  Translating a barcode goes through `_plus`,
 which adds a reduced n/d to one endpoint with one reduction, and checking
 a translation goes through `_is_plus`, which cross-multiplies without
-building the sum.
+building the sum.  The offset rule `_deg0_plus` decides whether
+hom(I, J + n/d) is DEG0 the same way, so a map into a translated barcode
+is checked on the untranslated bars.
 """
 
 from __future__ import annotations
@@ -269,6 +271,30 @@ def _is_plus(t: ExtRat, s: ExtRat, n: int, d: int) -> bool:
     if s._kind:
         return t._kind == s._kind
     return not t._kind and t._n * s._d * d == (s._n * d + n * s._d) * t._d
+
+
+def _deg0_plus(i: "Interval", j: "Interval", n: int, d: int) -> bool:
+    """hom(i, j + n/d) is DEG0 for a reduced n/d with d > 0, that is
+    lo_i <= lo_j + n/d < hi_i <= hi_j + n/d, decided by cross-multiplication
+    without building the translate; an infinite endpoint of j stays as it
+    is."""
+    a, b, c, e = i.lo, i.hi, j.lo, j.hi
+    # lo_i <= lo_j + n/d
+    if a._kind != c._kind:
+        if a._kind > c._kind:
+            return False
+    elif not a._kind and a._n * c._d * d > (c._n * d + n * c._d) * a._d:
+        return False
+    # lo_j + n/d < hi_i
+    if c._kind != b._kind:
+        if c._kind > b._kind:
+            return False
+    elif c._kind or (c._n * d + n * c._d) * b._d >= b._n * c._d * d:
+        return False
+    # hi_i <= hi_j + n/d
+    if b._kind != e._kind:
+        return b._kind < e._kind
+    return bool(b._kind) or b._n * e._d * d <= (e._n * d + n * e._d) * b._d
 
 
 def parse_rational(token: str) -> Fraction:

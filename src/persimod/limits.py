@@ -17,6 +17,7 @@ the last witnessed value otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -117,16 +118,26 @@ class InductiveSystem:
         return InductiveSystem(self.stages, self.maps, self.slacks, new_rev, self.field)
 
 
+def _allowed_into(bars: Sequence[Bar], keys: Sequence[Tuple[int, ExtRat]], tgt: Bar) -> List[int]:
+    """The indices j, increasing, with `_cell_allowed(bars[j], tgt)`.  `keys`
+    holds each bar's (degree, lo) in the barcode's sorted order.  An allowed
+    bar has tgt's degree and starts no later than tgt, so it lies between
+    the start of that degree's run and a bisect on tgt's lo."""
+    window = range(bisect_left(keys, (tgt.degree,)), bisect_right(keys, (tgt.degree, tgt.interval.lo)))
+    return [j for j in window if _cell_allowed(bars[j], tgt)]
+
+
 def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
     """One-sided inverse-up-to-comparison: find g with g∘f = tau_eps.
 
     Linear in the entries of g.  The equation at cell (i, i') of g∘f reads
     only row i' of g, so the system splits into one block per bar i' of the
     eps-shifted source: its unknowns are the allowed j of F' in increasing
-    j, its equations the allowed i of F, read off column i of f.  Blocks
-    share no unknowns, so solving each alone picks the pivot columns of one
-    global elimination and, with free unknowns at zero, the same g; a block
-    with no equations leaves its row of g zero.
+    j, its equations the allowed i of F, read off column i of f; both come
+    from a bisect window (`_allowed_into`).  Blocks share no unknowns, so
+    solving each alone picks the pivot columns of one global elimination
+    and, with free unknowns at zero, the same g; a block with no equations
+    leaves its row of g zero.
     XXX free unknowns default to zero, which biases synthesized reverses
     toward sparse ones; any solution satisfies the tower contract, so this
     only matters for readability of dumped systems.
@@ -136,17 +147,16 @@ def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
     by_source: Dict[int, List[Tuple[int, object]]] = {}
     for (j, i), coef in f.entries.items():
         by_source.setdefault(i, []).append((j, coef))
+    f_keys, fp_keys = ([(bar.degree, bar.interval.lo) for bar in bc.bars] for bc in (F, Fp))
     zero, one = fld.zero, fld.one
     found = []
     for ip, tgt in enumerate(shifted.bars):
-        unknowns = [j for j, pbar in enumerate(Fp.bars) if _cell_allowed(pbar, tgt)]
+        unknowns = _allowed_into(Fp.bars, fp_keys, tgt)
         pos = {j: k for k, j in enumerate(unknowns)}
         rows, rhs = [], []
-        for i, src in enumerate(F.bars):
-            if not _cell_allowed(src, tgt):
-                continue
+        for i in _allowed_into(F.bars, f_keys, tgt):
             coefs = [(pos[j], coef) for j, coef in by_source.get(i, ()) if j in pos]
-            want = one if (ip == i and src.interval.length > eps) else zero
+            want = one if (ip == i and F.bars[i].interval.length > eps) else zero
             if coefs or want != zero:
                 row = [zero] * len(unknowns)
                 for k, coef in coefs:

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
 from .fields import GF2
-from .intervals import DEG0, _lt, hom
+from .intervals import DEG0, _deg0_plus, hom
 
 __all__ = [
     "Morphism",
@@ -72,15 +72,10 @@ class Morphism:
         raise AttributeError("Morphism is immutable")
 
     def shift(self, c) -> "Morphism":
-        """Translate source and target by c; the matrix is unchanged."""
-        c = Fraction(c)
-        return self._moved(self.source.shift(c), self.target.shift(c))
-
-    def _moved(self, source: Barcode, target: Barcode) -> "Morphism":
-        """The same entries between `source` and `target`, which must be this
-        morphism's source and target translated by one common c.  hom is
+        """Translate source and target by c; the matrix is unchanged.  hom is
         translation-invariant, so the validated entries stay valid."""
-        return _trusted(source, target, dict(self.entries), self.field)
+        c = Fraction(c)
+        return _trusted(self.source.shift(c), self.target.shift(c), dict(self.entries), self.field)
 
     def restrict_source(self, indices: Sequence[int]) -> "Morphism":
         idx = sorted(set(indices))
@@ -125,16 +120,9 @@ def identity(b: Barcode, field=GF2) -> Morphism:
     return Morphism(b, b, {(i, i): field.one for i in range(len(b))}, field)
 
 
-def compose(f: Morphism, g: Morphism) -> Morphism:
-    """The composite "f then g" of f: A -> B and g: B -> C.
-
-    Matrix product followed by the generator-calculus cleanup: a cell whose
-    own generator vanishes is zeroed no matter what the sum accumulated.
-    """
-    if f.field != g.field:
-        raise ValueError("mismatched scalar fields")
-    if f.target != g.source:
-        raise ValueError("mismatched middle barcode")
+def _product(f: Morphism, g: Morphism) -> Dict[Entry, object]:
+    """The matrix product of "f then g", f's target indices read as g's
+    source indices: every cell a sum reaches, zero sums included."""
     field = f.field
     add, mul, zero = field.add, field.mul, field.zero
     by_src: Dict[int, List[Tuple[int, object]]] = {}
@@ -149,23 +137,33 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             for t, gv in by_mid.get(mid, ()):
                 key = (t, s)
                 acc[key] = add(acc.get(key, zero), mul(gv, fv))
+    return acc
+
+
+def compose(f: Morphism, g: Morphism) -> Morphism:
+    """The composite "f then g" of f: A -> B and g: B -> C.
+
+    Matrix product followed by the generator-calculus cleanup: a cell whose
+    own generator vanishes is zeroed no matter what the sum accumulated.
+    """
+    if f.field != g.field:
+        raise ValueError("mismatched scalar fields")
+    if f.target != g.source:
+        raise ValueError("mismatched middle barcode")
+    zero = f.field.zero
     src_bars, tgt_bars = f.source.bars, g.target.bars
-    out: Dict[Entry, object] = {}
-    for (t, s), v in acc.items():
-        if v != zero and _cell_allowed(src_bars[s], tgt_bars[t]):
-            out[(t, s)] = v
-    return _trusted(f.source, g.target, out, field)
-
-
-def _tau_entries(source: Barcode, shifted: Barcode, one) -> Dict[Entry, object]:
-    """Diagonal of the comparison source -> shifted, where shifted is the
-    c-shift of source: bar i survives its own c-shift (c < length) exactly
-    when its shifted copy starts before it ends."""
-    return {
-        (i, i): one
-        for i, (s, t) in enumerate(zip(source.bars, shifted.bars))
-        if _lt(t.interval.lo, s.interval.hi)
+    out = {
+        (t, s): v for (t, s), v in _product(f, g).items() if v != zero and _cell_allowed(src_bars[s], tgt_bars[t])
     }
+    return _trusted(f.source, g.target, out, f.field)
+
+
+def _tau_entries(source: Barcode, c: Fraction, one) -> Dict[Entry, object]:
+    """Diagonal of the comparison from source to its c-shift, c >= 0: bar i
+    survives its own c-shift (c < length) exactly when hom(bar i, bar i + c)
+    is DEG0."""
+    n, d = c.numerator, c.denominator
+    return {(i, i): one for i, bar in enumerate(source.bars) if _deg0_plus(bar.interval, bar.interval, n, d)}
 
 
 def tau_morphism(b: Barcode, c, field=None) -> Morphism:
@@ -174,8 +172,7 @@ def tau_morphism(b: Barcode, c, field=None) -> Morphism:
     c = Fraction(c)
     if c < 0:
         raise ValueError(f"negative shift {c}")
-    shifted = b.shift(c)
-    return Morphism(b, shifted, _tau_entries(b, shifted, field.one), field)
+    return Morphism(b, b.shift(c), _tau_entries(b, c, field.one), field)
 
 
 def equals_tau(f: Morphism, c) -> bool:
@@ -185,4 +182,4 @@ def equals_tau(f: Morphism, c) -> bool:
         raise ValueError(f"negative shift {c}")
     if not f.target.is_shift_of(f.source, c):
         raise ValueError("target is not the c-shift of the source")
-    return f.entries == _tau_entries(f.source, f.target, f.field.one)
+    return f.entries == _tau_entries(f.source, c, f.field.one)

@@ -13,11 +13,12 @@ under the trusted constructors, the recursive augmenting search under
 the matching, the full-merge matching and all-pairs adjacency under the
 windowed decision kernel, the per-degree tower split under graded
 diagonalization, the Fraction-backed ExtRat under the int-pair one, the
-global round-trip solve under the per-block reverse synthesis, and the
-tracked matrix class under the row-dict diagonalization, trial
-division under the Miller-Rabin primality test, and the operator-based
-hom, translation and round-trip check under the endpoint kernel (see
-their sections).
+global round-trip solve and the full bar scan under the windowed
+per-block reverse synthesis, the tracked matrix class under the row-dict
+diagonalization, trial division under the Miller-Rabin primality test,
+and the operator-based hom and translation under the endpoint kernel,
+with the round-trip check on translated barcodes under the one on
+untranslated bars (see their sections).
 Direct sums of morphisms are reference code for the graded checks.
 """
 
@@ -679,8 +680,10 @@ def compare_oracle(x, y) -> Tuple[bool, bool, bool, bool, bool]:
 #
 # `hom`, `Interval._shifted`, `Interval._is_shift_of` and the round-trip
 # check of `InterleavingCertificate` work on endpoint triples through
-# `intervals._lt`, `_le`, `_plus` and `_is_plus`.  These are the versions
-# they replaced, which go through ExtRat's operators and `equals_tau`.
+# `intervals._lt`, `_le`, `_plus`, `_is_plus` and `_deg0_plus`; the round
+# trips are checked on untranslated bars.  These are the versions they
+# replaced, which go through ExtRat's operators, translated barcodes,
+# `compose` and `equals_tau`.
 
 
 def hom_operator_oracle(i: Interval, j: Interval):
@@ -892,8 +895,9 @@ class FractionExtRat:
 # differential oracle for reverse-map synthesis
 #
 # `limits._solve_reverse` solves one small system per bar of the shifted
-# source.  This is the single global elimination over every allowed cell of
-# g that it replaced.
+# source, over the bars of one bisect window.  These are the single global
+# elimination over every allowed cell of g that it replaced, and the
+# per-block solve over full scans of the bars that the window replaced.
 
 
 def solve_reverse_oracle(f: Morphism, eps, fld):
@@ -931,6 +935,44 @@ def solve_reverse_oracle(f: Morphism, eps, fld):
         return None
     entries = {c: v for c, v in zip(cells, sol) if v != zero}
     return Morphism(Fp, shifted, entries, fld)
+
+
+def solve_reverse_scan_oracle(f: Morphism, eps, fld):
+    """The per-block synthesis with every block's unknowns and equations
+    found by scanning all bars of F' and of F, where `limits._solve_reverse`
+    takes them from a bisect window.  Returns (blocks, g): for each bar i'
+    of the shifted source, in order, (i', unknowns, equations), and g or
+    None."""
+    F, Fp = f.source, f.target
+    shifted = F.shift(eps)
+    by_source: Dict[int, List[Tuple[int, object]]] = {}
+    for (j, i), coef in f.entries.items():
+        by_source.setdefault(i, []).append((j, coef))
+    zero, one = fld.zero, fld.one
+    blocks, found = [], []
+    for ip, tgt in enumerate(shifted.bars):
+        unknowns = [j for j, pbar in enumerate(Fp.bars) if _cell_allowed(pbar, tgt)]
+        equations = [i for i, src in enumerate(F.bars) if _cell_allowed(src, tgt)]
+        blocks.append((ip, unknowns, equations))
+        pos = {j: k for k, j in enumerate(unknowns)}
+        rows, rhs = [], []
+        for i in equations:
+            coefs = [(pos[j], coef) for j, coef in by_source.get(i, ()) if j in pos]
+            want = one if (ip == i and F.bars[i].interval.length > eps) else zero
+            if coefs or want != zero:
+                row = [zero] * len(unknowns)
+                for k, coef in coefs:
+                    row[k] = coef
+                rows.append(row)
+                rhs.append(want)
+        if not rows:
+            continue
+        sol = solve_linear(rows, rhs, fld)
+        if sol is None:
+            return blocks, None
+        found.extend(((ip, j), v) for j, v in zip(unknowns, sol) if v != zero)
+    found.sort(key=lambda cell: (cell[0][1], cell[0][0]))
+    return blocks, Morphism(Fp, shifted, dict(found), fld)
 
 
 # ---------------------------------------------------------------------------

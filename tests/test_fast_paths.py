@@ -1,8 +1,10 @@
 """The trusted constructors, checked for exact agreement with the
 validating rebuilds kept in `oracles.py`; the int-pair ExtRat against the
-Fraction-backed one; the explicit-stack augmenting search against the
-recursive one; and the covering matching and its windowed adjacency
-against the full-merge, all-pairs versions."""
+Fraction-backed one; the offset rule and the untranslated round-trip
+check against hom and `compose` on built translates; the explicit-stack
+augmenting search against the recursive one; the covering matching and
+its windowed adjacency against the full-merge, all-pairs versions; and
+the windowed reverse synthesis against the full scan."""
 
 import operator
 import random
@@ -13,13 +15,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from persimod import Barcode, Interval
+from persimod import Barcode, Interval, limits
 from persimod.fields import GF2, PrimeField, QQ
-from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, hom, leq
+from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _deg0_plus, hom, leq
 from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
 from persimod.matching import _saturating, _try_augment, matching_covering
-from persimod.morphisms import Morphism, compose, equals_tau, tau_morphism
+from persimod.morphisms import Morphism, _cell_allowed, compose, equals_tau, tau_morphism
 from conftest import rand_realized_morphism
+from test_limits import _reverse_problems
+import oracles
 from oracles import (
     FractionExtRat,
     augment_oracle,
@@ -34,6 +38,7 @@ from oracles import (
     morphism_shift_oracle,
     restrict_oracle,
     shift_oracle,
+    solve_reverse_scan_oracle,
     tau_entries_oracle,
 )
 
@@ -178,6 +183,26 @@ def test_interval_translation_matches_operator_oracle(den, data):
     for t in (got, j, j.shift(c)):
         for s in (i, j):
             assert t._is_shift_of(s, c.numerator, c.denominator) == interval_is_shift_of_oracle(t, s, c)
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_offset_kernel_matches_hom_of_the_translate(den, data):
+    """`_deg0_plus(i, j, n, d)` against hom and the stalk oracle on the
+    built translate j + n/d: shifts 0, on the bars' grid and coprime to it,
+    and the shifts that put lo_j + c on lo_i or hi_i, or hi_j + c on hi_i,
+    with i moved off the grid first half the time."""
+    i, j = data.draw(interval_pairs(den))
+    if data.draw(st.booleans()):
+        i = i.shift(Fraction(data.draw(st.integers(-COPRIME_DEN[den], COPRIME_DEN[den])), COPRIME_DEN[den]))
+    ends = [(x, y) for x, y in ((i.lo, j.lo), (i.hi, j.lo), (i.hi, j.hi)) if x.is_finite and y.is_finite]
+    boundaries = [(x - y).as_fraction() for x, y in ends]
+    c = data.draw(st.one_of(st.just(Fraction(0)), shifts(den), *(st.just(b) for b in boundaries)))
+    moved = j.shift(c)
+    want = hom(i, moved) is DEG0
+    assert want == (hom_ext_oracle(i, moved) == (1, 0))
+    assert _deg0_plus(i, j, c.numerator, c.denominator) == want
 
 
 @pytest.mark.parametrize("den", [4, 997])
@@ -343,23 +368,32 @@ def test_windowed_matching_entries_match_all_pairs_oracle(den, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_certificate_check_matches_equals_tau_oracle(den, data):
-    """Planted certificates, one map's entry changed or dropped, random maps
-    and maps into a wrongly shifted target are accepted or refused, with
-    the same message, as through `equals_tau`."""
+    """Planted certificates, one map's entry changed or dropped, one map
+    given a new allowed entry (so a round trip may gain an off-diagonal
+    cell), random maps and maps into a wrongly shifted target are accepted
+    or refused, with the same message, as through translated barcodes,
+    `compose` and `equals_tau`."""
     F, G, a, b = data.draw(decision_inputs(den))
     field = data.draw(st.sampled_from((GF2, PrimeField(3))))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     cert = check_interleaving(F, G, a, b, field=field)
-    how = data.draw(st.sampled_from(("planted", "tampered", "random", "off-target")))
-    if cert is not None and how in ("planted", "tampered"):
+    how = data.draw(st.sampled_from(("planted", "tampered", "added", "random", "off-target")))
+    if cert is not None and how in ("planted", "tampered", "added"):
         u, v = cert.u, cert.v
-        if how == "tampered":
-            which = data.draw(st.sampled_from(("u", "v")))
-            m = u if which == "u" else v
-            if m.entries:
-                key = data.draw(st.sampled_from(sorted(m.entries)))
-                m = Morphism(m.source, m.target, {**m.entries, key: data.draw(st.sampled_from((0, 2)))}, field)
-            u, v = (m, v) if which == "u" else (u, m)
+        which = data.draw(st.sampled_from(("u", "v")))
+        m = u if which == "u" else v
+        if how == "tampered" and m.entries:
+            key = data.draw(st.sampled_from(sorted(m.entries)))
+            m = Morphism(m.source, m.target, {**m.entries, key: data.draw(st.sampled_from((0, 2)))}, field)
+        if how == "added":
+            free = [
+                (t, s) for t, tgt in enumerate(m.target) for s, src in enumerate(m.source)
+                if (t, s) not in m.entries and _cell_allowed(src, tgt)
+            ]
+            if free:
+                key = data.draw(st.sampled_from(free))
+                m = Morphism(m.source, m.target, {**m.entries, key: data.draw(st.sampled_from((1, 2)))}, field)
+        u, v = (m, v) if which == "u" else (u, m)
     else:
         off_u, off_v = data.draw(st.sampled_from(((1, 0), (0, 1)))) if how == "off-target" else (0, 0)
         u = rand_realized_morphism(rng, F, G.shift(a + Fraction(off_u, 2 * den)), field)
@@ -371,3 +405,70 @@ def test_certificate_check_matches_equals_tau_oracle(den, data):
     except ValueError as err:
         got = str(err)
     assert got == want
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(3)])
+@pytest.mark.parametrize("lo, want", [
+    (0, None),
+    (Fraction(-1, 2), "round trip through G is not the canonical comparison"),
+])
+def test_added_entry_round_trip_cell_kept_or_dropped_like_the_oracle(field, lo, want):
+    """u gains an entry from F's short, unmatched bar s = [1/2, 2) into the
+    partner of bar t = [lo, 10).  The round-trip cell (t, s) is the generator
+    of [1/2, 2) -> [lo + 2, 12): it vanishes for lo = 0, so the certificate
+    stands, and not for lo = -1/2, so it is refused."""
+    F = Barcode([(0, Interval(lo, 10)), (0, Interval(Fraction(1, 2), 2))])
+    G = Barcode([(0, Interval(lo, 10))])
+    cert = check_interleaving(F, G, 1, 1, field=field)
+    assert cert.u.entries == {(0, 0): 1}
+    u = Morphism(cert.u.source, cert.u.target, {**cert.u.entries, (0, 1): 1}, field)
+    assert certificate_refusal_oracle(1, 1, u, cert.v) == want
+    try:
+        InterleavingCertificate(1, 1, u, cert.v)
+        got = None
+    except ValueError as err:
+        got = str(err)
+    assert got == want
+
+
+def _recording(fn, log):
+    def wrapper(*args):
+        out = fn(*args)
+        log.append((args, out))
+        return out
+
+    return wrapper
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_windowed_reverse_synthesis_matches_the_full_scan(den, data):
+    """`limits._solve_reverse` takes each block's unknowns and equations from
+    a bisect window; the full scan kept in `oracles.py` takes them from
+    every bar.  Both must find the same unknowns and equations, hand the
+    same systems to `solve_linear` in the same order (so the same pivot
+    columns), and synthesize the same reverse.  Problems: the comparison
+    of a barcode with infinite and repeated bars into its c-shift at a
+    slack eps >= c, a random map at that slack, and planted graded towers."""
+    fld = data.draw(st.sampled_from((GF2, PrimeField(5), QQ)))
+    F = data.draw(barcodes(den))
+    c = abs(data.draw(signed_shifts(den)))
+    eps = c + abs(data.draw(signed_shifts(den)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    problems = [(tau_morphism(F, c, fld), eps), (rand_realized_morphism(rng, F, data.draw(barcodes(den)), fld), eps)]
+    problems += [(f, slack) for f, slack, _ in _reverse_problems(rng.randrange(2**32), fld, (0, 1))]
+    for f, slack in problems:
+        windows, got_systems, want_systems = [], [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "_allowed_into", _recording(limits._allowed_into, windows))
+            mp.setattr(limits, "solve_linear", _recording(limits.solve_linear, got_systems))
+            mp.setattr(oracles, "solve_linear", _recording(oracles.solve_linear, want_systems))
+            got = limits._solve_reverse(f, slack, fld)
+            blocks, want = solve_reverse_scan_oracle(f, slack, fld)
+        scans = [found for _, unknowns, equations in blocks for found in (unknowns, equations)]
+        assert [out for _, out in windows] == scans
+        assert got_systems == want_systems
+        assert got == want
+        if got is not None:
+            assert list(got.entries.items()) == list(want.entries.items())

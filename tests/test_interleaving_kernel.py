@@ -3,6 +3,8 @@ gamma_symmetric, checked for exact agreement with the Fraction/ExtRat
 implementation kept in `oracles.py`, and its scaled view of one (F, G)
 probed against the per-probe scaling kept there."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,13 @@ def probe_shifts(den):
     )
 
 
+def out_of_range(view, a, b):
+    """Int pairs next to (a, b) that the int route must refuse: a negative
+    coordinate, or a + b one past the view's reach."""
+    over = view.reach + 1 - a - b
+    return [(-1 - a, b), (a, -1 - b), (a + over, b), (a, b + over)]
+
+
 @pytest.mark.parametrize("den", [4, 997])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
@@ -106,14 +115,23 @@ def test_view_probes_match_per_probe_scaling_oracle(den, data):
     probes = data.draw(st.lists(st.tuples(probe_shifts(den), probe_shifts(den)), min_size=1, max_size=12))
     for a, b in probes + [(Fraction(0), Fraction(0))]:
         want = int_matching_entries_oracle(F, G, a, b)
-        ints = view.scaled(a, b)
-        if ints is not None:
-            assert view.entries(*ints) == want
-        # outside the view's units or range, check_interleaving scales afresh
-        cert = check_interleaving(F, G, a, b, _view=view)
+        # the Fraction route scales (F, G) and the shifts afresh
+        cert = check_interleaving(F, G, a, b)
         assert (cert is None) == (want is None)
         if cert is not None:
             assert (cert.u.entries, cert.v.entries) == want
+        ints = view.scaled(a, b)
+        if ints is None:
+            continue
+        assert view.entries(*ints) == want
+        # the int route probes the problem's one view in its units
+        got = check_interleaving(F, G, *ints, _view=view)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.a, got.b, got.u, got.v) == (cert.a, cert.b, cert.u, cert.v)
+        for bad in out_of_range(view, *ints):
+            with pytest.raises(ValueError, match="view's reach"):
+                check_interleaving(F, G, *bad, _view=view)
 
 
 def test_view_sentinel_range_ends_at_reach():
@@ -123,12 +141,74 @@ def test_view_sentinel_range_ends_at_reach():
     assert (view.scale, view.reach) == (2, 40)  # 4 * the largest endpoint, 5 * 2
     for a, b in [(0, 40), (40, 0), (17, 23)]:
         assert view.scaled(Fraction(a, 2), Fraction(b, 2)) == (a, b)
-        assert view.entries(a, b) == int_matching_entries_oracle(F, G, Fraction(a, 2), Fraction(b, 2))
+        want = int_matching_entries_oracle(F, G, Fraction(a, 2), Fraction(b, 2))
+        assert view.entries(a, b) == want
+        cert = check_interleaving(F, G, a, b, _view=view)
+        assert (cert is None) == (want is None)
+        if cert is not None:
+            assert (cert.a, cert.b, (cert.u.entries, cert.v.entries)) == (Fraction(a, 2), Fraction(b, 2), want)
     assert view.scaled(Fraction(41, 2), Fraction(0)) is None
     assert view.scaled(Fraction(1, 3), Fraction(0)) is None
-    far = check_interleaving(F, G, Fraction(41, 2), Fraction(13, 3), _view=view)
+    far = check_interleaving(F, G, Fraction(41, 2), Fraction(13, 3))
     assert far is not None
     assert (far.u.entries, far.v.entries) == int_matching_entries_oracle(F, G, Fraction(41, 2), Fraction(13, 3))
+
+
+def test_int_route_refuses_out_of_range_probes_under_python_O():
+    # The range check must raise, not assert: -O strips asserts, and an
+    # unchecked probe past reach would meet the infinite endpoints' sentinels.
+    code = (
+        "from persimod import Barcode, Interval, check_interleaving\n"
+        "from persimod.interleaving import _IntView\n"
+        "from persimod.intervals import POS_INF\n"
+        "F = Barcode([(0, Interval(0, 1)), (0, Interval(0, POS_INF))])\n"
+        "G = Barcode([(0, Interval(2, 5)), (0, Interval(4, POS_INF))])\n"
+        "view = _IntView(F, G)\n"
+        "print(view.reach)\n"
+        "for a, b in ((-1, 0), (0, -1), (view.reach + 1, 0), (0, view.reach + 1), (view.reach, 1)):\n"
+        "    try:\n"
+        "        check_interleaving(F, G, a, b, _view=view)\n"
+        "    except ValueError as err:\n"
+        "        print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    reach, *errors = proc.stdout.splitlines()
+    assert reach == "20"
+    assert errors == ["probe shifts must be nonnegative ints with a + b within the view's reach"] * 5
+
+
+def test_verified_yes_translates_two_barcodes_and_int_no_builds_no_fraction(monkeypatch):
+    # A "yes" translates only the maps' targets, G by a and F by b: the
+    # certificate checks its round trips on the untranslated bars.  A "no"
+    # on the int route stays in the view's units.
+    F = Barcode([(0, Interval(0, 4)), (0, Interval(2, 7)), (1, Interval(NEG_INF, 3))])
+    G = Barcode([(0, Interval(1, 5)), (0, Interval(2, 8)), (1, Interval(NEG_INF, 4))])
+    view = _IntView(F, G)
+    assert view.scale == 1
+    shifts = []
+    shift = Barcode.shift
+    monkeypatch.setattr(Barcode, "shift", lambda bc, c: shifts.append((bc, Fraction(c))) or shift(bc, c))
+    for route in ({}, {"_view": view}):
+        cert = check_interleaving(F, G, 1, 2, **route)
+        assert (cert.a, cert.b) == (1, 2)
+        assert shifts == [(G, 1), (F, 2)]
+        shifts.clear()
+
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting))
+        public = check_interleaving(F, G, 0, 0)
+        seen = len(built)
+        found = check_interleaving(F, G, 0, 0, _view=view)
+    assert public is None and seen > 0  # the public route's shifts are Fractions
+    assert found is None and len(built) == seen and shifts == []
 
 
 def _primes_above(start, count):
