@@ -7,7 +7,7 @@ sublevel spectral numbers, and sampled-set cone geometry.
 from .intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, hom, leq
 from .fields import GF2, QQ, PrimeField, RationalField, field_by_name
 from .barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
-from .morphisms import Morphism, compose, equals_tau, identity, tau_morphism
+from .morphisms import Morphism, compose, identity, tau_morphism
 from .canonical import (
     CanonicalFormResult,
     DiagonalizationError,

@@ -10,7 +10,7 @@ by the barcode.  The empty barcode is the zero object.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .intervals import DEG0, ExtRat, Interval, hom
 

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
-from .barcodes import Barcode
-from .morphisms import Morphism, _cell_allowed, compose, equals_tau, identity
+from .morphisms import Morphism, _cell_allowed, _is_round_trip, compose, identity
+
+if TYPE_CHECKING:
+    from .limits import InductiveSystem
 
 __all__ = [
     "DiagonalizationError",
@@ -114,7 +116,7 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
     for bar in G.bars:
         if not (bar.interval.length > eps):
             raise DiagonalizationError(f"bar {bar!r} is not longer than the shift {eps}")
-    if not equals_tau(compose(u, v), eps):
+    if not _is_round_trip(u, v, eps):
         raise DiagonalizationError("round trip is not the canonical comparison map")
 
     src_bars, tgt_bars = G.bars, Gp.bars
@@ -204,38 +206,25 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
     return CanonicalFormResult(phi=phi_m, phi_inverse=phi_inv_m, diagonalized=diag, sigma=sigma)
 
 
-def diagonalize_system(
-    stages: Sequence[Barcode],
-    forward: Sequence[Morphism],
-    reverse: Sequence[Morphism],
-    slacks: Sequence,
-) -> List[StageDiagonalization]:
+def diagonalize_system(system: InductiveSystem) -> List[StageDiagonalization]:
     """Diagonalize every comparison map of a tower, stage by stage, all
     degrees at once.
 
-    At stage n only bars longer than twice the stage slack take part; the
-    forward map is restricted to those source bars, the reverse map to the
-    matching rows of its target.  After each stage the remaining maps are
-    rewritten in the new basis of the shared middle object, which keeps
-    every later round-trip contract intact.
+    The tower's constructor has checked its contract; missing reverse maps
+    are solved for first.  At stage n only bars longer than twice the stage
+    slack take part; the forward map is restricted to those source bars,
+    the reverse map to the matching rows of its target.  After each stage
+    the remaining maps are rewritten in the new basis of the shared middle
+    object, which keeps every later round-trip contract intact.
     """
-    n_maps = len(stages) - 1
-    if len(forward) != n_maps or len(reverse) != n_maps or len(slacks) != n_maps:
-        raise ValueError("need exactly one forward map, reverse map and slack per step")
-    slacks = [Fraction(s) for s in slacks]
-    fwd = list(forward)
-    rev = list(reverse)
-    for n in range(n_maps):
-        if fwd[n].source != stages[n] or fwd[n].target != stages[n + 1]:
-            raise ValueError(f"forward map {n} does not match the stage barcodes")
-        if rev[n].source != stages[n + 1] or not rev[n].target.is_shift_of(stages[n], slacks[n]):
-            raise ValueError(f"reverse map {n} does not match the shifted stage barcodes")
-
+    system = system.with_reverses()
+    slacks = system.slacks
+    fwd = list(system.maps)
+    rev = list(system.reverses)
     out: List[StageDiagonalization] = []
-    for n in range(n_maps):
-        eps = slacks[n]
+    for n, eps in enumerate(slacks):
         live = tuple(
-            i for i, bar in enumerate(stages[n].bars) if bar.interval.length > 2 * eps
+            i for i, bar in enumerate(system.stages[n].bars) if bar.interval.length > 2 * eps
         )
         u = fwd[n].restrict_source(live)
         v = rev[n].restrict_target(live)
@@ -244,7 +233,7 @@ def diagonalize_system(
         except DiagonalizationError as err:
             raise DiagonalizationError(f"stage {n}: {err}", stage=n) from err
         out.append(StageDiagonalization(stage=n, live=live, result=res))
-        if n + 1 < n_maps:
+        if n + 1 < len(slacks):
             fwd[n + 1] = compose(res.phi_inverse, fwd[n + 1])
             rev[n + 1] = compose(rev[n + 1], res.phi.shift(slacks[n + 1]))
     return out

@@ -50,8 +50,8 @@ MAX_DEMO_DENOM = 64
 def _load_config() -> dict:
     """`key = value` defaults from the file named by PERSIMOD_CONFIG.
 
-    An unknown key, or a line that is not `key = value`, raises ParseError
-    with its line."""
+    An unknown or repeated key, or a line that is not `key = value`, raises
+    ParseError with its line."""
     path = os.environ.get("PERSIMOD_CONFIG")
     if not path or not os.path.exists(path):
         return {}
@@ -67,6 +67,8 @@ def _load_config() -> dict:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_KEYS:
                 raise ParseError(path, n, f"unknown key {key!r}")
+            if key in out:
+                raise ParseError(path, n, f"duplicate key {key!r}")
             out[key] = val
     return out
 

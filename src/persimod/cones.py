@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -202,22 +202,16 @@ def _cone(cloud: PointCloud, x, params: ConeParams, pairs: bool) -> DirectionSet
     return DirectionSet(_persisting(per_scale, params.theta_res), params.theta_res)
 
 
-def contingent(cloud: PointCloud, x, scales=None, *, params: Optional[ConeParams] = None) -> DirectionSet:
+def contingent(cloud: PointCloud, x, *, params: Optional[ConeParams] = None) -> DirectionSet:
     """Directions of secants from x into the cloud that persist across the
     finest half of the scale list."""
-    params = params or ConeParams()
-    if scales is not None:
-        params = replace(params, scales=tuple(float(s) for s in scales))
-    return _cone(cloud, x, params, pairs=False)
+    return _cone(cloud, x, params or ConeParams(), pairs=False)
 
 
-def paratingent(cloud: PointCloud, x, scales=None, *, params: Optional[ConeParams] = None) -> DirectionSet:
+def paratingent(cloud: PointCloud, x, *, params: Optional[ConeParams] = None) -> DirectionSet:
     """Directions of secants between pairs of cloud points near x; closed
     under v -> -v by construction."""
-    params = params or ConeParams()
-    if scales is not None:
-        params = replace(params, scales=tuple(float(s) for s in scales))
-    return _cone(cloud, x, params, pairs=True)
+    return _cone(cloud, x, params or ConeParams(), pairs=True)
 
 
 def _sphere_grid(dim: int, step_deg: float, cap: int = 20000) -> List[np.ndarray]:

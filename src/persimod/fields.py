@@ -8,7 +8,7 @@ alternative for small instances.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 __all__ = ["PrimeField", "RationalField", "GF2", "QQ", "field_by_name", "solve_linear"]
 

@@ -17,17 +17,16 @@ optimal (a, b).
 Each problem (F, G) is scaled to ints once: one private view holds the
 scaled bars of every degree and decides each probe of a search through a
 single kernel, and a public `check_interleaving` call builds a one-shot
-view of its own.  Probes stay in the view's units: `gamma`'s probes hand
+view of its own and scales its shifts into it.  Probes stay in the view's units: `gamma`'s probes hand
 `check_interleaving` int pairs, so each "yes" is a certificate and shifts
 become Fractions only for it; `gamma_symmetric`'s probes ask the kernel
 only, and its one certificate is built at the optimum.
 
 Every certificate is re-verified at construction, on its barcodes' own
-endpoints; nothing unverified is ever returned.  The round trips are
-checked on the untranslated bars: hom is translation-invariant, so a
-composite cell (t, s) is tested as hom(bar s, bar t + a+b) by the offset
-rule of the endpoint kernel, and only the maps' targets G + a and F + b
-are ever built.
+endpoints; nothing unverified is ever returned.  Both round trips go
+through `morphisms._is_round_trip`, the one round-trip check of the
+package, which works on the untranslated bars: only the maps' targets
+G + a and F + b are ever built.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .barcodes import Barcode
 from .fields import GF2
-from .intervals import ExtRat, POS_INF, _deg0_plus, int_pair
+from .intervals import ExtRat, POS_INF, int_pair
 from .matching import matching_covering
-from .morphisms import Morphism, _product, _tau_entries
+from .morphisms import Morphism, _is_round_trip
 
 __all__ = [
     "InterleavingCertificate",
@@ -51,16 +50,6 @@ __all__ = [
     "gamma",
     "gamma_symmetric",
 ]
-
-
-def _round_trip(f: Morphism, g: Morphism, c: Fraction) -> Dict[Tuple[int, int], object]:
-    """Entries of the composite "f then g", where g lands in the c-shift of
-    f's source: the product's nonzero cells (t, s) with hom(bar s, bar t + c)
-    DEG0, on f's source bars as they are.  f and g pair bars of equal
-    degree only, so every cell of the product does too."""
-    bars = [bar.interval for bar in f.source.bars]
-    n, d, zero = c.numerator, c.denominator, f.field.zero
-    return {(t, s): x for (t, s), x in _product(f, g).items() if x != zero and _deg0_plus(bars[s], bars[t], n, d)}
 
 
 class InterleavingCertificate:
@@ -80,14 +69,11 @@ class InterleavingCertificate:
             raise ValueError("u must land in the a-shift of G")
         if not v.target.is_shift_of(F, b):
             raise ValueError("v must land in the b-shift of F")
-        # Each round trip lands in the (a+b)-shift of its source; both the
-        # composite and the comparison's diagonal are read off the source's
-        # untranslated bars, so no translation is built here.
+        # Each round trip lands in the (a+b)-shift of its source.
         total = a + b
-        one = u.field.one
-        if _round_trip(u, v, total) != _tau_entries(F, total, one):
+        if not _is_round_trip(u, v, total):
             raise ValueError("round trip through G is not the canonical comparison")
-        if _round_trip(v, u, total) != _tau_entries(G, total, one):
+        if not _is_round_trip(v, u, total):
             raise ValueError("round trip through F is not the canonical comparison")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -202,15 +188,6 @@ class _IntView:
         empty = (range(0), [], [], [])
         self.degrees = [(fd.get(deg, empty), gd.get(deg, empty)) for deg in sorted(set(fd) | set(gd))]
 
-    def scaled(self, a: Fraction, b: Fraction) -> Optional[Tuple[int, int]]:
-        """(a, b) in this view's units, or None when a denominator does not
-        divide the scale or a + b passes `reach`."""
-        s = self.scale
-        if s % a.denominator or s % b.denominator:
-            return None
-        a, b = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
-        return (a, b) if a + b <= self.reach else None
-
     def grid(self) -> Tuple[List[int], List[int]]:
         """The sorted endpoint differences (0 included) and the sorted finite
         bar lengths of F and G."""
@@ -266,18 +243,22 @@ def check_interleaving(F: Barcode, G: Barcode, a, b, *, field=GF2, _view: Option
         a, b = Fraction(a), Fraction(b)
         if a < 0 or b < 0:
             raise ValueError("interleaving shifts must be nonnegative")
+        # a view built with the shifts has a scale they divide and a reach
+        # that covers a + b
         view = _IntView(F, G, (a, b))
-        found = view.entries(*view.scaled(a, b))
-    else:
+        s = view.scale
+        a, b = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
+    elif a < 0 or b < 0 or a + b > _view.reach:
         # A distance search probes the one view of its (F, G) with ints in
-        # the view's units; shifts become Fractions only for a certificate.
-        if a < 0 or b < 0 or a + b > _view.reach:
-            raise ValueError("probe shifts must be nonnegative ints with a + b within the view's reach")
-        found = _view.entries(a, b)
-        if found is not None:
-            a, b = Fraction(a, _view.scale), Fraction(b, _view.scale)
+        # the view's units.
+        raise ValueError("probe shifts must be nonnegative ints with a + b within the view's reach")
+    else:
+        view = _view
+    found = view.entries(a, b)
     if found is None:
         return None
+    # shifts become Fractions only for a certificate
+    a, b = Fraction(a, view.scale), Fraction(b, view.scale)
     u_entries, v_entries = found
     u = Morphism(F, G.shift(a), u_entries, field)
     v = Morphism(G, F.shift(b), v_entries, field)

@@ -12,7 +12,7 @@ import io as _io
 import os
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .barcodes import Bar, Barcode
 from .fields import GF2, field_by_name
@@ -367,6 +367,8 @@ def load_certificate(path):
             hm = _CERT_HEADER_RE.match(line)
             if not hm:
                 raise ParseError(path, n, f"expected header or section, got {line!r}")
+            if hm.group(1) in headers:
+                raise ParseError(path, n, f"duplicate {hm.group(1)} header")
             headers[hm.group(1)] = hm.group(2).strip()
             continue
         sections[current].append((n, line))

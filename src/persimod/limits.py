@@ -27,7 +27,7 @@ from .canonical import StageDiagonalization, diagonalize_system
 from .fields import GF2, solve_linear
 from .intervals import ExtRat, Interval
 from .interleaving import DistanceReport, InterleavingCertificate, gamma
-from .morphisms import Morphism, _cell_allowed, compose, equals_tau, tau_morphism
+from .morphisms import Morphism, _cell_allowed, _is_round_trip, compose, tau_morphism
 
 __all__ = [
     "CompletionError",
@@ -52,8 +52,9 @@ class ToleranceError(CompletionError):
 
 class InductiveSystem:
     """A finite tower: stages, forward maps, per-step slacks, and (optional)
-    reverse maps.  Construction verifies composability and, where a reverse
-    map is given, that the round trip is the canonical comparison."""
+    reverse maps.  Construction verifies composability, one scalar field
+    and, where a reverse map is given, that the round trip is the canonical
+    comparison: the whole contract that `diagonalize_system` relies on."""
 
     __slots__ = ("stages", "maps", "slacks", "reverses", "field")
 
@@ -71,15 +72,6 @@ class InductiveSystem:
         for n, f in enumerate(maps):
             if f.source != stages[n] or f.target != stages[n + 1]:
                 raise ValueError(f"forward map {n} does not connect stages {n} -> {n + 1}")
-        for n, (eps, g) in enumerate(zip(slacks, reverses)):
-            if eps < 0:
-                raise ValueError(f"negative slack at step {n}")
-            if g is None:
-                continue
-            if g.source != stages[n + 1] or not g.target.is_shift_of(stages[n], eps):
-                raise ValueError(f"reverse map {n} does not match the slack-{eps} shift")
-            if not equals_tau(compose(maps[n], g), eps):
-                raise ValueError(f"round trip at step {n} is not the canonical comparison")
         if field is None:
             field = maps[0].field if maps else GF2
         for f in maps:
@@ -88,6 +80,15 @@ class InductiveSystem:
         for g in reverses:
             if g is not None and g.field != field:
                 raise ValueError("mixed scalar fields in reverse maps")
+        for n, (eps, g) in enumerate(zip(slacks, reverses)):
+            if eps < 0:
+                raise ValueError(f"negative slack at step {n}")
+            if g is None:
+                continue
+            if g.source != stages[n + 1] or not g.target.is_shift_of(stages[n], eps):
+                raise ValueError(f"reverse map {n} does not match the slack-{eps} shift")
+            if not _is_round_trip(maps[n], g, eps):
+                raise ValueError(f"round trip at step {n} is not the canonical comparison")
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "slacks", slacks)
@@ -196,11 +197,6 @@ class HocolimResult:
         yield self.error_bound
 
 
-def _diagonalized(system: InductiveSystem) -> List[StageDiagonalization]:
-    system = system.with_reverses()
-    return diagonalize_system(system.stages, system.maps, system.reverses, system.slacks)
-
-
 def _follow_chains(records: Sequence[StageDiagonalization]):
     """Walk sigma through the stages.  Returns (chains, heads) where heads
     maps final-stage bar index -> its chain."""
@@ -251,7 +247,7 @@ def hocolim(system: InductiveSystem) -> HocolimResult:
         )
         return HocolimResult(base, ExtRat(0), chains)
 
-    records = _diagonalized(system)
+    records = diagonalize_system(system)
     raw_chains, heads = _follow_chains(records)
     final = system.stages[-1]
     for j, bar in enumerate(final.bars):
@@ -277,7 +273,7 @@ def defect_check(system: InductiveSystem, n: int):
         raise ValueError(f"stage index {n} outside 0..{n_steps}")
     if n == n_steps:
         return ExtRat(0), ExtRat(0), True
-    ext = [_extended_diagonal(system, rec) for rec in _diagonalized(system)[n:]]
+    ext = [_extended_diagonal(system, rec) for rec in diagonalize_system(system)[n:]]
     comp = ext[0]
     for nxt in ext[1:]:
         comp = compose(comp, nxt)

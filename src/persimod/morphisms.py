@@ -11,6 +11,11 @@ generator vanishes is dropped.  (Order-valid but support-disjoint cells act
 as "phantom" entries: they carry matrix algebra but realize to the zero
 map, and they can never contaminate a realizable cell under
 order-respecting operations.)
+
+Interleavings, towers and diagonalization all rest on one identity: a
+round trip "f then g" into the c-shift of f's source equals the canonical
+comparison at shift c.  One predicate, `_is_round_trip`, decides it for
+all three, on f's source bars as they are.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ __all__ = [
     "Morphism",
     "identity",
     "compose",
-    "equals_tau",
     "tau_morphism",
 ]
 
@@ -175,11 +179,15 @@ def tau_morphism(b: Barcode, c, field=None) -> Morphism:
     return Morphism(b, b.shift(c), _tau_entries(b, c, field.one), field)
 
 
-def equals_tau(f: Morphism, c) -> bool:
-    """Is f entrywise equal to the canonical comparison at shift c?"""
-    c = Fraction(c)
-    if c < 0:
-        raise ValueError(f"negative shift {c}")
-    if not f.target.is_shift_of(f.source, c):
-        raise ValueError("target is not the c-shift of the source")
-    return f.entries == _tau_entries(f.source, c, f.field.one)
+def _is_round_trip(f: Morphism, g: Morphism, c: Fraction) -> bool:
+    """Is the composite "f then g" the canonical comparison at shift c?
+
+    Precondition: f and g share a field, and g lands in the c-shift of f's
+    source (c >= 0).  Then the composite is read off f's source bars as
+    they are, with no translation built: a nonzero cell (t, s) of the
+    product is kept when hom(bar s, bar t + c) is DEG0.  f and g pair bars
+    of equal degree only, so every cell of the product does too."""
+    bars = [bar.interval for bar in f.source.bars]
+    n, d, zero = c.numerator, c.denominator, f.field.zero
+    got = {(t, s): x for (t, s), x in _product(f, g).items() if x != zero and _deg0_plus(bars[s], bars[t], n, d)}
+    return got == _tau_entries(f.source, c, f.field.one)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .barcodes import Bar, Barcode
 from .intervals import ExtRat, Interval, NEG_INF, POS_INF

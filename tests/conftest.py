@@ -67,3 +67,21 @@ def rand_realized_morphism(rng, src, tgt, field, density=0.6):
                     and rng.random() < density):
                 entries[(t, s)] = rng.choice(nz)
     return Morphism(src, tgt, entries, field=field)
+
+
+def tampered(rng, m, how):
+    """m with one entry changed (by adding one), dropped, or one allowed
+    empty cell given the value one; m itself when there is no such cell."""
+    fld = m.field
+    if how == "added":
+        cells = [
+            (t, s) for t, tgt in enumerate(m.target) for s, src in enumerate(m.source)
+            if (t, s) not in m.entries and src.degree == tgt.degree and hom(src.interval, tgt.interval) is DEG0
+        ]
+    else:
+        cells = sorted(m.entries)
+    if not cells:
+        return m
+    key = rng.choice(cells)
+    value = {"changed": fld.add(m.entries.get(key, fld.zero), fld.one), "dropped": fld.zero, "added": fld.one}[how]
+    return Morphism(m.source, m.target, {**m.entries, key: value}, field=fld)

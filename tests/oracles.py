@@ -17,8 +17,8 @@ global round-trip solve and the full bar scan under the windowed
 per-block reverse synthesis, the tracked matrix class under the row-dict
 diagonalization, trial division under the Miller-Rabin primality test,
 and the operator-based hom and translation under the endpoint kernel,
-with the round-trip check on translated barcodes under the one on
-untranslated bars (see their sections).
+with `compose` and `equals_tau` on translated barcodes under the one
+round-trip predicate on untranslated bars (see their sections).
 Direct sums of morphisms are reference code for the graded checks.
 """
 
@@ -33,9 +33,9 @@ from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
 from persimod.fields import GF2, RationalField, solve_linear
 from persimod.interleaving import DistanceReport, InterleavingCertificate
-from persimod.limits import Chain, HocolimResult, _follow_chains
+from persimod.limits import Chain, HocolimResult, InductiveSystem, _follow_chains
 from persimod.matching import matching_covering
-from persimod.morphisms import Morphism, _cell_allowed, compose, equals_tau, identity
+from persimod.morphisms import Morphism, _cell_allowed, compose, identity
 
 
 def field_elements(field) -> List:
@@ -683,7 +683,22 @@ def compare_oracle(x, y) -> Tuple[bool, bool, bool, bool, bool]:
 # `intervals._lt`, `_le`, `_plus`, `_is_plus` and `_deg0_plus`; the round
 # trips are checked on untranslated bars.  These are the versions they
 # replaced, which go through ExtRat's operators, translated barcodes,
-# `compose` and `equals_tau`.
+# `compose` and `equals_tau`.  `equals_tau` is the check `morphisms` made
+# before `_is_round_trip`: on the composite `compose` builds, it is that
+# predicate's reference, and `InductiveSystem` and `canonical_form` used
+# it too (see `inductive_system_refusal_oracle`).
+
+
+def equals_tau(f: Morphism, c) -> bool:
+    """Is f entrywise equal to the canonical comparison at shift c?  A bar
+    survives its own c-shift exactly when it is longer than c."""
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError(f"negative shift {c}")
+    if not f.target.is_shift_of(f.source, c):
+        raise ValueError("target is not the c-shift of the source")
+    one = f.field.one
+    return f.entries == {(i, i): one for i, bar in enumerate(f.source.bars) if bar.interval.length > ExtRat(c)}
 
 
 def hom_operator_oracle(i: Interval, j: Interval):
@@ -730,6 +745,36 @@ def certificate_refusal_oracle(a, b, u: Morphism, v: Morphism):
         return "round trip through G is not the canonical comparison"
     if not equals_tau(compose(v, u_b), total):
         return "round trip through F is not the canonical comparison"
+    return None
+
+
+def inductive_system_refusal_oracle(stages, maps, slacks, reverses, field=None):
+    """The message `InductiveSystem(stages, maps, slacks, reverses, field)`
+    refuses with, or None when it accepts: each round trip is composed on
+    translated barcodes and compared by `equals_tau`."""
+    if len(maps) != len(stages) - 1:
+        return "need exactly one forward map per consecutive stage pair"
+    if len(slacks) != len(maps) or len(reverses) != len(maps):
+        return "need one slack and one (possibly absent) reverse map per step"
+    for n, f in enumerate(maps):
+        if f.source != stages[n] or f.target != stages[n + 1]:
+            return f"forward map {n} does not connect stages {n} -> {n + 1}"
+    if field is None:
+        field = maps[0].field if maps else GF2
+    if any(f.field != field for f in maps):
+        return "mixed scalar fields in forward maps"
+    if any(g is not None and g.field != field for g in reverses):
+        return "mixed scalar fields in reverse maps"
+    for n, (eps, g) in enumerate(zip(slacks, reverses)):
+        eps = Fraction(eps)
+        if eps < 0:
+            return f"negative slack at step {n}"
+        if g is None:
+            continue
+        if g.source != stages[n + 1] or g.target != stages[n].shift(eps):
+            return f"reverse map {n} does not match the slack-{eps} shift"
+        if not equals_tau(compose(maps[n], g), eps):
+            return f"round trip at step {n} is not the canonical comparison"
     return None
 
 
@@ -1205,7 +1250,7 @@ def split_system_oracle(system):
 def _diagonalized_pieces(system):
     """(degree, stages, indices, stage records) per degree."""
     return [
-        (deg, stages, idx, diagonalize_system(stages, maps, revs, system.slacks))
+        (deg, stages, idx, diagonalize_system(InductiveSystem(stages, maps, system.slacks, revs, system.field)))
         for deg, stages, maps, revs, idx in split_system_oracle(system)
     ]
 

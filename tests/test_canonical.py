@@ -17,6 +17,7 @@ from persimod.canonical import (
 )
 from persimod.fields import GF2, QQ, PrimeField
 from persimod.intervals import hom, leq, DEG0
+from persimod.limits import InductiveSystem
 from persimod.morphisms import Morphism, _cell_allowed, compose, identity, tau_morphism
 from oracles import canonical_form_tracked_oracle, direct_sum, field_elements, merge_barcodes
 
@@ -97,11 +98,12 @@ def test_precondition_errors():
 
 
 def test_diagonalize_system_refuses_a_wrongly_shifted_reverse_target():
+    # diagonalize_system takes a tower, whose constructor refuses the step
     bc = B((0, Interval(0, 1)))
     eps = Fraction(1, 4)
     v_off = Morphism(bc, bc.shift(eps + Fraction(1, 997)), {}, field=GF2)
-    with pytest.raises(ValueError, match="^reverse map 0 does not match the shifted stage barcodes$"):
-        diagonalize_system([bc, bc], [identity(bc)], [v_off], [eps])
+    with pytest.raises(ValueError, match="^reverse map 0 does not match the slack-1/4 shift$"):
+        diagonalize_system(InductiveSystem([bc, bc], [identity(bc)], [eps], [v_off]))
 
 
 # --- random planted instances ------------------------------------------------
@@ -335,11 +337,13 @@ def test_row_dicts_match_tracked_elimination(data):
     else:
         _, tgt, u, v = _planted_instance(rng, fld, rng.randint(1, 7), eps)
         if kind == "perturbed":
-            # one more allowed cell in u: usually breaks the round trip
-            t, s = rng.randrange(len(tgt)), rng.randrange(len(u.source))
-            if _cell_allowed(u.source[s], tgt[t]):
-                bumped = fld.add(u.entries.get((t, s), fld.zero), fld.one)
-                u = Morphism(u.source, tgt, {**u.entries, (t, s): bumped}, field=fld)
+            # one allowed cell of u or v bumped: usually breaks the round trip
+            m = data.draw(st.sampled_from((u, v)))
+            t, s = rng.randrange(len(m.target)), rng.randrange(len(m.source))
+            if _cell_allowed(m.source[s], m.target[t]):
+                bumped = fld.add(m.entries.get((t, s), fld.zero), fld.one)
+                m2 = Morphism(m.source, m.target, {**m.entries, (t, s): bumped}, field=fld)
+                u, v = (m2, v) if m is u else (u, m2)
     assert _outcome(canonical_form, u, v, eps) == _outcome(canonical_form_tracked_oracle, u, v, eps)
 
 
@@ -355,38 +359,35 @@ def _geometric_tower(n_lo=2, n_hi=7):
         fwd.append(Morphism(stages[k], stages[k + 1], {(0, 0): 1}, field=GF2))
         rev.append(Morphism(stages[k + 1], stages[k].shift(eps), {(0, 0): 1}, field=GF2))
         slacks.append(eps)
-    return stages, fwd, rev, slacks
+    return InductiveSystem(stages, fwd, slacks, rev)
 
 
 def test_constant_system():
     bc = B((0, Interval(0, 1)))
-    stages = [bc] * 4
-    fwd = [identity(bc)] * 3
-    rev = [tau_morphism(bc, 0, field=GF2)] * 3
-    out = diagonalize_system(stages, fwd, rev, [0, 0, 0])
+    system = InductiveSystem([bc] * 4, [identity(bc)] * 3, [0, 0, 0], [tau_morphism(bc, 0, field=GF2)] * 3)
+    out = diagonalize_system(system)
     assert [st.result.sigma for st in out] == [{0: 0}] * 3
     assert all(st.live == (0,) for st in out)
 
 
 def test_geometric_tower_sigma_identity():
-    stages, fwd, rev, slacks = _geometric_tower()
-    out = diagonalize_system(stages, fwd, rev, slacks)
+    system = _geometric_tower()
+    out = diagonalize_system(system)
     for st in out:
         assert st.result.sigma == {0: 0}
-        src_hi = stages[st.stage][0].interval.hi
-        tgt_hi = stages[st.stage + 1][0].interval.hi
+        src_hi = system.stages[st.stage][0].interval.hi
+        tgt_hi = system.stages[st.stage + 1][0].interval.hi
         assert src_hi < tgt_hi  # endpoints strictly increase along the tower
 
 
 def test_dying_short_bar_excluded():
+    # the 3/10 bar outlives the slack 1/5, so the round trip keeps it, but
+    # it is not longer than 2*eps and takes no part in the stage
     f0 = B((0, Interval(0, Fraction(3, 10))), (0, Interval(0, 1)))
-    f1 = B((0, Interval(0, 1)))
     eps = Fraction(1, 5)
-    u = Morphism(f0, f1, {(0, 1): 1}, field=GF2)
-    v = Morphism(f1, f0.shift(eps), {(1, 0): 1}, field=GF2)
-    out = diagonalize_system([f0, f1], [u], [v], [eps])
-    assert out[0].live == (1,)          # the 3/10 bar is not longer than 2*eps
-    assert out[0].result.sigma == {0: 0}
+    out = diagonalize_system(InductiveSystem([f0, f0], [identity(f0)], [eps], [tau_morphism(f0, eps, field=GF2)]))
+    assert out[0].live == (1,)
+    assert out[0].result.sigma == {0: 1}
 
 
 def test_failed_postcondition_raises(monkeypatch):
@@ -400,13 +401,20 @@ def test_failed_postcondition_raises(monkeypatch):
         canonical_form(identity(g), tau_morphism(g, 1, field=GF2), 1)
 
 
-def test_stage_error_reports_stage():
-    bc = B((0, Interval(0, 1)))
-    stages = [bc, bc]
-    u = identity(bc)
-    eps = Fraction(1, 4)  # 2*eps < 1, so the bar stays live
-    v_bad = Morphism(bc, bc.shift(eps), {}, field=GF2)
+def test_stage_error_reports_stage(monkeypatch):
+    # A valid tower whose second stage fails a postcondition: the error
+    # names the stage.
+    import persimod.canonical as canonical
+
+    system = _geometric_tower(n_hi=5)
+    calls = []
+
+    def identity_failing_at_stage_1(b, field):
+        calls.append(b)
+        return identity(b, field) if len(calls) == 1 else Morphism(b, b, {}, field)
+
+    monkeypatch.setattr(canonical, "identity", identity_failing_at_stage_1)
     with pytest.raises(DiagonalizationError) as exc:
-        diagonalize_system(stages, [u], [v_bad], [eps])
-    assert exc.value.stage == 0
-    assert "stage 0" in str(exc.value)
+        diagonalize_system(system)
+    assert exc.value.stage == 1
+    assert str(exc.value).startswith("stage 1: postcondition failed: tracked inverse")

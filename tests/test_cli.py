@@ -446,6 +446,27 @@ def test_config_line_without_equals_exits_2(unit_pair, monkeypatch, capsys):
     assert err.splitlines() == [f"error: {cfg}:3: expected 'key = value'"]
 
 
+def test_config_repeated_key_exits_2(unit_pair, monkeypatch, capsys):
+    cfg = unit_pair / "persimod.cfg"
+    cfg.write_text("field = 5\nmachine = 1\nfield = 3\n")
+    monkeypatch.setenv("PERSIMOD_CONFIG", str(cfg))
+    rc, out, err = run(capsys, "dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [f"error: {cfg}:3: duplicate key 'field'"]
+
+
+@pytest.mark.parametrize("repeat", ["a: 5", "a: 0"])
+def test_certificate_repeated_header_exits_2(unit_pair, capsys, repeat):
+    assert run(capsys, "dist", "gamma", "F.bc", "G.bc")[0] == 0
+    cert = unit_pair / "gamma.cert"
+    text = cert.read_text()
+    n = text.splitlines().index("a: 0") + 1
+    cert.write_text(text.replace("a: 0\n", f"a: 0\n{repeat}\n"))
+    rc, out, err = run(capsys, "validate", str(cert))
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [f"error: {cert}:{n + 1}: duplicate a header"]
+
+
 def test_console_script_smoke(tmp_path):
     proc = subprocess.run(
         ["persimod", "cantor", "--a", "1/4", "--n", "1", "--k", "2"],

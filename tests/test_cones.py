@@ -126,7 +126,7 @@ def test_contingent_singleton_has_no_secants():
 def test_contingent_empty_finest_scale():
     cloud = PointCloud([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="empty neighborhood"):
-        contingent(cloud, (0, 0), scales=[1.0, 0.5, 0.25, 0.125])
+        contingent(cloud, (0, 0), params=ConeParams(scales=(1.0, 0.5, 0.25, 0.125)))
 
 
 def test_cone_input_validation():
@@ -134,7 +134,7 @@ def test_cone_input_validation():
     with pytest.raises(ValueError, match="dimension 2"):
         contingent(cloud, (0, 0, 0, 0))
     with pytest.raises(ValueError, match="strictly decreasing"):
-        contingent(cloud, (0, 0), scales=[1.0, 1.0])
+        contingent(cloud, (0, 0), params=ConeParams(scales=(1.0, 1.0)))
 
 
 def test_paratingent_sign_symmetric_and_contains_contingent():
@@ -153,7 +153,7 @@ def test_paratingent_sign_symmetric_and_contains_contingent():
 
 def test_paratingent_cantor_corner_contains_axes():
     cloud = corner_cloud(cantor_cubes(Fraction(1, 4), 2, 1))
-    cone = paratingent(cloud, (0, 0), scales=[1.0, 0.5, 0.25, 0.125, 0.0625])
+    cone = paratingent(cloud, (0, 0), params=ConeParams(scales=(1.0, 0.5, 0.25, 0.125, 0.0625)))
     for v in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
         assert cone.contains(v)
 

@@ -20,8 +20,8 @@ from persimod.fields import GF2, PrimeField, QQ
 from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _deg0_plus, hom, leq
 from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
 from persimod.matching import _saturating, _try_augment, matching_covering
-from persimod.morphisms import Morphism, _cell_allowed, compose, equals_tau, tau_morphism
-from conftest import rand_realized_morphism
+from persimod.morphisms import Morphism, _cell_allowed, _is_round_trip, compose, identity, tau_morphism
+from conftest import rand_realized_morphism, tampered
 from test_limits import _reverse_problems
 import oracles
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     augment_oracle,
     certificate_refusal_oracle,
     compare_oracle,
+    equals_tau,
     hom_ext_oracle,
     hom_operator_oracle,
     int_matching_entries_oracle,
@@ -238,7 +239,7 @@ def test_tau_and_compose_match_validating_constructors(den, data):
     c = abs(data.draw(signed_shifts(den)))
     t = tau_morphism(bc, c)
     assert t.entries == tau_entries_oracle(bc, c)
-    assert equals_tau(t, c)
+    assert equals_tau(t, c) and _is_round_trip(identity(bc), t, c)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     mid = data.draw(barcodes(den, max_size=4))
     f = rand_realized_morphism(rng, bc, mid, GF2)
@@ -361,7 +362,10 @@ def decision_inputs(draw, den):
 def test_windowed_matching_entries_match_all_pairs_oracle(den, data):
     F, G, a, b = data.draw(decision_inputs(den))
     view = _IntView(F, G, (a, b))
-    assert view.entries(*view.scaled(a, b)) == int_matching_entries_oracle(F, G, a, b)
+    s = view.scale
+    assert view.entries(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)) == (
+        int_matching_entries_oracle(F, G, a, b)
+    )
 
 
 @pytest.mark.parametrize("den", [4, 997])
@@ -429,6 +433,46 @@ def test_added_entry_round_trip_cell_kept_or_dropped_like_the_oracle(field, lo, 
     except ValueError as err:
         got = str(err)
     assert got == want
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_is_round_trip_matches_equals_tau_of_compose(field, data):
+    """`_is_round_trip(f, g, c)`, read off f's untranslated source bars,
+    agrees with `equals_tau(compose(f, g), c)` on the translated composite:
+    for both round trips of a planted certificate, its maps rescaled by a
+    unit and its inverse, at c = 0 too; for those round trips with one
+    entry of g changed, dropped or added; and for random maps.  Bars are
+    finite or infinite on either side."""
+    F, G, a, b = data.draw(decision_inputs(4))
+    if data.draw(st.booleans()):
+        a = b = Fraction(0)
+    total = a + b
+    cert = check_interleaving(F, G, a, b, field=field)
+    how = data.draw(st.sampled_from(("planted", "changed", "dropped", "added", "random"))) if cert else "random"
+    if how == "random":
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        u = rand_realized_morphism(rng, F, G.shift(a), field)
+        v = rand_realized_morphism(rng, G.shift(a), F.shift(total), field)
+        trips = [(u, v)]
+    else:
+        lam = field.canon(data.draw(st.sampled_from((1, 2, 3)))) if field is not GF2 else field.one
+        u = Morphism(cert.u.source, cert.u.target, {k: field.mul(lam, x) for k, x in cert.u.entries.items()}, field)
+        v = Morphism(cert.v.source, cert.v.target, {k: field.mul(field.inv(lam), x) for k, x in cert.v.entries.items()}, field)
+        # each map re-aimed so that the other's target is its source
+        trips = [
+            (u, Morphism(u.target, F.shift(total), v.entries, field)),
+            (v, Morphism(v.target, G.shift(total), u.entries, field)),
+        ]
+        if how != "planted":
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            trips = [(f, tampered(rng, g, how)) for f, g in trips]
+    for f, g in trips:
+        want = equals_tau(compose(f, g), total)
+        assert _is_round_trip(f, g, total) == want
+        if how == "planted":
+            assert want
 
 
 def _recording(fn, log):

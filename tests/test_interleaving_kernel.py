@@ -90,7 +90,8 @@ def test_check_interleaving_matches_fraction_oracle(den, data):
 
 def probe_shifts(den):
     """0, shifts on the endpoint grid, shifts whose denominator 3*den the
-    view's scale may lack, and shifts past every view's sentinel range."""
+    problem's view may lack, and shifts past its sentinel range: the public
+    route scales each call afresh, so it takes them all."""
     return st.one_of(
         st.just(Fraction(0)),
         st.integers(0, 12 * den).map(lambda k: Fraction(k, den)),
@@ -111,7 +112,6 @@ def out_of_range(view, a, b):
 @given(data=st.data())
 def test_view_probes_match_per_probe_scaling_oracle(den, data):
     F, G = data.draw(barcode_pairs(den))
-    view = _IntView(F, G)
     probes = data.draw(st.lists(st.tuples(probe_shifts(den), probe_shifts(den)), min_size=1, max_size=12))
     for a, b in probes + [(Fraction(0), Fraction(0))]:
         want = int_matching_entries_oracle(F, G, a, b)
@@ -119,17 +119,22 @@ def test_view_probes_match_per_probe_scaling_oracle(den, data):
         cert = check_interleaving(F, G, a, b)
         assert (cert is None) == (want is None)
         if cert is not None:
-            assert (cert.u.entries, cert.v.entries) == want
-        ints = view.scaled(a, b)
-        if ints is None:
-            continue
-        assert view.entries(*ints) == want
-        # the int route probes the problem's one view in its units
-        got = check_interleaving(F, G, *ints, _view=view)
+            assert (cert.a, cert.b, (cert.u.entries, cert.v.entries)) == (a, b, want)
+    # the int route probes the problem's one view with ints in its units
+    view = _IntView(F, G)
+    scale, reach = view.scale, view.reach
+    units = st.one_of(st.just(0), st.integers(0, 12 * scale), st.integers(0, reach))
+    for a, b in data.draw(st.lists(st.tuples(units, units), min_size=1, max_size=12)) + [(0, 0)]:
+        a = min(a, reach)
+        b = min(b, reach - a)
+        want = int_matching_entries_oracle(F, G, Fraction(a, scale), Fraction(b, scale))
+        assert view.entries(a, b) == want
+        got = check_interleaving(F, G, a, b, _view=view)
         assert (got is None) == (want is None)
         if got is not None:
+            cert = check_interleaving(F, G, Fraction(a, scale), Fraction(b, scale))
             assert (got.a, got.b, got.u, got.v) == (cert.a, cert.b, cert.u, cert.v)
-        for bad in out_of_range(view, *ints):
+        for bad in out_of_range(view, a, b):
             with pytest.raises(ValueError, match="view's reach"):
                 check_interleaving(F, G, *bad, _view=view)
 
@@ -140,15 +145,13 @@ def test_view_sentinel_range_ends_at_reach():
     view = _IntView(F, G)
     assert (view.scale, view.reach) == (2, 40)  # 4 * the largest endpoint, 5 * 2
     for a, b in [(0, 40), (40, 0), (17, 23)]:
-        assert view.scaled(Fraction(a, 2), Fraction(b, 2)) == (a, b)
         want = int_matching_entries_oracle(F, G, Fraction(a, 2), Fraction(b, 2))
         assert view.entries(a, b) == want
         cert = check_interleaving(F, G, a, b, _view=view)
         assert (cert is None) == (want is None)
         if cert is not None:
             assert (cert.a, cert.b, (cert.u.entries, cert.v.entries)) == (Fraction(a, 2), Fraction(b, 2), want)
-    assert view.scaled(Fraction(41, 2), Fraction(0)) is None
-    assert view.scaled(Fraction(1, 3), Fraction(0)) is None
+    # past the view's reach and off its scale, the public route builds its own
     far = check_interleaving(F, G, Fraction(41, 2), Fraction(13, 3))
     assert far is not None
     assert (far.u.entries, far.v.entries) == int_matching_entries_oracle(F, G, Fraction(41, 2), Fraction(13, 3))

@@ -332,6 +332,17 @@ def test_load_certificate_structure_errors(tmp_path):
         load_certificate(p)
 
 
+@pytest.mark.parametrize("repeat", ["a: 5", "a: 0", "field: 3"])
+def test_load_certificate_refuses_a_repeated_header(tmp_path, repeat):
+    F, G, cert = unit_shift_certificate()
+    p = tmp_path / "c.cert"
+    p.write_text(emit_certificate(F, G, cert).replace("field: 2\n", f"field: 2\n{repeat}\n"))
+    key = repeat.split(":")[0]
+    with pytest.raises(ParseError) as exc:
+        load_certificate(p)
+    assert (exc.value.line, str(exc.value)) == (5, f"{p}:5: duplicate {key} header")
+
+
 def test_emitted_certificate_matches_gamma(tmp_path):
     F, G = B((0, Interval(0, 10))), B((0, Interval(1, 10)))
     report = gamma(F, G)

@@ -19,8 +19,9 @@ from persimod.limits import (
     defect_check,
     hocolim,
 )
-from persimod.morphisms import Morphism, compose, equals_tau, identity, tau_morphism
-from oracles import defect_check_oracle, hocolim_oracle, solve_reverse_oracle
+from persimod.morphisms import Morphism, compose, identity, tau_morphism
+from oracles import defect_check_oracle, equals_tau, hocolim_oracle, inductive_system_refusal_oracle, solve_reverse_oracle
+from conftest import tampered
 from test_canonical import _find_sorted_positions, _random_automorphism
 
 
@@ -62,6 +63,40 @@ def test_system_refuses_a_wrongly_shifted_reverse_target():
     off = Morphism(bc, bc.shift(Fraction(1, 4) - Fraction(1, 997)), {}, field=GF2)
     with pytest.raises(ValueError, match="^reverse map 0 does not match the slack-1/4 shift$"):
         InductiveSystem([bc, bc], [identity(bc)], [Fraction(1, 4)], [off])
+
+
+def test_system_refuses_a_mixed_field_reverse_by_the_field_check():
+    bc = B((0, Interval(0, 1)))
+    g = tau_morphism(bc, Fraction(1, 4), field=PrimeField(5))
+    with pytest.raises(ValueError, match="^mixed scalar fields in reverse maps$"):
+        InductiveSystem([bc, bc], [identity(bc)], [Fraction(1, 4)], [g])
+
+
+@pytest.mark.parametrize("fld", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), how=st.sampled_from(["planted", "changed", "dropped", "added", "slack"]))
+def test_system_refuses_like_the_compose_oracle(fld, seed, how):
+    """A planted graded tower is accepted; with one forward or reverse map
+    tampered, or one slack halved, it is accepted or refused with the same
+    message as when each round trip is composed on translated barcodes and
+    compared by `equals_tau`."""
+    rng = random.Random(seed)
+    stages, fwd, rev, slacks = graded_tower(rng, fld, rng.randint(2, 4))
+    n = rng.randrange(len(fwd))
+    if how == "slack":
+        slacks[n] /= 2
+    elif how != "planted":
+        maps = rng.choice((fwd, rev))
+        maps[n] = tampered(rng, maps[n], how)
+    want = inductive_system_refusal_oracle(stages, fwd, slacks, rev, fld)
+    try:
+        InductiveSystem(stages, fwd, slacks, rev, fld)
+        got = None
+    except ValueError as err:
+        got = str(err)
+    assert got == want
+    if how == "planted":
+        assert got is None
 
 
 def test_system_rejects_negative_slack():

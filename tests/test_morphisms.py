@@ -6,7 +6,7 @@ import pytest
 
 from persimod import Barcode, Interval
 from persimod.fields import GF2, QQ, PrimeField
-from persimod.morphisms import Morphism, compose, equals_tau, identity, tau_morphism
+from persimod.morphisms import Morphism, _is_round_trip, compose, identity, tau_morphism
 from conftest import rand_barcode, rand_realized_morphism
 from oracles import compose_oracle, direct_sum, equals_tau_oracle, merge_barcodes
 
@@ -104,38 +104,34 @@ def test_composite_entries_stay_realized(rng):
             assert hom(a[s].interval, c[t].interval) is DEG0
 
 
-# --- tau equality -----------------------------------------------------------
+# --- round trips against the comparison map ---------------------------------
 
 
-def test_equals_tau_on_tau():
+def test_is_round_trip_on_tau():
     bc = B((0, Interval(0, 5)), (0, Interval(1, 2)))
-    assert equals_tau(tau_morphism(bc, Fraction(3, 2), field=GF2), Fraction(3, 2))
+    c = Fraction(3, 2)
+    assert _is_round_trip(identity(bc), tau_morphism(bc, c, field=GF2), c)
+    assert _is_round_trip(tau_morphism(bc, c, field=GF2), identity(bc.shift(c)), c)
 
 
-def test_equals_tau_zero_morphism():
+def test_is_round_trip_zero_morphism():
     long_bc = B((0, Interval(0, 5)))
-    assert not equals_tau(Morphism(long_bc, long_bc.shift(2), {}), 2)
+    assert not _is_round_trip(identity(long_bc), Morphism(long_bc, long_bc.shift(2), {}), Fraction(2))
     short_bc = B((0, Interval(0, 2)))
-    assert equals_tau(Morphism(short_bc, short_bc.shift(2), {}), 2)
+    assert _is_round_trip(identity(short_bc), Morphism(short_bc, short_bc.shift(2), {}), Fraction(2))
 
 
-def test_equals_tau_rejects_non_shift_target():
-    src, tgt = B((0, Interval(0, 5))), B((0, Interval(1, 7)))
-    with pytest.raises(ValueError):
-        equals_tau(Morphism(src, tgt, {(0, 0): 1}), 1)
-
-
-def test_equals_tau_matches_oracle(rng):
+def test_is_round_trip_matches_stalk_oracle(rng):
     for _ in range(30):
         bc = rand_barcode(rng, rng.randint(1, 4))
         c = Fraction(rng.randint(0, 10), 2)
         m = tau_morphism(bc, c, field=GF2)
-        assert equals_tau(m, c) == equals_tau_oracle(m, c) == True
+        assert _is_round_trip(identity(bc), m, c) == equals_tau_oracle(m, c) == True
         if m.entries:
             broken = dict(m.entries)
             del broken[next(iter(broken))]
             m2 = Morphism(bc, bc.shift(c), broken, field=GF2)
-            assert equals_tau(m2, c) == equals_tau_oracle(m2, c) == False
+            assert _is_round_trip(identity(bc), m2, c) == equals_tau_oracle(m2, c) == False
 
 
 # --- direct sums ------------------------------------------------------------
