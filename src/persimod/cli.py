@@ -1,9 +1,11 @@
 """Command-line front door.
 
-One command per process; exit code 0 on success, 1 on domain errors
-(bad parameters, failed tolerance, undiagonalizable towers), 2 on I/O
-and parse errors.  `--machine` switches to line-oriented key=value
-records; in either mode output bytes are deterministic for fixed inputs.
+One command per process; the parser dispatches it to `run(args, field)`,
+and `persimod.io` reads every input file, `PERSIMOD_CONFIG` included.
+Exit code 0 on success, 1 on domain errors (bad parameters, failed
+tolerance, undiagonalizable towers), 2 on I/O and parse errors.
+`--machine` switches to line-oriented key=value records; in either mode
+output bytes are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .intervals import Interval, POS_INF, check_printable, parse_rational
 from .interleaving import check_interleaving, gamma, gamma_symmetric
 from .io import (
     ParseError,
+    _header,
+    _lines,
+    _read_text,
+    _write,
     emit_barcode,
     emit_certificate,
     emit_cloud,
@@ -39,7 +45,15 @@ from .spectral import spectral_invariants, sublevel_barcode
 __all__ = ["main", "rational_degeneracy"]
 
 
-_CONFIG_KEYS = ("field", "machine")
+def _switch(raw: str) -> bool:
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected one of 1/0/true/false/yes/no, got {raw!r}")
+    return word in ("1", "true", "yes")
+
+
+# Each config key with the parser that checks its value.
+_CONFIG_KEYS = {"field": field_by_name, "machine": _switch}
 
 # The Farey barcodes hold about 0.3 N^2 bars, and the order-preserving
 # matching walks the whole staircase for each: N = 64 takes about 1 s,
@@ -50,26 +64,22 @@ MAX_DEMO_DENOM = 64
 def _load_config() -> dict:
     """`key = value` defaults from the file named by PERSIMOD_CONFIG.
 
-    An unknown or repeated key, or a line that is not `key = value`, raises
-    ParseError with its line."""
+    An unknown or repeated key, a value its key's parser refuses, or a line
+    that is not `key = value`, raises ParseError with its line."""
     path = os.environ.get("PERSIMOD_CONFIG")
     if not path or not os.path.exists(path):
         return {}
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(path, n, "expected 'key = value'")
-            key, val = line.split("=", 1)
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise ParseError(path, n, f"unknown key {key!r}")
-            if key in out:
-                raise ParseError(path, n, f"duplicate key {key!r}")
-            out[key] = val
+    for n, line in _lines(_read_text(path)):
+        if "=" not in line:
+            raise ParseError(path, n, "expected 'key = value'")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ParseError(path, n, f"unknown key {key!r}")
+        if key in out:
+            raise ParseError(path, n, f"duplicate key {key!r}")
+        _header(path, f"{key} value", val, _CONFIG_KEYS[key], n)
+        out[key] = val
     return out
 
 
@@ -78,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="persimod", description=__doc__)
     top.add_argument("--field", default=cfg.get("field", "2"),
                      help="scalar field: a prime p or 'q' for rationals")
-    top.add_argument("--machine", action="store_true",
-                     default=cfg.get("machine", "").lower() in ("1", "true", "yes"),
+    top.add_argument("--machine", action="store_true", default=_switch(cfg.get("machine", "no")),
                      help="emit line-oriented key=value records")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -91,34 +100,41 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("--symmetric", action="store_true")
     dg.add_argument("--certificate", default="gamma.cert",
                     help="where to write the verified certificate")
+    dg.set_defaults(run=_cmd_gamma)
     dc = dsub.add_parser("check", help="decide an (a,b)-interleaving")
     dc.add_argument("left")
     dc.add_argument("right")
     dc.add_argument("--a", required=True)
     dc.add_argument("--b", required=True)
+    dc.set_defaults(run=_cmd_check)
 
     sp = sub.add_parser("spectral", help="read spectral numbers off a barcode")
     sp.add_argument("file")
     sp.add_argument("--convention", required=True, choices=("LeftInfinite", "Sublevel"))
     sp.add_argument("--dim", required=True, type=int)
+    sp.set_defaults(run=_cmd_spectral)
 
     sl = sub.add_parser("sublevel", help="sublevel persistence of a PL function")
     sl.add_argument("file")
+    sl.set_defaults(run=_cmd_sublevel)
 
     lim = sub.add_parser("limit", help="truncated colimit of a tower directory")
     lim.add_argument("dir")
     lim.add_argument("--defect", type=int, default=None,
                      help="also run the stage-n defect comparison")
+    lim.set_defaults(run=_cmd_limit)
 
     comp = sub.add_parser("complete", help="Cauchy completion of a barcode sequence")
     comp.add_argument("dir")
     comp.add_argument("--tol", required=True)
+    comp.set_defaults(run=_cmd_complete)
 
     cone = sub.add_parser("cone-test", help="cone-level coisotropy test")
     cone.add_argument("--cloud", required=True)
     cone.add_argument("--point", required=True,
                       help="base point, comma- or space-separated coordinates")
     cone.add_argument("--theta-res", type=float, default=5.0)
+    cone.set_defaults(run=_cmd_cone)
 
     can = sub.add_parser("cantor", help="Cantor cube families and displacement bounds")
     can.add_argument("--a", required=True)
@@ -127,15 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
     group = can.add_mutually_exclusive_group()
     group.add_argument("--emit-cloud", action="store_true")
     group.add_argument("--bound-table", action="store_true")
+    can.set_defaults(run=_cmd_cantor)
 
     demo = sub.add_parser("demo", help="built-in demonstration scenarios")
     dsub2 = demo.add_subparsers(dest="scenario", required=True)
     rd = dsub2.add_parser("rational-degeneracy",
                           help="distinct barcodes at certified distance 1/N")
     rd.add_argument("--denom-max", required=True, type=int)
+    rd.set_defaults(run=_cmd_demo)
 
     val = sub.add_parser("validate", help="parse any fixture file and summarize")
     val.add_argument("file")
+    val.set_defaults(run=_cmd_validate)
     return top
 
 
@@ -171,15 +190,16 @@ def _emit(args, human: str, records: List[str]) -> None:
         print(human)
 
 
-def _cmd_dist(args, field) -> int:
-    F = parse_barcode(args.left)
-    G = parse_barcode(args.right)
-    if args.subcommand == "check":
-        result = check_interleaving(F, G, parse_rational(args.a), parse_rational(args.b), field=field)
-        word = "interleaved" if result is not None else "not-interleaved"
-        _emit(args, word, [f"a={args.a}", f"b={args.b}", f"result={word}"])
-        return 0
+def _cmd_check(args, field) -> int:
+    F, G = parse_barcode(args.left), parse_barcode(args.right)
+    result = check_interleaving(F, G, parse_rational(args.a), parse_rational(args.b), field=field)
+    word = "interleaved" if result is not None else "not-interleaved"
+    _emit(args, word, [f"a={args.a}", f"b={args.b}", f"result={word}"])
+    return 0
 
+
+def _cmd_gamma(args, field) -> int:
+    F, G = parse_barcode(args.left), parse_barcode(args.right)
     fn = gamma_symmetric if args.symmetric else gamma
     report = fn(F, G, field=field)
     # A distance between printable barcodes can be too long to print.
@@ -193,9 +213,7 @@ def _cmd_dist(args, field) -> int:
     ]
     human = f"{report.value} {report.exactness.lower()}"
     if report.certificate is not None:
-        text = emit_certificate(F, G, report.certificate)
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.certificate, emit_certificate(F, G, report.certificate))
         load_certificate(args.certificate)  # re-verify what we just wrote
         records.append(f"certificate={args.certificate}")
         human += f" (certificate: {args.certificate})"
@@ -205,7 +223,7 @@ def _cmd_dist(args, field) -> int:
     return 0
 
 
-def _cmd_spectral(args) -> int:
+def _cmd_spectral(args, field) -> int:
     report = spectral_invariants(parse_barcode(args.file), args.convention, args.dim)
     spectrum = ",".join(f"{d}:{v}" for d, v in report.invariants)
     _emit(
@@ -218,6 +236,11 @@ def _cmd_spectral(args) -> int:
             f"spectrum={spectrum}",
         ],
     )
+    return 0
+
+
+def _cmd_sublevel(args, field) -> int:
+    sys.stdout.write(emit_barcode(sublevel_barcode(parse_plfunction(args.file))))
     return 0
 
 
@@ -249,7 +272,7 @@ def _cmd_complete(args, field) -> int:
     return 0
 
 
-def _cmd_cone(args) -> int:
+def _cmd_cone(args, field) -> int:
     cloud = parse_cloud(args.cloud)
     point = [float(t) for t in args.point.replace(",", " ").split()]
     params = ConeParams(theta_res=args.theta_res)
@@ -263,7 +286,7 @@ def _cmd_cone(args) -> int:
     return 0
 
 
-def _cmd_cantor(args) -> int:
+def _cmd_cantor(args, field) -> int:
     a = parse_rational(args.a)
     if args.bound_table:
         # Deepest level first, so an over-budget table fails before any
@@ -305,40 +328,16 @@ def _cmd_demo(args, field) -> int:
     return 0
 
 
+def _cmd_validate(args, field) -> int:
+    print(validate_file(args.file, field))
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        parser = build_parser()
-    except (ParseError, OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
-    try:
-        field = field_by_name(args.field)
-        if args.command == "dist":
-            return _cmd_dist(args, field)
-        if args.command == "spectral":
-            return _cmd_spectral(args)
-        if args.command == "sublevel":
-            sys.stdout.write(emit_barcode(sublevel_barcode(parse_plfunction(args.file))))
-            return 0
-        if args.command == "limit":
-            return _cmd_limit(args, field)
-        if args.command == "complete":
-            return _cmd_complete(args, field)
-        if args.command == "cone-test":
-            return _cmd_cone(args)
-        if args.command == "cantor":
-            return _cmd_cantor(args)
-        if args.command == "demo":
-            return _cmd_demo(args, field)
-        if args.command == "validate":
-            print(validate_file(args.file))
-            return 0
-        raise AssertionError(f"unhandled command {args.command}")
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+        args = build_parser().parse_args(argv)
+        return args.run(args, field_by_name(args.field))
+    except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, DiagonalizationError, CompletionError) as err:

@@ -179,26 +179,16 @@ def _cone(cloud: PointCloud, x, params: ConeParams, pairs: bool) -> DirectionSet
     dists = np.linalg.norm(cloud.points - x, axis=1)
     per_scale = []
     for r in scales:
-        pts = cloud.points[(dists > 0) & (dists <= r)]
         if pairs:
             near = cloud.points[dists <= r]
             if len(near) > _PAIR_CAP:
                 near = near[np.linspace(0, len(near) - 1, _PAIR_CAP).astype(int)]
-            if len(near) >= 2:
-                diff = near[:, None, :] - near[None, :, :]
-                diff = diff.reshape(-1, cloud.dimension)
-                norms = np.linalg.norm(diff, axis=1)
-                diff = diff[norms > 0] / norms[norms > 0][:, None]
-                secants = np.concatenate([diff, -diff], axis=0)
-            else:
-                secants = np.zeros((0, cloud.dimension))
+            diff = (near[:, None, :] - near[None, :, :]).reshape(-1, cloud.dimension)
         else:
-            if len(pts):
-                diff = pts - x
-                secants = diff / np.linalg.norm(diff, axis=1)[:, None]
-            else:
-                secants = np.zeros((0, cloud.dimension))
-        per_scale.append(_quantize(secants))
+            diff = cloud.points[(dists > 0) & (dists <= r)] - x
+        norms = np.linalg.norm(diff, axis=1)
+        secants = diff[norms > 0] / norms[norms > 0][:, None]
+        per_scale.append(_quantize(np.concatenate([secants, -secants]) if pairs else secants))
     return DirectionSet(_persisting(per_scale, params.theta_res), params.theta_res)
 
 

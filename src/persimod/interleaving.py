@@ -111,10 +111,6 @@ class DistanceReport:
     def upper(self) -> ExtRat:
         return self.value
 
-    def __iter__(self):
-        yield self.value
-        yield self.certificate
-
 
 def _infinite_mismatch(F: Barcode, G: Barcode) -> bool:
     """Per degree, the counts of left-infinite, right-infinite and

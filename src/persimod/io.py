@@ -1,8 +1,10 @@
 """Text formats: barcodes, morphisms, PL functions, point clouds, tower
 directories, and interleaving-certificate files.
 
-All emitters are deterministic (sorted, canonical spellings) so emitted
-bytes are diffable; every parser round-trips its emitter exactly.
+`_read_text` is the package's one reader of input text: an unreadable or
+non-UTF-8 file is a ParseError naming it.  All emitters are deterministic
+(sorted, canonical spellings) so emitted bytes are diffable; every parser
+round-trips its emitter exactly.
 """
 
 from __future__ import annotations
@@ -55,16 +57,16 @@ def _read_text(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(path, None, f"cannot read ({err})") from None
 
 
-def _header(path, key: str, raw: str, parse):
-    """A header value read by `parse`; a malformed value names the file."""
+def _header(path, what: str, raw: str, parse, line: Optional[int] = None):
+    """A value read by `parse`; a malformed one names `what` and the file."""
     try:
         return parse(raw)
     except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(path, None, f"bad {key} header ({err})") from None
+        raise ParseError(path, line, f"bad {what} ({err})") from None
 
 
 def _lines(text: str):
@@ -164,20 +166,20 @@ def parse_cloud(path):
     from .cones import PointCloud
 
     rows: List[List[float]] = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for n, row in enumerate(csv.reader(fh), 1):
-                cells = [c.strip() for c in row if c.strip()]
-                if not cells or cells[0].startswith("#"):
-                    continue
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError as err:
-                    raise ParseError(path, n, f"unknown token ({err})") from None
-                if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                    raise ParseError(path, n, "ragged row")
-    except OSError as err:
-        raise ParseError(path, None, f"cannot read ({err})") from None
+    numbered = list(_lines(_read_text(path)))
+    # One reader over all rows; `line_num` counts the lines it has consumed.
+    reader = csv.reader(line for _, line in numbered)
+    for row in reader:
+        n = numbered[reader.line_num - 1][0]
+        cells = [c.strip() for c in row if c.strip()]
+        if not cells:
+            continue
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as err:
+            raise ParseError(path, n, f"unknown token ({err})") from None
+        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            raise ParseError(path, n, "ragged row")
     if not rows:
         raise ParseError(path, None, "empty point cloud")
     try:
@@ -306,9 +308,9 @@ def _check_headers(path, headers, want_source, want_target, want_shift, field):
         raise ParseError(path, None, f"source header is not {want_source}")
     if "target" in headers and os.path.basename(headers["target"]) != want_target:
         raise ParseError(path, None, f"target header is not {want_target}")
-    if "shift" in headers and _header(path, "shift", headers["shift"], parse_rational) != want_shift:
+    if "shift" in headers and _header(path, "shift header", headers["shift"], parse_rational) != want_shift:
         raise ParseError(path, None, f"shift header is not {want_shift}")
-    if "field" in headers and _header(path, "field", headers["field"], field_by_name) != field:
+    if "field" in headers and _header(path, "field header", headers["field"], field_by_name) != field:
         raise ParseError(path, None, f"field header is not {_field_name(field)}")
 
 
@@ -346,8 +348,9 @@ _SECTION_RE = re.compile(r"^\[(source|target|forward|reverse)\]$")
 _CERT_HEADER_RE = re.compile(r"^(a|b|field)\s*:\s*(.+)$")
 
 
-def load_certificate(path):
-    """Read a self-contained certificate file and re-verify it.
+def load_certificate(path, field=GF2):
+    """Read a self-contained certificate file and re-verify it; a file
+    without a `field:` header is read in `field`.
 
     Returns (F, G, certificate); the certificate constructor re-checks the
     round-trip identities, so a doctored file fails loudly.
@@ -377,11 +380,9 @@ def load_certificate(path):
             raise ParseError(path, None, f"missing section [{need}]")
     if "a" not in headers or "b" not in headers:
         raise ParseError(path, None, "missing a:/b: headers")
-    try:
-        a, b = parse_rational(headers["a"]), parse_rational(headers["b"])
-    except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(path, None, f"bad shift ({err})") from None
-    field = _header(path, "field", headers.get("field", "2"), field_by_name)
+    a, b = (_header(path, "shift header", headers[k], parse_rational) for k in "ab")
+    if "field" in headers:
+        field = _header(path, "field header", headers["field"], field_by_name)
 
     def bc(name):
         body = "\n".join(line for _, line in sections[name])
@@ -421,10 +422,11 @@ def emit_certificate(F: Barcode, G: Barcode, cert: InterleavingCertificate) -> s
 # -- validation front door --------------------------------------------------
 
 
-def validate_file(path) -> str:
-    """Parse any supported fixture and return a one-line summary."""
+def validate_file(path, field=GF2) -> str:
+    """Parse any supported fixture and return a one-line summary; a tower,
+    and a `.mor` or `.cert` file without a `field:` header, is read in `field`."""
     if os.path.isdir(path):
-        system = load_system(path)
+        system = load_system(path, field)
         return (
             f"tower: {len(system.stages)} stages, "
             f"{sum(g is not None for g in system.reverses)} reverse maps"
@@ -441,7 +443,7 @@ def validate_file(path) -> str:
         cloud = parse_cloud(path)
         return f"point-cloud: {len(cloud)} points in R^{cloud.dimension}"
     if ext == ".cert":
-        F, G, cert = load_certificate(path)
+        F, G, cert = load_certificate(path, field)
         return f"certificate: shifts ({cert.a},{cert.b}) verified"
     if ext == ".mor":
         headers, entries = _parse_morphism_entries(path)
@@ -450,8 +452,9 @@ def validate_file(path) -> str:
         base = os.path.dirname(os.path.abspath(str(path)))
         source = parse_barcode(os.path.join(base, headers["source"]))
         target = parse_barcode(os.path.join(base, headers["target"]))
-        shift = _header(path, "shift", headers.get("shift", "0"), parse_rational)
-        field = _header(path, "field", headers.get("field", "2"), field_by_name)
+        shift = _header(path, "shift header", headers.get("shift", "0"), parse_rational)
+        if "field" in headers:
+            field = _header(path, "field header", headers["field"], field_by_name)
         f = _build_morphism(path, source, target.shift(shift), entries, field)
         return f"morphism: {len(f.entries)} entries, shift {shift}"
     raise ParseError(path, None, f"unknown fixture kind {ext!r}")

@@ -192,10 +192,6 @@ class HocolimResult:
     error_bound: ExtRat
     chains: Tuple[Chain, ...]
 
-    def __iter__(self):
-        yield self.barcode
-        yield self.error_bound
-
 
 def _follow_chains(records: Sequence[StageDiagonalization]):
     """Walk sigma through the stages.  Returns (chains, heads) where heads
@@ -293,10 +289,6 @@ class CompletionResult:
     certificates: Tuple[Mapping[int, InterleavingCertificate], ...]
     final_gamma: DistanceReport
 
-    def __iter__(self):
-        yield self.barcode
-        yield self.certificates
-
 
 def _extrapolate(values: Sequence[ExtRat]) -> ExtRat:
     """Limit of an endpoint history: exact when it stabilizes or follows a
@@ -365,13 +357,6 @@ def complete_cauchy(
     sub = seq[start:]
     indices = tuple(range(start, len(seq)))
     m = len(sub) - 1
-
-    if m == 0:
-        final = gamma(sub[0], seq[-1], field=field)
-        if final.value > tol:
-            raise ToleranceError(f"gamma {final.value} exceeds tolerance {tol}")
-        return CompletionResult(sub[0], start, indices, (), final)
-
     step_certs: List[Dict[int, InterleavingCertificate]] = [dict() for _ in range(m)]
     out_bars: List[Bar] = []
 

@@ -1,16 +1,22 @@
 """Command-line behavior: output lines, exit codes, machine mode, config."""
 
+import re
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from persimod.cli import MAX_DEMO_DENOM, main, rational_degeneracy
+from persimod import Barcode, Interval
+from persimod.cli import MAX_DEMO_DENOM, build_parser, main, rational_degeneracy
+from persimod.fields import PrimeField
 from persimod.interleaving import gamma
 from persimod.io import emit_plfunction, emit_system, load_certificate, parse_barcode_text
-from persimod.limits import defect_check
+from persimod.limits import InductiveSystem, defect_check
+from persimod.morphisms import Morphism
 from persimod.spectral import PLFunction
 
 from test_limits import geometric_tower
@@ -465,6 +471,99 @@ def test_certificate_repeated_header_exits_2(unit_pair, capsys, repeat):
     rc, out, err = run(capsys, "validate", str(cert))
     assert (rc, out) == (2, "")
     assert err.splitlines() == [f"error: {cert}:{n + 1}: duplicate a header"]
+
+
+# --- one reader, one field rule ---------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [".bc", ".plf", ".csv", ".mor", "slacks.txt", ".cert", "config"])
+def test_non_utf8_input_exits_2_naming_the_file(unit_pair, monkeypatch, capsys, kind):
+    emit_system(unit_pair / "tower", geometric_tower(2, 4))
+    assert run(capsys, "dist", "gamma", "F.bc", "G.bc")[0] == 0
+    argv = {
+        ".bc": ("dist", "gamma", "F.bc", "G.bc"),
+        ".plf": ("sublevel", "f.plf"),
+        ".csv": ("cone-test", "--cloud", "c.csv", "--point", "0,0"),
+        ".mor": ("limit", "tower"),
+        "slacks.txt": ("limit", "tower"),
+        ".cert": ("validate", "gamma.cert"),
+        "config": ("dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1"),
+    }[kind]
+    bad = {
+        ".bc": "F.bc", ".plf": "f.plf", ".csv": "c.csv", ".mor": "tower/f0.mor",
+        "slacks.txt": "tower/slacks.txt", ".cert": "gamma.cert", "config": "persimod.cfg",
+    }[kind]
+    (unit_pair / bad).write_bytes(b"0 0 1\n\xff\n")
+    monkeypatch.setenv("PERSIMOD_CONFIG", "persimod.cfg")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {bad}: cannot read ('utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, what", [
+    ("field = banana", "field value (invalid literal for int()"),
+    ("field = 4", "field value (4 is not prime)"),
+    ("machine = maybe", "machine value (expected one of 1/0/true/false/yes/no, got 'maybe')"),
+])
+def test_config_bad_value_exits_2_at_its_line(unit_pair, monkeypatch, capsys, line, what):
+    cfg = unit_pair / "persimod.cfg"
+    cfg.write_text(f"# defaults\n{line}\n")
+    monkeypatch.setenv("PERSIMOD_CONFIG", str(cfg))
+    rc, out, err = run(capsys, "dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {cfg}:2: bad {what}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, records", [("YES", True), ("True", True), ("no", False), ("0", False)])
+def test_config_machine_words(unit_pair, monkeypatch, capsys, value, records):
+    cfg = unit_pair / "persimod.cfg"
+    cfg.write_text(f"machine = {value}\n")
+    monkeypatch.setenv("PERSIMOD_CONFIG", str(cfg))
+    rc, out, _ = run(capsys, "dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
+    assert (rc, out) == (0, "a=0\nb=1\nresult=interleaved\n" if records else "interleaved\n")
+
+
+def gf5_tower():
+    """Two stages whose maps scale by 2 and 3: a tower over GF(5), whose
+    round trip reads as the zero map over GF(2)."""
+    gf5 = PrimeField(5)
+    eps = Fraction(1, 8)
+    lo, hi = Barcode([(0, Interval(0, Fraction(3, 4)))]), Barcode([(0, Interval(0, Fraction(7, 8)))])
+    f = Morphism(lo, hi, {(0, 0): 2}, field=gf5)
+    g = Morphism(hi, lo.shift(eps), {(0, 0): 3}, field=gf5)
+    return InductiveSystem([lo, hi], [f], [eps], [g], gf5)
+
+
+def test_validate_reads_a_tower_in_the_field_flag(tmp_path, capsys):
+    emit_system(tmp_path / "tower", gf5_tower())
+    for cmd in ("validate", "limit"):
+        rc, _, err = run(capsys, cmd, str(tmp_path / "tower"))
+        assert rc == 2 and "is not the canonical comparison" in err
+    rc, out, _ = run(capsys, "--field", "5", "validate", str(tmp_path / "tower"))
+    assert (rc, out) == (0, "tower: 2 stages, 1 reverse maps\n")
+    assert run(capsys, "--field", "5", "limit", str(tmp_path / "tower"))[0] == 0
+
+
+def test_validate_reads_a_headerless_morphism_in_the_field_flag(unit_pair, capsys):
+    (unit_pair / "u.mor").write_text("source: F.bc\ntarget: F.bc\n0 0 2\n")
+    assert run(capsys, "validate", "u.mor")[:2] == (0, "morphism: 0 entries, shift 0\n")
+    assert run(capsys, "--field", "5", "validate", "u.mor")[:2] == (0, "morphism: 1 entries, shift 0\n")
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("persimod ")]
+
+
+def test_readme_command_lines_parse_to_a_handler(monkeypatch):
+    monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
+    lines = _readme_commands()
+    assert len(lines) == 14
+    for line in lines:
+        argv = shlex.split(line.split(">")[0])[1:]
+        assert callable(build_parser().parse_args(argv).run), line
 
 
 def test_console_script_smoke(tmp_path):

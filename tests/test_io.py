@@ -130,6 +130,12 @@ def test_cloud_round_trip(tmp_path):
     assert back.points.tolist() == cloud.points.tolist()
 
 
+def test_cloud_row_with_a_trailing_comment(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("# x, y\n0,0.25  # first row\n1.5,-2.0,# second\n")
+    assert parse_cloud(p).points.tolist() == [[0.0, 0.25], [1.5, -2.0]]
+
+
 def test_cloud_parse_errors(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("0,1\n2\n")
@@ -300,6 +306,19 @@ def test_certificate_gf5_field_round_trip(tmp_path):
     _, _, back = load_certificate(p)
     assert back.u.field.p == 5
     assert back.u.entries == {(0, 0): 2}
+
+
+def test_headerless_certificate_is_read_in_the_given_field(tmp_path):
+    F = B((0, Interval(0, 4)))
+    gf5 = PrimeField(5)
+    cert = InterleavingCertificate(0, 0, Morphism(F, F, {(0, 0): 2}, field=gf5), Morphism(F, F, {(0, 0): 3}, field=gf5))
+    p = tmp_path / "scale.cert"
+    p.write_text(emit_certificate(F, F, cert).replace("field: 5\n", ""))
+    _, _, back = load_certificate(p, gf5)
+    assert (back.u.field, back.u.entries) == (gf5, {(0, 0): 2})
+    assert validate_file(p, gf5) == "certificate: shifts (0,0) verified"
+    with pytest.raises(ValueError):
+        load_certificate(p)
 
 
 def test_load_certificate_reverifies(tmp_path):

@@ -130,9 +130,8 @@ def test_hocolim_constant_system():
     system = InductiveSystem([bc] * 4, [identity(bc)] * 3, [0] * 3,
                              [tau_morphism(bc, 0, field=GF2)] * 3)
     out = hocolim(system)
-    barcode, err = out
-    assert barcode == bc
-    assert err == ExtRat(0)
+    assert out.barcode == bc
+    assert out.error_bound == ExtRat(0)
 
 
 def test_hocolim_single_stage():
@@ -355,8 +354,7 @@ def completion_tower(n_hi=9):
 def test_complete_constant_sequence():
     bc = B((0, Interval(0, 3)), (1, Interval(1, 2)))
     result = complete_cauchy([bc] * 5, Fraction(0))
-    out, certs = result
-    assert out == bc
+    assert result.barcode == bc
     assert result.final_gamma.value == ExtRat(0)
 
 
