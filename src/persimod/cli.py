@@ -64,10 +64,10 @@ MAX_DEMO_DENOM = 64
 def _load_config() -> dict:
     """`key = value` defaults from the file named by PERSIMOD_CONFIG.
 
-    An unknown or repeated key, a value its key's parser refuses, or a line
-    that is not `key = value`, raises ParseError with its line."""
+    An unreadable named file, an unknown or repeated key, a value its key's
+    parser refuses, or a line that is not `key = value` raises ParseError."""
     path = os.environ.get("PERSIMOD_CONFIG")
-    if not path or not os.path.exists(path):
+    if not path:
         return {}
     out = {}
     for n, line in _lines(_read_text(path)):

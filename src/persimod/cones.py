@@ -3,9 +3,9 @@ Cantor-cube families with their displacement-energy bound.
 
 Unlike the rest of the package this module works in double precision:
 secant directions of a sampled set are approximate by nature, so the
-scale list, angular resolution, and singular-value threshold are explicit
-parameters rather than hidden constants.  Cube corners and the
-displacement bound stay exact (Fractions); only point clouds are floats.
+scale list and angular resolution are parameters and the tolerances are
+named constants.  Cube corners and the displacement bound stay exact
+(Fractions); only point clouds are floats.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ BOUND_EXPONENT_BUDGET = 10 ** 4
 # The induced error is far below the default 5-degree resolution.
 _QUANT = 0.02
 _PAIR_CAP = 200
+# Paratingent rank cut, normal-grid step (degrees), default scale count.
+_SV_REL_TOL = 1e-3
+_GRID_DEG = 10.0
+_N_SCALES = 9
 
 
 class PointCloud:
@@ -97,9 +101,6 @@ class Hyperplane:
 class ConeParams:
     scales: Optional[Tuple[float, ...]] = None
     theta_res: float = 5.0
-    sv_rel_tol: float = 1e-3
-    grid_deg: float = 10.0
-    n_scales: int = 9
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,12 @@ def standard_symplectic_matrix(n: int) -> np.ndarray:
     return np.block([[zero, -eye], [eye, zero]])
 
 
-def _default_scales(cloud: PointCloud, x: np.ndarray, params: ConeParams) -> List[float]:
+def _default_scales(cloud: PointCloud, x: np.ndarray) -> List[float]:
     dists = np.linalg.norm(cloud.points - x, axis=1)
     r0 = float(np.max(dists))
     if r0 == 0.0:
         raise ValueError("no secants: the cloud has no point distinct from x")
-    return [r0 * 2.0 ** (-j) for j in range(params.n_scales)]
+    return [r0 * 2.0 ** (-j) for j in range(_N_SCALES)]
 
 
 def _quantize(vecs: np.ndarray) -> np.ndarray:
@@ -173,7 +174,7 @@ def _cone(cloud: PointCloud, x, params: ConeParams, pairs: bool) -> DirectionSet
     x = np.asarray(x, dtype=float)
     if x.shape != (cloud.dimension,):
         raise ValueError(f"base point must have dimension {cloud.dimension}")
-    scales = list(params.scales) if params.scales is not None else _default_scales(cloud, x, params)
+    scales = list(params.scales) if params.scales is not None else _default_scales(cloud, x)
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
     dists = np.linalg.norm(cloud.points - x, axis=1)
@@ -259,7 +260,7 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
     if len(big.vectors) == 0:
         raise ValueError("empty paratingent cone")
     svals = np.linalg.svd(big.vectors, compute_uv=False)
-    rank = int(np.sum(svals > params.sv_rel_tol * svals[0]))
+    rank = int(np.sum(svals > _SV_REL_TOL * svals[0]))
     if rank == n2:
         return Verdict("CoisotropicVacuous")
     _, _, vt = np.linalg.svd(big.vectors)
@@ -272,7 +273,7 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
         e[i] = 1.0
         if np.linalg.norm(vt[:rank] @ e) <= 1e-8:
             candidates.append(e)
-    for u in _sphere_grid(n2 - rank, params.grid_deg):
+    for u in _sphere_grid(n2 - rank, _GRID_DEG):
         candidates.append(u @ null_basis)
 
     finer = replace(params, theta_res=params.theta_res / 2.0)

@@ -1,4 +1,4 @@
-"""Interleaving decision, distance search, and certificates.
+"""Interleaving decision and distance search.
 
 An (a,b)-interleaving between barcodes F and G is a pair of morphisms
 u: F -> shift(G, a) and v: G -> shift(F, b) whose two round trips equal
@@ -12,21 +12,16 @@ complete: a covering matching converts directly into diagonal
 certificate maps, and conversely any interleaving induces such a
 matching.  So every decision is either a certificate or a proof that
 none exists, and every finite distance comes with a certificate at an
-optimal (a, b).
+optimal (a, b), checked by `morphisms.InterleavingCertificate` alone.
 
 Each problem (F, G) is scaled to ints once: one private view holds the
 scaled bars of every degree and decides each probe of a search through a
 single kernel, and a public `check_interleaving` call builds a one-shot
-view of its own and scales its shifts into it.  Probes stay in the view's units: `gamma`'s probes hand
-`check_interleaving` int pairs, so each "yes" is a certificate and shifts
-become Fractions only for it; `gamma_symmetric`'s probes ask the kernel
-only, and its one certificate is built at the optimum.
-
-Every certificate is re-verified at construction, on its barcodes' own
-endpoints; nothing unverified is ever returned.  Both round trips go
-through `morphisms._is_round_trip`, the one round-trip check of the
-package, which works on the untranslated bars: only the maps' targets
-G + a and F + b are ever built.
+view of its own and scales its shifts into it.  Probes stay in the
+view's units: `gamma`'s probes hand `check_interleaving` int pairs, so
+each "yes" is a certificate and shifts become Fractions only for it;
+`gamma_symmetric`'s probes ask the kernel only, and its one certificate
+is built at the optimum.
 """
 
 from __future__ import annotations
@@ -41,54 +36,14 @@ from .barcodes import Barcode
 from .fields import GF2
 from .intervals import ExtRat, POS_INF, int_pair
 from .matching import matching_covering
-from .morphisms import Morphism, _is_round_trip
+from .morphisms import InterleavingCertificate, Morphism
 
 __all__ = [
-    "InterleavingCertificate",
     "DistanceReport",
     "check_interleaving",
     "gamma",
     "gamma_symmetric",
 ]
-
-
-class InterleavingCertificate:
-    """A verified (a,b)-interleaving.  Construction re-checks both round
-    trips against the canonical comparison and refuses anything else."""
-
-    __slots__ = ("a", "b", "u", "v")
-
-    def __init__(self, a, b, u: Morphism, v: Morphism):
-        a, b = Fraction(a), Fraction(b)
-        if a < 0 or b < 0:
-            raise ValueError("interleaving shifts must be nonnegative")
-        F, G = u.source, v.source
-        if u.field != v.field:
-            raise ValueError("certificate maps use different scalar fields")
-        if not u.target.is_shift_of(G, a):
-            raise ValueError("u must land in the a-shift of G")
-        if not v.target.is_shift_of(F, b):
-            raise ValueError("v must land in the b-shift of F")
-        # Each round trip lands in the (a+b)-shift of its source.
-        total = a + b
-        if not _is_round_trip(u, v, total):
-            raise ValueError("round trip through G is not the canonical comparison")
-        if not _is_round_trip(v, u, total):
-            raise ValueError("round trip through F is not the canonical comparison")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, *args):
-        raise AttributeError("certificates are immutable")
-
-    @property
-    def total(self) -> Fraction:
-        return self.a + self.b
-
-    def __repr__(self):
-        return f"InterleavingCertificate(a={self.a}, b={self.b}, total={self.total})"
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ from typing import Dict, List, Optional, Tuple
 from .barcodes import Bar, Barcode
 from .fields import GF2, field_by_name
 from .intervals import Interval, parse_endpoint, parse_rational
-from .interleaving import InterleavingCertificate
 from .limits import InductiveSystem
-from .morphisms import Morphism
+from .morphisms import InterleavingCertificate, Morphism
 from .spectral import PLFunction
 
 __all__ = [
@@ -212,7 +211,8 @@ def _parse_entry(path, n: int, line: str) -> Tuple[int, int, Fraction, int]:
         raise ParseError(path, n, f"unknown token ({err})") from None
 
 
-def _parse_morphism_entries(path) -> Tuple[Dict[str, str], List[Tuple[int, int, Fraction, int]]]:
+def _parse_morphism_entries(path, field) -> Tuple[Dict[str, str], List[Tuple[int, int, Fraction, int]]]:
+    """Headers and entries of a `.mor` file, whose `field:` header must name `field`."""
     headers: Dict[str, str] = {}
     entries: List[Tuple[int, int, Fraction, int]] = []
     for n, line in _lines(_read_text(path)):
@@ -223,6 +223,8 @@ def _parse_morphism_entries(path) -> Tuple[Dict[str, str], List[Tuple[int, int, 
             headers[m.group(1)] = m.group(2).strip()
             continue
         entries.append(_parse_entry(path, n, line))
+    if "field" in headers and _header(path, "field header", headers["field"], field_by_name) != field:
+        raise ParseError(path, None, f"field header is not {_field_name(field)}")
     return headers, entries
 
 
@@ -285,13 +287,13 @@ def load_system(dirpath, field=GF2) -> InductiveSystem:
         fpath = os.path.join(dirpath, f"f{n}.mor")
         if not os.path.exists(fpath):
             raise ParseError(fpath, None, "missing forward map")
-        headers, entries = _parse_morphism_entries(fpath)
-        _check_headers(fpath, headers, f"F{n}.bc", f"F{n + 1}.bc", Fraction(0), field)
+        headers, entries = _parse_morphism_entries(fpath, field)
+        _check_headers(fpath, headers, f"F{n}.bc", f"F{n + 1}.bc", Fraction(0))
         maps.append(_build_morphism(fpath, stages[n], stages[n + 1], entries, field))
         gpath = os.path.join(dirpath, f"g{n}.mor")
         if os.path.exists(gpath):
-            headers, entries = _parse_morphism_entries(gpath)
-            _check_headers(gpath, headers, f"F{n + 1}.bc", f"F{n}.bc", slacks[n], field)
+            headers, entries = _parse_morphism_entries(gpath, field)
+            _check_headers(gpath, headers, f"F{n + 1}.bc", f"F{n}.bc", slacks[n])
             reverses.append(
                 _build_morphism(gpath, stages[n + 1], stages[n].shift(slacks[n]), entries, field)
             )
@@ -303,15 +305,13 @@ def load_system(dirpath, field=GF2) -> InductiveSystem:
         raise ParseError(dirpath, None, f"inconsistent tower: {err}") from None
 
 
-def _check_headers(path, headers, want_source, want_target, want_shift, field):
+def _check_headers(path, headers, want_source, want_target, want_shift):
     if "source" in headers and os.path.basename(headers["source"]) != want_source:
         raise ParseError(path, None, f"source header is not {want_source}")
     if "target" in headers and os.path.basename(headers["target"]) != want_target:
         raise ParseError(path, None, f"target header is not {want_target}")
     if "shift" in headers and _header(path, "shift header", headers["shift"], parse_rational) != want_shift:
         raise ParseError(path, None, f"shift header is not {want_shift}")
-    if "field" in headers and _header(path, "field header", headers["field"], field_by_name) != field:
-        raise ParseError(path, None, f"field header is not {_field_name(field)}")
 
 
 def emit_system(dirpath, system: InductiveSystem) -> None:
@@ -423,8 +423,8 @@ def emit_certificate(F: Barcode, G: Barcode, cert: InterleavingCertificate) -> s
 
 
 def validate_file(path, field=GF2) -> str:
-    """Parse any supported fixture and return a one-line summary; a tower,
-    and a `.mor` or `.cert` file without a `field:` header, is read in `field`."""
+    """Parse any supported fixture and return a one-line summary.  A tower
+    or `.mor` file is read in `field`, and so is a `.cert` without `field:`."""
     if os.path.isdir(path):
         system = load_system(path, field)
         return (
@@ -446,15 +446,13 @@ def validate_file(path, field=GF2) -> str:
         F, G, cert = load_certificate(path, field)
         return f"certificate: shifts ({cert.a},{cert.b}) verified"
     if ext == ".mor":
-        headers, entries = _parse_morphism_entries(path)
+        headers, entries = _parse_morphism_entries(path, field)
         if "source" not in headers or "target" not in headers:
             raise ParseError(path, None, "standalone morphism needs source:/target: headers")
         base = os.path.dirname(os.path.abspath(str(path)))
         source = parse_barcode(os.path.join(base, headers["source"]))
         target = parse_barcode(os.path.join(base, headers["target"]))
         shift = _header(path, "shift header", headers.get("shift", "0"), parse_rational)
-        if "field" in headers:
-            field = _header(path, "field header", headers["field"], field_by_name)
         f = _build_morphism(path, source, target.shift(shift), entries, field)
         return f"morphism: {len(f.entries)} entries, shift {shift}"
     raise ParseError(path, None, f"unknown fixture kind {ext!r}")

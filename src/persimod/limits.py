@@ -26,8 +26,8 @@ from .barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
 from .canonical import StageDiagonalization, diagonalize_system
 from .fields import GF2, solve_linear
 from .intervals import ExtRat, Interval
-from .interleaving import DistanceReport, InterleavingCertificate, gamma
-from .morphisms import Morphism, _cell_allowed, _is_round_trip, compose, tau_morphism
+from .interleaving import DistanceReport, gamma
+from .morphisms import InterleavingCertificate, Morphism, _cell_allowed, _is_round_trip, compose, tau_morphism
 
 __all__ = [
     "CompletionError",

@@ -16,6 +16,10 @@ Interleavings, towers and diagonalization all rest on one identity: a
 round trip "f then g" into the c-shift of f's source equals the canonical
 comparison at shift c.  One predicate, `_is_round_trip`, decides it for
 all three, on f's source bars as they are.
+
+Every `InterleavingCertificate` is re-verified at construction through
+`_is_round_trip`, on its barcodes' own endpoints: only the maps' targets
+G + a and F + b are ever built, and nothing unverified is ever returned.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .fields import GF2
 from .intervals import DEG0, _deg0_plus, hom
 
 __all__ = [
+    "InterleavingCertificate",
     "Morphism",
     "identity",
     "compose",
@@ -191,3 +196,42 @@ def _is_round_trip(f: Morphism, g: Morphism, c: Fraction) -> bool:
     n, d, zero = c.numerator, c.denominator, f.field.zero
     got = {(t, s): x for (t, s), x in _product(f, g).items() if x != zero and _deg0_plus(bars[s], bars[t], n, d)}
     return got == _tau_entries(f.source, c, f.field.one)
+
+
+class InterleavingCertificate:
+    """A verified (a,b)-interleaving.  Construction re-checks both round
+    trips against the canonical comparison and refuses anything else."""
+
+    __slots__ = ("a", "b", "u", "v")
+
+    def __init__(self, a, b, u: Morphism, v: Morphism):
+        a, b = Fraction(a), Fraction(b)
+        if a < 0 or b < 0:
+            raise ValueError("interleaving shifts must be nonnegative")
+        F, G = u.source, v.source
+        if u.field != v.field:
+            raise ValueError("certificate maps use different scalar fields")
+        if not u.target.is_shift_of(G, a):
+            raise ValueError("u must land in the a-shift of G")
+        if not v.target.is_shift_of(F, b):
+            raise ValueError("v must land in the b-shift of F")
+        # Each round trip lands in the (a+b)-shift of its source.
+        total = a + b
+        if not _is_round_trip(u, v, total):
+            raise ValueError("round trip through G is not the canonical comparison")
+        if not _is_round_trip(v, u, total):
+            raise ValueError("round trip through F is not the canonical comparison")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, *args):
+        raise AttributeError("certificates are immutable")
+
+    @property
+    def total(self) -> Fraction:
+        return self.a + self.b
+
+    def __repr__(self):
+        return f"InterleavingCertificate(a={self.a}, b={self.b}, total={self.total})"

@@ -494,11 +494,19 @@ def test_non_utf8_input_exits_2_naming_the_file(unit_pair, monkeypatch, capsys, 
         "slacks.txt": "tower/slacks.txt", ".cert": "gamma.cert", "config": "persimod.cfg",
     }[kind]
     (unit_pair / bad).write_bytes(b"0 0 1\n\xff\n")
-    monkeypatch.setenv("PERSIMOD_CONFIG", "persimod.cfg")
+    if kind == "config":
+        monkeypatch.setenv("PERSIMOD_CONFIG", "persimod.cfg")
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: {bad}: cannot read ('utf-8' codec can't decode byte 0xff")
     assert err.count("\n") == 1
+
+
+def test_missing_named_config_exits_2_naming_the_file(unit_pair, monkeypatch, capsys):
+    monkeypatch.setenv("PERSIMOD_CONFIG", "no-such.cfg")
+    rc, out, err = run(capsys, "cantor", "--a", "1/4", "--n", "1", "--k", "1")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: no-such.cfg: cannot read ([Errno 2] ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("line, what", [
@@ -549,6 +557,13 @@ def test_validate_reads_a_headerless_morphism_in_the_field_flag(unit_pair, capsy
     (unit_pair / "u.mor").write_text("source: F.bc\ntarget: F.bc\n0 0 2\n")
     assert run(capsys, "validate", "u.mor")[:2] == (0, "morphism: 0 entries, shift 0\n")
     assert run(capsys, "--field", "5", "validate", "u.mor")[:2] == (0, "morphism: 1 entries, shift 0\n")
+
+
+def test_standalone_morphism_field_header_must_name_the_field_flag(unit_pair, capsys):
+    (unit_pair / "u.mor").write_text("source: F.bc\ntarget: F.bc\nfield: 3\n0 0 2\n")
+    rc, out, err = run(capsys, "--field", "5", "validate", "u.mor")
+    assert (rc, out, err) == (2, "", "error: u.mor: field header is not 5\n")
+    assert run(capsys, "--field", "3", "validate", "u.mor")[:2] == (0, "morphism: 1 entries, shift 0\n")
 
 
 def _readme_commands():
