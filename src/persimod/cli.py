@@ -24,8 +24,8 @@ from .intervals import Interval, POS_INF, check_printable, parse_rational
 from .interleaving import check_interleaving, gamma, gamma_symmetric
 from .io import (
     ParseError,
-    _header,
     _lines,
+    _parsed,
     _read_text,
     _write,
     emit_barcode,
@@ -78,7 +78,7 @@ def _load_config() -> dict:
             raise ParseError(path, n, f"unknown key {key!r}")
         if key in out:
             raise ParseError(path, n, f"duplicate key {key!r}")
-        _header(path, f"{key} value", val, _CONFIG_KEYS[key], n)
+        _parsed(path, n, f"bad {key} value", _CONFIG_KEYS[key], val)
         out[key] = val
     return out
 

@@ -153,11 +153,9 @@ def _dedupe(vecs: np.ndarray, theta_deg: float) -> np.ndarray:
     return kept[:k].copy()
 
 
-def _persisting(per_scale: List[np.ndarray], theta_deg: float) -> np.ndarray:
-    """Directions present (within theta) at every one of the finest
-    ceil(half) scales.  per_scale is ordered coarse -> fine."""
-    half = (len(per_scale) + 1) // 2
-    fine = per_scale[-half:]
+def _persisting(fine: List[np.ndarray], theta_deg: float) -> np.ndarray:
+    """Directions present (within theta) at every scale of `fine`: the
+    finest ceil(half) of the scale list, ordered coarse -> fine."""
     if len(fine[-1]) == 0:
         raise ValueError("empty neighborhood at the finest scale")
     candidates = _quantize(np.concatenate([s for s in fine if len(s)], axis=0))
@@ -179,7 +177,7 @@ def _cone(cloud: PointCloud, x, params: ConeParams, pairs: bool) -> DirectionSet
         raise ValueError("scales must be strictly decreasing")
     dists = np.linalg.norm(cloud.points - x, axis=1)
     per_scale = []
-    for r in scales:
+    for r in scales[len(scales) // 2:]:
         if pairs:
             near = cloud.points[dists <= r]
             if len(near) > _PAIR_CAP:
@@ -259,11 +257,10 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
     small = contingent(cloud, x, params=params)
     if len(big.vectors) == 0:
         raise ValueError("empty paratingent cone")
-    svals = np.linalg.svd(big.vectors, compute_uv=False)
+    _, svals, vt = np.linalg.svd(big.vectors)
     rank = int(np.sum(svals > _SV_REL_TOL * svals[0]))
     if rank == n2:
         return Verdict("CoisotropicVacuous")
-    _, _, vt = np.linalg.svd(big.vectors)
     null_basis = vt[rank:]  # rows span the orthogonal complement
     j_mat = standard_symplectic_matrix(n2 // 2)
 

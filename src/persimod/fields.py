@@ -54,13 +54,8 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def canon(self, x) -> int:
         if type(x) is int:
@@ -107,13 +102,8 @@ class RationalField:
 
     __slots__ = ()
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def canon(self, x) -> Fraction:
         return Fraction(x)

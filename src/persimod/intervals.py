@@ -45,7 +45,6 @@ __all__ = [
     "leq",
     "hom",
     "compose_generator",
-    "parse_endpoint",
 ]
 
 RatLike = Union[int, Fraction, str, "ExtRat"]
@@ -326,11 +325,6 @@ def check_printable(what: str, value: Fraction) -> None:
     # a term of over `limit` digits is >= 10**limit > 8**limit
     if limit and top.bit_length() > 3 * limit and top >= 10**limit:
         raise ValueError(f"{what} has over {limit} digits, the printable limit")
-
-
-def parse_endpoint(token: str) -> ExtRat:
-    """Parse ``p/q``, an integer, a finite decimal, or ``-inf``/``inf``."""
-    return ExtRat(token)
 
 
 class Interval:

@@ -2,7 +2,11 @@
 directories, and interleaving-certificate files.
 
 `_read_text` is the package's one reader of input text: an unreadable or
-non-UTF-8 file is a ParseError naming it.  All emitters are deterministic
+non-UTF-8 file is a ParseError naming it.  `_split` applies the one header
+rule of every headed format: a `key: value` line whose key the format
+names is a header, each key at most once, and a `.cert` file's headers
+come before its `[name]` sections.  `_parsed` is the one refusal of a bad
+token or header value.  All emitters are deterministic
 (sorted, canonical spellings) so emitted bytes are diffable; every parser
 round-trips its emitter exactly.
 """
@@ -18,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .barcodes import Bar, Barcode
 from .fields import GF2, field_by_name
-from .intervals import Interval, parse_endpoint, parse_rational
+from .intervals import ExtRat, Interval, parse_rational
 from .limits import InductiveSystem
 from .morphisms import InterleavingCertificate, Morphism
 from .spectral import PLFunction
@@ -60,12 +64,12 @@ def _read_text(path) -> str:
         raise ParseError(path, None, f"cannot read ({err})") from None
 
 
-def _header(path, what: str, raw: str, parse, line: Optional[int] = None):
-    """A value read by `parse`; a malformed one names `what` and the file."""
+def _parsed(path, line: Optional[int], what: str, parse, raw):
+    """`parse(raw)`; a value it refuses is a ParseError naming `what`."""
     try:
         return parse(raw)
     except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(path, line, f"bad {what} ({err})") from None
+        raise ParseError(path, line, f"{what} ({err})") from None
 
 
 def _lines(text: str):
@@ -74,6 +78,44 @@ def _lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield n, line
+
+
+def _split(path, keys, sections=()):
+    """(headers, body) of the text file at `path`.
+
+    A `key: value` line whose key is in `keys` is a header; a key may appear
+    once.  Other lines are data, as (lineno, line) in `body[None]`.  With
+    `sections`, a `[name]` line opens `body[name]`: each section appears
+    once and all are required, only headers come before the first, and
+    every line after it is data."""
+    headers: Dict[str, str] = {}
+    body: Dict[Optional[str], List[Tuple[int, str]]] = {None: []}
+    current = None
+    for n, line in _lines(_read_text(path)):
+        if sections and line[0] == "[" and line[-1] == "]" and line[1:-1] in sections:
+            current = line[1:-1]
+            if current in body:
+                raise ParseError(path, n, f"duplicate section [{current}]")
+            body[current] = []
+            continue
+        if current is None and ":" in line:
+            key, value = (part.strip() for part in line.split(":", 1))
+            if key in keys and value:
+                if key in headers:
+                    raise ParseError(path, n, f"duplicate {key} header")
+                headers[key] = value
+                continue
+        if sections and current is None:
+            raise ParseError(path, n, f"expected header or section, got {line!r}")
+        body[current].append((n, line))
+    for name in sections:
+        if name not in body:
+            raise ParseError(path, None, f"missing section [{name}]")
+    return headers, body
+
+
+def _rationals(tokens) -> List[Fraction]:
+    return [parse_rational(tok) for tok in tokens]
 
 
 # -- barcodes ---------------------------------------------------------------
@@ -89,13 +131,7 @@ def parse_barcode_text(text: str, path="<string>") -> Barcode:
         parts = line.split()
         if len(parts) not in (3, 4):
             raise ParseError(path, n, f"expected 'degree lo hi [mult]', got {line!r}")
-        try:
-            degree = int(parts[0])
-            lo = parse_endpoint(parts[1])
-            hi = parse_endpoint(parts[2])
-            mult = int(parts[3]) if len(parts) == 4 else 1
-        except (ValueError, ZeroDivisionError, TypeError) as err:
-            raise ParseError(path, n, f"unknown token ({err})") from None
+        degree, lo, hi, mult = _parsed(path, n, "unknown token", _bar_tokens, parts)
         if mult < 1:
             raise ParseError(path, n, "multiplicity must be >= 1")
         if mult > MAX_MULTIPLICITY:
@@ -104,6 +140,10 @@ def parse_barcode_text(text: str, path="<string>") -> Barcode:
             raise ParseError(path, n, f"empty interval [{lo},{hi})")
         bars.extend([Bar(degree, Interval(lo, hi))] * mult)
     return Barcode(bars)
+
+
+def _bar_tokens(parts):
+    return int(parts[0]), ExtRat(parts[1]), ExtRat(parts[2]), int(parts[3]) if len(parts) == 4 else 1
 
 
 def parse_barcode(path) -> Barcode:
@@ -126,28 +166,17 @@ def emit_barcode(b: Barcode) -> str:
 
 
 def parse_plfunction(path) -> PLFunction:
-    text = _read_text(path)
-    domain = None
-    bps: List[Fraction] = []
-    vals: List[Fraction] = []
-    for n, line in _lines(text):
-        if line.startswith("domain:"):
-            if domain is not None:
-                raise ParseError(path, n, "duplicate domain header")
-            domain = line.split(":", 1)[1].strip()
-            continue
+    headers, body = _split(path, ("domain",))
+    samples: List[List[Fraction]] = []
+    for n, line in body[None]:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(path, n, f"expected '<breakpoint> <value>', got {line!r}")
-        try:
-            bps.append(parse_rational(parts[0]))
-            vals.append(parse_rational(parts[1]))
-        except (ValueError, ZeroDivisionError) as err:
-            raise ParseError(path, n, f"unknown token ({err})") from None
-    if domain is None:
+        samples.append(_parsed(path, n, "unknown token", _rationals, parts))
+    if "domain" not in headers:
         raise ParseError(path, None, "missing 'domain: circle|interval' header")
     try:
-        return PLFunction(domain, bps, vals)
+        return PLFunction(headers["domain"], [b for b, _ in samples], [v for _, v in samples])
     except ValueError as err:
         raise ParseError(path, None, str(err)) from None
 
@@ -173,10 +202,7 @@ def parse_cloud(path):
         cells = [c.strip() for c in row if c.strip()]
         if not cells:
             continue
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as err:
-            raise ParseError(path, n, f"unknown token ({err})") from None
+        rows.append(_parsed(path, n, "unknown token", _floats, cells))
         if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
             raise ParseError(path, n, "ragged row")
     if not rows:
@@ -185,6 +211,10 @@ def parse_cloud(path):
         return PointCloud(rows)
     except ValueError as err:
         raise ParseError(path, None, str(err)) from None
+
+
+def _floats(cells) -> List[float]:
+    return [float(c) for c in cells]
 
 
 def emit_cloud(cloud) -> str:
@@ -197,33 +227,24 @@ def emit_cloud(cloud) -> str:
 
 # -- morphism entry files ---------------------------------------------------
 
-_HEADER_RE = re.compile(r"^(source|target|shift|field)\s*:\s*(.+)$")
-
 
 def _parse_entry(path, n: int, line: str) -> Tuple[int, int, Fraction, int]:
     """One `<target> <source> <scalar>` line, tagged with its line number."""
     parts = line.split()
     if len(parts) != 3:
         raise ParseError(path, n, f"expected '<target> <source> <scalar>', got {line!r}")
-    try:
-        return int(parts[0]), int(parts[1]), parse_rational(parts[2]), n
-    except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(path, n, f"unknown token ({err})") from None
+    return (*_parsed(path, n, "unknown token", _entry_tokens, parts), n)
+
+
+def _entry_tokens(parts) -> Tuple[int, int, Fraction]:
+    return int(parts[0]), int(parts[1]), parse_rational(parts[2])
 
 
 def _parse_morphism_entries(path, field) -> Tuple[Dict[str, str], List[Tuple[int, int, Fraction, int]]]:
     """Headers and entries of a `.mor` file, whose `field:` header must name `field`."""
-    headers: Dict[str, str] = {}
-    entries: List[Tuple[int, int, Fraction, int]] = []
-    for n, line in _lines(_read_text(path)):
-        m = _HEADER_RE.match(line)
-        if m:
-            if m.group(1) in headers:
-                raise ParseError(path, n, f"duplicate {m.group(1)} header")
-            headers[m.group(1)] = m.group(2).strip()
-            continue
-        entries.append(_parse_entry(path, n, line))
-    if "field" in headers and _header(path, "field header", headers["field"], field_by_name) != field:
+    headers, body = _split(path, ("source", "target", "shift", "field"))
+    entries = [_parse_entry(path, n, line) for n, line in body[None]]
+    if "field" in headers and _parsed(path, None, "bad field header", field_by_name, headers["field"]) != field:
         raise ParseError(path, None, f"field header is not {_field_name(field)}")
     return headers, entries
 
@@ -272,11 +293,7 @@ def load_system(dirpath, field=GF2) -> InductiveSystem:
     slacks_path = os.path.join(dirpath, "slacks.txt")
     if n_steps > 0 or os.path.exists(slacks_path):
         for n, line in _lines(_read_text(slacks_path)):
-            for tok in line.split():
-                try:
-                    slacks.append(parse_rational(tok))
-                except (ValueError, ZeroDivisionError) as err:
-                    raise ParseError(slacks_path, n, f"unknown token ({err})") from None
+            slacks.extend(_parsed(slacks_path, n, "unknown token", _rationals, line.split()))
         if len(slacks) != n_steps:
             raise ParseError(
                 slacks_path, None, f"expected {n_steps} slacks, found {len(slacks)}"
@@ -310,7 +327,7 @@ def _check_headers(path, headers, want_source, want_target, want_shift):
         raise ParseError(path, None, f"source header is not {want_source}")
     if "target" in headers and os.path.basename(headers["target"]) != want_target:
         raise ParseError(path, None, f"target header is not {want_target}")
-    if "shift" in headers and _header(path, "shift header", headers["shift"], parse_rational) != want_shift:
+    if "shift" in headers and _parsed(path, None, "bad shift header", parse_rational, headers["shift"]) != want_shift:
         raise ParseError(path, None, f"shift header is not {want_shift}")
 
 
@@ -344,9 +361,6 @@ def _write(path, text):
 
 # -- certificate files ------------------------------------------------------
 
-_SECTION_RE = re.compile(r"^\[(source|target|forward|reverse)\]$")
-_CERT_HEADER_RE = re.compile(r"^(a|b|field)\s*:\s*(.+)$")
-
 
 def load_certificate(path, field=GF2):
     """Read a self-contained certificate file and re-verify it; a file
@@ -355,34 +369,12 @@ def load_certificate(path, field=GF2):
     Returns (F, G, certificate); the certificate constructor re-checks the
     round-trip identities, so a doctored file fails loudly.
     """
-    headers: Dict[str, str] = {}
-    sections: Dict[str, List[Tuple[int, str]]] = {}
-    current: Optional[str] = None
-    for n, line in _lines(_read_text(path)):
-        m = _SECTION_RE.match(line)
-        if m:
-            current = m.group(1)
-            if current in sections:
-                raise ParseError(path, n, f"duplicate section [{current}]")
-            sections[current] = []
-            continue
-        if current is None:
-            hm = _CERT_HEADER_RE.match(line)
-            if not hm:
-                raise ParseError(path, n, f"expected header or section, got {line!r}")
-            if hm.group(1) in headers:
-                raise ParseError(path, n, f"duplicate {hm.group(1)} header")
-            headers[hm.group(1)] = hm.group(2).strip()
-            continue
-        sections[current].append((n, line))
-    for need in ("source", "target", "forward", "reverse"):
-        if need not in sections:
-            raise ParseError(path, None, f"missing section [{need}]")
+    headers, sections = _split(path, ("a", "b", "field"), ("source", "target", "forward", "reverse"))
     if "a" not in headers or "b" not in headers:
         raise ParseError(path, None, "missing a:/b: headers")
-    a, b = (_header(path, "shift header", headers[k], parse_rational) for k in "ab")
+    a, b = (_parsed(path, None, "bad shift header", parse_rational, headers[k]) for k in "ab")
     if "field" in headers:
-        field = _header(path, "field header", headers["field"], field_by_name)
+        field = _parsed(path, None, "bad field header", field_by_name, headers["field"])
 
     def bc(name):
         body = "\n".join(line for _, line in sections[name])
@@ -452,7 +444,7 @@ def validate_file(path, field=GF2) -> str:
         base = os.path.dirname(os.path.abspath(str(path)))
         source = parse_barcode(os.path.join(base, headers["source"]))
         target = parse_barcode(os.path.join(base, headers["target"]))
-        shift = _header(path, "shift header", headers.get("shift", "0"), parse_rational)
+        shift = _parsed(path, None, "bad shift header", parse_rational, headers.get("shift", "0"))
         f = _build_morphism(path, source, target.shift(shift), entries, field)
         return f"morphism: {len(f.entries)} entries, shift {shift}"
     raise ParseError(path, None, f"unknown fixture kind {ext!r}")

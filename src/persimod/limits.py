@@ -312,7 +312,6 @@ def complete_cauchy(
     seq: Sequence[Barcode],
     tol,
     *,
-    start: Optional[int] = None,
     field=GF2,
 ) -> CompletionResult:
     """Limit of a Cauchy sequence of barcodes, to within `tol`.
@@ -320,9 +319,8 @@ def complete_cauchy(
     The sequence is subsampled to a suffix whose consecutive distances are
     at most 1, 1/2, 1/4, ...; certified interleavings for each step are
     re-anchored into an honest tower whose colimit is read off chainwise.
-    Raises CompletionError when no suffix is Cauchy (or `start` names one
-    that is not) and ToleranceError when the result misses `tol` against
-    the last input stage.
+    Raises CompletionError when no suffix is Cauchy and ToleranceError when
+    the result misses `tol` against the last input stage.
     """
     seq = list(seq)
     if not seq:
@@ -345,14 +343,11 @@ def complete_cauchy(
     def suffix_ok(s: int) -> bool:
         return all(steps[s + j] <= Fraction(1, 2 ** j) for j in range(len(steps) - s))
 
+    start = next((s for s in range(len(seq)) if suffix_ok(s)), None)
     if start is None:
-        start = next((s for s in range(len(seq)) if suffix_ok(s)), None)
-        if start is None:
-            raise CompletionError(
-                "no suffix has consecutive distances bounded by 1, 1/2, 1/4, ..."
-            )
-    elif not (0 <= start < len(seq)) or not suffix_ok(start):
-        raise CompletionError(f"requested start {start} is not a Cauchy suffix")
+        raise CompletionError(
+            "no suffix has consecutive distances bounded by 1, 1/2, 1/4, ..."
+        )
 
     sub = seq[start:]
     indices = tuple(range(start, len(seq)))

@@ -16,7 +16,6 @@ from persimod.intervals import (
     compose_generator,
     hom,
     leq,
-    parse_endpoint,
     parse_rational,
 )
 from oracles import hom_ext_oracle
@@ -71,10 +70,10 @@ def test_parse_rational_refuses_a_value_too_long_to_print(token):
 
 
 def test_parse_endpoint():
-    assert parse_endpoint("3/4") == ExtRat(Fraction(3, 4))
-    assert parse_endpoint("-inf") == NEG_INF
-    assert parse_endpoint("inf") == POS_INF
-    assert parse_endpoint("0.25") == ExtRat(Fraction(1, 4))
+    assert ExtRat("3/4") == ExtRat(Fraction(3, 4))
+    assert ExtRat("-inf") == NEG_INF
+    assert ExtRat("inf") == POS_INF
+    assert ExtRat("0.25") == ExtRat(Fraction(1, 4))
 
 
 # --- Interval ---------------------------------------------------------------

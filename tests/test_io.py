@@ -371,6 +371,53 @@ def test_emitted_certificate_matches_gamma(tmp_path):
     assert cert.total == report.value.as_fraction()
 
 
+# --- one token rule and one header rule --------------------------------------
+
+_CERT = "a: 0\nb: 1\n[source]\n0 0 10\n[target]\n0 1 10\n[forward]\n0 0 1\n[reverse]\n"
+
+
+def _reader_fixture(tmp_path, name, text):
+    """`text` as the file `name` beside (or inside) a valid two-step tower;
+    returns the path to validate and the path an error names."""
+    emit_system(tmp_path, geometric_tower(2, 5))
+    (tmp_path / name).write_text(text)
+    in_tower = name in ("slacks.txt", "f0.mor")
+    return (tmp_path if in_tower else tmp_path / name), tmp_path / name
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("b.bc", "0 0 1\n0 x 1\n", 2),
+    ("f.plf", "domain: circle\n0 1\n1 y\n", 3),
+    ("c.csv", "0,1\n2,z\n", 2),
+    ("slacks.txt", "1/4\nq\n", 2),
+    ("u.mor", "source: F0.bc\ntarget: F1.bc\n0 0 x\n", 3),
+    ("f0.mor", "# target source scalar\n0 0 x\n", 2),
+    ("c.cert", _CERT + "0 0 x\n", 10),
+])
+def test_every_reader_refuses_a_bad_token_at_its_line(tmp_path, name, text, line):
+    path, named = _reader_fixture(tmp_path, name, text)
+    with pytest.raises(ParseError) as exc:
+        validate_file(path)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{named}:{line}: unknown token (")
+
+
+@pytest.mark.parametrize("name, text, key, line", [
+    ("f.plf", "domain: circle\n0 1\ndomain: interval\n1 2\n", "domain", 3),
+    ("u.mor", "source: F0.bc\ntarget: F1.bc\nsource: F0.bc\n0 0 1\n", "source", 3),
+    ("u.mor", "source: F0.bc\ntarget: F1.bc\n0 0 1\ntarget : F1.bc\n", "target", 4),
+    ("u.mor", "source: F0.bc\ntarget: F1.bc\nshift: 0\nshift:1\n", "shift", 4),
+    ("u.mor", "field: 2\nsource: F0.bc\ntarget: F1.bc\nfield: 2\n", "field", 4),
+    ("f0.mor", "shift: 0\n0 0 1\nshift: 0\n", "shift", 3),
+    ("c.cert", "a: 0\n" + _CERT + "0 0 1\n", "a", 2),
+])
+def test_every_headed_reader_refuses_a_repeated_header_at_its_line(tmp_path, name, text, key, line):
+    path, named = _reader_fixture(tmp_path, name, text)
+    with pytest.raises(ParseError) as exc:
+        validate_file(path)
+    assert (exc.value.line, str(exc.value)) == (line, f"{named}:{line}: duplicate {key} header")
+
+
 # --- validate_file -----------------------------------------------------------
 
 

@@ -378,18 +378,12 @@ def test_complete_respects_tolerance():
         complete_cauchy(completion_tower(), Fraction(1, 1000))
 
 
-def test_complete_start_override_and_uniqueness():
+def test_complete_suffix_uniqueness():
     seq = completion_tower()
-    a = complete_cauchy(seq, Fraction(1, 4), start=0)
-    b = complete_cauchy(seq, Fraction(1, 4), start=1)
+    a = complete_cauchy(seq, Fraction(1, 4))
+    b = complete_cauchy(seq[1:], Fraction(1, 4))
     assert gamma(a.barcode, b.barcode).value == ExtRat(0)
     assert a.barcode == b.barcode  # distance zero on finite barcodes: equal
-
-
-def test_complete_invalid_start():
-    head = B((0, Interval(0, 20)))
-    with pytest.raises(CompletionError):
-        complete_cauchy([head] + completion_tower(), Fraction(1, 4), start=0)
 
 
 def test_complete_empty_sequence():
