@@ -43,9 +43,13 @@ BOUND_EXPONENT_BUDGET = 10 ** 4
 # Direction sets are deduplicated on a rounding grid of this cell size
 # (about 1.2 degrees) before any angular test; together with the per-scale
 # cap on pair secants this keeps the quadratic paratingent sets small.
-# The induced error is far below the default 5-degree resolution.
+# The induced error is far below the default 5-degree resolution.  Inputs
+# are unit vectors, so cells are int8 rows in [-50, 50]: one integer sort
+# for any dimension.
 _QUANT = 0.02
 _PAIR_CAP = 200
+# Entries of one candidates-by-set product in `_max_dot`.
+_DOT_ENTRIES = 2 ** 20
 # Paratingent rank cut, normal-grid step (degrees), default scale count.
 _SV_REL_TOL = 1e-3
 _GRID_DEG = 10.0
@@ -125,21 +129,28 @@ def _default_scales(cloud: PointCloud, x: np.ndarray) -> List[float]:
 
 
 def _quantize(vecs: np.ndarray) -> np.ndarray:
-    """Collapse unit vectors onto a rounding grid and renormalize."""
+    """Collapse unit vectors onto the _QUANT grid and renormalize.  The
+    distinct cells come out in lexicographic order, which the greedy
+    `_dedupe` depends on."""
     if len(vecs) == 0:
         return vecs
-    cells = np.unique(np.round(vecs / _QUANT), axis=0) * _QUANT
+    cells = np.round(vecs / _QUANT).astype(np.int8)
+    cells = cells[np.lexsort(cells.T[::-1])]
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    cells = cells[first] * _QUANT
     norms = np.linalg.norm(cells, axis=1)
     keep = norms > 1e-9
     return cells[keep] / norms[keep][:, None]
 
 
 def _max_dot(candidates: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row-wise max of candidates @ vecs.T, chunked to bound memory."""
-    out = np.full(len(candidates), -1.0)
-    for lo in range(0, len(candidates), 2048):
-        out[lo:lo + 2048] = (candidates[lo:lo + 2048] @ vecs.T).max(axis=1)
-    return out
+    """Row-wise max of candidates @ vecs.T, in chunks of about _DOT_ENTRIES
+    products and at least two rows.  A sum may round differently in its
+    last bit under another chunking (and a one-row chunk takes another BLAS
+    path); the angular tests compare with cos(theta) - 1e-12, far wider."""
+    chunks = max(1, len(candidates) // max(2, _DOT_ENTRIES // len(vecs)))
+    return np.concatenate([(c @ vecs.T).max(axis=1) for c in np.array_split(candidates, chunks)])
 
 
 def _dedupe(vecs: np.ndarray, theta_deg: float) -> np.ndarray:
@@ -187,7 +198,9 @@ def _cone(cloud: PointCloud, x, params: ConeParams, pairs: bool) -> DirectionSet
             diff = cloud.points[(dists > 0) & (dists <= r)] - x
         norms = np.linalg.norm(diff, axis=1)
         secants = diff[norms > 0] / norms[norms > 0][:, None]
-        per_scale.append(_quantize(np.concatenate([secants, -secants]) if pairs else secants))
+        # With pairs, diff holds p - q and q - p for every pair, so the set
+        # is closed under v -> -v without appending the negatives.
+        per_scale.append(_quantize(secants))
     return DirectionSet(_persisting(per_scale, params.theta_res), params.theta_res)
 
 
@@ -254,13 +267,15 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
     x = np.asarray(x, dtype=float)
     n2 = cloud.dimension
     big = paratingent(cloud, x, params=params)
-    small = contingent(cloud, x, params=params)
     if len(big.vectors) == 0:
         raise ValueError("empty paratingent cone")
     _, svals, vt = np.linalg.svd(big.vectors)
     rank = int(np.sum(svals > _SV_REL_TOL * svals[0]))
     if rank == n2:
         return Verdict("CoisotropicVacuous")
+    # A nonempty finest paratingent scale has a point other than x in it, so
+    # this raises nothing that `paratingent` did not.
+    small = contingent(cloud, x, params=params)
     null_basis = vt[rank:]  # rows span the orthogonal complement
     j_mat = standard_symplectic_matrix(n2 // 2)
 

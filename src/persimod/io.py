@@ -126,8 +126,13 @@ MAX_MULTIPLICITY = 100_000
 
 
 def parse_barcode_text(text: str, path="<string>") -> Barcode:
+    return _barcode(path, _lines(text))
+
+
+def _barcode(path, numbered) -> Barcode:
+    """The barcode of `numbered` (lineno, line) data lines; a refusal names `path` and the line."""
     bars: List[Bar] = []
-    for n, line in _lines(text):
+    for n, line in numbered:
         parts = line.split()
         if len(parts) not in (3, 4):
             raise ParseError(path, n, f"expected 'degree lo hi [mult]', got {line!r}")
@@ -376,14 +381,10 @@ def load_certificate(path, field=GF2):
     if "field" in headers:
         field = _parsed(path, None, "bad field header", field_by_name, headers["field"])
 
-    def bc(name):
-        body = "\n".join(line for _, line in sections[name])
-        return parse_barcode_text(body, f"{path}[{name}]")
-
     def entries(name):
         return [_parse_entry(path, n, line) for n, line in sections[name]]
 
-    source, target = bc("source"), bc("target")
+    source, target = _barcode(path, sections["source"]), _barcode(path, sections["target"])
     u = _build_morphism(path, source, target.shift(a), entries("forward"), field)
     v = _build_morphism(path, target, source.shift(b), entries("reverse"), field)
     return source, target, InterleavingCertificate(a, b, u, v)

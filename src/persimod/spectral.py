@@ -64,12 +64,18 @@ def sublevel_barcode(f: PLFunction) -> Barcode:
     global maximum.  Zero-length bars are dropped.
     """
     m = len(f.values)
+    # Dense ranks keep the order and the ties of the values, so the merge
+    # runs on ints and Fractions are looked up only for bar endpoints.
+    levels = sorted(set(f.values))
+    rank = {v: k for k, v in enumerate(levels)}
+    r = [rank[v] for v in f.values]
     edges = [(i, i + 1) for i in range(m - 1)]
     if f.domain == "circle":
         edges.append((m - 1, 0))
 
-    # birth[v] = (value, index): lexicographic order encodes the elder rule.
-    birth = {v: (f.values[v], v) for v in range(m)}
+    # birth[v] = rank * m + index: int order is the lexicographic order of
+    # (value, index), which encodes the elder rule.
+    birth = [r[v] * m + v for v in range(m)]
     parent = list(range(m))
 
     def find(v):
@@ -79,24 +85,26 @@ def sublevel_barcode(f: PLFunction) -> Barcode:
         return v
 
     bars = []
-    order = sorted(edges, key=lambda e: (max(f.values[e[0]], f.values[e[1]]), e))
-    for i, j in order:
-        level = max(f.values[i], f.values[j])
+    # `edges` is in lexicographic order and the sort is stable, so equal
+    # levels keep that order.
+    edge_level = [max(r[i], r[j]) for i, j in edges]
+    for e in sorted(range(len(edges)), key=edge_level.__getitem__):
+        i, j = edges[e]
+        level = edge_level[e]
         ri, rj = find(i), find(j)
         if ri == rj:
             # cycle-closing edge: only the circle has one
-            bars.append(Bar(1, Interval(level, POS_INF)))
+            bars.append(Bar(1, Interval(levels[level], POS_INF)))
             continue
         elder, younger = (ri, rj) if birth[ri] <= birth[rj] else (rj, ri)
-        died = birth[younger][0]
+        died = birth[younger] // m
         if died < level:
-            bars.append(Bar(0, Interval(died, level)))
+            bars.append(Bar(0, Interval(levels[died], levels[level])))
         parent[younger] = elder
-        birth[elder] = min(birth[elder], birth[younger])
 
     roots = {find(v) for v in range(m)}
-    for r in sorted(roots):
-        bars.append(Bar(0, Interval(birth[r][0], POS_INF)))
+    for root in sorted(roots):
+        bars.append(Bar(0, Interval(levels[birth[root] // m], POS_INF)))
     return Barcode(bars)
 
 

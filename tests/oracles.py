@@ -18,18 +18,24 @@ per-block reverse synthesis, the tracked matrix class under the row-dict
 diagonalization, trial division under the Miller-Rabin primality test,
 and the operator-based hom and translation under the endpoint kernel,
 with `compose` and `equals_tau` on translated barcodes under the one
-round-trip predicate on untranslated bars (see their sections).
+round-trip predicate on untranslated bars, the Fraction merge under the
+rank merge of sublevel persistence, and the float-row cone kernel under
+the integer-cell one (see their sections).
 Direct sums of morphisms are reference code for the graded checks.
 """
 
+import math
 import operator
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, hom, int_pair
 from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
+from persimod.cones import _PAIR_CAP, _QUANT, DirectionSet, _dedupe, _default_scales
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
 from persimod.fields import GF2, RationalField, solve_linear
 from persimod.interleaving import DistanceReport, InterleavingCertificate
@@ -639,6 +645,115 @@ def sublevel_oracle(values: Sequence[Fraction], circle: bool) -> Barcode:
     if circle:
         bars.append(Bar(1, Interval(max(values), POS_INF)))
     return Barcode(bars)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the rank merge
+#
+# `sublevel_barcode` merges on dense int ranks of the values.  This is the
+# merge it replaced, on the Fraction values themselves.
+
+
+def sublevel_merge_oracle(f) -> Barcode:
+    m = len(f.values)
+    edges = [(i, i + 1) for i in range(m - 1)]
+    if f.domain == "circle":
+        edges.append((m - 1, 0))
+
+    # birth[v] = (value, index): lexicographic order encodes the elder rule.
+    birth = {v: (f.values[v], v) for v in range(m)}
+    parent = list(range(m))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    bars = []
+    order = sorted(edges, key=lambda e: (max(f.values[e[0]], f.values[e[1]]), e))
+    for i, j in order:
+        level = max(f.values[i], f.values[j])
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            # cycle-closing edge: only the circle has one
+            bars.append(Bar(1, Interval(level, POS_INF)))
+            continue
+        elder, younger = (ri, rj) if birth[ri] <= birth[rj] else (rj, ri)
+        died = birth[younger][0]
+        if died < level:
+            bars.append(Bar(0, Interval(died, level)))
+        parent[younger] = elder
+        birth[elder] = min(birth[elder], birth[younger])
+
+    roots = {find(v) for v in range(m)}
+    for r in sorted(roots):
+        bars.append(Bar(0, Interval(birth[r][0], POS_INF)))
+    return Barcode(bars)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the cone direction-set kernel
+#
+# `cones` deduplicates rounded cells as int8 rows, bounds the temporaries of
+# `_max_dot`, and takes the negated pair secants from the pair differences.
+# These are the float-row `np.unique`, the 2048-row chunks and the appended
+# negatives they replaced.  `cone_oracle` stands in for `cones._cone`, so a
+# test that patches it in gets today's verdict logic on the old kernel.
+
+
+def quantize_oracle(vecs: np.ndarray) -> np.ndarray:
+    """Collapse unit vectors onto a rounding grid and renormalize."""
+    if len(vecs) == 0:
+        return vecs
+    cells = np.unique(np.round(vecs / _QUANT), axis=0) * _QUANT
+    norms = np.linalg.norm(cells, axis=1)
+    keep = norms > 1e-9
+    return cells[keep] / norms[keep][:, None]
+
+
+def max_dot_oracle(candidates: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row-wise max of candidates @ vecs.T, chunked to bound memory."""
+    out = np.full(len(candidates), -1.0)
+    for lo in range(0, len(candidates), 2048):
+        out[lo:lo + 2048] = (candidates[lo:lo + 2048] @ vecs.T).max(axis=1)
+    return out
+
+
+def _persisting_oracle(fine, theta_deg):
+    if len(fine[-1]) == 0:
+        raise ValueError("empty neighborhood at the finest scale")
+    candidates = quantize_oracle(np.concatenate([s for s in fine if len(s)], axis=0))
+    cos_t = math.cos(math.radians(theta_deg)) - 1e-12
+    keep = np.ones(len(candidates), dtype=bool)
+    for s in fine:
+        if len(s) == 0:
+            return candidates[:0]
+        keep &= max_dot_oracle(candidates, s) >= cos_t
+    return _dedupe(candidates[keep], theta_deg)
+
+
+def cone_oracle(cloud, x, params, pairs: bool) -> DirectionSet:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (cloud.dimension,):
+        raise ValueError(f"base point must have dimension {cloud.dimension}")
+    scales = list(params.scales) if params.scales is not None else _default_scales(cloud, x)
+    if any(b >= a for a, b in zip(scales, scales[1:])):
+        raise ValueError("scales must be strictly decreasing")
+    dists = np.linalg.norm(cloud.points - x, axis=1)
+    per_scale = []
+    for r in scales[len(scales) // 2:]:
+        if pairs:
+            near = cloud.points[dists <= r]
+            if len(near) > _PAIR_CAP:
+                near = near[np.linspace(0, len(near) - 1, _PAIR_CAP).astype(int)]
+            diff = (near[:, None, :] - near[None, :, :]).reshape(-1, cloud.dimension)
+        else:
+            diff = cloud.points[(dists > 0) & (dists <= r)] - x
+        norms = np.linalg.norm(diff, axis=1)
+        secants = diff[norms > 0] / norms[norms > 0][:, None]
+        per_scale.append(quantize_oracle(np.concatenate([secants, -secants]) if pairs else secants))
+    return DirectionSet(_persisting_oracle(per_scale, params.theta_res), params.theta_res)
 
 
 # ---------------------------------------------------------------------------

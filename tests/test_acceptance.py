@@ -342,3 +342,20 @@ def test_13_generic_denominator_distances():
             F, G = rand_barcode(rng, 128, den=997), rand_barcode(rng, 128, den=997)
             rep = gamma_symmetric(F, G)
             assert rep.certificate.total == rep.value.as_fraction()
+
+
+def test_14_cone_direction_sets_at_integer_speed():
+    # The vacuous 4-D cloud (axes plus the +-1 diagonals) and a symplectic
+    # plane: paratingent sets of up to 200^2 secants per scale.  An untimed
+    # verdict comes first, as the first one of a process after an idle spell
+    # has taken 8x longer on a shared 2-core machine.  Then three verdicts
+    # per budget, so one stall does not fail it, while a row sort on floats
+    # (0.5-1 s per vacuous verdict) would.
+    vacuous, plane = subspace_cloud((0, 1, 2, 3)), subspace_cloud((0, 2))
+    cone_coisotropy_test(vacuous, np.zeros(4))
+    with _budget("14a vacuous 4-D cloud, three verdicts", 1.2):
+        for _ in range(3):
+            assert cone_coisotropy_test(vacuous, np.zeros(4)).kind == "CoisotropicVacuous"
+    with _budget("14b symplectic plane, three verdicts with a witness", 0.5):
+        for _ in range(3):
+            assert cone_coisotropy_test(plane, np.zeros(4)).kind == "NotCoisotropic"

@@ -1,5 +1,6 @@
 """Command-line behavior: output lines, exit codes, machine mode, config."""
 
+import math
 import re
 import shlex
 import subprocess
@@ -211,6 +212,38 @@ def test_cone_test_cmd(tmp_path, capsys):
     rc, out, _ = run(capsys, "--machine", "cone-test", "--cloud",
                      str(tmp_path / "line.csv"), "--point", "0 0")
     assert (rc, out) == (0, "verdict=Coisotropic\n")
+
+
+def _plane_and_axis_cloud():
+    """Rays in R^6 = (q1, q2, q3, p1, p2, p3) along the symplectic plane
+    spanned by (q1 + q2)/sqrt2 and (p1 + p2)/sqrt2, every 5 degrees, and
+    both ways along q3.  The one axis normal, p3, passes (J p3 lies on the
+    q3 line), so the witness comes from the sphere grid; its p3 coordinate
+    is an exact zero."""
+    s = math.sqrt(0.5)
+    dirs = [(math.cos(math.radians(t)) * s, math.cos(math.radians(t)) * s, 0.0,
+             math.sin(math.radians(t)) * s, math.sin(math.radians(t)) * s, 0.0)
+            for t in range(0, 360, 5)]
+    dirs += [(0.0, 0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)]
+    rows = [(0.0,) * 6]
+    for d in dirs:
+        norm = math.sqrt(sum(c * c for c in d))
+        rows.extend(tuple(0.7 ** j * c / norm for c in d) for j in range(20))
+    return "".join(",".join(repr(c) for c in row) + "\n" for row in rows)
+
+
+def test_cone_test_grid_witness_stdout_is_pinned(tmp_path, capsys):
+    # Pinned bytes, signs of zeros included, so a faster direction-set
+    # kernel cannot move the printed normal.
+    (tmp_path / "plane.csv").write_text(_plane_and_axis_cloud())
+    rc, out, err = run(capsys, "--machine", "cone-test", "--cloud", str(tmp_path / "plane.csv"),
+                       "--point", "0,0,0,0,0,0")
+    assert (rc, err) == (0, "")
+    assert out == (
+        "verdict=NotCoisotropic\n"
+        "witness=0.004262676352051893,-0.004262676352051908,8.823832579430339e-17,"
+        "-0.7070939326499116,0.7070939326499109,0.0\n"
+    )
 
 
 def test_cantor_bound_table(capsys):

@@ -393,6 +393,8 @@ def _reader_fixture(tmp_path, name, text):
     ("u.mor", "source: F0.bc\ntarget: F1.bc\n0 0 x\n", 3),
     ("f0.mor", "# target source scalar\n0 0 x\n", 2),
     ("c.cert", _CERT + "0 0 x\n", 10),
+    ("c.cert", _CERT.replace("[source]\n", "[source]\n# bars of F\n0 0 1\n").replace("0 0 10\n", "0 x 10\n", 1), 6),
+    ("c.cert", _CERT.replace("0 1 10\n", "0 1 y\n"), 6),
 ])
 def test_every_reader_refuses_a_bad_token_at_its_line(tmp_path, name, text, line):
     path, named = _reader_fixture(tmp_path, name, text)

@@ -16,7 +16,7 @@ from persimod.spectral import (
 )
 
 from conftest import rand_plf
-from oracles import sublevel_oracle
+from oracles import sublevel_merge_oracle, sublevel_oracle
 
 
 def B(*bars):
@@ -94,6 +94,25 @@ def test_sublevel_bar_count(vals, circle):
     # connected domain: one essential component, plus the loop on the circle
     assert [b.degree for b in essential] == ([0, 1] if circle else [0])
     assert all(b.degree == 0 for b in out.bars if b.interval.hi != POS_INF)
+
+
+_levels = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_levels, min_size=1, max_size=6, unique=True).flatmap(
+        lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), min_size=1, max_size=12)
+    ),
+    st.sampled_from(["interval", "circle"]),
+)
+def test_rank_merge_matches_the_fraction_merge(runs, domain):
+    # few distinct levels make ties; a run of one value is a plateau
+    vals = [v for v, length in runs for _ in range(length)]
+    vals = vals if len(vals) > 1 else vals * 2
+    f = PLFunction(domain, range(len(vals)), vals)
+    got, want = sublevel_barcode(f), sublevel_merge_oracle(f)
+    assert got.bars == want.bars and repr(got) == repr(want)
 
 
 def test_sublevel_shift_equivariance(rng):
