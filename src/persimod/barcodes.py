@@ -79,7 +79,7 @@ class Barcode:
     def _from_sorted(bars: Tuple[Bar, ...]) -> "Barcode":
         """Trusted constructor: `bars` is a tuple of Bar already in
         (degree, lo, hi) order, as a translation or an index subsequence of
-        a barcode leaves it."""
+        a barcode leaves it, or a sort on ranks of the endpoints."""
         out = Barcode.__new__(Barcode)
         _set_bars(out, bars)
         return out

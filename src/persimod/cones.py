@@ -48,8 +48,10 @@ BOUND_EXPONENT_BUDGET = 10 ** 4
 # for any dimension.
 _QUANT = 0.02
 _PAIR_CAP = 200
-# Entries of one candidates-by-set product in `_max_dot`.
-_DOT_ENTRIES = 2 ** 20
+# Entries of one candidates-by-set product in `_max_dot`: 2^18 float64
+# products, 2 MB.  The chunk is the largest temporary of a cone test, so it
+# sets the test's peak memory.
+_DOT_ENTRIES = 2 ** 18
 # Paratingent rank cut, normal-grid step (degrees), default scale count.
 _SV_REL_TOL = 1e-3
 _GRID_DEG = 10.0
@@ -216,15 +218,37 @@ def paratingent(cloud: PointCloud, x, *, params: Optional[ConeParams] = None) ->
     return _cone(cloud, x, params or ConeParams(), pairs=True)
 
 
+def _angle_tuples(grids):
+    """The tuples of itertools.product(*grids), in its order, except that
+    after an angle of zero sine (0 or 180 degrees) other than the last, the
+    later angles keep their first value: they only move coordinates that
+    angle has zeroed, so every such tuple gives the same grid vector."""
+    idx = [0] * len(grids)
+    while True:
+        combo = [g[i] for g, i in zip(grids, idx)]
+        yield combo
+        # the last angle that moves: the first of zero sine, else the last
+        p = next((k for k, a in enumerate(combo[:-1]) if abs(math.sin(a)) < 1e-12), len(grids) - 1)
+        while idx[p] == len(grids[p]) - 1:
+            idx[p] = 0
+            p -= 1
+            if p < 0:
+                return
+        idx[p] += 1
+
+
 def _sphere_grid(dim: int, step_deg: float, cap: int = 20000) -> List[np.ndarray]:
     """Unit vectors on S^{dim-1}, one per grid cell of step_deg, with
-    antipodes identified (a hyperplane normal is a sign-free datum)."""
+    antipodes identified (a hyperplane normal is a sign-free datum).
+    At most 2 * cap angle tuples are walked.  Up to dimension 11 the walk
+    reaches `cap` vectors first; above it, ever more tuples round to a key
+    already seen, and the walk stops with fewer."""
     if dim == 1:
         return [np.array([1.0])]
     angle_grids = [np.radians(np.arange(0, 180 + step_deg, step_deg))] * (dim - 2)
     last = np.radians(np.arange(0, 180, step_deg))
     out, seen = [], set()
-    for combo in itertools.product(*angle_grids, last):
+    for combo in itertools.islice(_angle_tuples(angle_grids + [last]), 2 * cap):
         v = np.zeros(dim)
         sin_prod = 1.0
         for i, a in enumerate(combo):

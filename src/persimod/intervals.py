@@ -301,7 +301,14 @@ def parse_rational(token: str) -> Fraction:
     ValueError unless it can be printed back: its numerator and denominator
     may have at most the interpreter's int/str digit limit of digits.
     Fraction builds 10**exponent for a decimal exponent, so an exponent over
-    that limit is refused before that unbounded work."""
+    that limit is refused before that unbounded work.  A token of ASCII
+    digits with an optional sign and an optional /denominator is built from
+    its two ints without Fraction's regex; `int` refuses a run of digits
+    over the limit, as it does inside Fraction."""
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     low = token.lower()
     limit = sys.get_int_max_str_digits()
     if "e" in low:

@@ -41,8 +41,9 @@ class PLFunction:
     def __init__(self, domain, breakpoints, values):
         if domain not in ("interval", "circle"):
             raise ValueError(f"unknown domain {domain!r}")
-        bps = tuple(Fraction(b) for b in breakpoints)
-        vals = tuple(Fraction(v) for v in values)
+        # Values parsed from a file are Fractions already; build no copy.
+        bps = tuple(b if type(b) is Fraction else Fraction(b) for b in breakpoints)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values differ in length")
         if len(bps) < 2:
@@ -65,10 +66,16 @@ def sublevel_barcode(f: PLFunction) -> Barcode:
     """
     m = len(f.values)
     # Dense ranks keep the order and the ties of the values, so the merge
-    # runs on ints and Fractions are looked up only for bar endpoints.
-    levels = sorted(set(f.values))
-    rank = {v: k for k, v in enumerate(levels)}
-    r = [rank[v] for v in f.values]
+    # runs on ints and Fractions are looked up only for bar endpoints.  Each
+    # value is hashed once, for its first-seen id.
+    ids = {}
+    first_seen = [ids.setdefault(v, len(ids)) for v in f.values]
+    distinct = list(ids)
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    id_rank = [0] * len(order)
+    for k, i in enumerate(order):
+        id_rank[i] = k
+    r = [id_rank[i] for i in first_seen]
     edges = [(i, i + 1) for i in range(m - 1)]
     if f.domain == "circle":
         edges.append((m - 1, 0))
@@ -84,6 +91,9 @@ def sublevel_barcode(f: PLFunction) -> Barcode:
             v = parent[v]
         return v
 
+    # Bars as (degree, lo rank, hi rank) with +inf as rank len(order): int
+    # order is the (degree, lo, hi) order of the barcode.
+    inf = len(order)
     bars = []
     # `edges` is in lexicographic order and the sort is stable, so equal
     # levels keep that order.
@@ -94,18 +104,19 @@ def sublevel_barcode(f: PLFunction) -> Barcode:
         ri, rj = find(i), find(j)
         if ri == rj:
             # cycle-closing edge: only the circle has one
-            bars.append(Bar(1, Interval(levels[level], POS_INF)))
+            bars.append((1, level, inf))
             continue
         elder, younger = (ri, rj) if birth[ri] <= birth[rj] else (rj, ri)
         died = birth[younger] // m
         if died < level:
-            bars.append(Bar(0, Interval(levels[died], levels[level])))
+            bars.append((0, died, level))
         parent[younger] = elder
 
     roots = {find(v) for v in range(m)}
-    for root in sorted(roots):
-        bars.append(Bar(0, Interval(levels[birth[root] // m], POS_INF)))
-    return Barcode(bars)
+    bars.extend((0, birth[root] // m, inf) for root in roots)
+    ends = [distinct[i] for i in order] + [POS_INF]
+    bars.sort()
+    return Barcode._from_sorted(tuple(Bar(d, Interval(ends[lo], ends[hi])) for d, lo, hi in bars))
 
 
 @dataclass(frozen=True)

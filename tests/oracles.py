@@ -19,13 +19,16 @@ diagonalization, trial division under the Miller-Rabin primality test,
 and the operator-based hom and translation under the endpoint kernel,
 with `compose` and `equals_tau` on translated barcodes under the one
 round-trip predicate on untranslated bars, the Fraction merge under the
-rank merge of sublevel persistence, and the float-row cone kernel under
-the integer-cell one (see their sections).
+rank merge of sublevel persistence, the float-row cone kernel under
+the integer-cell one, the full product walk under the pruned normal grid,
+and `Fraction(token)` under the int fast path of `parse_rational` (see
+their sections).
 Direct sums of morphisms are reference code for the graded checks.
 """
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -33,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, hom, int_pair
+from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, check_printable, hom, int_pair
 from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
 from persimod.cones import _PAIR_CAP, _QUANT, DirectionSet, _dedupe, _default_scales
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
@@ -700,6 +703,8 @@ def sublevel_merge_oracle(f) -> Barcode:
 # These are the float-row `np.unique`, the 2048-row chunks and the appended
 # negatives they replaced.  `cone_oracle` stands in for `cones._cone`, so a
 # test that patches it in gets today's verdict logic on the old kernel.
+# `sphere_grid_oracle` walks every angle tuple of the normal grid, where
+# `cones._sphere_grid` skips the tuples past an angle of 0 or 180 degrees.
 
 
 def quantize_oracle(vecs: np.ndarray) -> np.ndarray:
@@ -754,6 +759,64 @@ def cone_oracle(cloud, x, params, pairs: bool) -> DirectionSet:
         secants = diff[norms > 0] / norms[norms > 0][:, None]
         per_scale.append(quantize_oracle(np.concatenate([secants, -secants]) if pairs else secants))
     return DirectionSet(_persisting_oracle(per_scale, params.theta_res), params.theta_res)
+
+
+def sphere_grid_oracle(dim: int, step_deg: float, cap: int = 20000) -> List[np.ndarray]:
+    """Unit vectors on S^{dim-1}, one per grid cell of step_deg, with
+    antipodes identified (a hyperplane normal is a sign-free datum)."""
+    if dim == 1:
+        return [np.array([1.0])]
+    angle_grids = [np.radians(np.arange(0, 180 + step_deg, step_deg))] * (dim - 2)
+    last = np.radians(np.arange(0, 180, step_deg))
+    out, seen = [], set()
+    for combo in product(*angle_grids, last):
+        v = np.zeros(dim)
+        sin_prod = 1.0
+        for i, a in enumerate(combo):
+            v[i] = sin_prod * math.cos(a)
+            sin_prod *= math.sin(a)
+        v[dim - 1] = sin_prod
+        nv = np.linalg.norm(v)
+        if nv < 1e-12:
+            continue
+        v = v / nv
+        # canonical sign: first coordinate with |.| > tol is positive
+        for c in v:
+            if abs(c) > 1e-9:
+                if c < 0:
+                    v = -v
+                break
+        key = tuple(np.round(v, 6))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(v)
+        if len(out) >= cap:
+            break
+    return out
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the int fast path of `parse_rational`
+#
+# `parse_rational` builds a token of ASCII digits, an optional sign and an
+# optional /denominator from its two ints.  This is the parser it replaced,
+# which sends every token through `Fraction(token)`.
+
+
+def parse_rational_oracle(token: str) -> Fraction:
+    low = token.lower()
+    limit = sys.get_int_max_str_digits()
+    if "e" in low:
+        exponent = low.rpartition("e")[2].strip().lstrip("+-0").replace("_", "")
+        if exponent.isdecimal() and limit and (len(exponent) > len(str(limit)) or int(exponent) > limit):
+            raise ValueError(f"decimal exponent over the limit of {limit}")
+    value = Fraction(token)
+    # Without an exponent, no term has more digits than the token has
+    # characters.
+    if "e" in low or len(token) > limit:
+        check_printable("value", value)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from persimod.barcodes import Barcode, cone_diagonal, gamma_to_zero
 from persimod.canonical import canonical_form
-from persimod.cli import rational_degeneracy
+from persimod.cli import main, rational_degeneracy
 from persimod.cones import (
     cantor_cubes,
     cone_coisotropy_test,
@@ -359,3 +359,43 @@ def test_14_cone_direction_sets_at_integer_speed():
     with _budget("14b symplectic plane, three verdicts with a witness", 0.5):
         for _ in range(3):
             assert cone_coisotropy_test(plane, np.zeros(4)).kind == "NotCoisotropic"
+
+
+def _plf_file(path, domain, rng, n=10_000):
+    """A seeded PL function of n breakpoints on the quarter grid, values in
+    [0, 10] with denominator 4: many ties, as in the benchmark's files."""
+    breaks = sorted(rng.sample(range(4 * n), n))
+    rows = "".join(f"{Fraction(b, 4)} {Fraction(rng.randint(0, 40), 4)}\n" for b in breaks)
+    path.write_text(f"domain: {domain}\n" + rows)
+    return str(path)
+
+
+def test_15_sublevel_of_a_large_file(tmp_path, capsys):
+    # Each value built once and bars sorted on int ranks: the six runs took
+    # 0.56-1.02 s on a shared 2-core machine; building every value twice and
+    # sorting bars on ExtRat keys took 1.27-1.66 s.
+    files = [_plf_file(tmp_path / f"{d}.plf", d, random.Random(seed)) for d, seed in (("interval", 15), ("circle", 16))]
+    essential = {}
+    with _budget("15 sublevel through the CLI, 10^4 breakpoints, three runs per domain", 1.4):
+        for path in files:
+            for _ in range(3):
+                assert main(["sublevel", path]) == 0
+                bars = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+                essential[path] = [bar[:2] for bar in bars if bar[2] == "inf"]
+    assert essential == {files[0]: [["0", "0"]], files[1]: [["0", "0"], ["1", "10"]]}
+
+
+def test_16_cone_test_on_a_line_in_high_dimension(tmp_path, capsys):
+    # The q1 axis in R^10 and R^16 leaves a null space of dimension 9 and 15
+    # for the normal grid, where walking every angle tuple did not finish.
+    # One verdict took 0.32-0.53 s (R^10) and 0.71-0.99 s (R^16) on a shared
+    # 2-core machine.
+    for dim, budget in ((10, 4), (16, 8)):
+        rows = [[0.0] * dim] + [[s * 0.7 ** j] + [0.0] * (dim - 1) for j in range(20) for s in (1, -1)]
+        cloud = tmp_path / f"line{dim}.csv"
+        cloud.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows))
+        capsys.readouterr()
+        with _budget(f"16 cone-test on the q1 line in R^{dim}", budget):
+            rc = main(["--machine", "cone-test", "--cloud", str(cloud), "--point", ",".join("0" * dim)])
+            out = capsys.readouterr().out
+        assert (rc, out) == (0, "verdict=NotCoisotropic\nwitness=0.0,1.0" + ",0.0" * (dim - 2) + "\n")

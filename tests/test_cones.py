@@ -22,7 +22,7 @@ from persimod.cones import (
     paratingent,
     standard_symplectic_matrix,
 )
-from oracles import cone_oracle
+from oracles import cone_oracle, sphere_grid_oracle
 
 # radii 0.7^j reach below the finest default scale (r0 / 256), so every
 # scale of the default ladder sees sample points
@@ -295,6 +295,18 @@ def test_direction_set_kernel_matches_the_float_row_oracle(case):
             old = next((e for e in (big, small) if isinstance(e, str)), None) or _outcome(
                 cone_coisotropy_test, cloud, x, params)
         assert _same(_outcome(cone_coisotropy_test, cloud, x, params), old)
+
+
+@pytest.mark.parametrize("step, cap", [(10.0, 20000), (30.0, 20000), (10.0, 700)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_pruned_normal_grid_matches_the_full_walk(dim, step, cap):
+    got, want = cones._sphere_grid(dim, step, cap), sphere_grid_oracle(dim, step, cap)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_normal_grid_reaches_its_cap_up_to_dimension_11():
+    # dimension 11 walks about 29,000 tuples for 20,000 vectors
+    assert len(cones._sphere_grid(11, 10.0)) == 20000
 
 
 # --- Cantor cubes ------------------------------------------------------------

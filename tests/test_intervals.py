@@ -1,9 +1,10 @@
 """Interval order and Hom-table tests, cross-checked against tests/oracles.py."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from persimod.intervals import (
     DEG0,
@@ -18,7 +19,7 @@ from persimod.intervals import (
     leq,
     parse_rational,
 )
-from oracles import hom_ext_oracle
+from oracles import hom_ext_oracle, parse_rational_oracle
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -67,6 +68,51 @@ def test_parse_rational_refuses_a_value_too_long_to_print(token):
         parse_rational(token)
     assert parse_rational("1e4299") == 10**4299
     assert parse_rational("1/" + "9" * 4300) == Fraction(1, 10**4300 - 1)
+
+
+def _outcome(parse, token):
+    try:
+        value = parse(token)
+    except Exception as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+# Fragments that make signs, leading zeros, missing terms, zero and signed
+# denominators, underscores, non-ASCII digits, whitespace, decimals and
+# exponents.
+_FRAGMENTS = ["0", "00", "7", "42", "+", "-", "/", "_", ".", "e", "E", " ", "\t",
+              "\u0662", "\uff17", "\u00b2", "\u0669\u0660"]
+_SHAPED = ["/0", "1/", "/2", "-", "+", "", "1/-2", "1/+2", "+-5", "--1", "0/0", "-0", "+007/010",
+           "1_000", "1/2_0", " 3", "3\n", "1 /2", "1.5", ".5", "5.", "1e3", "-2.5E-2", "1e", "e5"]
+
+
+@st.composite
+def _long_tokens(draw):
+    """Digit runs at and around the interpreter's int/str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    num = draw(st.sampled_from(["", "+", "-"])) + "9" * draw(st.integers(limit - 3, limit + 1))
+    if draw(st.booleans()):
+        return num
+    return num[: draw(st.integers(1, limit))] + "/" + "7" * draw(st.integers(1, limit + 1))
+
+
+@pytest.mark.parametrize("token", _SHAPED)
+def test_parse_rational_matches_the_fraction_parser_on_edge_tokens(token):
+    assert _outcome(parse_rational, token) == _outcome(parse_rational_oracle, token)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=6).map("".join),
+    st.fractions().map(str),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 10 ** 30), st.integers(0, 10 ** 6))
+    .map(lambda t: f"{t[0]}{t[1]:08d}/{t[2]}"),
+    _long_tokens(),
+))
+def test_parse_rational_matches_the_fraction_parser(token):
+    # the same value, or a refusal of the same type and text
+    assert _outcome(parse_rational, token) == _outcome(parse_rational_oracle, token)
 
 
 def test_parse_endpoint():

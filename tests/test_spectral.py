@@ -1,5 +1,7 @@
 """Sublevel persistence of PL functions and spectral numbers."""
 
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, gamma
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
+from persimod.io import emit_barcode, parse_plfunction
 from persimod.spectral import (
     PLFunction,
     left_infinite_form,
@@ -35,6 +38,14 @@ def test_plfunction_rejects_bad_input():
         PLFunction("interval", [0], [5])
     with pytest.raises(ValueError, match="strictly increasing"):
         PLFunction("circle", [0, 1, 1], [0, 2, 1])
+
+
+def test_plfunction_holds_fractions_from_ints_strings_and_floats():
+    f = PLFunction("interval", [0, "1/2", 1.5, Fraction(2)], ["3", 1, Fraction(-1, 3), 0.25])
+    for x in f.breakpoints + f.values:
+        assert type(x) is Fraction
+    assert f.breakpoints == (0, Fraction(1, 2), Fraction(3, 2), 2)
+    assert f.values == (3, 1, Fraction(-1, 3), Fraction(1, 4))
 
 
 def test_plfunction_extremes():
@@ -113,6 +124,25 @@ def test_rank_merge_matches_the_fraction_merge(runs, domain):
     f = PLFunction(domain, range(len(vals)), vals)
     got, want = sublevel_barcode(f), sublevel_merge_oracle(f)
     assert got.bars == want.bars and repr(got) == repr(want)
+
+
+_tokens = st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 40), st.sampled_from(["", "/1", "/4", "/04", "/6"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_tokens, min_size=2, max_size=14), st.sampled_from(["interval", "circle"]))
+def test_sublevel_of_a_file_matches_the_fraction_merge(tokens, domain):
+    # Values as a file spells them: signs, leading zeros and few distinct
+    # levels, so ties and plateaus; read back through the fast parser.
+    text = [f"{sign}{n:02d}{den}" for sign, n, den in tokens]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.plf")
+        with open(path, "w") as fh:
+            fh.write(f"domain: {domain}\n" + "".join(f"{k} {v}\n" for k, v in enumerate(text)))
+        f = parse_plfunction(path)
+    assert f.values == tuple(Fraction(v) for v in text)
+    want = sublevel_merge_oracle(PLFunction(domain, range(len(text)), [Fraction(v) for v in text]))
+    assert emit_barcode(sublevel_barcode(f)) == emit_barcode(want)
 
 
 def test_sublevel_shift_equivariance(rng):
