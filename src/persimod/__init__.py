@@ -6,11 +6,12 @@ sublevel spectral numbers, and sampled-set cone geometry.
 
 from .intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, hom, leq
 from .fields import GF2, QQ, PrimeField, RationalField, field_by_name
-from .barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
+from .barcodes import Bar, Barcode
 from .morphisms import Morphism, compose, identity, tau_morphism
 from .canonical import (
     CanonicalFormResult,
     DiagonalizationError,
+    InductiveSystem,
     StageDiagonalization,
     canonical_form,
     diagonalize_system,
@@ -27,10 +28,11 @@ from .limits import (
     CompletionError,
     CompletionResult,
     HocolimResult,
-    InductiveSystem,
     ToleranceError,
     complete_cauchy,
+    cone_diagonal,
     defect_check,
+    gamma_to_zero,
     hocolim,
 )
 from .spectral import (

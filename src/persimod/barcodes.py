@@ -12,14 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .intervals import DEG0, ExtRat, Interval, hom
+from .intervals import Interval
 
-__all__ = [
-    "Bar",
-    "Barcode",
-    "gamma_to_zero",
-    "cone_diagonal",
-]
+__all__ = ["Bar", "Barcode"]
 
 
 class Bar:
@@ -163,56 +158,3 @@ class Barcode:
 
 
 _set_bars = Barcode.bars.__set__
-
-
-def gamma_to_zero(b: Barcode) -> ExtRat:
-    """Distance from the zero object: the maximal bar length.
-
-    0 for the empty barcode; +inf as soon as some bar is infinite.
-    """
-    out = ExtRat(0)
-    for bar in b.bars:
-        out = max(out, bar.interval.length)
-    return out
-
-
-def cone_diagonal(m) -> Barcode:
-    """Barcode of the mapping cone of a morphism in diagonal form.
-
-    ``m`` must be a direct sum of canonical degree-0 generators and zero
-    rows/columns: every row and every column carries at most one nonzero
-    entry, and each nonzero entry equals 1.  Per matched pair
-    I=[a,b) -> J=[c,d) the cone contributes [b,d) in the source degree
-    (when b < d) and [a,c) one degree up (when a < c); an unmatched source
-    bar survives one degree up, an unmatched target bar in place.
-    """
-    one = getattr(m, "field").one
-    src = m.source
-    tgt = m.target
-    row_of: Dict[int, int] = {}
-    col_of: Dict[int, int] = {}
-    for (t, s), val in m.entries.items():
-        if val != one:
-            raise ValueError(f"entry at {(t, s)} is {val!r}, not 1: not in diagonal form")
-        if t in row_of or s in col_of:
-            raise ValueError("row or column carries two entries: not in diagonal form")
-        row_of[t] = s
-        col_of[s] = t
-    bars: List[Bar] = []
-    for s, bar in enumerate(src.bars):
-        d = bar.degree
-        i = bar.interval
-        if s not in col_of:
-            bars.append(Bar(d + 1, i))
-            continue
-        j = tgt.bars[col_of[s]].interval
-        if hom(i, j) is not DEG0:
-            raise ValueError(f"matched pair {i} -> {j} is not a degree-0 generator")
-        if i.hi < j.hi:
-            bars.append(Bar(d, Interval(i.hi, j.hi)))
-        if i.lo < j.lo:
-            bars.append(Bar(d + 1, Interval(i.lo, j.lo)))
-    for t, bar in enumerate(tgt.bars):
-        if t not in row_of:
-            bars.append(bar)
-    return Barcode(bars)

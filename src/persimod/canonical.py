@@ -15,23 +15,28 @@ row operation is a row operation on its transpose.  Every claimed
 identity (the factorization, the two inverse laws, the diagonal shape,
 the endpoint drift) is re-checked on the strictly built morphisms before
 they are returned.
+
+A tower (`InductiveSystem`) checks at construction the contract that
+`diagonalize_system` relies on, and solves for missing reverse maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .barcodes import Bar
+from .fields import GF2, solve_linear
+from .intervals import ExtRat
 from .morphisms import Morphism, _cell_allowed, _is_round_trip, compose, identity
-
-if TYPE_CHECKING:
-    from .limits import InductiveSystem
 
 __all__ = [
     "DiagonalizationError",
     "CanonicalFormResult",
     "StageDiagonalization",
+    "InductiveSystem",
     "canonical_form",
     "diagonalize_system",
 ]
@@ -204,6 +209,130 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
             )
 
     return CanonicalFormResult(phi=phi_m, phi_inverse=phi_inv_m, diagonalized=diag, sigma=sigma)
+
+
+class InductiveSystem:
+    """A finite tower: stages, forward maps, per-step slacks, and (optional)
+    reverse maps.  Construction verifies composability, one scalar field
+    and, where a reverse map is given, that the round trip is the canonical
+    comparison: the whole contract that `diagonalize_system` relies on."""
+
+    __slots__ = ("stages", "maps", "slacks", "reverses", "field")
+
+    def __init__(self, stages, maps, slacks, reverses=None, field=None):
+        stages = tuple(stages)
+        maps = tuple(maps)
+        slacks = tuple(Fraction(s) for s in slacks)
+        if reverses is None:
+            reverses = (None,) * len(maps)
+        reverses = tuple(reverses)
+        if len(maps) != len(stages) - 1:
+            raise ValueError("need exactly one forward map per consecutive stage pair")
+        if len(slacks) != len(maps) or len(reverses) != len(maps):
+            raise ValueError("need one slack and one (possibly absent) reverse map per step")
+        for n, f in enumerate(maps):
+            if f.source != stages[n] or f.target != stages[n + 1]:
+                raise ValueError(f"forward map {n} does not connect stages {n} -> {n + 1}")
+        if field is None:
+            field = maps[0].field if maps else GF2
+        for f in maps:
+            if f.field != field:
+                raise ValueError("mixed scalar fields in forward maps")
+        for g in reverses:
+            if g is not None and g.field != field:
+                raise ValueError("mixed scalar fields in reverse maps")
+        for n, (eps, g) in enumerate(zip(slacks, reverses)):
+            if eps < 0:
+                raise ValueError(f"negative slack at step {n}")
+            if g is None:
+                continue
+            if g.source != stages[n + 1] or not g.target.is_shift_of(stages[n], eps):
+                raise ValueError(f"reverse map {n} does not match the slack-{eps} shift")
+            if not _is_round_trip(maps[n], g, eps):
+                raise ValueError(f"round trip at step {n} is not the canonical comparison")
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "slacks", slacks)
+        object.__setattr__(self, "reverses", reverses)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, *a):
+        raise AttributeError("InductiveSystem is immutable")
+
+    def __len__(self):
+        return len(self.stages)
+
+    def with_reverses(self) -> "InductiveSystem":
+        """Fill in missing reverse maps by solving the (linear) round-trip
+        equation against the given forward map; abort loudly on failure."""
+        if all(g is not None for g in self.reverses):
+            return self
+        new_rev = []
+        for n, g in enumerate(self.reverses):
+            if g is None:
+                g = _solve_reverse(self.maps[n], self.slacks[n], self.field)
+                if g is None:
+                    raise ValueError(
+                        f"stage {n}: no reverse map realizes the slack-{self.slacks[n]} "
+                        "round trip; supply one explicitly"
+                    )
+            new_rev.append(g)
+        return InductiveSystem(self.stages, self.maps, self.slacks, new_rev, self.field)
+
+
+def _allowed_into(bars: Sequence[Bar], keys: Sequence[Tuple[int, ExtRat]], tgt: Bar) -> List[int]:
+    """The indices j, increasing, with `_cell_allowed(bars[j], tgt)`.  `keys`
+    holds each bar's (degree, lo) in the barcode's sorted order.  An allowed
+    bar has tgt's degree and starts no later than tgt, so it lies between
+    the start of that degree's run and a bisect on tgt's lo."""
+    window = range(bisect_left(keys, (tgt.degree,)), bisect_right(keys, (tgt.degree, tgt.interval.lo)))
+    return [j for j in window if _cell_allowed(bars[j], tgt)]
+
+
+def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
+    """One-sided inverse-up-to-comparison: find g with g∘f = tau_eps.
+
+    Linear in the entries of g.  The equation at cell (i, i') of g∘f reads
+    only row i' of g, so the system splits into one block per bar i' of the
+    eps-shifted source: its unknowns are the allowed j of F' in increasing
+    j, its equations the allowed i of F, read off column i of f; both come
+    from a bisect window (`_allowed_into`).  Blocks share no unknowns, so
+    solving each alone picks the pivot columns of one global elimination
+    and, with free unknowns at zero, the same g; a block with no equations
+    leaves its row of g zero.
+    XXX free unknowns default to zero, which biases synthesized reverses
+    toward sparse ones; any solution satisfies the tower contract, so this
+    only matters for readability of dumped systems.
+    """
+    F, Fp = f.source, f.target
+    shifted = F.shift(eps)
+    by_source: Dict[int, List[Tuple[int, object]]] = {}
+    for (j, i), coef in f.entries.items():
+        by_source.setdefault(i, []).append((j, coef))
+    f_keys, fp_keys = ([(bar.degree, bar.interval.lo) for bar in bc.bars] for bc in (F, Fp))
+    zero, one = fld.zero, fld.one
+    found = []
+    for ip, tgt in enumerate(shifted.bars):
+        unknowns = _allowed_into(Fp.bars, fp_keys, tgt)
+        pos = {j: k for k, j in enumerate(unknowns)}
+        rows, rhs = [], []
+        for i in _allowed_into(F.bars, f_keys, tgt):
+            coefs = [(pos[j], coef) for j, coef in by_source.get(i, ()) if j in pos]
+            want = one if (ip == i and F.bars[i].interval.length > eps) else zero
+            if coefs or want != zero:
+                row = [zero] * len(unknowns)
+                for k, coef in coefs:
+                    row[k] = coef
+                rows.append(row)
+                rhs.append(want)
+        if not rows:
+            continue
+        sol = solve_linear(rows, rhs, fld)
+        if sol is None:
+            return None
+        found.extend(((ip, j), v) for j, v in zip(unknowns, sol) if v != zero)
+    found.sort(key=lambda cell: (cell[0][1], cell[0][0]))  # g's entries in column order
+    return Morphism(Fp, shifted, dict(found), fld)
 
 
 def diagonalize_system(system: InductiveSystem) -> List[StageDiagonalization]:

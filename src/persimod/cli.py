@@ -84,11 +84,11 @@ def _load_config() -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg = _load_config()
+    """The argument tree; `main` fills an unset `--field` or `--machine` from the config."""
     top = argparse.ArgumentParser(prog="persimod", description=__doc__)
-    top.add_argument("--field", default=cfg.get("field", "2"),
+    top.add_argument("--field", default=None,
                      help="scalar field: a prime p or 'q' for rationals")
-    top.add_argument("--machine", action="store_true", default=_switch(cfg.get("machine", "no")),
+    top.add_argument("--machine", action="store_true",
                      help="emit line-oriented key=value records")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -333,10 +333,16 @@ def _cmd_validate(args, field) -> int:
     return 0
 
 
+_PARSER = build_parser()  # holds no input and no result, so one serves every call
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.run(args, field_by_name(args.field))
+        cfg = _load_config()  # a bad config is exit 2 before argv is parsed
+        args = _PARSER.parse_args(argv)
+        field = cfg.get("field", "2") if args.field is None else args.field
+        args.machine = args.machine or _switch(cfg.get("machine", "no"))
+        return args.run(args, field_by_name(field))
     except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

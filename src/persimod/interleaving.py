@@ -67,26 +67,6 @@ class DistanceReport:
         return self.value
 
 
-def _infinite_mismatch(F: Barcode, G: Barcode) -> bool:
-    """Per degree, the counts of left-infinite, right-infinite and
-    two-sided bars must agree; an infinite bar can only ever map to a bar
-    infinite on the same side."""
-
-    def sig(b: Barcode):
-        out: Dict[Tuple[int, str], int] = {}
-        for bar in b.bars:
-            left = bar.interval.lo.is_neg_inf
-            right = bar.interval.hi.is_pos_inf
-            if not (left or right):
-                continue
-            kind = "both" if (left and right) else ("left" if left else "right")
-            key = (bar.degree, kind)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    return sig(F) != sig(G)
-
-
 class _IntView:
     """One (F, G) problem scaled to Python ints once, then probed many times.
 
@@ -149,6 +129,18 @@ class _IntView:
         for i, x in enumerate(pts):
             diffs.update(y - x for y in pts[i + 1:])
         return sorted(diffs), sorted({hi - lo for lo, hi in bars if -inf < lo and hi < inf})
+
+    def infinite_mismatch(self) -> bool:
+        """Whether some degree holds different infinite bars in F and G.  An
+        infinite bar can only ever map to a bar infinite on the same side, so
+        per degree the sorted (left-infinite, right-infinite) kinds of the
+        infinite bars must agree."""
+        inf = self.inf
+
+        def kinds(side):
+            return sorted((lo == -inf, hi == inf) for lo, hi in zip(side[1], side[2]) if lo == -inf or hi == inf)
+
+        return any(kinds(f) != kinds(g) for f, g in self.degrees)
 
     def entries(self, a: int, b: int):
         """Find a covering matching at the shifts (a, b), ints in this view's
@@ -285,9 +277,9 @@ def gamma(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     optimal (a, b).  A graded pair is searched as one problem: a single
     (a, b) must interleave every degree at once.  One scaled view of
     (F, G) serves every probe."""
-    if _infinite_mismatch(F, G):
-        return DistanceReport(POS_INF, None)
     view = _IntView(F, G)
+    if view.infinite_mismatch():
+        return DistanceReport(POS_INF, None)
 
     def decide(a: int, b: int) -> bool:
         return check_interleaving(F, G, a, b, field=field, _view=view) is not None
@@ -306,9 +298,9 @@ def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     One view at twice the common denominator D holds them all as ints, and
     a probe only asks its kernel for a covering matching: no certificate is
     built until the optimum, where it is built and re-verified."""
-    if _infinite_mismatch(F, G):
-        return DistanceReport(POS_INF, None)
     view = _IntView(F, G, unit=2)
+    if view.infinite_mismatch():
+        return DistanceReport(POS_INF, None)
     diffs, _ = view.grid()  # even: every endpoint is a multiple of 2
     got = _min_feasible(sorted(set(diffs) | {d // 2 for d in diffs}), lambda c: view.entries(c, c) is not None)
     if got is None:

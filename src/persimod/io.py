@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .barcodes import Bar, Barcode
+from .canonical import InductiveSystem
 from .fields import GF2, field_by_name
 from .intervals import ExtRat, Interval, parse_rational
-from .limits import InductiveSystem
 from .morphisms import InterleavingCertificate, Morphism
 from .spectral import PLFunction
 

@@ -6,7 +6,9 @@ to the canonical comparison.  Diagonalizing every step (stage by stage,
 all degrees at once, rebasing as we go) turns the tower into chains of
 bars; the truncated colimit reports the last witnessed endpoints of every
 surviving chain, plus bars born at the final stage, together with a
-certified bound on how far the truncation can still drift.
+certified bound on how far the truncation can still drift: four times
+the longest bar (`gamma_to_zero`) of the last step's cone (`cone_diagonal`).
+The tower and its contract (`InductiveSystem`) live in `canonical`.
 
 Cauchy completion subsamples a sequence until consecutive distances halve,
 re-anchors every stage by its accumulated slack so the comparison maps
@@ -17,22 +19,22 @@ the last witnessed value otherwise.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
-from .canonical import StageDiagonalization, diagonalize_system
-from .fields import GF2, solve_linear
-from .intervals import ExtRat, Interval
+from .barcodes import Bar, Barcode
+from .canonical import InductiveSystem, StageDiagonalization, diagonalize_system
+from .fields import GF2
+from .intervals import DEG0, ExtRat, Interval, hom
 from .interleaving import DistanceReport, gamma
-from .morphisms import InterleavingCertificate, Morphism, _cell_allowed, _is_round_trip, compose, tau_morphism
+from .morphisms import InterleavingCertificate, Morphism, compose, tau_morphism
 
 __all__ = [
     "CompletionError",
     "ToleranceError",
-    "InductiveSystem",
+    "gamma_to_zero",
+    "cone_diagonal",
     "Chain",
     "HocolimResult",
     "CompletionResult",
@@ -50,128 +52,54 @@ class ToleranceError(CompletionError):
     """The completed barcode missed the requested tolerance."""
 
 
-class InductiveSystem:
-    """A finite tower: stages, forward maps, per-step slacks, and (optional)
-    reverse maps.  Construction verifies composability, one scalar field
-    and, where a reverse map is given, that the round trip is the canonical
-    comparison: the whole contract that `diagonalize_system` relies on."""
+def gamma_to_zero(b: Barcode) -> ExtRat:
+    """Distance from the zero object: the maximal bar length.
 
-    __slots__ = ("stages", "maps", "slacks", "reverses", "field")
-
-    def __init__(self, stages, maps, slacks, reverses=None, field=None):
-        stages = tuple(stages)
-        maps = tuple(maps)
-        slacks = tuple(Fraction(s) for s in slacks)
-        if reverses is None:
-            reverses = (None,) * len(maps)
-        reverses = tuple(reverses)
-        if len(maps) != len(stages) - 1:
-            raise ValueError("need exactly one forward map per consecutive stage pair")
-        if len(slacks) != len(maps) or len(reverses) != len(maps):
-            raise ValueError("need one slack and one (possibly absent) reverse map per step")
-        for n, f in enumerate(maps):
-            if f.source != stages[n] or f.target != stages[n + 1]:
-                raise ValueError(f"forward map {n} does not connect stages {n} -> {n + 1}")
-        if field is None:
-            field = maps[0].field if maps else GF2
-        for f in maps:
-            if f.field != field:
-                raise ValueError("mixed scalar fields in forward maps")
-        for g in reverses:
-            if g is not None and g.field != field:
-                raise ValueError("mixed scalar fields in reverse maps")
-        for n, (eps, g) in enumerate(zip(slacks, reverses)):
-            if eps < 0:
-                raise ValueError(f"negative slack at step {n}")
-            if g is None:
-                continue
-            if g.source != stages[n + 1] or not g.target.is_shift_of(stages[n], eps):
-                raise ValueError(f"reverse map {n} does not match the slack-{eps} shift")
-            if not _is_round_trip(maps[n], g, eps):
-                raise ValueError(f"round trip at step {n} is not the canonical comparison")
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "slacks", slacks)
-        object.__setattr__(self, "reverses", reverses)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, *a):
-        raise AttributeError("InductiveSystem is immutable")
-
-    def __len__(self):
-        return len(self.stages)
-
-    def with_reverses(self) -> "InductiveSystem":
-        """Fill in missing reverse maps by solving the (linear) round-trip
-        equation against the given forward map; abort loudly on failure."""
-        if all(g is not None for g in self.reverses):
-            return self
-        new_rev = []
-        for n, g in enumerate(self.reverses):
-            if g is None:
-                g = _solve_reverse(self.maps[n], self.slacks[n], self.field)
-                if g is None:
-                    raise ValueError(
-                        f"stage {n}: no reverse map realizes the slack-{self.slacks[n]} "
-                        "round trip; supply one explicitly"
-                    )
-            new_rev.append(g)
-        return InductiveSystem(self.stages, self.maps, self.slacks, new_rev, self.field)
-
-
-def _allowed_into(bars: Sequence[Bar], keys: Sequence[Tuple[int, ExtRat]], tgt: Bar) -> List[int]:
-    """The indices j, increasing, with `_cell_allowed(bars[j], tgt)`.  `keys`
-    holds each bar's (degree, lo) in the barcode's sorted order.  An allowed
-    bar has tgt's degree and starts no later than tgt, so it lies between
-    the start of that degree's run and a bisect on tgt's lo."""
-    window = range(bisect_left(keys, (tgt.degree,)), bisect_right(keys, (tgt.degree, tgt.interval.lo)))
-    return [j for j in window if _cell_allowed(bars[j], tgt)]
-
-
-def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
-    """One-sided inverse-up-to-comparison: find g with g∘f = tau_eps.
-
-    Linear in the entries of g.  The equation at cell (i, i') of g∘f reads
-    only row i' of g, so the system splits into one block per bar i' of the
-    eps-shifted source: its unknowns are the allowed j of F' in increasing
-    j, its equations the allowed i of F, read off column i of f; both come
-    from a bisect window (`_allowed_into`).  Blocks share no unknowns, so
-    solving each alone picks the pivot columns of one global elimination
-    and, with free unknowns at zero, the same g; a block with no equations
-    leaves its row of g zero.
-    XXX free unknowns default to zero, which biases synthesized reverses
-    toward sparse ones; any solution satisfies the tower contract, so this
-    only matters for readability of dumped systems.
+    0 for the empty barcode; +inf as soon as some bar is infinite.
     """
-    F, Fp = f.source, f.target
-    shifted = F.shift(eps)
-    by_source: Dict[int, List[Tuple[int, object]]] = {}
-    for (j, i), coef in f.entries.items():
-        by_source.setdefault(i, []).append((j, coef))
-    f_keys, fp_keys = ([(bar.degree, bar.interval.lo) for bar in bc.bars] for bc in (F, Fp))
-    zero, one = fld.zero, fld.one
-    found = []
-    for ip, tgt in enumerate(shifted.bars):
-        unknowns = _allowed_into(Fp.bars, fp_keys, tgt)
-        pos = {j: k for k, j in enumerate(unknowns)}
-        rows, rhs = [], []
-        for i in _allowed_into(F.bars, f_keys, tgt):
-            coefs = [(pos[j], coef) for j, coef in by_source.get(i, ()) if j in pos]
-            want = one if (ip == i and F.bars[i].interval.length > eps) else zero
-            if coefs or want != zero:
-                row = [zero] * len(unknowns)
-                for k, coef in coefs:
-                    row[k] = coef
-                rows.append(row)
-                rhs.append(want)
-        if not rows:
+    return max((bar.interval.length for bar in b.bars), default=ExtRat(0))
+
+
+def cone_diagonal(m: Morphism) -> Barcode:
+    """Barcode of the mapping cone of a morphism in diagonal form.
+
+    ``m`` must be a direct sum of canonical degree-0 generators and zero
+    rows/columns: every row and every column carries at most one nonzero
+    entry, and each nonzero entry equals 1.  Per matched pair
+    I=[a,b) -> J=[c,d) the cone contributes [b,d) in the source degree
+    (when b < d) and [a,c) one degree up (when a < c); an unmatched source
+    bar survives one degree up, an unmatched target bar in place.
+    """
+    one = m.field.one
+    src = m.source
+    tgt = m.target
+    row_of: Dict[int, int] = {}
+    col_of: Dict[int, int] = {}
+    for (t, s), val in m.entries.items():
+        if val != one:
+            raise ValueError(f"entry at {(t, s)} is {val!r}, not 1: not in diagonal form")
+        if t in row_of or s in col_of:
+            raise ValueError("row or column carries two entries: not in diagonal form")
+        row_of[t] = s
+        col_of[s] = t
+    bars: List[Bar] = []
+    for s, bar in enumerate(src.bars):
+        d = bar.degree
+        i = bar.interval
+        if s not in col_of:
+            bars.append(Bar(d + 1, i))
             continue
-        sol = solve_linear(rows, rhs, fld)
-        if sol is None:
-            return None
-        found.extend(((ip, j), v) for j, v in zip(unknowns, sol) if v != zero)
-    found.sort(key=lambda cell: (cell[0][1], cell[0][0]))  # g's entries in column order
-    return Morphism(Fp, shifted, dict(found), fld)
+        j = tgt.bars[col_of[s]].interval
+        if hom(i, j) is not DEG0:
+            raise ValueError(f"matched pair {i} -> {j} is not a degree-0 generator")
+        if i.hi < j.hi:
+            bars.append(Bar(d, Interval(i.hi, j.hi)))
+        if i.lo < j.lo:
+            bars.append(Bar(d + 1, Interval(i.lo, j.lo)))
+    for t, bar in enumerate(tgt.bars):
+        if t not in row_of:
+            bars.append(bar)
+    return Barcode(bars)
 
 
 @dataclass(frozen=True)

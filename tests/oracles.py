@@ -37,12 +37,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, check_printable, hom, int_pair
-from persimod.barcodes import Bar, Barcode, cone_diagonal, gamma_to_zero
+from persimod.barcodes import Bar, Barcode
 from persimod.cones import _PAIR_CAP, _QUANT, DirectionSet, _dedupe, _default_scales
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
 from persimod.fields import GF2, RationalField, solve_linear
 from persimod.interleaving import DistanceReport, InterleavingCertificate
-from persimod.limits import Chain, HocolimResult, InductiveSystem, _follow_chains
+from persimod.limits import Chain, HocolimResult, InductiveSystem, _follow_chains, cone_diagonal, gamma_to_zero
 from persimod.matching import matching_covering
 from persimod.morphisms import Morphism, _cell_allowed, compose, identity
 
@@ -1117,7 +1117,7 @@ class FractionExtRat:
 # ---------------------------------------------------------------------------
 # differential oracle for reverse-map synthesis
 #
-# `limits._solve_reverse` solves one small system per bar of the shifted
+# `canonical._solve_reverse` solves one small system per bar of the shifted
 # source, over the bars of one bisect window.  These are the single global
 # elimination over every allowed cell of g that it replaced, and the
 # per-block solve over full scans of the bars that the window replaced.
@@ -1162,7 +1162,7 @@ def solve_reverse_oracle(f: Morphism, eps, fld):
 
 def solve_reverse_scan_oracle(f: Morphism, eps, fld):
     """The per-block synthesis with every block's unknowns and equations
-    found by scanning all bars of F' and of F, where `limits._solve_reverse`
+    found by scanning all bars of F' and of F, where `canonical._solve_reverse`
     takes them from a bisect window.  Returns (blocks, g): for each bar i'
     of the shifted source, in order, (i', unknowns, equations), and g or
     None."""

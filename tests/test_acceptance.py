@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from persimod.barcodes import Barcode, cone_diagonal, gamma_to_zero
+from persimod.barcodes import Barcode
 from persimod.canonical import canonical_form
 from persimod.cli import main, rational_degeneracy
 from persimod.cones import (
@@ -41,7 +41,7 @@ from persimod.intervals import (
     hom,
     leq,
 )
-from persimod.limits import InductiveSystem, complete_cauchy, defect_check
+from persimod.limits import InductiveSystem, complete_cauchy, cone_diagonal, defect_check, gamma_to_zero
 from persimod.morphisms import Morphism, compose, identity
 from persimod.spectral import spectral_invariants, sublevel_barcode
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from persimod import Barcode, Interval
-from persimod.barcodes import Bar, cone_diagonal, gamma_to_zero
+from persimod.barcodes import Bar
+from persimod.limits import cone_diagonal, gamma_to_zero
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
 from persimod.morphisms import Morphism, compose, identity, tau_morphism
 from persimod.fields import GF2

@@ -7,11 +7,18 @@ trust to believe a reported distance.  The walk follows every relative
 import, `TYPE_CHECKING` ones included, so even a type-only import of the
 search (`interleaving`, `matching`, `limits`, ...) breaks the boundary.
 The boundary is one of source, not of loading: importing any submodule
-still runs the package's `__init__.py`."""
+still runs the package's `__init__.py`.
+
+The same walk keeps two more lines: reading files (`io`) reaches no search
+and no tower code, and `canonical`, home of the tower contract
+(`InductiveSystem`), reaches neither `limits` nor the search.  No module
+imports under `TYPE_CHECKING`, so every import the walk sees is a real one."""
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import persimod
 from persimod import interleaving
@@ -20,6 +27,14 @@ from persimod.morphisms import InterleavingCertificate
 PACKAGE = Path(persimod.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
 TRUSTED = {"morphisms", "barcodes", "fields", "intervals"}
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+
+# (module, the package modules its source closure must not reach); the
+# checker's own row is exact, in test_checker_closure_is_the_trusted_modules
+BOUNDARIES = [
+    ("io", {"interleaving", "matching", "limits", "cli"}),
+    ("canonical", {"limits", "interleaving", "matching"}),
+]
 
 
 def _package_imports(source):
@@ -51,6 +66,21 @@ def _read(name):
 
 def test_checker_closure_is_the_trusted_modules():
     assert _closure("morphisms", _read) == TRUSTED
+
+
+@pytest.mark.parametrize("start, excluded", BOUNDARIES, ids=[row[0] for row in BOUNDARIES])
+def test_closure_stays_inside_its_boundary(start, excluded):
+    assert _closure(start, _read) & excluded == set()
+
+
+def test_no_module_imports_under_type_checking():
+    def guarded(source):
+        return any(
+            "TYPE_CHECKING" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            for node in ast.walk(ast.parse(source))
+        )
+
+    assert sorted(name for name in MODULES if guarded(_read(name))) == []
 
 
 def test_readme_counts_exactly_the_trusted_modules():

@@ -565,6 +565,15 @@ def test_config_machine_words(unit_pair, monkeypatch, capsys, value, records):
     assert (rc, out) == (0, "a=0\nb=1\nresult=interleaved\n" if records else "interleaved\n")
 
 
+def test_flags_win_over_the_config(unit_pair, monkeypatch, capsys):
+    cfg = unit_pair / "persimod.cfg"
+    cfg.write_text("machine = no\nfield = 5\n")
+    monkeypatch.setenv("PERSIMOD_CONFIG", str(cfg))
+    check = ("dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
+    assert run(capsys, "--machine", *check) == (0, "a=0\nb=1\nresult=interleaved\n", "")
+    assert run(capsys, "--field", "4", *check) == (1, "", "error: 4 is not prime\n")
+
+
 def gf5_tower():
     """Two stages whose maps scale by 2 and 3: a tower over GF(5), whose
     round trip reads as the zero map over GF(2)."""

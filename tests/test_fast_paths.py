@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from persimod import Barcode, Interval, limits
+from persimod import Barcode, Interval, canonical
 from persimod.fields import GF2, PrimeField, QQ
 from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _deg0_plus, hom, leq
 from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
@@ -488,7 +488,7 @@ def _recording(fn, log):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_windowed_reverse_synthesis_matches_the_full_scan(den, data):
-    """`limits._solve_reverse` takes each block's unknowns and equations from
+    """`canonical._solve_reverse` takes each block's unknowns and equations from
     a bisect window; the full scan kept in `oracles.py` takes them from
     every bar.  Both must find the same unknowns and equations, hand the
     same systems to `solve_linear` in the same order (so the same pivot
@@ -505,10 +505,10 @@ def test_windowed_reverse_synthesis_matches_the_full_scan(den, data):
     for f, slack in problems:
         windows, got_systems, want_systems = [], [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits, "_allowed_into", _recording(limits._allowed_into, windows))
-            mp.setattr(limits, "solve_linear", _recording(limits.solve_linear, got_systems))
+            mp.setattr(canonical, "_allowed_into", _recording(canonical._allowed_into, windows))
+            mp.setattr(canonical, "solve_linear", _recording(canonical.solve_linear, got_systems))
             mp.setattr(oracles, "solve_linear", _recording(oracles.solve_linear, want_systems))
-            got = limits._solve_reverse(f, slack, fld)
+            got = canonical._solve_reverse(f, slack, fld)
             blocks, want = solve_reverse_scan_oracle(f, slack, fld)
         scans = [found for _, unknowns, equations in blocks for found in (unknowns, equations)]
         assert [out for _, out in windows] == scans

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import persimod.interleaving as interleaving
 from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetric
-from persimod.barcodes import gamma_to_zero
+from persimod.limits import gamma_to_zero
 from persimod.fields import GF2, PrimeField
 from persimod.intervals import ExtRat, POS_INF, NEG_INF
 from persimod.interleaving import DistanceReport, InterleavingCertificate
@@ -113,6 +114,28 @@ def test_gamma_infinite_bars():
     assert gamma(F, mismatched).value == POS_INF
     left = B((0, Interval(NEG_INF, 0)))
     assert gamma(F, left).value == POS_INF
+
+
+@pytest.mark.parametrize("F, G", [
+    (B((0, Interval(0, POS_INF)), (0, Interval(1, 3))), B((1, Interval(0, POS_INF)), (0, Interval(1, 3)))),
+    (B((0, Interval(NEG_INF, 2))), B((0, Interval(0, POS_INF)))),
+    (B((0, Interval(NEG_INF, POS_INF)), (1, Interval(0, 1))), B((0, Interval(0, POS_INF)), (1, Interval(0, 1)))),
+], ids=["same-bar-other-degree", "left-vs-right", "two-sided-vs-one-sided"])
+def test_infinite_mismatch_is_infinite_before_any_probe(monkeypatch, F, G):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return matching_covering(*args)
+
+    monkeypatch.setattr(interleaving, "matching_covering", counting)
+    for fn in (gamma, gamma_symmetric):
+        for left, right in ((F, G), (G, F)):
+            report = fn(left, right)
+            assert (report.value, report.certificate) == (POS_INF, None)
+    assert calls == []
+    # the wrapper is the one the search calls: a matched pair probes through it
+    assert gamma(F, F).value == ExtRat(0) and calls
 
 
 def test_gamma_graded_is_per_degree_max():

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, gamma
 from persimod.fields import GF2, QQ, PrimeField, solve_linear
+from persimod.canonical import _solve_reverse
 from persimod.intervals import ExtRat
 from persimod.limits import (
     CompletionError,
     InductiveSystem,
     ToleranceError,
-    _solve_reverse,
     complete_cauchy,
     defect_check,
     hocolim,
@@ -322,7 +322,7 @@ def test_reverse_synthesis_matches_the_global_solve(fld, seed, degrees):
 
 
 def test_reverse_synthesis_hands_over_one_small_system_per_bar(monkeypatch):
-    import persimod.limits as limits
+    import persimod.canonical as canonical
 
     shapes = []
 
@@ -330,7 +330,7 @@ def test_reverse_synthesis_hands_over_one_small_system_per_bar(monkeypatch):
         shapes.append((len(rows), len(rows[0]) if rows else 0))
         return solve_linear(rows, rhs, fld)
 
-    monkeypatch.setattr(limits, "solve_linear", recording)
+    monkeypatch.setattr(canonical, "solve_linear", recording)
     rng = random.Random(0x5B10C)
     for fld in (GF2, PrimeField(5), QQ):
         for _ in range(6):
