@@ -27,6 +27,7 @@ is built at the optimum.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -79,9 +80,13 @@ class _IntView:
     `reach` covers the distance grid, at most twice the endpoint span per
     coordinate, plus the given shifts.
 
-    Per degree, in increasing order, `degrees` holds one side per barcode:
-    the index range, lo ends, hi ends and lengths of its bars of that degree.
-    The bars of a barcode are sorted, so each side's lo ends increase.
+    Per degree, in increasing order, `degrees` holds one side per barcode
+    and the capacities of both sides.  Equal bars are adjacent in a sorted
+    barcode, and each run of them is one class: a side is the index range
+    of its bars of that degree, then the lo ends, hi ends, lengths and
+    copy counts of its classes, in order, so the lo ends increase.  The
+    capacities are the two sides' copy counts, or None when no class of
+    the degree has a second copy.
     """
 
     __slots__ = ("scale", "reach", "inf", "degrees")
@@ -111,19 +116,30 @@ class _IntView:
         for by_degree, (degs, los, his) in zip(sides, cols):
             los = [-inf if x is None else x for x in los]
             his = [inf if x is None else x for x in his]
-            lens = [hi - lo for lo, hi in zip(los, his)]
-            # bars are sorted by degree first, so a degree's bars are one run
+            repeats = len(set(zip(degs, los, his))) < len(degs)
+            # bars are sorted by degree first, so a degree's bars are one run,
+            # and equal bars are adjacent
             for deg in set(degs):
                 i, j = bisect_left(degs, deg), bisect_right(degs, deg)
-                by_degree[deg] = (range(i, j), los[i:j], his[i:j], lens[i:j])
-        empty = (range(0), [], [], [])
-        self.degrees = [(fd.get(deg, empty), gd.get(deg, empty)) for deg in sorted(set(fd) | set(gd))]
+                if not repeats:
+                    c_lo, c_hi, counts = los[i:j], his[i:j], [1] * (j - i)
+                else:
+                    starts = [k for k in range(i, j) if k == i or los[k] != los[k - 1] or his[k] != his[k - 1]]
+                    c_lo, c_hi = [los[k] for k in starts], [his[k] for k in starts]
+                    counts = [e - k for k, e in zip(starts, starts[1:] + [j])]
+                by_degree[deg] = (range(i, j), c_lo, c_hi, [hi - lo for lo, hi in zip(c_lo, c_hi)], counts)
+        empty = (range(0), [], [], [], [])
+        self.degrees = []
+        for deg in sorted(set(fd) | set(gd)):
+            f, g = fd.get(deg, empty), gd.get(deg, empty)
+            caps = None if len(f[0]) == len(f[1]) and len(g[0]) == len(g[1]) else (f[4], g[4])
+            self.degrees.append((f, g, caps))
 
     def grid(self) -> Tuple[List[int], List[int]]:
         """The sorted endpoint differences (0 included) and the sorted finite
         bar lengths of F and G."""
         inf = self.inf
-        bars = [bar for sides in self.degrees for _, los, his, _ in sides for bar in zip(los, his)]
+        bars = [bar for *sides, _ in self.degrees for _, los, his, _, _ in sides for bar in zip(los, his)]
         pts = sorted({x for bar in bars for x in bar if -inf < x < inf})
         diffs = {0}
         for i, x in enumerate(pts):
@@ -133,14 +149,18 @@ class _IntView:
     def infinite_mismatch(self) -> bool:
         """Whether some degree holds different infinite bars in F and G.  An
         infinite bar can only ever map to a bar infinite on the same side, so
-        per degree the sorted (left-infinite, right-infinite) kinds of the
-        infinite bars must agree."""
+        per degree the copies of each (left-infinite, right-infinite) kind of
+        infinite bar must agree in number."""
         inf = self.inf
 
         def kinds(side):
-            return sorted((lo == -inf, hi == inf) for lo, hi in zip(side[1], side[2]) if lo == -inf or hi == inf)
+            out = Counter()
+            for lo, hi, n in zip(side[1], side[2], side[4]):
+                if lo == -inf or hi == inf:
+                    out[lo == -inf, hi == inf] += n
+            return out
 
-        return any(kinds(f) != kinds(g) for f, g in self.degrees)
+        return any(kinds(f) != kinds(g) for f, g, _ in self.degrees)
 
     def entries(self, a: int, b: int):
         """Find a covering matching at the shifts (a, b), ints in this view's
@@ -153,12 +173,14 @@ class _IntView:
         this is glo in [flo-a, min(fhi-a-1, flo+b)] and ghi in [max(fhi-a,
         flo+b+1), fhi+b]; G's lo ends increase, so the first is an index
         window of two bisects and each row comes out increasing.  A bar must
-        be matched when it is longer than a+b.
+        be matched when it is longer than a+b.  Rows join classes of equal
+        bars, and a degree with repeated bars is matched with its capacities,
+        so the copies of a class are paired in index order.
         """
         total = a + b
         u_entries: Dict[Tuple[int, int], int] = {}
         v_entries: Dict[Tuple[int, int], int] = {}
-        for (f_idx, f_lo, f_hi, f_len), (g_idx, g_lo, g_hi, g_len) in self.degrees:
+        for (f_idx, f_lo, f_hi, f_len, _), (g_idx, g_lo, g_hi, g_len, _), caps in self.degrees:
             adj: List[List[int]] = []
             for flo, fhi in zip(f_lo, f_hi):
                 # top = min(x-1, y), hi_min = max(x, y+1), without two builtin calls
@@ -168,7 +190,7 @@ class _IntView:
                 adj.append([j for j in window if hi_min <= g_hi[j] <= hi_max])
             req_l = [i for i, ln in enumerate(f_len) if ln > total]
             req_r = [j for j, ln in enumerate(g_len) if ln > total]
-            m = matching_covering(len(f_idx), len(g_idx), adj, req_l, req_r)
+            m = matching_covering(len(f_lo), len(g_lo), adj, req_l, req_r, caps)
             if m is None:
                 return None
             for i, j in m.items():

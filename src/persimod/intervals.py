@@ -116,10 +116,6 @@ class ExtRat:
     def is_pos_inf(self) -> bool:
         return self._kind > 0
 
-    @property
-    def is_neg_inf(self) -> bool:
-        return self._kind < 0
-
     def as_fraction(self) -> Fraction:
         if self._kind != 0:
             raise ArithmeticError(f"{self} is not finite")
@@ -303,12 +299,15 @@ def parse_rational(token: str) -> Fraction:
     Fraction builds 10**exponent for a decimal exponent, so an exponent over
     that limit is refused before that unbounded work.  A token of ASCII
     digits with an optional sign and an optional /denominator is built from
-    its two ints without Fraction's regex; `int` refuses a run of digits
-    over the limit, as it does inside Fraction."""
+    its two ints without Fraction's regex, and refused when a run of
+    digits is over the limit, which is all that `int` refuses there."""
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        try:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        except ValueError:
+            raise ValueError(f"digit run over the limit of {sys.get_int_max_str_digits()}") from None
     low = token.lower()
     limit = sys.get_int_max_str_digits()
     if "e" in low:

@@ -7,31 +7,52 @@ component).  Otherwise grow m2 saturating the required right side and
 pick, per component of their union, whichever matching covers that
 component's required vertices; alternating paths/cycles guarantee one
 does.  Rows of the adjacency must be strictly increasing: the search
-jumps over visited right vertices by bisection, so n identical bars cost
-O(n^2 log n), not O(n^3).
+jumps over visited right vertices by bisection.
+
+A vertex may stand for a class of interchangeable copies: given
+capacities, each saturation is an augmenting flow on the classes that
+pushes as many copies along a path as it can carry, so the cost follows
+the number of classes, not of copies.  The flow is then expanded into a
+per-copy matching, copies paired in index order, and the merge runs on
+copies.  With every capacity 1 the search is the uncapacitated one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["matching_covering"]
 
+Caps = Optional[Tuple[Sequence[int], Sequence[int]]]
 
-def _try_augment(root: int, adj: Sequence[Sequence[int]], match_r: Dict[int, int], skip: Dict[int, int]) -> bool:
+
+def _try_augment(root: int, adj: Sequence[Sequence[int]], match_r: Dict, skip: Dict[int, int], cap=None, need=1) -> int:
     """Depth-first search for an augmenting path from left vertex `root`;
-    on success, flip the path into `match_r`.
+    on success, push units along it into `match_r` and return how many
+    (0 when there is no path).
+
+    Without `cap` a right vertex takes one unit and `match_r` maps it to
+    its partner.  With `cap`, right vertex v takes cap[v] units and
+    `match_r[v]` maps each left vertex holding some of them to their
+    count; the search passes a full right vertex through each of its
+    holders not yet visited, in turn, and the path carries up to `need`
+    units, as many as its last vertex's room and its backward edges allow.
+    With every capacity 1 a full vertex has one holder, so the neighbours
+    tried and the path found are those of the search without `cap`.
 
     `skip` (pass an empty dict) maps each visited right vertex to a larger
     one with every vertex in between visited, so a row jumps over its
     visited run with one bisect; as the visited set only grows, the
     neighbours tried are those of a one-by-one scan, in row order.  An
     explicit stack replaces recursion, so a path may be as long as the
-    graph; a frame is (left vertex, row, resume position, the matched right
-    vertex it descended through).
+    graph; a frame is (left vertex, row, resume position, the full right
+    vertex it descended through), and `rests` holds the holders of each
+    full right vertex that are left to try.
     """
     stack = []
+    seen = rests = None
     u, row, k = root, adj[root], 0
     while True:
         while k < len(row):
@@ -46,35 +67,85 @@ def _try_augment(root: int, adj: Sequence[Sequence[int]], match_r: Dict[int, int
             k = bisect_left(row, w, k + 1)
         else:
             if not stack:
-                return False
-            u, row, k, _ = stack.pop()
+                return 0
+            u, row, k, v = stack.pop()
+            if rests is not None:
+                w = next((w for w in rests[v] if w not in seen), None)
+                if w is not None:
+                    stack.append((u, row, k, v))
+                    seen.add(w)
+                    u, row, k = w, adj[w], 0
             continue
         skip[v] = v + 1
-        w = match_r.get(v)
-        if w is not None:
-            stack.append((u, row, k + 1, v))
-            u, row, k = w, adj[w], 0
-            continue
-        match_r[v] = u
-        for u, _, _, v in reversed(stack):
+        held = match_r.get(v)
+        if cap is None:
+            if held is not None:
+                stack.append((u, row, k + 1, v))
+                u, row, k = held, adj[held], 0
+                continue
             match_r[v] = u
-        return True
+            for u, _, _, v in reversed(stack):
+                match_r[v] = u
+            return 1
+        room = cap[v] - sum(held.values()) if held else cap[v]
+        if not room:
+            # an empty row sends the search back to this frame, to try v's
+            # holders in turn
+            if rests is None:
+                seen, rests = {root}, {}
+            rests[v] = iter(held)
+            stack.append((u, row, k + 1, v))
+            row, k = (), 0
+            continue
+        nxt = [f[0] for f in stack[1:]] + [u]
+        got = min(need, room, *(match_r[f[3]][w] for f, w in zip(stack, nxt)))
+        for f, w in zip(stack, nxt):
+            back = match_r[f[3]]
+            back[f[0]] = back.get(f[0], 0) + got
+            back[w] -= got
+            if not back[w]:
+                del back[w]
+        held = match_r.setdefault(v, {})
+        held[u] = held.get(u, 0) + got
+        return got
 
 
-def _saturating(order: Iterable[int], adj: Sequence[Sequence[int]], required: Set[int]) -> Optional[Dict[int, int]]:
-    """Greedy transversal: augment from each left vertex, required first.
+def _saturating(order: Iterable[int], adj: Sequence[Sequence[int]], required: Set[int], caps: Caps = None) -> Optional[Dict]:
+    """Greedy transversal: augment from each left vertex, required first;
+    with `caps`, until each has pushed its capacity or has no path left.
 
     Returns None if some required left vertex stays exposed (matroid
     exchange makes the greedy order safe: a required vertex that can be
     saturated at all can be saturated on top of any matching built so far
-    from earlier required ones).
+    from earlier required ones), else the matching, per copy with `caps`.
     """
-    match_r: Dict[int, int] = {}
+    match_r: Dict = {}
+    if caps is None:
+        for u in order:
+            if not _try_augment(u, adj, match_r, {}) and u in required:
+                return None
+        return {u: v for v, u in match_r.items()}
+    cap_l, cap_r = caps
     for u in order:
-        ok = _try_augment(u, adj, match_r, {})
-        if not ok and u in required:
+        need = cap_l[u]
+        while need and (got := _try_augment(u, adj, match_r, {}, cap_r, need)):
+            need -= got
+        if need and u in required:
             return None
-    return {u: v for v, u in match_r.items()}
+    # Copies are numbered class by class; each left class's copies, in
+    # index order, take the next copies of its right classes in turn.
+    nxt_l, nxt_r = list(accumulate(cap_l, initial=0)), list(accumulate(cap_r, initial=0))
+    out: Dict[int, int] = {}
+    for u, v, f in sorted((u, v, f) for v, held in match_r.items() for u, f in held.items()):
+        i, j = nxt_l[u], nxt_r[v]
+        out.update(zip(range(i, i + f), range(j, j + f)))
+        nxt_l[u], nxt_r[v] = i + f, j + f
+    return out
+
+
+def _copies(classes: Set[int], cap: Sequence[int]) -> Set[int]:
+    first = list(accumulate(cap, initial=0))
+    return {c for u in classes for c in range(first[u], first[u + 1])}
 
 
 def matching_covering(
@@ -83,6 +154,7 @@ def matching_covering(
     adj: Sequence[Sequence[int]],
     required_left: Iterable[int],
     required_right: Iterable[int],
+    caps: Caps = None,
 ) -> Optional[Dict[int, int]]:
     """A matching covering every required vertex on both sides, or None.
 
@@ -90,18 +162,23 @@ def matching_covering(
     increasing order.  A required vertex without neighbours answers None
     at once.  If the left-saturating m1 covers every required right vertex
     it is returned as is: the merge would pick m1 in every component, as
-    each such vertex's m1 partner lies in its component.  On n identical
-    bars this costs O(n^2 log n).
+    each such vertex's m1 partner lies in its component.
+
+    ``caps``, a pair (left, right) of capacities, makes each vertex a class
+    of that many copies, each adjacent to every copy of the class's
+    neighbours; copies are numbered class by class, every copy of a
+    required class is required, and the answer matches copies.
     """
     req_l = set(required_left)
     req_r = set(required_right)
     if any(not adj[u] for u in req_l) or not req_r <= set().union(*adj):
         return None
     order_l = sorted(req_l) + [u for u in range(num_left) if u not in req_l]
-    m1 = _saturating(order_l, adj, req_l)
+    m1 = _saturating(order_l, adj, req_l, caps)
     if m1 is None:
         return None
-    if req_r <= set(m1.values()):
+    copies_l, copies_r = (req_l, req_r) if caps is None else (_copies(req_l, caps[0]), _copies(req_r, caps[1]))
+    if copies_r <= set(m1.values()):
         out = m1
     else:
         # Mirror the graph to saturate the required right side (rows stay
@@ -111,15 +188,15 @@ def matching_covering(
             for v in adj[u]:
                 radj[v].append(u)
         order_r = sorted(req_r) + [v for v in range(num_right) if v not in req_r]
-        m2r = _saturating(order_r, radj, req_r)
+        m2r = _saturating(order_r, radj, req_r, caps and caps[::-1])
         if m2r is None:
             return None
-        out = _merge(m1, {u: v for v, u in m2r.items()}, req_l, req_r)
+        out = _merge(m1, {u: v for v, u in m2r.items()}, copies_l, copies_r)
 
     # Sanity: the per-component choice must cover everything required.
-    if not req_l <= set(out):
+    if not copies_l <= set(out):
         raise RuntimeError("internal error: required left vertex lost in the merge")
-    if not req_r <= set(out.values()):
+    if not copies_r <= set(out.values()):
         raise RuntimeError("internal error: required right vertex lost in the merge")
     return out
 

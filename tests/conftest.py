@@ -7,9 +7,10 @@ import pytest
 
 import persimod
 from persimod import Barcode, Interval
+from persimod.fields import GF2
 from persimod.intervals import hom, DEG0
-from persimod.morphisms import Morphism
-from oracles import field_elements
+from persimod.morphisms import InterleavingCertificate, Morphism
+from oracles import field_elements, is_blown_up_covering
 
 
 @pytest.fixture(autouse=True)
@@ -85,3 +86,19 @@ def tampered(rng, m, how):
     key = rng.choice(cells)
     value = {"changed": fld.add(m.entries.get(key, fld.zero), fld.one), "dropped": fld.zero, "added": fld.one}[how]
     return Morphism(m.source, m.target, {**m.entries, key: value}, field=fld)
+
+
+def assert_same_entries(F, G, a, b, got, want):
+    """Entries (u, v) of a decision at shifts (a, b), or None, against an
+    oracle's.  Without repeated bars they are equal.  A decision pairs the
+    copies of a repeated bar in its own order, so there the two agree on
+    the decision, and `got` is a covering matching of the per-copy graph
+    whose certificate re-verifies."""
+    if not any(x == y for bc in (F, G) for x, y in zip(bc.bars, bc.bars[1:])):
+        assert got == want
+        return
+    assert (got is None) == (want is None)
+    if got is not None:
+        u, v = got
+        assert is_blown_up_covering(F, G, a, b, u, v)
+        InterleavingCertificate(a, b, Morphism(F, G.shift(a), u, GF2), Morphism(G, F.shift(b), v, GF2))

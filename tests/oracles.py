@@ -28,6 +28,7 @@ Direct sums of morphisms are reference code for the graded checks.
 
 import math
 import operator
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -480,7 +481,7 @@ def finite_lengths_oracle(*barcodes: Barcode) -> List[Fraction]:
 def _infinite_signature(bc: Barcode) -> Dict[Tuple[int, bool, bool], int]:
     out: Dict[Tuple[int, bool, bool], int] = {}
     for bar in bc.bars:
-        left, right = bar.interval.lo.is_neg_inf, bar.interval.hi.is_pos_inf
+        left, right = bar.interval.lo == NEG_INF, bar.interval.hi.is_pos_inf
         if left or right:
             key = (bar.degree, left, right)
             out[key] = out.get(key, 0) + 1
@@ -801,12 +802,17 @@ def sphere_grid_oracle(dim: int, step_deg: float, cap: int = 20000) -> List[np.n
 #
 # `parse_rational` builds a token of ASCII digits, an optional sign and an
 # optional /denominator from its two ints.  This is the parser it replaced,
-# which sends every token through `Fraction(token)`.
+# which sends every token through `Fraction(token)`, with the program's own
+# refusal of such a token whose digit run is over the int/str limit (where
+# Fraction gives Python's advice to raise the limit).
 
 
 def parse_rational_oracle(token: str) -> Fraction:
     low = token.lower()
     limit = sys.get_int_max_str_digits()
+    plain = re.fullmatch(r"[+-]?([0-9]+)(?:/([0-9]+))?", token)
+    if plain and limit and max(len(run or "") for run in plain.groups()) > limit:
+        raise ValueError(f"digit run over the limit of {limit}")
     if "e" in low:
         exponent = low.rpartition("e")[2].strip().lstrip("+-0").replace("_", "")
         if exponent.isdecimal() and limit and (len(exponent) > len(str(limit)) or int(exponent) > limit):
@@ -1321,10 +1327,11 @@ def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
     ]
 
 
-def int_matching_entries_oracle(F: Barcode, G: Barcode, a, b):
-    """The entries of `interleaving._IntView.entries` at (a, b), from one
-    scaling per call with every pair of bars tested and the full-merge
-    matching."""
+def _int_covering_graphs(F: Barcode, G: Barcode, a, b):
+    """Per degree, the bars of F and of G as (index, lo, hi) from one
+    scaling per call, the adjacency at (a, b) with every pair of bars
+    tested, and the bars longer than a + b on each side: one vertex per
+    copy of a bar."""
     a, b = Fraction(a), Fraction(b)
     scale, (fb, gb) = _int_bars((F, G), (a, b))
     a = a.numerator * (scale // a.denominator)
@@ -1340,8 +1347,6 @@ def int_matching_entries_oracle(F: Barcode, G: Barcode, a, b):
         return out
 
     fd, gd = by_degree(fb), by_degree(gb)
-    u_entries: Dict[Tuple[int, int], int] = {}
-    v_entries: Dict[Tuple[int, int], int] = {}
     for deg in sorted(set(fd) | set(gd)):
         f_bars, g_bars = fd.get(deg, []), gd.get(deg, [])
         adj = [
@@ -1351,6 +1356,16 @@ def int_matching_entries_oracle(F: Barcode, G: Barcode, a, b):
         ]
         req_l = [i for i, (_, lo, hi) in enumerate(f_bars) if hi - lo > total]
         req_r = [j for j, (_, lo, hi) in enumerate(g_bars) if hi - lo > total]
+        yield f_bars, g_bars, adj, req_l, req_r
+
+
+def int_matching_entries_oracle(F: Barcode, G: Barcode, a, b):
+    """The entries of `interleaving._IntView.entries` at (a, b) on barcodes
+    without repeated bars, from the all-pairs adjacency and the full-merge
+    matching."""
+    u_entries: Dict[Tuple[int, int], int] = {}
+    v_entries: Dict[Tuple[int, int], int] = {}
+    for f_bars, g_bars, adj, req_l, req_r in _int_covering_graphs(F, G, a, b):
         m = matching_covering_oracle(len(f_bars), len(g_bars), adj, req_l, req_r)
         if m is None:
             return None
@@ -1358,6 +1373,26 @@ def int_matching_entries_oracle(F: Barcode, G: Barcode, a, b):
             u_entries[(g_bars[j][0], f_bars[i][0])] = 1
             v_entries[(f_bars[i][0], g_bars[j][0])] = 1
     return u_entries, v_entries
+
+
+def is_blown_up_covering(F: Barcode, G: Barcode, a, b, u_entries, v_entries) -> bool:
+    """Whether (u_entries, v_entries) are one matching between the bars of
+    F and G, every pair an edge of the all-pairs adjacency at (a, b), that
+    covers every bar longer than a + b: the form a decision on classes of
+    equal bars must give, whichever copies it pairs."""
+    pairs = sorted((i, j) for (j, i), x in u_entries.items() if x == 1)
+    if len(pairs) != len(u_entries) or v_entries != {p: 1 for p in pairs}:
+        return False
+    left, right = [i for i, _ in pairs], [j for _, j in pairs]
+    if len(set(left)) < len(left) or len(set(right)) < len(right):
+        return False
+    edges, required = set(), set()
+    for f_bars, g_bars, adj, req_l, req_r in _int_covering_graphs(F, G, a, b):
+        edges.update((f_bars[i][0], g_bars[j][0]) for i, row in enumerate(adj) for j in row)
+        required.update(("F", f_bars[i][0]) for i in req_l)
+        required.update(("G", g_bars[j][0]) for j in req_r)
+    covered = {("F", i) for i in left} | {("G", j) for j in right}
+    return set(pairs) <= edges and required <= covered
 
 
 # ---------------------------------------------------------------------------

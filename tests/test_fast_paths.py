@@ -3,7 +3,8 @@ validating rebuilds kept in `oracles.py`; the int-pair ExtRat against the
 Fraction-backed one; the offset rule and the untranslated round-trip
 check against hom and `compose` on built translates; the explicit-stack
 augmenting search against the recursive one; the covering matching and
-its windowed adjacency against the full-merge, all-pairs versions; and
+its windowed adjacency against the full-merge, all-pairs versions, and
+the matching on classes of equal bars against the per-copy graph; and
 the windowed reverse synthesis against the full scan."""
 
 import operator
@@ -21,7 +22,7 @@ from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _deg0
 from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
 from persimod.matching import _saturating, _try_augment, matching_covering
 from persimod.morphisms import Morphism, _cell_allowed, _is_round_trip, compose, identity, tau_morphism
-from conftest import rand_realized_morphism, tampered
+from conftest import assert_same_entries, rand_realized_morphism, tampered
 from test_limits import _reverse_problems
 import oracles
 from oracles import (
@@ -112,7 +113,7 @@ def assert_same_value(got, want):
     `want` shows, and its pair is reduced with a positive denominator."""
     assert type(got) is ExtRat and type(want) is FractionExtRat
     assert (str(got), repr(got), hash(got)) == (str(want), repr(want), hash(want))
-    assert (got.is_finite, got.is_pos_inf, got.is_neg_inf) == (want.is_finite, want.is_pos_inf, want.is_neg_inf)
+    assert (got.is_finite, got.is_pos_inf, got == NEG_INF) == (want.is_finite, want.is_pos_inf, want.is_neg_inf)
     assert type(got._n) is int and type(got._d) is int
     assert gcd(got._n, got._d) == 1 and got._d > 0
     if got.is_finite:
@@ -133,7 +134,7 @@ def test_barcode_shift_matches_validating_rebuild(den, data):
     assert got.is_shift_of(bc, c) and want.is_shift_of(bc, c)
     if got:
         assert not got.is_shift_of(bc, c + Fraction(1, den)) or all(
-            b.interval.lo.is_neg_inf and b.interval.hi.is_pos_inf for b in bc
+            b.interval.lo == NEG_INF and b.interval.hi.is_pos_inf for b in bc
         )
 
 
@@ -336,6 +337,47 @@ def test_early_return_equals_full_merge(graph):
     assert matching_covering(*graph) == m1 == matching_covering_oracle(*graph)
 
 
+@settings(max_examples=400, deadline=None)
+@given(graph=bipartite())
+def test_unit_capacities_give_the_uncapacitated_matching(graph):
+    n_left, n_right = graph[:2]
+    assert matching_covering(*graph, ([1] * n_left, [1] * n_right)) == matching_covering_oracle(*graph)
+
+
+def blow_up(graph, caps):
+    """The per-copy graph of a class graph: copies numbered class by class,
+    each adjacent to every copy of its class's neighbours, and every copy of
+    a required class required."""
+    n_left, n_right, adj, req_l, req_r = graph
+    first_l = [sum(caps[0][:u]) for u in range(n_left + 1)]
+    first_r = [sum(caps[1][:v]) for v in range(n_right + 1)]
+    copies_l = [range(first_l[u], first_l[u + 1]) for u in range(n_left)]
+    copies_r = [range(first_r[v], first_r[v + 1]) for v in range(n_right)]
+    rows = [[j for v in adj[u] for j in copies_r[v]] for u in range(n_left)]
+    return (
+        first_l[-1],
+        first_r[-1],
+        [rows[u] for u in range(n_left) for _ in copies_l[u]],
+        {i for u in req_l for i in copies_l[u]},
+        {j for v in req_r for j in copies_r[v]},
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=bipartite(max_side=6), data=st.data())
+def test_capacitated_matching_decides_like_the_blown_up_graph(graph, data):
+    n_left, n_right = graph[:2]
+    caps = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)) for n in (n_left, n_right))
+    blown = blow_up(graph, caps)
+    got = matching_covering(*graph, caps)
+    assert (got is None) == (matching_covering_oracle(*blown) is None)
+    if got is not None:
+        _, _, adj, req_l, req_r = blown
+        assert len(set(got.values())) == len(got)
+        assert all(j in adj[i] for i, j in got.items())
+        assert req_l <= set(got) and req_r <= set(got.values())
+
+
 @st.composite
 def decision_inputs(draw, den):
     """(F, G, a, b): G is drawn afresh or as F with every finite endpoint
@@ -348,7 +390,7 @@ def decision_inputs(draw, den):
         bars = []
         for bar in F.bars:
             lo, hi = bar.interval.lo, bar.interval.hi
-            lo = lo if lo.is_neg_inf else lo + draw(move)
+            lo = lo if lo == NEG_INF else lo + draw(move)
             hi = hi if hi.is_pos_inf else max(hi + draw(move), lo + Fraction(1, den))
             bars.append((bar.degree, Interval(lo, hi)))
         G = Barcode(bars)
@@ -363,9 +405,8 @@ def test_windowed_matching_entries_match_all_pairs_oracle(den, data):
     F, G, a, b = data.draw(decision_inputs(den))
     view = _IntView(F, G, (a, b))
     s = view.scale
-    assert view.entries(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)) == (
-        int_matching_entries_oracle(F, G, a, b)
-    )
+    got = view.entries(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
+    assert_same_entries(F, G, a, b, got, int_matching_entries_oracle(F, G, a, b))
 
 
 @pytest.mark.parametrize("den", [4, 997])

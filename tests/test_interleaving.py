@@ -120,7 +120,8 @@ def test_gamma_infinite_bars():
     (B((0, Interval(0, POS_INF)), (0, Interval(1, 3))), B((1, Interval(0, POS_INF)), (0, Interval(1, 3)))),
     (B((0, Interval(NEG_INF, 2))), B((0, Interval(0, POS_INF)))),
     (B((0, Interval(NEG_INF, POS_INF)), (1, Interval(0, 1))), B((0, Interval(0, POS_INF)), (1, Interval(0, 1)))),
-], ids=["same-bar-other-degree", "left-vs-right", "two-sided-vs-one-sided"])
+    (B((0, Interval(0, POS_INF)), (0, Interval(0, POS_INF)), (1, Interval(0, 1))), B((0, Interval(0, POS_INF)), (1, Interval(0, 1)))),
+], ids=["same-bar-other-degree", "left-vs-right", "two-sided-vs-one-sided", "two-copies-vs-one"])
 def test_infinite_mismatch_is_infinite_before_any_probe(monkeypatch, F, G):
     calls = []
 
@@ -240,7 +241,7 @@ def test_matching_merge_check_survives_python_O():
     # Saturating matchings that cover nothing make the merge lose vertex 0.
     code = (
         "import persimod.matching as m\n"
-        "m._saturating = lambda order, adj, required: {}\n"
+        "m._saturating = lambda order, adj, required, caps: {}\n"
         "try:\n"
         "    m.matching_covering(1, 1, [[0]], [0], [0])\n"
         "except RuntimeError as err:\n"
@@ -262,15 +263,47 @@ def test_matching_covering_on_a_long_augmenting_chain():
 
 
 def test_identical_bars_decide_within_budget():
-    # 1,600 copies of one bar give a complete graph on which the greedy
-    # matching augments along paths of every length up to n; re-testing
-    # visited vertices made this about 45 s.
+    # 1,600 copies of one bar: one class, so only the certificate is per
+    # copy.  Matched per copy, the greedy search augments along paths of
+    # every length up to n.
     F = B(*[(0, Interval(0, 10))] * 1600)
     start = time.perf_counter()
     cert = check_interleaving(F, F, 0, 0)
     elapsed = time.perf_counter() - start
     assert cert is not None and cert.total == 0
     assert elapsed < 15, f"check_interleaving took {elapsed:.1f} s"
+
+
+def test_repeated_bars_pair_copies_in_index_order():
+    F = B(*[(0, Interval(0, 10))] * 3, (0, Interval(1, 4)), *[(1, Interval(2, POS_INF))] * 2)
+    cert = check_interleaving(F, F, 0, 0)
+    assert cert.u.entries == cert.v.entries == {(i, i): 1 for i in range(6)}
+
+
+def test_ten_thousand_identical_bars_decide_within_budget():
+    # One class of 10,000 copies: the decision pushes them all along one
+    # path.
+    F = B(*[(0, Interval(0, 10))] * 10_000)
+    start = time.perf_counter()
+    cert = check_interleaving(F, F, 0, 0)
+    elapsed = time.perf_counter() - start
+    assert cert is not None and cert.total == 0
+    assert elapsed < 2, f"check_interleaving took {elapsed:.1f} s"
+
+
+def test_gamma_on_repeated_bars_within_budget():
+    # 1,600 copies of [0, 1) against 1,600 of [1/3, 4/3): each probe matches
+    # one class against one, and each verified "yes" expands 1,600 pairs.
+    k = 1600
+    F, G = B(*[(0, Interval(0, 1))] * k), B(*[(0, Interval(Fraction(1, 3), Fraction(4, 3)))] * k)
+    start = time.perf_counter()
+    report = gamma(F, G)
+    elapsed = time.perf_counter() - start
+    assert report.value == ExtRat(Fraction(1, 3))
+    cert = report.certificate
+    assert cert.total == Fraction(1, 3) and len(cert.u.entries) == len(cert.v.entries) == k
+    InterleavingCertificate(cert.a, cert.b, cert.u, cert.v)
+    assert elapsed < 1, f"gamma took {elapsed:.1f} s"
 
 
 def test_certificate_check_survives_python_O():

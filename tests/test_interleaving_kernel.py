@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetric
 from persimod.interleaving import _IntView
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
+from conftest import assert_same_entries
 from oracles import check_interleaving_oracle, gamma_oracle, gamma_symmetric_oracle, int_matching_entries_oracle
 
 KINDS = ("finite", "finite", "finite", "left", "right", "both")
@@ -81,11 +82,9 @@ def test_gamma_symmetric_matches_fraction_oracle(den, data):
 def test_check_interleaving_matches_fraction_oracle(den, data):
     F, G = data.draw(barcode_pairs(den))
     a, b = data.draw(shifts(den)), data.draw(shifts(den))
-    got, want = check_interleaving(F, G, a, b), check_interleaving_oracle(F, G, a, b)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.u.entries == want.u.entries
-        assert got.v.entries == want.v.entries
+    got, want = (None if c is None else (c.u.entries, c.v.entries)
+                 for c in (check_interleaving(F, G, a, b), check_interleaving_oracle(F, G, a, b)))
+    assert_same_entries(F, G, a, b, got, want)
 
 
 def probe_shifts(den):
@@ -117,9 +116,8 @@ def test_view_probes_match_per_probe_scaling_oracle(den, data):
         want = int_matching_entries_oracle(F, G, a, b)
         # the Fraction route scales (F, G) and the shifts afresh
         cert = check_interleaving(F, G, a, b)
-        assert (cert is None) == (want is None)
-        if cert is not None:
-            assert (cert.a, cert.b, (cert.u.entries, cert.v.entries)) == (a, b, want)
+        assert_same_entries(F, G, a, b, None if cert is None else (cert.u.entries, cert.v.entries), want)
+        assert cert is None or (cert.a, cert.b) == (a, b)
     # the int route probes the problem's one view with ints in its units
     view = _IntView(F, G)
     scale, reach = view.scale, view.reach
@@ -128,7 +126,7 @@ def test_view_probes_match_per_probe_scaling_oracle(den, data):
         a = min(a, reach)
         b = min(b, reach - a)
         want = int_matching_entries_oracle(F, G, Fraction(a, scale), Fraction(b, scale))
-        assert view.entries(a, b) == want
+        assert_same_entries(F, G, Fraction(a, scale), Fraction(b, scale), view.entries(a, b), want)
         got = check_interleaving(F, G, a, b, _view=view)
         assert (got is None) == (want is None)
         if got is not None:

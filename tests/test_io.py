@@ -276,6 +276,21 @@ def test_decimal_exponent_over_the_digit_limit_is_a_parse_error(tmp_path, kind, 
         validate_file(path)
 
 
+@pytest.mark.parametrize("kind, want", [("barcode", r"b\.bc:1: unknown token"), ("breakpoint", r"f\.plf:2: unknown token")])
+def test_digit_run_over_the_limit_is_refused_in_the_programs_words(tmp_path, kind, want):
+    # int(...) would refuse it with advice to call sys.set_int_max_str_digits()
+    run = "9" * 4301
+    if kind == "barcode":
+        path = tmp_path / "b.bc"
+        path.write_text(f"0 0 {run}\n")
+    else:
+        path = tmp_path / "f.plf"
+        path.write_text(f"domain: circle\n{run} 1\n")
+    with pytest.raises(ParseError, match=want + r" \(digit run over the limit of 4300\)") as err:
+        validate_file(path)
+    assert "sys.set_int_max_str_digits" not in str(err.value)
+
+
 # --- certificates ------------------------------------------------------------
 
 
