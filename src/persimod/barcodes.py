@@ -53,11 +53,8 @@ BarLike = Union[Bar, tuple]
 def _as_bar(item: BarLike) -> Bar:
     if isinstance(item, Bar):
         return item
-    if isinstance(item, tuple):
-        if len(item) == 2 and isinstance(item[1], Interval):
-            return Bar(item[0], item[1])
-        if len(item) == 3:
-            return Bar(item[0], Interval(item[1], item[2]))
+    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], Interval):
+        return Bar(item[0], item[1])
     raise TypeError(f"cannot interpret {item!r} as a bar")
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .barcodes import Bar
-from .fields import GF2, solve_linear
+from .fields import GF2
 from .intervals import ExtRat
 from .morphisms import Morphism, _cell_allowed, _is_round_trip, compose, identity
 
@@ -289,6 +289,31 @@ def _allowed_into(bars: Sequence[Bar], keys: Sequence[Tuple[int, ExtRat]], tgt: 
     return [j for j in window if _cell_allowed(bars[j], tgt)]
 
 
+_RHS = -1  # a row's right-hand side in `_solve_rows`; unknowns are bar indices
+
+
+def _solve_rows(rows: Sequence[Dict[int, object]], cols: Sequence[int], fld) -> Optional[Dict[int, object]]:
+    """The nonzero values of the solution with free unknowns at zero of a
+    sparse system over `fld`, or None if it is inconsistent.  A row maps
+    unknowns in `cols` and `_RHS` to nonzero values.  Gauss-Jordan on the
+    row helpers of `canonical_form`, pivots in `cols` order; the reduced
+    echelon form is unique, so no choice of pivot rows changes the result."""
+    pending = [dict(row) for row in rows]
+    pivots: Dict[int, Dict[int, object]] = {}
+    for c in cols:
+        k = next((k for k, row in enumerate(pending) if c in row), None)
+        if k is not None:
+            piv = pending.pop(k)
+            _scale_row(piv, fld.inv(piv[c]), fld)
+            for row in (*pending, *pivots.values()):
+                if c in row:
+                    _add_row(row, piv, fld.neg(row[c]), fld, lambda key: True)
+            pivots[c] = piv
+    if any(pending):  # a row left holds no unknown: it reads 0 = b, b != 0
+        return None
+    return {c: row[_RHS] for c, row in pivots.items() if _RHS in row}
+
+
 def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
     """One-sided inverse-up-to-comparison: find g with g∘f = tau_eps.
 
@@ -310,27 +335,23 @@ def _solve_reverse(f: Morphism, eps: Fraction, fld) -> Optional[Morphism]:
     for (j, i), coef in f.entries.items():
         by_source.setdefault(i, []).append((j, coef))
     f_keys, fp_keys = ([(bar.degree, bar.interval.lo) for bar in bc.bars] for bc in (F, Fp))
-    zero, one = fld.zero, fld.one
     found = []
     for ip, tgt in enumerate(shifted.bars):
         unknowns = _allowed_into(Fp.bars, fp_keys, tgt)
-        pos = {j: k for k, j in enumerate(unknowns)}
-        rows, rhs = [], []
+        allowed = set(unknowns)
+        rows = []
         for i in _allowed_into(F.bars, f_keys, tgt):
-            coefs = [(pos[j], coef) for j, coef in by_source.get(i, ()) if j in pos]
-            want = one if (ip == i and F.bars[i].interval.length > eps) else zero
-            if coefs or want != zero:
-                row = [zero] * len(unknowns)
-                for k, coef in coefs:
-                    row[k] = coef
+            row = {j: coef for j, coef in by_source.get(i, ()) if j in allowed}
+            if ip == i and F.bars[i].interval.length > eps:
+                row[_RHS] = fld.one
+            if row:
                 rows.append(row)
-                rhs.append(want)
         if not rows:
             continue
-        sol = solve_linear(rows, rhs, fld)
+        sol = _solve_rows(rows, unknowns, fld)
         if sol is None:
             return None
-        found.extend(((ip, j), v) for j, v in zip(unknowns, sol) if v != zero)
+        found.extend(((ip, j), v) for j, v in sol.items())
     found.sort(key=lambda cell: (cell[0][1], cell[0][0]))  # g's entries in column order
     return Morphism(Fp, shifted, dict(found), fld)
 

@@ -47,6 +47,8 @@ BOUND_EXPONENT_BUDGET = 10 ** 4
 # are unit vectors, so cells are int8 rows in [-50, 50]: one integer sort
 # for any dimension.
 _QUANT = 0.02
+# The finest angular resolution a direction set can honour: one grid cell.
+_THETA_MIN = math.degrees(_QUANT)
 _PAIR_CAP = 200
 # Entries of one candidates-by-set product in `_max_dot`: 2^18 float64
 # products, 2 MB.  The chunk is the largest temporary of a cone test, so it
@@ -185,6 +187,15 @@ def _cone(cloud: PointCloud, x, params: ConeParams, pairs: bool) -> DirectionSet
     x = np.asarray(x, dtype=float)
     if x.shape != (cloud.dimension,):
         raise ValueError(f"base point must have dimension {cloud.dimension}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("base point must be finite")
+    # Also refuses a NaN or infinite theta_res.  From 90 degrees on, each
+    # vector of a direction set holds a whole closed half-sphere.
+    if not _THETA_MIN <= params.theta_res < 90:
+        raise ValueError(
+            f"theta_res must be at least {_THETA_MIN:.3f} degrees, the rounding grid, and below 90, "
+            f"not {params.theta_res}"
+        )
     scales = list(params.scales) if params.scales is not None else _default_scales(cloud, x)
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
@@ -255,10 +266,7 @@ def _sphere_grid(dim: int, step_deg: float, cap: int = 20000) -> List[np.ndarray
             v[i] = sin_prod * math.cos(a)
             sin_prod *= math.sin(a)
         v[dim - 1] = sin_prod
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            continue
-        v = v / nv
+        v = v / np.linalg.norm(v)
         # canonical sign: first coordinate with |.| > tol is positive
         for c in v:
             if abs(c) > 1e-9:
@@ -285,7 +293,8 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
     containing the big cone; its symplectic orthogonal is the line through
     J nu, and coisotropy demands both signs of J nu lie in the small cone.
     A failing normal is re-confirmed against a cone recomputed at halved
-    angular resolution before being returned as a witness.
+    angular resolution, but no finer than the rounding grid, before being
+    returned as a witness.
     """
     params = params or ConeParams()
     x = np.asarray(x, dtype=float)
@@ -312,7 +321,7 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
     for u in _sphere_grid(n2 - rank, _GRID_DEG):
         candidates.append(u @ null_basis)
 
-    finer = replace(params, theta_res=params.theta_res / 2.0)
+    finer = replace(params, theta_res=max(params.theta_res / 2.0, _THETA_MIN))
     small_fine = None
     for nu in candidates:
         w = j_mat @ nu

@@ -8,9 +8,9 @@ alternative for small instances.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable
 
-__all__ = ["PrimeField", "RationalField", "GF2", "QQ", "field_by_name", "solve_linear"]
+__all__ = ["PrimeField", "RationalField", "GF2", "QQ", "field_by_name"]
 
 
 # Miller-Rabin on the prime bases up to 41 is exact below the bound (Sorenson
@@ -69,9 +69,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -111,9 +108,6 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -144,40 +138,3 @@ def field_by_name(name) -> object:
     if isinstance(name, str) and name.strip().lower() in ("q", "qq", "rational"):
         return QQ
     return PrimeField(int(name))
-
-
-def solve_linear(
-    rows: Sequence[Sequence], rhs: Sequence, field
-) -> Optional[List]:
-    """One solution of A x = b over ``field``, or None if inconsistent.
-
-    Dense Gaussian elimination, sized for small systems: each block of a
-    reverse-map synthesis has at most one unknown per bar of a stage.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[field.canon(v) for v in row] + [field.canon(rhs[i])] for i, row in enumerate(rows)]
-    piv_col: List[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != field.zero), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, v) for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != field.zero:
-                f = aug[i][c]
-                aug[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(aug[i], aug[r])]
-        piv_col.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != field.zero:
-            return None
-    x = [field.zero] * n
-    for i, c in enumerate(piv_col):
-        x[c] = aug[i][n]
-    return x

@@ -306,10 +306,10 @@ def gamma(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     def decide(a: int, b: int) -> bool:
         return check_interleaving(F, G, a, b, field=field, _view=view) is not None
 
-    pair = _least_total(view, decide)
-    if pair is None:
-        return DistanceReport(POS_INF, None)
-    cert = check_interleaving(F, G, *pair, field=field, _view=view)
+    # With no infinite mismatch (D, D) interleaves, D the top grid
+    # difference: no finite bar is longer than D, and infinite bars of one
+    # kind pair across.  So the search finds a pair.
+    cert = check_interleaving(F, G, *_least_total(view, decide), field=field, _view=view)
     return DistanceReport(ExtRat(cert.total), cert)
 
 
@@ -324,8 +324,7 @@ def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     if view.infinite_mismatch():
         return DistanceReport(POS_INF, None)
     diffs, _ = view.grid()  # even: every endpoint is a multiple of 2
+    # the top candidate D interleaves (see `gamma`)
     got = _min_feasible(sorted(set(diffs) | {d // 2 for d in diffs}), lambda c: view.entries(c, c) is not None)
-    if got is None:
-        return DistanceReport(POS_INF, None)
     cert = check_interleaving(F, G, got, got, field=field, _view=view)
     return DistanceReport(ExtRat(cert.total), cert)

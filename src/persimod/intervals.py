@@ -28,6 +28,7 @@ is checked on the untranslated bars.
 from __future__ import annotations
 
 import enum
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -299,8 +300,8 @@ def parse_rational(token: str) -> Fraction:
     Fraction builds 10**exponent for a decimal exponent, so an exponent over
     that limit is refused before that unbounded work.  A token of ASCII
     digits with an optional sign and an optional /denominator is built from
-    its two ints without Fraction's regex, and refused when a run of
-    digits is over the limit, which is all that `int` refuses there."""
+    its two ints without Fraction's regex.  Any token with a run of digits
+    over the limit is refused in the program's words."""
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
@@ -314,6 +315,11 @@ def parse_rational(token: str) -> Fraction:
         exponent = low.rpartition("e")[2].strip().lstrip("+-0").replace("_", "")
         if exponent.isdecimal() and limit and (len(exponent) > len(str(limit)) or int(exponent) > limit):
             raise ValueError(f"decimal exponent over the limit of {limit}")
+    # Fraction reads each run of digits with int, which refuses one over
+    # the limit with advice to raise it; the runs are shorter than the token.
+    if limit and len(token) > limit:
+        if any(len(run) - run.count("_") > limit for run in re.findall(r"\d+(?:_\d+)*", token)):
+            raise ValueError(f"digit run over the limit of {limit}")
     value = Fraction(token)
     # Without an exponent, no term has more digits than the token has
     # characters.

@@ -14,7 +14,8 @@ the matching, the full-merge matching and all-pairs adjacency under the
 windowed decision kernel, the per-degree tower split under graded
 diagonalization, the Fraction-backed ExtRat under the int-pair one, the
 global round-trip solve and the full bar scan under the windowed
-per-block reverse synthesis, the tracked matrix class under the row-dict
+per-block reverse synthesis, the dense solver under its sparse
+Gauss-Jordan, the tracked matrix class under the row-dict
 diagonalization, trial division under the Miller-Rabin primality test,
 and the operator-based hom and translation under the endpoint kernel,
 with `compose` and `equals_tau` on translated barcodes under the one
@@ -33,7 +34,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_
 from persimod.barcodes import Bar, Barcode
 from persimod.cones import _PAIR_CAP, _QUANT, DirectionSet, _dedupe, _default_scales
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
-from persimod.fields import GF2, RationalField, solve_linear
+from persimod.fields import GF2, RationalField
 from persimod.interleaving import DistanceReport, InterleavingCertificate
 from persimod.limits import Chain, HocolimResult, InductiveSystem, _follow_chains, cone_diagonal, gamma_to_zero
 from persimod.matching import matching_covering
@@ -143,7 +144,7 @@ def solve_field(rows, rhs, field) -> bool:
         for i in range(len(aug)):
             if i != rank and aug[i][c] != field.zero:
                 f = aug[i][c]
-                aug[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(aug[i], aug[rank])]
+                aug[i] = [field.add(a, field.neg(field.mul(f, b))) for a, b in zip(aug[i], aug[rank])]
         rank += 1
     return all(row[-1] == field.zero for row in aug[rank:])
 
@@ -162,7 +163,7 @@ def rank_field(rows, field) -> int:
         for i in range(len(rows)):
             if i != rank and rows[i][c] != field.zero:
                 f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
+                rows[i] = [field.add(a, field.neg(field.mul(f, b))) for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 
@@ -803,20 +804,20 @@ def sphere_grid_oracle(dim: int, step_deg: float, cap: int = 20000) -> List[np.n
 # `parse_rational` builds a token of ASCII digits, an optional sign and an
 # optional /denominator from its two ints.  This is the parser it replaced,
 # which sends every token through `Fraction(token)`, with the program's own
-# refusal of such a token whose digit run is over the int/str limit (where
+# refusal of a token with a run of digits over the int/str limit (where
 # Fraction gives Python's advice to raise the limit).
 
 
 def parse_rational_oracle(token: str) -> Fraction:
     low = token.lower()
     limit = sys.get_int_max_str_digits()
-    plain = re.fullmatch(r"[+-]?([0-9]+)(?:/([0-9]+))?", token)
-    if plain and limit and max(len(run or "") for run in plain.groups()) > limit:
-        raise ValueError(f"digit run over the limit of {limit}")
     if "e" in low:
         exponent = low.rpartition("e")[2].strip().lstrip("+-0").replace("_", "")
         if exponent.isdecimal() and limit and (len(exponent) > len(str(limit)) or int(exponent) > limit):
             raise ValueError(f"decimal exponent over the limit of {limit}")
+    runs = re.findall(r"\d+(?:_\d+)*", token)
+    if limit and max((len(run) - run.count("_") for run in runs), default=0) > limit:
+        raise ValueError(f"digit run over the limit of {limit}")
     value = Fraction(token)
     # Without an exponent, no term has more digits than the token has
     # characters.
@@ -1124,9 +1125,48 @@ class FractionExtRat:
 # differential oracle for reverse-map synthesis
 #
 # `canonical._solve_reverse` solves one small system per bar of the shifted
-# source, over the bars of one bisect window.  These are the single global
-# elimination over every allowed cell of g that it replaced, and the
-# per-block solve over full scans of the bars that the window replaced.
+# source, over the bars of one bisect window, by sparse Gauss-Jordan in
+# `canonical._solve_rows`.  These are the single global elimination over
+# every allowed cell of g that it replaced, the per-block solve over full
+# scans of the bars that the window replaced, and the dense solver that
+# `_solve_rows` replaced.
+
+
+def solve_linear(
+    rows: Sequence[Sequence], rhs: Sequence, field
+) -> Optional[List]:
+    """One solution of A x = b over ``field``, or None if inconsistent.
+
+    Dense Gaussian elimination, sized for small systems: each block of a
+    reverse-map synthesis has at most one unknown per bar of a stage.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[field.canon(v) for v in row] + [field.canon(rhs[i])] for i, row in enumerate(rows)]
+    piv_col: List[int] = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if aug[i][c] != field.zero), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = field.inv(aug[r][c])
+        aug[r] = [field.mul(inv, v) for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != field.zero:
+                f = aug[i][c]
+                aug[i] = [field.add(a, field.neg(field.mul(f, b))) for a, b in zip(aug[i], aug[r])]
+        piv_col.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != field.zero:
+            return None
+    x = [field.zero] * n
+    for i, c in enumerate(piv_col):
+        x[c] = aug[i][n]
+    return x
 
 
 def solve_reverse_oracle(f: Morphism, eps, fld):

@@ -9,6 +9,8 @@ search (`interleaving`, `matching`, `limits`, ...) breaks the boundary.
 The boundary is one of source, not of loading: importing any submodule
 still runs the package's `__init__.py`.
 
+Those four modules stay under the line ceiling that README states.
+
 The same walk keeps two more lines: reading files (`io`) reaches no search
 and no tower code, and `canonical`, home of the tower contract
 (`InductiveSystem`), reaches neither `limits` nor the search.  No module
@@ -86,6 +88,12 @@ def test_no_module_imports_under_type_checking():
 def test_readme_counts_exactly_the_trusted_modules():
     (listed,) = re.findall(r"wc -l src/persimod/\{([a-z,]+)\}\.py", README.read_text())
     assert set(listed.split(",")) == TRUSTED
+
+
+def test_trusted_modules_stay_under_the_readme_ceiling():
+    # the distance checker must not grow; README states the ceiling
+    (ceiling,) = re.findall(r"at most ([0-9,]+) lines", README.read_text())
+    assert sum(_read(name).count("\n") for name in TRUSTED) <= int(ceiling.replace(",", ""))
 
 
 def test_certificate_class_has_one_home():

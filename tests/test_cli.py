@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +69,17 @@ def test_dist_gamma_symmetric(unit_pair, capsys):
     assert out.startswith("2 exact")
     _, _, cert = load_certificate(unit_pair / "sym.cert")
     assert cert.a == cert.b == 1
+
+
+@pytest.mark.parametrize("symmetric", [[], ["--symmetric"]])
+def test_dist_gamma_at_infinite_distance_writes_no_certificate(unit_pair, capsys, symmetric):
+    # one right-infinite bar in degree 0 against one in degree 1
+    (unit_pair / "F.bc").write_text("0 0 inf\n")
+    (unit_pair / "G.bc").write_text("1 1 inf\n")
+    assert run(capsys, "dist", "gamma", "F.bc", "G.bc", *symmetric) == (0, "inf exact\n", "")
+    rc, out, _ = run(capsys, "--machine", "dist", "gamma", "F.bc", "G.bc", *symmetric)
+    assert (rc, out.splitlines()[0], out.splitlines()[-1]) == (0, "value=inf", "certificate=none")
+    assert not (unit_pair / "gamma.cert").exists()
 
 
 def test_dist_gamma_over_gf5(unit_pair, capsys):
@@ -212,6 +224,26 @@ def test_cone_test_cmd(tmp_path, capsys):
     rc, out, _ = run(capsys, "--machine", "cone-test", "--cloud",
                      str(tmp_path / "line.csv"), "--point", "0 0")
     assert (rc, out) == (0, "verdict=Coisotropic\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--theta-res", "0"], ["--theta-res", "nan"], ["--theta-res", "inf"], ["--theta-res", "720"],
+    ["--theta-res", "0.2"], ["--point", "nan,0,0,0"], ["--point", "inf,0,0,0"],
+])
+def test_cone_test_refuses_an_angle_or_point_off_its_domain(tmp_path, capsys, flags):
+    # the Lagrangian plane (q1, q2): Coisotropic at the default angle
+    rows = ["0.0,0.0,0.0,0.0"]
+    for t in range(0, 360, 5):
+        c, s = math.cos(math.radians(t)), math.sin(math.radians(t))
+        rows += [f"{r * c!r},{r * s!r},0.0,0.0" for r in (0.7**j for j in range(20))]
+    (tmp_path / "plane.csv").write_text("\n".join(rows) + "\n")
+    argv = ["cone-test", "--cloud", str(tmp_path / "plane.csv"), "--point", "0,0,0,0"]
+    assert run(capsys, *argv) == (0, "Coisotropic\n", "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv, *flags)
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def _plane_and_axis_cloud():

@@ -140,6 +140,24 @@ def test_cone_input_validation():
         contingent(cloud, (0, 0, 0, 0))
     with pytest.raises(ValueError, match="strictly decreasing"):
         contingent(cloud, (0, 0), params=ConeParams(scales=(1.0, 1.0)))
+    for x in ((math.inf, 0), (-math.inf, 0), (math.nan, 0)):
+        with pytest.raises(ValueError, match="base point must be finite"):
+            contingent(cloud, x)
+    # below one grid cell of `_quantize`, or at 90 degrees and above, the
+    # angular tests gave wrong verdicts
+    plane = subspace_cloud((0, 1))
+    for theta in (0.0, 1e-300, 0.2, 1.1, 90.0, 95.0, 720.0, math.inf, math.nan):
+        for fn in (contingent, paratingent):
+            with pytest.raises(ValueError, match="theta_res must be at least 1.146 degrees"):
+                fn(plane, np.zeros(4), params=ConeParams(theta_res=theta))
+
+
+@pytest.mark.parametrize("coords, want", [((0, 1), "Coisotropic"), ((0, 2), "NotCoisotropic")])
+def test_cone_angles_on_the_rounding_grid_keep_their_verdicts(coords, want):
+    # the re-check at half the angle stops at the grid, so a resolution of
+    # under two grid cells still confirms a witness
+    for theta in (math.degrees(cones._QUANT), 1.5, 2.0, 89.0):
+        assert cone_coisotropy_test(subspace_cloud(coords), np.zeros(4), ConeParams(theta_res=theta)).kind == want
 
 
 def test_paratingent_sign_symmetric_and_contains_contingent():

@@ -87,6 +87,22 @@ def test_check_interleaving_matches_fraction_oracle(den, data):
     assert_same_entries(F, G, a, b, got, want)
 
 
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_top_grid_difference_interleaves_without_an_infinite_mismatch(den, data):
+    """`gamma` and `gamma_symmetric` return +inf only on an infinite
+    mismatch: otherwise (D, D) at the top grid difference D interleaves, in
+    the views of both.  No finite bar is longer than D, so none must be
+    matched, and infinite bars of one kind pair across."""
+    F, G = data.draw(barcode_pairs(den, max_size=data.draw(st.sampled_from((4, 12)))))
+    for unit in (1, 2):
+        view = _IntView(F, G, unit=unit)
+        if not view.infinite_mismatch():
+            top = view.grid()[0][-1]
+            assert view.entries(top, top) is not None
+
+
 def probe_shifts(den):
     """0, shifts on the endpoint grid, shifts whose denominator 3*den the
     problem's view may lack, and shifts past its sentinel range: the public

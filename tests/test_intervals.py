@@ -91,6 +91,11 @@ _SHAPED = ["/0", "1/", "/2", "-", "+", "", "1/-2", "1/+2", "+-5", "--1", "0/0", 
 def _long_tokens(draw):
     """Digit runs at and around the interpreter's int/str digit limit."""
     limit = sys.get_int_max_str_digits()
+    k = draw(st.integers(limit - 3, limit + 1))
+    if draw(st.booleans()):  # a run in a token that Fraction reads
+        return draw(st.sampled_from(
+            ["9" * k + ".5", "1." + "0" * k, "-." + "9" * k, "1e" + "0" * k + "1", "1_" + "9" * k]
+        ))
     num = draw(st.sampled_from(["", "+", "-"])) + "9" * draw(st.integers(limit - 3, limit + 1))
     if draw(st.booleans()):
         return num

@@ -208,12 +208,17 @@ def test_load_system_missing_forward(tmp_path):
 
 
 def test_load_system_header_mismatch(tmp_path):
-    d = tmp_path / "tower"
-    emit_system(d, geometric_tower(2, 5))
-    body = (d / "f0.mor").read_text()
-    (d / "f0.mor").write_text("source: F1.bc\n" + body)
-    with pytest.raises(ParseError, match="source header is not F0.bc"):
-        load_system(d)
+    for name, header, want in (
+        ("f0.mor", "source: F1.bc", "f0.mor: source header is not F0.bc"),
+        ("f0.mor", "target: F2.bc", "f0.mor: target header is not F1.bc"),
+        ("g0.mor", "shift: 1", "g0.mor: shift header is not 1/8"),
+    ):
+        d = tmp_path / name / header[:5]
+        emit_system(d, geometric_tower(2, 5))
+        body = (d / name).read_text()
+        (d / name).write_text(header + "\n" + body)
+        with pytest.raises(ParseError, match=want):
+            load_system(d)
 
 
 def test_load_system_rejects_broken_round_trip(tmp_path):
@@ -278,17 +283,18 @@ def test_decimal_exponent_over_the_digit_limit_is_a_parse_error(tmp_path, kind, 
 
 @pytest.mark.parametrize("kind, want", [("barcode", r"b\.bc:1: unknown token"), ("breakpoint", r"f\.plf:2: unknown token")])
 def test_digit_run_over_the_limit_is_refused_in_the_programs_words(tmp_path, kind, want):
-    # int(...) would refuse it with advice to call sys.set_int_max_str_digits()
-    run = "9" * 4301
-    if kind == "barcode":
-        path = tmp_path / "b.bc"
-        path.write_text(f"0 0 {run}\n")
-    else:
-        path = tmp_path / "f.plf"
-        path.write_text(f"domain: circle\n{run} 1\n")
-    with pytest.raises(ParseError, match=want + r" \(digit run over the limit of 4300\)") as err:
-        validate_file(path)
-    assert "sys.set_int_max_str_digits" not in str(err.value)
+    # int(...) would refuse it with advice to call sys.set_int_max_str_digits(),
+    # in a plain token and in the integer, fraction or exponent run of a decimal
+    for run in ("9" * 4301, "1." + "0" * 4301, "9" * 4301 + ".5", "0.5e" + "0" * 4301 + "1"):
+        if kind == "barcode":
+            path = tmp_path / "b.bc"
+            path.write_text(f"0 0 {run}\n")
+        else:
+            path = tmp_path / "f.plf"
+            path.write_text(f"domain: circle\n{run} 1\n")
+        with pytest.raises(ParseError, match=want + r" \(digit run over the limit of 4300\)") as err:
+            validate_file(path)
+        assert "sys.set_int_max_str_digits" not in str(err.value)
 
 
 # --- certificates ------------------------------------------------------------

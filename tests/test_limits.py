@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, gamma
-from persimod.fields import GF2, QQ, PrimeField, solve_linear
+from persimod.fields import GF2, QQ, PrimeField
 from persimod.canonical import _solve_reverse
 from persimod.intervals import ExtRat
 from persimod.limits import (
@@ -325,12 +325,13 @@ def test_reverse_synthesis_hands_over_one_small_system_per_bar(monkeypatch):
     import persimod.canonical as canonical
 
     shapes = []
+    solve_rows = canonical._solve_rows
 
-    def recording(rows, rhs, fld):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return solve_linear(rows, rhs, fld)
+    def recording(rows, cols, fld):
+        shapes.append((len(rows), len(cols)))
+        return solve_rows(rows, cols, fld)
 
-    monkeypatch.setattr(canonical, "solve_linear", recording)
+    monkeypatch.setattr(canonical, "_solve_rows", recording)
     rng = random.Random(0x5B10C)
     for fld in (GF2, PrimeField(5), QQ):
         for _ in range(6):
