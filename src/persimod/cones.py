@@ -302,7 +302,8 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
     big = paratingent(cloud, x, params=params)
     if len(big.vectors) == 0:
         raise ValueError("empty paratingent cone")
-    _, svals, vt = np.linalg.svd(big.vectors)
+    # U is never read, so it is reduced unless fewer than n2 rows would cut vt
+    _, svals, vt = np.linalg.svd(big.vectors, full_matrices=len(big.vectors) < n2)
     rank = int(np.sum(svals > _SV_REL_TOL * svals[0]))
     if rank == n2:
         return Verdict("CoisotropicVacuous")

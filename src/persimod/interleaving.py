@@ -15,13 +15,13 @@ none exists, and every finite distance comes with a certificate at an
 optimal (a, b), checked by `morphisms.InterleavingCertificate` alone.
 
 Each problem (F, G) is scaled to ints once: one private view holds the
-scaled bars of every degree and decides each probe of a search through a
-single kernel, and a public `check_interleaving` call builds a one-shot
-view of its own and scales its shifts into it.  Probes stay in the
-view's units: `gamma`'s probes hand `check_interleaving` int pairs, so
-each "yes" is a certificate and shifts become Fractions only for it;
-`gamma_symmetric`'s probes ask the kernel only, and its one certificate
-is built at the optimum.
+scaled bars of every degree and probes them through one adjacency
+builder, and a public `check_interleaving` call builds a one-shot view of
+its own and scales its shifts into it.  Probes stay in the view's units:
+`gamma`'s probes hand `check_interleaving` int pairs, so each "yes" is a
+certificate and shifts become Fractions only for it; `gamma_symmetric`'s
+probes only decide, saturating each side's required bars from the last
+probe's matchings, and its one certificate is built at the optimum.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .barcodes import Barcode
 from .fields import GF2
 from .intervals import ExtRat, POS_INF, int_pair
-from .matching import matching_covering
+from .matching import matching_covering, saturate
 from .morphisms import InterleavingCertificate, Morphism
 
 __all__ = [
@@ -66,6 +66,22 @@ class DistanceReport:
     @property
     def upper(self) -> ExtRat:
         return self.value
+
+
+def _rows(a: int, b: int, los: Sequence[int], his: Sequence[int], o_lo: Sequence[int], o_hi: Sequence[int]) -> List[List[int]]:
+    """Rows of bars (los, his) of F against classes (o_lo, o_hi) of G at (a, b),
+    or with b, a and the sides swapped, of G against F.  Bars x, y pair when
+    hom(F_x, G_y + a) and hom(G_y, F_x + b) are DEG0: xlo <= ylo+a < xhi <=
+    yhi+a and ylo <= xlo+b < yhi <= xhi+b.  So yhi is in [max(xhi-a, xlo+b+1),
+    xhi+b] and ylo in [xlo-a, min(xhi-a-1, xlo+b)], a window of two bisects."""
+    rows = []
+    for lo, hi in zip(los, his):
+        # top = min(x-1, y), hi_min = max(x, y+1), without two builtin calls
+        x, y, hi_max = hi - a, lo + b, hi + b
+        top, hi_min = (x - 1, y + 1) if x <= y else (y, x)
+        window = range(bisect_left(o_lo, lo - a), bisect_right(o_lo, top))
+        rows.append([j for j in window if hi_min <= o_hi[j] <= hi_max])
+    return rows
 
 
 class _IntView:
@@ -162,32 +178,43 @@ class _IntView:
 
         return any(kinds(f) != kinds(g) for f, g, _ in self.degrees)
 
+    def decides(self, a: int, b: int, warm: Dict) -> bool:
+        """Whether `entries(a, b)` finds a covering matching: by Mendelsohn-
+        Dulmage, whether each side's required classes saturate on their own.
+        `warm` keeps each (degree, side)'s matching from the last probe."""
+        sides = []
+        for d, (f, g, caps) in enumerate(self.degrees):
+            for side, (s, t, (_, x_lo, x_hi, x_len, x_cnt), (_, y_lo, y_hi, _, y_cnt)) in enumerate(((a, b, f, g), (b, a, g, f))):
+                req = [i for i, ln in enumerate(x_len) if ln > a + b]
+                adj = dict(zip(req, _rows(s, t, [x_lo[i] for i in req], [x_hi[i] for i in req], y_lo, y_hi)))
+                if not all(adj.values()):
+                    return False
+
+                def holds(u, v):  # `_rows`' inequalities, for a required u
+                    return u in adj and x_lo[u] <= y_lo[v] + s < x_hi[u] <= y_hi[v] + s and y_lo[v] <= x_lo[u] + t < y_hi[v] <= x_hi[u] + t
+
+                old = warm.get((d, side), {}).items()
+                warm[d, side] = m = (
+                    {v: u for v, u in old if holds(u, v)} if caps is None
+                    else {v: k for v, h in old if (k := {u: n for u, n in h.items() if holds(u, v)})}
+                )
+                sides.append((req, adj, m, req, caps and (x_cnt, y_cnt)))
+        return all(saturate(*side) for side in sides)
+
     def entries(self, a: int, b: int):
         """Find a covering matching at the shifts (a, b), ints in this view's
         units with a + b <= reach, and convert it to entry dictionaries for
         (u, v); None when no interleaving exists.
 
-        Bars i of F and j of G may pair when hom(F_i, G_j + a) and
-        hom(G_j, F_i + b) are both DEG0, i.e. when
-        flo <= glo+a < fhi <= ghi+a and glo <= flo+b < ghi <= fhi+b.  In ints
-        this is glo in [flo-a, min(fhi-a-1, flo+b)] and ghi in [max(fhi-a,
-        flo+b+1), fhi+b]; G's lo ends increase, so the first is an index
-        window of two bisects and each row comes out increasing.  A bar must
-        be matched when it is longer than a+b.  Rows join classes of equal
-        bars, and a degree with repeated bars is matched with its capacities,
-        so the copies of a class are paired in index order.
+        Rows (`_rows`) join classes of equal bars.  A bar longer than a+b
+        must be matched, and repeated bars are matched with capacities, so
+        the copies of a class are paired in index order.
         """
         total = a + b
         u_entries: Dict[Tuple[int, int], int] = {}
         v_entries: Dict[Tuple[int, int], int] = {}
         for (f_idx, f_lo, f_hi, f_len, _), (g_idx, g_lo, g_hi, g_len, _), caps in self.degrees:
-            adj: List[List[int]] = []
-            for flo, fhi in zip(f_lo, f_hi):
-                # top = min(x-1, y), hi_min = max(x, y+1), without two builtin calls
-                x, y, hi_max = fhi - a, flo + b, fhi + b
-                top, hi_min = (x - 1, y + 1) if x <= y else (y, x)
-                window = range(bisect_left(g_lo, flo - a), bisect_right(g_lo, top))
-                adj.append([j for j in window if hi_min <= g_hi[j] <= hi_max])
+            adj = _rows(a, b, f_lo, f_hi, g_lo, g_hi)
             req_l = [i for i, ln in enumerate(f_len) if ln > total]
             req_r = [j for j, ln in enumerate(g_len) if ln > total]
             m = matching_covering(len(f_lo), len(g_lo), adj, req_l, req_r, caps)
@@ -316,15 +343,20 @@ def gamma(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
 def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     """Least 2c such that a (c, c)-interleaving exists.
 
-    The candidates for c are the endpoint differences and their halves.
-    One view at twice the common denominator D holds them all as ints, and
-    a probe only asks its kernel for a covering matching: no certificate is
-    built until the optimum, where it is built and re-verified."""
+    The candidates for c are the endpoint differences and their halves, all
+    ints in one view at twice the common denominator D.  The least feasible
+    difference is binary-searched, then the halves below it and above the
+    next smaller difference.  Probes only decide, warm-started; the one
+    certificate is built and re-verified at the optimum."""
     view = _IntView(F, G, unit=2)
     if view.infinite_mismatch():
         return DistanceReport(POS_INF, None)
     diffs, _ = view.grid()  # even: every endpoint is a multiple of 2
-    # the top candidate D interleaves (see `gamma`)
-    got = _min_feasible(sorted(set(diffs) | {d // 2 for d in diffs}), lambda c: view.entries(c, c) is not None)
+    warm: Dict = {}
+    # the top difference D interleaves (see `gamma`)
+    top = _min_feasible(diffs, lambda c: view.decides(c, c, warm))
+    below = diffs[bisect_left(diffs, top) - 1] if top else -1
+    got = _min_feasible([d // 2 for d in diffs if below < d // 2 < top], lambda c: view.decides(c, c, warm))
+    got = top if got is None else got
     cert = check_interleaving(F, G, got, got, field=field, _view=view)
     return DistanceReport(ExtRat(cert.total), cert)

@@ -16,14 +16,15 @@ the number of classes, not of copies.  The flow is then expanded into a
 per-copy matching, copies paired in index order, and the merge runs on
 copies.  With every capacity 1 the search is the uncapacitated one.
 Without capacities the unit search runs all the same, not the class
-search at capacity 1: replaying 22,832 recorded calls from `gamma` and
-`gamma_symmetric` through the class search alone took 26% longer, and
-the distance-generic benchmark's answers per second fell by about 7%.
+search at capacity 1: 22,832 calls recorded from `gamma` and (before its
+probes only decided) `gamma_symmetric`, replayed through the class search
+alone, took 26% longer, and distance-generic answers per second fell 7%.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -114,9 +115,27 @@ def _try_augment(root: int, adj: Sequence[Sequence[int]], match_r: Dict, skip: D
         return got
 
 
+def saturate(order: Iterable[int], adj, match_r: Dict, required, caps: Caps = None) -> bool:
+    """Augment `match_r` (`_try_augment`'s form, each left vertex in it a key
+    of `adj`) from each of `order` up to capacity; False if a `required` one can't."""
+    if caps is None:
+        held = set(match_r.values())
+        return all(u in held or _try_augment(u, adj, match_r, {}) or u not in required for u in order)
+    cap_l, cap_r = caps
+    held = Counter()
+    for h in match_r.values():
+        held.update(h)
+    for u in order:
+        need = cap_l[u] - held[u]
+        while need and (got := _try_augment(u, adj, match_r, {}, cap_r, need)):
+            need -= got
+        if need and u in required:
+            return False
+    return True
+
+
 def _saturating(order: Iterable[int], adj: Sequence[Sequence[int]], required: Set[int], caps: Caps = None) -> Optional[Dict]:
-    """Greedy transversal: augment from each left vertex, required first;
-    with `caps`, until each has pushed its capacity or has no path left.
+    """Greedy transversal: `saturate` from nothing, required vertices first.
 
     Returns None if some required left vertex stays exposed (matroid
     exchange makes the greedy order safe: a required vertex that can be
@@ -124,18 +143,11 @@ def _saturating(order: Iterable[int], adj: Sequence[Sequence[int]], required: Se
     from earlier required ones), else the matching, per copy with `caps`.
     """
     match_r: Dict = {}
+    if not saturate(order, adj, match_r, required, caps):
+        return None
     if caps is None:
-        for u in order:
-            if not _try_augment(u, adj, match_r, {}) and u in required:
-                return None
         return {u: v for v, u in match_r.items()}
     cap_l, cap_r = caps
-    for u in order:
-        need = cap_l[u]
-        while need and (got := _try_augment(u, adj, match_r, {}, cap_r, need)):
-            need -= got
-        if need and u in required:
-            return None
     # Copies are numbered class by class; each left class's copies, in
     # index order, take the next copies of its right classes in turn.
     nxt_l, nxt_r = list(accumulate(cap_l, initial=0)), list(accumulate(cap_r, initial=0))

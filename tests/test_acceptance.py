@@ -399,3 +399,18 @@ def test_16_cone_test_on_a_line_in_high_dimension(tmp_path, capsys):
             rc = main(["--machine", "cone-test", "--cloud", str(cloud), "--point", ",".join("0" * dim)])
             out = capsys.readouterr().out
         assert (rc, out) == (0, "verdict=NotCoisotropic\nwitness=0.0,1.0" + ",0.0" * (dim - 2) + "\n")
+
+
+def test_17_symmetric_distance_at_512_bars():
+    # Decide-only, warm-started probes: 0.84-1.11 s of wall time in three
+    # runs on a shared 2-core machine, at most 1.8 s in earlier ones, so
+    # over 2x under the budget.  Probes saturating from nothing took 2.9 s,
+    # and a full covering matching on every probe 4.9-6.4 s.  The
+    # certificate at the optimum is re-verified from its maps.
+    rng = random.Random(2)
+    F, G = rand_barcode(rng, 512, den=997), rand_barcode(rng, 512, den=997)
+    with _budget("17 den=997: gamma_symmetric at 512 bars", 4):
+        rep = gamma_symmetric(F, G)
+    cert = rep.certificate
+    again = InterleavingCertificate(cert.a, cert.b, cert.u, cert.v)
+    assert cert.a == cert.b and again.total == rep.value.as_fraction()

@@ -1,5 +1,6 @@
 """The interleaving pseudo-distance: decision procedure, optimization, witnesses."""
 
+import random
 import subprocess
 import sys
 import time
@@ -137,6 +138,32 @@ def test_infinite_mismatch_is_infinite_before_any_probe(monkeypatch, F, G):
     assert calls == []
     # the wrapper is the one the search calls: a matched pair probes through it
     assert gamma(F, F).value == ExtRat(0) and calls
+
+
+def test_gamma_symmetric_runs_one_covering_matching_at_the_optimum(monkeypatch):
+    # Probes only decide; the covering matching is built once per answer,
+    # for the certificate at the optimal (c, c).  One degree per pair, so
+    # the certificate's matching is one call, and its required left
+    # vertices are the view's classes of F longer than the optimal 2c.
+    # Some pairs repeat bars, so classes and bars differ.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return matching_covering(*args)
+
+    monkeypatch.setattr(interleaving, "matching_covering", counting)
+    rng = random.Random(5)
+    for den in (4, 997):
+        for n in (1, 4, 12, 32):
+            F, G = rand_barcode(rng, n, den=den), rand_barcode(rng, n, den=den)
+            for left, right in ((F, G), (G, F), (F, F), (Barcode(F.bars + F.bars[: n // 2 + 1]), G)):
+                calls.clear()
+                cert = gamma_symmetric(left, right).certificate
+                assert len(calls) == 1
+                view = interleaving._IntView(left, right, unit=2)
+                f_len = view.degrees[0][0][3]
+                assert sorted(calls[0][3]) == [i for i, ln in enumerate(f_len) if ln > cert.total * view.scale]
 
 
 def test_gamma_graded_is_per_degree_max():

@@ -103,6 +103,25 @@ def test_the_top_grid_difference_interleaves_without_an_infinite_mismatch(den, d
             assert view.entries(top, top) is not None
 
 
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decides_matches_entries_across_warm_probe_sequences(den, data):
+    """A decide-only probe answers as the covering matching does, whatever
+    earlier probes of the same search left in `warm`: sequences mix 0,
+    shifts near the bar lengths and shifts up to the view's reach, rising
+    and falling, and one `warm` serves them all."""
+    F, G = data.draw(barcode_pairs(den, max_size=data.draw(st.sampled_from((4, 12)))))
+    view = _IntView(F, G, unit=data.draw(st.sampled_from((1, 2))))
+    reach = view.reach
+    units = st.one_of(st.just(0), st.integers(0, 12 * view.scale), st.integers(0, reach))
+    warm = {}
+    for a, b in data.draw(st.lists(st.tuples(units, units), min_size=1, max_size=16)) + [(0, 0)]:
+        a = min(a, reach)
+        b = min(b, reach - a)
+        assert view.decides(a, b, warm) == (view.entries(a, b) is not None), (a, b)
+
+
 def probe_shifts(den):
     """0, shifts on the endpoint grid, shifts whose denominator 3*den the
     problem's view may lack, and shifts past its sentinel range: the public
