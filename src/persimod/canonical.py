@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .barcodes import Bar
 from .fields import GF2
-from .intervals import ExtRat
+from .intervals import ExtRat, _deg0_plus, _le, _plus
 from .morphisms import Morphism, _cell_allowed, _is_round_trip, compose, identity
 
 __all__ = [
@@ -118,8 +118,10 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
         raise DiagonalizationError("mismatched scalar fields")
     if v.source != Gp or not v.target.is_shift_of(G, eps):
         raise DiagonalizationError("v must map the target of u back to the shifted source")
+    # hom(I, I + eps) is DEG0 exactly when I is longer than eps >= 0
+    n, d = eps.numerator, eps.denominator
     for bar in G.bars:
-        if not (bar.interval.length > eps):
+        if not _deg0_plus(bar.interval, bar.interval, n, d):
             raise DiagonalizationError(f"bar {bar!r} is not longer than the shift {eps}")
     if not _is_round_trip(u, v, eps):
         raise DiagonalizationError("round trip is not the canonical comparison map")
@@ -198,10 +200,10 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
         src = G.bars[i].interval
         tgt = Gp.bars[r].interval
         ok = (
-            src.lo <= tgt.lo
-            and tgt.lo <= src.lo + eps
-            and src.hi <= tgt.hi
-            and tgt.hi <= src.hi + eps
+            _le(src.lo, tgt.lo)
+            and _le(tgt.lo, _plus(src.lo, n, d))
+            and _le(src.hi, tgt.hi)
+            and _le(tgt.hi, _plus(src.hi, n, d))
         )
         if not ok:
             raise DiagonalizationError(
@@ -373,8 +375,11 @@ def diagonalize_system(system: InductiveSystem) -> List[StageDiagonalization]:
     rev = list(system.reverses)
     out: List[StageDiagonalization] = []
     for n, eps in enumerate(slacks):
+        twice = 2 * eps  # a bar is longer than it exactly when hom(I, I + twice) is DEG0
         live = tuple(
-            i for i, bar in enumerate(system.stages[n].bars) if bar.interval.length > 2 * eps
+            i
+            for i, bar in enumerate(system.stages[n].bars)
+            if _deg0_plus(bar.interval, bar.interval, twice.numerator, twice.denominator)
         )
         u = fwd[n].restrict_source(live)
         v = rev[n].restrict_target(live)

@@ -54,8 +54,14 @@ _PAIR_CAP = 200
 # products, 2 MB.  The chunk is the largest temporary of a cone test, so it
 # sets the test's peak memory.
 _DOT_ENTRIES = 2 ** 18
-# Paratingent rank cut, normal-grid step (degrees), default scale count.
-_SV_REL_TOL = 1e-3
+# Paratingent rank cut, relative to the largest singular value.  A direction
+# set holds renormalized cell centres, each up to _QUANT / 2 per coordinate
+# off its secant, so a sampled subspace reads with singular values off its
+# span.  On random rational lines, planes and unions of two in R^4 to R^8
+# those measured at most 0.7 _QUANT relative to the largest, and directions
+# in the span at least 6 _QUANT; the cut sits at 2.5 grid cells.
+_SV_REL_TOL = 2.5 * _QUANT
+# Normal-grid step (degrees), default scale count.
 _GRID_DEG = 10.0
 _N_SCALES = 9
 

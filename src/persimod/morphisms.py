@@ -7,10 +7,12 @@ the canonical generator between the two interval modules.
 
 Composition is matrix composition *in the generator calculus*: after the
 ordinary matrix product, any accumulated value sitting at a cell whose own
-generator vanishes is dropped.  (Order-valid but support-disjoint cells act
-as "phantom" entries: they carry matrix algebra but realize to the zero
-map, and they can never contaminate a realizable cell under
-order-respecting operations.)
+generator vanishes (a "phantom" cell, order-valid but support-disjoint)
+is dropped.  One comparison decides which: a cell (t, s) is reached
+through allowed entries A_s -> B_m -> C_t, so the degrees agree,
+A_s.lo <= C_t.lo and A_s.hi <= C_t.hi, and hom(A_s, C_t) is DEG0 exactly
+when C_t.lo < A_s.hi.  This holds only if every Morphism is valid: built
+by the validating constructor, or by `_trusted` from valid maps.
 
 Interleavings, towers and diagonalization all rest on one identity: a
 round trip "f then g" into the c-shift of f's source equals the canonical
@@ -29,7 +31,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
 from .fields import GF2
-from .intervals import DEG0, _deg0_plus, hom
+from .intervals import DEG0, _deg0_plus, _lt, hom
 
 __all__ = [
     "InterleavingCertificate",
@@ -72,41 +74,34 @@ class Morphism:
                     f"{src_bars[s].interval} -> {tgt_bars[t].interval}"
                 )
             clean[(t, s)] = val
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "field", field)
+        for name, value in zip(Morphism.__slots__, (source, target, clean, field)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Morphism is immutable")
 
     def shift(self, c) -> "Morphism":
-        """Translate source and target by c; the matrix is unchanged.  hom is
-        translation-invariant, so the validated entries stay valid."""
-        c = Fraction(c)
-        return _trusted(self.source.shift(c), self.target.shift(c), dict(self.entries), self.field)
+        """Translate source and target by c (an endomorphism's barcode once);
+        the matrix is unchanged."""
+        src = self.source.shift(c)
+        tgt = src if self.target is self.source else self.target.shift(c)
+        return _trusted(src, tgt, dict(self.entries), self.field)
 
     def restrict_source(self, indices: Sequence[int]) -> "Morphism":
-        idx = sorted(set(indices))
-        pos = {orig: k for k, orig in enumerate(idx)}
+        idx, pos = _positions(indices, len(self.source))
         ent = {(t, pos[s]): v for (t, s), v in self.entries.items() if s in pos}
-        return Morphism(self.source.restrict(idx), self.target, ent, self.field)
+        return _trusted(self.source.restrict(idx), self.target, ent, self.field)
 
     def restrict_target(self, indices: Sequence[int]) -> "Morphism":
-        idx = sorted(set(indices))
-        pos = {orig: k for k, orig in enumerate(idx)}
+        idx, pos = _positions(indices, len(self.target))
         ent = {(pos[t], s): v for (t, s), v in self.entries.items() if t in pos}
-        return Morphism(self.source, self.target.restrict(idx), ent, self.field)
+        return _trusted(self.source, self.target.restrict(idx), ent, self.field)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.field == other.field
-            and self.entries == other.entries
-        )
+        mine = (self.source, self.target, self.field, self.entries)
+        return mine == (other.source, other.target, other.field, other.entries)
 
     def __hash__(self):
         return hash((self.source, self.target, tuple(sorted(self.entries.items()))))
@@ -115,37 +110,41 @@ class Morphism:
         return f"Morphism({len(self.source)}->{len(self.target)}, {len(self.entries)} entries, {self.field!r})"
 
 
+def _positions(indices: Sequence[int], n: int) -> Tuple[List[int], Dict[int, int]]:
+    """The distinct indices, sorted, and each one's rank; IndexError outside 0..n-1."""
+    idx = sorted(set(indices))
+    if idx and not (0 <= idx[0] and idx[-1] < n):
+        raise IndexError(f"bar index {idx[0] if idx[0] < 0 else idx[-1]} outside 0..{n - 1}")
+    return idx, {orig: k for k, orig in enumerate(idx)}
+
+
 def _trusted(source: Barcode, target: Barcode, entries: Dict[Entry, object], field) -> Morphism:
-    """Trusted constructor: `entries` are canonical, nonzero and allowed."""
+    """Trusted constructor: `entries` are canonical, nonzero and allowed.
+    `shift` keeps valid entries (hom is translation-invariant), restriction
+    each kept entry's pair of bars; `identity` sets one on cells (i, i), and
+    hom(I, I) is DEG0; `compose` keeps the cells the one comparison allows."""
     out = Morphism.__new__(Morphism)
-    object.__setattr__(out, "source", source)
-    object.__setattr__(out, "target", target)
-    object.__setattr__(out, "entries", entries)
-    object.__setattr__(out, "field", field)
+    for name, value in zip(Morphism.__slots__, (source, target, entries, field)):
+        object.__setattr__(out, name, value)
     return out
 
 
 def identity(b: Barcode, field=GF2) -> Morphism:
-    return Morphism(b, b, {(i, i): field.one for i in range(len(b))}, field)
+    return _trusted(b, b, {(i, i): field.one for i in range(len(b))}, field)
 
 
 def _product(f: Morphism, g: Morphism) -> Dict[Entry, object]:
     """The matrix product of "f then g", f's target indices read as g's
     source indices: every cell a sum reaches, zero sums included."""
-    field = f.field
-    add, mul, zero = field.add, field.mul, field.zero
-    by_src: Dict[int, List[Tuple[int, object]]] = {}
-    for (t, s), v in f.entries.items():
-        by_src.setdefault(s, []).append((t, v))
+    add, mul = f.field.add, f.field.mul
     by_mid: Dict[int, List[Tuple[int, object]]] = {}
-    for (t, s), v in g.entries.items():
-        by_mid.setdefault(s, []).append((t, v))
+    for (t, m), gv in g.entries.items():
+        by_mid.setdefault(m, []).append((t, gv))
     acc: Dict[Entry, object] = {}
-    for s, f_col in by_src.items():
-        for mid, fv in f_col:
-            for t, gv in by_mid.get(mid, ()):
-                key = (t, s)
-                acc[key] = add(acc.get(key, zero), mul(gv, fv))
+    for (m, s), fv in f.entries.items():
+        for t, gv in by_mid.get(m, ()):
+            key = (t, s)
+            acc[key] = add(acc[key], mul(gv, fv)) if key in acc else mul(gv, fv)
     return acc
 
 
@@ -153,17 +152,15 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     """The composite "f then g" of f: A -> B and g: B -> C.
 
     Matrix product followed by the generator-calculus cleanup: a cell whose
-    own generator vanishes is zeroed no matter what the sum accumulated.
+    own generator vanishes (C_t.lo >= A_s.hi) is zeroed whatever it summed.
     """
     if f.field != g.field:
         raise ValueError("mismatched scalar fields")
     if f.target != g.source:
         raise ValueError("mismatched middle barcode")
     zero = f.field.zero
-    src_bars, tgt_bars = f.source.bars, g.target.bars
-    out = {
-        (t, s): v for (t, s), v in _product(f, g).items() if v != zero and _cell_allowed(src_bars[s], tgt_bars[t])
-    }
+    his, los = [bar.interval.hi for bar in f.source.bars], [bar.interval.lo for bar in g.target.bars]
+    out = {(t, s): v for (t, s), v in _product(f, g).items() if v != zero and _lt(los[t], his[s])}
     return _trusted(f.source, g.target, out, f.field)
 
 

@@ -9,7 +9,8 @@ implementations favour obviousness over speed.
 The exceptions are the differential oracles kept to check a faster
 library path against its earlier implementation: the Fraction/ExtRat
 interleaving search under the integer kernel, the validating rebuilds
-under the trusted constructors, the recursive augmenting search under
+and the full-hom composite under the trusted constructors and the
+one-comparison `compose`, the recursive augmenting search under
 the matching, the full-merge matching and all-pairs adjacency under the
 windowed decision kernel, the per-degree tower split under graded
 diagonalization, the Fraction-backed ExtRat under the int-pair one, the
@@ -127,6 +128,32 @@ def rank_q(rows: Sequence[Sequence[Fraction]]) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def null_space_q(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
+    """A basis of {x : r . x = 0 for every row r} over the rationals."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots: List[int] = []
+    for c in range(ncols):
+        piv = next((i for i in range(len(pivots), len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][c] for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for k, c in enumerate(pivots):
+            x[c] = -rows[k][free]
+        basis.append(x)
+    return basis
 
 
 def solve_field(rows, rhs, field) -> bool:
@@ -763,6 +790,27 @@ def cone_oracle(cloud, x, params, pairs: bool) -> DirectionSet:
     return DirectionSet(_persisting_oracle(per_scale, params.theta_res), params.theta_res)
 
 
+def coisotropy_union_oracle(pieces: Sequence[Sequence[Sequence[Fraction]]], dim: int) -> str:
+    """The cone-level verdict at 0 for a union of rational subspaces V_i of
+    R^dim, each given by spanning rows, in exact arithmetic.
+
+    The paratingent cone spans W = sum V_i, and the contingent cone is the
+    union itself.  A hyperplane contains W exactly when its normal nu lies
+    in W^perp, and its symplectic orthogonal is the line through J nu.  So
+    the union is vacuously coisotropic when W is the whole space, and
+    coisotropic when J(W^perp) lies in the union: a subspace inside a
+    finite union of subspaces lies in one of them."""
+    half = dim // 2
+    span = [row for piece in pieces for row in piece]
+    if rank_q(span) == dim:
+        return "CoisotropicVacuous"
+    # J(q, p) = (-p, q)
+    j_normals = [[-x for x in nu[half:]] + list(nu[:half]) for nu in null_space_q(span, dim)]
+    if any(rank_q(list(piece) + j_normals) == rank_q(piece) for piece in pieces):
+        return "Coisotropic"
+    return "NotCoisotropic"
+
+
 def sphere_grid_oracle(dim: int, step_deg: float, cap: int = 20000) -> List[np.ndarray]:
     """Unit vectors on S^{dim-1}, one per grid cell of step_deg, with
     antipodes identified (a hyperplane normal is a sign-free datum)."""
@@ -829,10 +877,13 @@ def parse_rational_oracle(token: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # differential oracle for the trusted constructors
 #
-# The library builds shifted and restricted barcodes, shifted morphisms and
-# composites without re-validating them, and compares ExtRat values without
-# coercion.  These rebuild each result through the validating constructors
-# and compare through `FractionExtRat._key`.
+# The library builds shifted and restricted barcodes, shifted and
+# restricted morphisms, identities and composites without re-validating
+# them, and compares ExtRat values without coercion.  These rebuild each
+# result through the validating constructors and compare through
+# `FractionExtRat._key`.  `compose_hom_filter_oracle` is `compose` as it
+# was before the one-comparison rule: a full hom on every product cell,
+# over a product grouped on both sides with every sum started at zero.
 
 
 def shift_oracle(bc: Barcode, c) -> Barcode:
@@ -846,6 +897,41 @@ def restrict_oracle(bc: Barcode, indices) -> Barcode:
 
 def morphism_shift_oracle(m: Morphism, c) -> Morphism:
     return Morphism(shift_oracle(m.source, c), shift_oracle(m.target, c), m.entries, m.field)
+
+
+def product_oracle(f: Morphism, g: Morphism) -> Dict[Tuple[int, int], object]:
+    """Every cell a sum of "f then g" reaches, zero sums included."""
+    field = f.field
+    add, mul, zero = field.add, field.mul, field.zero
+    by_src: Dict[int, List[Tuple[int, object]]] = {}
+    for (t, s), v in f.entries.items():
+        by_src.setdefault(s, []).append((t, v))
+    by_mid: Dict[int, List[Tuple[int, object]]] = {}
+    for (t, s), v in g.entries.items():
+        by_mid.setdefault(s, []).append((t, v))
+    acc: Dict[Tuple[int, int], object] = {}
+    for s, f_col in by_src.items():
+        for mid, fv in f_col:
+            for t, gv in by_mid.get(mid, ()):
+                key = (t, s)
+                acc[key] = add(acc.get(key, zero), mul(gv, fv))
+    return acc
+
+
+def compose_hom_filter_oracle(f: Morphism, g: Morphism) -> Morphism:
+    """"f then g": the nonzero product cells whose own generator survives,
+    each decided by a full hom."""
+    if f.field != g.field:
+        raise ValueError("mismatched scalar fields")
+    if f.target != g.source:
+        raise ValueError("mismatched middle barcode")
+    src_bars, tgt_bars = f.source.bars, g.target.bars
+    out = {
+        (t, s): v
+        for (t, s), v in product_oracle(f, g).items()
+        if v != f.field.zero and _cell_allowed(src_bars[s], tgt_bars[t])
+    }
+    return Morphism(f.source, g.target, out, f.field)
 
 
 def tau_entries_oracle(bc: Barcode, c) -> Dict[Tuple[int, int], int]:

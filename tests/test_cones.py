@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from persimod import cones
@@ -22,7 +22,7 @@ from persimod.cones import (
     paratingent,
     standard_symplectic_matrix,
 )
-from oracles import cone_oracle, sphere_grid_oracle
+from oracles import coisotropy_union_oracle, cone_oracle, null_space_q, rank_q, sphere_grid_oracle
 
 # radii 0.7^j reach below the finest default scale (r0 / 256), so every
 # scale of the default ladder sees sample points
@@ -231,6 +231,68 @@ def test_full_rank_cloud_is_vacuous():
     params = ConeParams(scales=tuple(2.0 ** (-j) for j in range(6)))
     verdict = cone_coisotropy_test(subspace_cloud((0, 1, 2, 3)), np.zeros(4), params)
     assert verdict.kind == "CoisotropicVacuous"
+
+
+def _halves(draw, n):
+    return [Fraction(draw(st.integers(-4, 4)), 2) for _ in range(n)]
+
+
+@st.composite
+def subspace_unions(draw):
+    """(dim, pieces): a rational line or plane through 0 in R^4 or R^6, or
+    a line with a line or a plane, each piece given by independent rows
+    with entries in [-2, 2].  Half the time in R^4 it is a Lagrangian graph
+    {(q, Sq)}, alone or with a line: coisotropic.  Spans stay within three
+    dimensions: two planes spanning four take the test 5-40 s a verdict."""
+    dim = draw(st.sampled_from((4, 6)))
+    if dim == 4 and draw(st.booleans()):
+        a, b, c = (Fraction(draw(st.integers(-4, 4)), 2) for _ in range(3))
+        pieces = [[[Fraction(1), Fraction(0), a, b], [Fraction(0), Fraction(1), b, c]]]
+        pieces += [[_halves(draw, dim)] for _ in range(draw(st.integers(0, 1)))]
+    else:
+        shapes = draw(st.sampled_from(([1], [2], [1, 1], [1, 2])))
+        pieces = [[_halves(draw, dim) for _ in range(k)] for k in shapes]
+    assume(all(rank_q(piece) == len(piece) for piece in pieces))
+    return dim, pieces
+
+
+def _unit_rows(rows):
+    """An orthonormal basis of the span of `rows`, in floats, as columns."""
+    return np.linalg.qr(np.array(rows, dtype=float).T)[0]
+
+
+def _witness_margin(dim, pieces):
+    """The largest angle (degrees) from J nu to the nearest piece, over unit
+    normals nu of the pieces' span: 256 seeded samples and the basis."""
+    null = _unit_rows(null_space_q([row for piece in pieces for row in piece], dim))
+    nus = np.concatenate([null.T, np.random.default_rng(0).standard_normal((256, null.shape[1])) @ null.T])
+    j_nus = nus @ standard_symplectic_matrix(dim // 2).T
+    j_nus /= np.linalg.norm(j_nus, axis=1)[:, None]
+    off = [np.linalg.norm(j_nus - j_nus @ q @ q.T, axis=1) for q in map(_unit_rows, pieces)]
+    return math.degrees(math.asin(min(1.0, float(np.max(np.min(off, axis=0))))))
+
+
+@seed(12)
+@settings(max_examples=30, deadline=None)
+@given(case=subspace_unions())
+def test_verdict_matches_the_exact_rule_on_rational_subspaces(case):
+    """The verdict on tilted rational subspaces against the exact rule in
+    Fractions.  Planes are sampled as rays every 5 degrees.  A union that
+    is not coisotropic is kept only if some normal's J-image lies at least
+    20 degrees from every piece: the test resolves 5 degrees, and its
+    witnesses come from a 10-degree grid of normals."""
+    dim, pieces = case
+    want = coisotropy_union_oracle(pieces, dim)
+    if want == "NotCoisotropic":
+        assume(_witness_margin(dim, pieces) >= 20)
+    dirs = []
+    for piece in pieces:
+        basis = _unit_rows(piece).T
+        if len(basis) == 1:
+            dirs += [basis[0], -basis[0]]
+        else:
+            dirs += [math.cos(math.radians(t)) * basis[0] + math.sin(math.radians(t)) * basis[1] for t in range(0, 360, 5)]
+    assert cone_coisotropy_test(ray_cloud(dirs, two_sided=False), np.zeros(dim)).kind == want
 
 
 def test_verdict_respects_explicit_scales():

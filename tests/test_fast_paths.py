@@ -1,5 +1,6 @@
 """The trusted constructors, checked for exact agreement with the
-validating rebuilds kept in `oracles.py`; the int-pair ExtRat against the
+validating rebuilds kept in `oracles.py`, and `compose`'s one comparison
+per cell against a full hom on each; the int-pair ExtRat against the
 Fraction-backed one; the offset rule and the untranslated round-trip
 check against hom and `compose` on built translates; the explicit-stack
 augmenting search against the recursive one; the covering matching and
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, canonical
@@ -21,7 +22,7 @@ from persimod.fields import GF2, PrimeField, QQ
 from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _deg0_plus, hom, leq
 from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
 from persimod.matching import _saturating, _try_augment, matching_covering
-from persimod.morphisms import Morphism, _cell_allowed, _is_round_trip, compose, identity, tau_morphism
+from persimod.morphisms import Morphism, _cell_allowed, _is_round_trip, _product, compose, identity, tau_morphism
 from conftest import assert_same_entries, rand_realized_morphism, tampered
 from test_limits import _reverse_problems
 import oracles
@@ -30,6 +31,7 @@ from oracles import (
     augment_oracle,
     certificate_refusal_oracle,
     compare_oracle,
+    compose_hom_filter_oracle,
     equals_tau,
     hom_ext_oracle,
     hom_operator_oracle,
@@ -48,13 +50,14 @@ KINDS = ("finite", "finite", "finite", "left", "right", "both")
 
 
 @st.composite
-def barcodes(draw, den, max_size=8):
+def barcodes(draw, den, max_size=8, span=10):
     """Barcodes on degrees {0, 1} with endpoints k/den, negative ones too,
-    repeated bars, and left-, right- and two-sided infinite bars."""
+    repeated bars, and left-, right- and two-sided infinite bars; finite
+    starts and lengths at most `span`."""
     bars = []
     for degree, kind in draw(st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(KINDS)), max_size=max_size)):
-        lo = Fraction(draw(st.integers(-10 * den, 10 * den)), den)
-        hi = lo + Fraction(draw(st.integers(1, 10 * den)), den)
+        lo = Fraction(draw(st.integers(-span * den, span * den)), den)
+        hi = lo + Fraction(draw(st.integers(1, span * den)), den)
         bars.append((degree, Interval(NEG_INF if kind in ("left", "both") else lo,
                                       POS_INF if kind in ("right", "both") else hi)))
         if draw(st.booleans()):
@@ -247,6 +250,71 @@ def test_tau_and_compose_match_validating_constructors(den, data):
     g = rand_realized_morphism(rng, mid, t.target, GF2)
     h = compose(f, g)
     assert h == Morphism(h.source, h.target, h.entries, h.field)
+
+
+FIELDS = pytest.mark.parametrize("field", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+
+
+@st.composite
+def moved(draw, bc, sign):
+    """bc's bars with each endpoint moved by up to two in the direction of
+    `sign` (an infinite one stays), the empty ones dropped, and a few more."""
+    bars = list(draw(barcodes(4, max_size=2, span=2)))
+    for bar in bc.bars:
+        lo, hi = (e + sign * Fraction(draw(st.integers(0, 8)), 4) for e in (bar.interval.lo, bar.interval.hi))
+        if lo < hi:
+            bars.append((bar.degree, Interval(lo, hi)))
+    return Barcode(bars)
+
+
+@FIELDS
+@seed(24)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compose_matches_the_hom_filter_oracle(field, data):
+    """The one-comparison filter against a full hom on every cell, on
+    degrees {0, 1}, infinite and repeated bars.  A and C are B moved left
+    and right, which makes phantom cells common, and dense maps with few
+    scalars make sums cancel."""
+    b = data.draw(barcodes(4, max_size=6, span=2))
+    a, c = data.draw(moved(b, -1)), data.draw(moved(b, 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f = rand_realized_morphism(rng, a, b, field, density=0.8)
+    g = rand_realized_morphism(rng, b, c, field, density=0.8)
+    assert compose(f, g).entries == compose_hom_filter_oracle(f, g).entries
+    assert _product(f, g) == oracles.product_oracle(f, g)
+
+
+@FIELDS
+def test_compose_drops_phantom_cells_and_cancelled_sums(field):
+    # [0,1) -> [1/2,3) -> [2,5) is a phantom cell; [0,4) reaches [2,6)
+    # through both copies of [1,5), with values 1 and -1
+    a = Barcode([(0, Interval(0, 1)), (0, Interval(0, 4))])
+    b = Barcode([(0, Interval(Fraction(1, 2), 3)), (0, Interval(1, 5)), (0, Interval(1, 5))])
+    c = Barcode([(0, Interval(2, 5)), (0, Interval(2, 6))])
+    f = Morphism(a, b, {(0, 0): 1, (1, 1): 1, (2, 1): 1}, field)
+    g = Morphism(b, c, {(0, 0): 1, (1, 1): 1, (1, 2): field.neg(field.one)}, field)
+    assert set(_product(f, g)) == {(0, 0), (1, 1)}
+    assert compose(f, g).entries == compose_hom_filter_oracle(f, g).entries == {}
+
+
+@FIELDS
+@seed(25)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_restriction_identity_and_shift_match_validating_rebuilds(field, data):
+    src, tgt = data.draw(barcodes(4, max_size=6)), data.draw(barcodes(4, max_size=6))
+    m = rand_realized_morphism(random.Random(data.draw(st.integers(0, 2**32))), src, tgt, field)
+    c = data.draw(signed_shifts(4))
+    keep_src = data.draw(st.lists(st.integers(0, len(src) - 1), max_size=len(src) + 2)) if src else []
+    keep_tgt = data.draw(st.lists(st.integers(0, len(tgt) - 1), max_size=len(tgt) + 2)) if tgt else []
+    ident = identity(src, field)
+    outs = [m.restrict_source(keep_src), m.restrict_target(keep_tgt), ident, m.shift(c), ident.shift(c)]
+    for out in outs:
+        assert out == Morphism(out.source, out.target, out.entries, out.field)
+    assert outs[-1].target is outs[-1].source and outs[-1] == oracles.morphism_shift_oracle(ident, c)
+    assert outs[0].source.bars == restrict_oracle(src, keep_src).bars
+    assert outs[1].target.bars == restrict_oracle(tgt, keep_tgt).bars
 
 
 @pytest.mark.parametrize("den", [4, 997])

@@ -40,6 +40,27 @@ def test_index_out_of_range():
         Morphism(src, tgt, {(3, 0): 1})
 
 
+@pytest.mark.parametrize("indices", [[-3, 1], [-1, 0], [0, 3], [7]])
+def test_restriction_refuses_an_index_outside_the_barcode(indices):
+    bc = B((0, Interval(0, 10)), (0, Interval(1, 11)), (0, Interval(2, 12)))
+    bad = min(indices) if min(indices) < 0 else max(indices)
+    for restrict in (identity(bc).restrict_source, identity(bc).restrict_target):
+        with pytest.raises(IndexError, match=f"bar index {bad} "):
+            restrict(indices)
+    # the barcode's own restriction still reads negative indices from the end
+    assert bc.restrict([-1, 0]).bars == (bc.bars[0], bc.bars[2])
+
+
+def test_restriction_keeps_entries_by_rank():
+    bc = B((0, Interval(0, 10)), (0, Interval(1, 11)), (0, Interval(2, 12)))
+    m = identity(bc, GF5)
+    src = m.restrict_source([2, 0, 2])
+    assert src.source.bars == (bc.bars[0], bc.bars[2]) and src.entries == {(0, 0): 1, (2, 1): 1}
+    tgt = m.restrict_target([1])
+    assert tgt.target.bars == (bc.bars[1],) and tgt.entries == {(0, 1): 1}
+    assert m.restrict_source([]).entries == {} and len(m.restrict_target([]).target) == 0
+
+
 def test_compose_identity():
     src, tgt = B((0, Interval(0, 10))), B((0, Interval(1, 11)))
     f = Morphism(src, tgt, {(0, 0): 1})
