@@ -24,7 +24,7 @@ from .barcodes import Bar, Barcode
 from .canonical import InductiveSystem
 from .fields import GF2, field_by_name
 from .intervals import ExtRat, Interval, parse_rational
-from .morphisms import InterleavingCertificate, Morphism
+from .morphisms import InterleavingCertificate, Morphism, _cell_allowed
 from .spectral import PLFunction
 
 __all__ = [
@@ -46,8 +46,9 @@ __all__ = [
 ]
 
 
-class ParseError(Exception):
-    """Malformed input file; carries path and (when known) line number."""
+class ParseError(ValueError):
+    """Malformed input file; carries path and (when known) line number.
+    A ValueError, like the refusal of a bad value it reports."""
 
     def __init__(self, path, line: Optional[int], msg: str):
         self.path = str(path)
@@ -261,7 +262,11 @@ def _build_morphism(path, source: Barcode, target: Barcode, entries, field) -> M
             raise ParseError(path, n, f"entry ({t},{s}) out of range")
         if (t, s) in table:
             raise ParseError(path, n, f"duplicate entry ({t},{s})")
-        table[(t, s)] = field.canon(scalar)
+        val = _parsed(path, n, "bad scalar", field.canon, scalar)
+        src, tgt = source.bars[s], target.bars[t]
+        if val != field.zero and not _cell_allowed(src, tgt):
+            raise ParseError(path, n, f"entry ({t},{s}) not allowed: no degree-0 generator {src.interval} -> {tgt.interval}")
+        table[(t, s)] = val
     return Morphism(source, target, table, field)
 
 

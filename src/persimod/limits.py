@@ -10,11 +10,12 @@ certified bound on how far the truncation can still drift: four times
 the longest bar (`gamma_to_zero`) of the last step's cone (`cone_diagonal`).
 The tower and its contract (`InductiveSystem`) live in `canonical`.
 
-Cauchy completion subsamples a sequence until consecutive distances halve,
-re-anchors every stage by its accumulated slack so the comparison maps
-become honest tower maps, and reads the limit off the chains -- exactly
-when the endpoint histories stabilize or follow a geometric law, and as
-the last witnessed value otherwise.
+Cauchy completion subsamples a sequence until consecutive distances halve.
+Each step's verified interleaving certificate has a forward map that
+matches bars with unit entries, so the chains follow those matchings
+directly, and the limit is read off each chain's endpoint history --
+exactly when it stabilizes or follows a geometric law, and as the last
+witnessed value otherwise.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from .barcodes import Bar, Barcode
 from .canonical import InductiveSystem, StageDiagonalization, diagonalize_system
 from .fields import GF2
-from .intervals import DEG0, ExtRat, Interval, hom
+from .intervals import ExtRat, Interval
 from .interleaving import DistanceReport, gamma
-from .morphisms import InterleavingCertificate, Morphism, compose, tau_morphism
+from .morphisms import InterleavingCertificate, Morphism, compose
 
 __all__ = [
     "CompletionError",
@@ -90,8 +91,6 @@ def cone_diagonal(m: Morphism) -> Barcode:
             bars.append(Bar(d + 1, i))
             continue
         j = tgt.bars[col_of[s]].interval
-        if hom(i, j) is not DEG0:
-            raise ValueError(f"matched pair {i} -> {j} is not a degree-0 generator")
         if i.hi < j.hi:
             bars.append(Bar(d, Interval(i.hi, j.hi)))
         if i.lo < j.lo:
@@ -121,30 +120,36 @@ class HocolimResult:
     chains: Tuple[Chain, ...]
 
 
-def _follow_chains(records: Sequence[StageDiagonalization]):
-    """Walk sigma through the stages.  Returns (chains, heads) where heads
-    maps final-stage bar index -> its chain."""
-    active: Dict[int, dict] = {}
-    chains: List[dict] = []
-    for rec in records:
-        live = rec.live
-        live_set = set(live)
-        pos = {i: k for k, i in enumerate(live)}
-        for i in live:
-            if i not in active:
-                ch = {"birth": rec.stage, "indices": [i], "alive": True}
-                chains.append(ch)
-                active[i] = ch
-        nxt: Dict[int, dict] = {}
-        for i, ch in active.items():
-            if i in live_set:
-                j = rec.result.sigma[pos[i]]
-                ch["indices"].append(j)
-                nxt[j] = ch
-            else:
-                ch["alive"] = False
-        active = nxt
-    return chains, active
+def _follow_chains(stages: Sequence[Barcode], steps: Sequence[Mapping[int, int]], floor) -> List[Chain]:
+    """Chains of bars through the stages.  steps[n] maps each live bar of
+    stage n to its bar at stage n+1: a live bar that no chain reaches
+    starts one, and a chain whose bar is not live dies there.  Final-stage
+    bars longer than `floor` that no chain reaches are born last.  Chains
+    are listed by degree, and within a degree by birth stage and bar index,
+    newborns last."""
+    walked: List[Tuple[int, List[int]]] = []
+    heads: Dict[int, List[int]] = {}
+    for n, step in enumerate(steps):
+        for i in step:
+            if i not in heads:
+                heads[i] = [i]
+                walked.append((n, heads[i]))
+        moved: Dict[int, List[int]] = {}
+        for i, path in heads.items():
+            if i in step:
+                path.append(step[i])
+                moved[step[i]] = path
+        heads = moved
+    last = len(stages) - 1
+    walked += [
+        (last, [j]) for j, bar in enumerate(stages[-1].bars) if j not in heads and bar.interval.length > floor
+    ]
+    chains = [
+        Chain(stages[birth].bars[path[0]].degree, birth, tuple(path), birth + len(path) - 1 == last)
+        for birth, path in walked
+    ]
+    chains.sort(key=lambda ch: ch.degree)  # stable: keeps each degree's order
+    return chains
 
 
 def _extended_diagonal(system: InductiveSystem, rec: StageDiagonalization) -> Morphism:
@@ -163,28 +168,14 @@ def hocolim(system: InductiveSystem) -> HocolimResult:
     The whole tower is diagonalized stage by stage, all degrees at once;
     chains are listed by degree, and within a degree by birth stage and
     bar index, newborns last."""
-    n_steps = len(system.maps)
-    if n_steps == 0:
-        base = system.stages[0]
-        chains = tuple(
-            Chain(bar.degree, 0, (i,), True) for i, bar in enumerate(base.bars)
-        )
-        return HocolimResult(base, ExtRat(0), chains)
-
     records = diagonalize_system(system)
-    raw_chains, heads = _follow_chains(records)
+    steps = [{i: rec.result.sigma[p] for p, i in enumerate(rec.live)} for rec in records]
+    chains = _follow_chains(system.stages, steps, system.slacks[-1] if records else 0)
     final = system.stages[-1]
-    for j, bar in enumerate(final.bars):
-        if j not in heads and bar.interval.length > system.slacks[-1]:
-            raw_chains.append({"birth": n_steps, "indices": [j], "alive": True})
-    chains = [
-        Chain(system.stages[ch["birth"]].bars[ch["indices"][0]].degree,
-              ch["birth"], tuple(ch["indices"]), ch["alive"])
-        for ch in raw_chains
-    ]
-    chains.sort(key=lambda ch: ch.degree)  # stable: keeps each degree's order
     out_bars = [final.bars[ch.indices[-1]] for ch in chains if ch.alive]
-    bound = 4 * gamma_to_zero(cone_diagonal(_extended_diagonal(system, records[-1])))
+    bound = ExtRat(0)
+    if records:
+        bound = 4 * gamma_to_zero(cone_diagonal(_extended_diagonal(system, records[-1])))
     return HocolimResult(Barcode(out_bars), bound, tuple(chains))
 
 
@@ -236,6 +227,16 @@ def _extrapolate(values: Sequence[ExtRat]) -> ExtRat:
     return ExtRat(vals[-1])
 
 
+def _matching(cert: InterleavingCertificate) -> Dict[int, int]:
+    """Source bar -> target bar of a certificate's forward map, which must
+    be a matching with unit entries."""
+    one = cert.u.field.one
+    partner = {s: t for (t, s), val in cert.u.entries.items() if val == one}
+    if len(partner) != len(cert.u.entries) or len(set(partner.values())) != len(partner):
+        raise CompletionError("a step certificate's forward map is not a matching with unit entries")
+    return partner
+
+
 def complete_cauchy(
     seq: Sequence[Barcode],
     tol,
@@ -245,10 +246,15 @@ def complete_cauchy(
     """Limit of a Cauchy sequence of barcodes, to within `tol`.
 
     The sequence is subsampled to a suffix whose consecutive distances are
-    at most 1, 1/2, 1/4, ...; certified interleavings for each step are
-    re-anchored into an honest tower whose colimit is read off chainwise.
-    Raises CompletionError when no suffix is Cauchy and ToleranceError when
-    the result misses `tol` against the last input stage.
+    at most 1, 1/2, 1/4, ...; a suffix of two or more stages holds at least
+    one step.  Degree by degree, each step's certificate (a, b) matches the
+    bars of one stage to the next: a bar longer than 2(b + a + b) carries
+    its chain on to its partner, and final-stage bars longer than the last
+    step's b + a + b that no chain reaches start chains of their own.  Each
+    surviving chain's endpoints are extrapolated from the stage bars.
+    Raises CompletionError when no suffix is Cauchy or a certificate's
+    forward map is not a matching with unit entries, and ToleranceError
+    when the result misses `tol` against the last input stage.
     """
     seq = list(seq)
     if not seq:
@@ -271,55 +277,31 @@ def complete_cauchy(
     def suffix_ok(s: int) -> bool:
         return all(steps[s + j] <= Fraction(1, 2 ** j) for j in range(len(steps) - s))
 
-    start = next((s for s in range(len(seq)) if suffix_ok(s)), None)
+    start = next((s for s in range(max(len(steps), 1)) if suffix_ok(s)), None)
     if start is None:
         raise CompletionError(
             "no suffix has consecutive distances bounded by 1, 1/2, 1/4, ..."
         )
 
-    sub = seq[start:]
     indices = tuple(range(start, len(seq)))
-    m = len(sub) - 1
-    step_certs: List[Dict[int, InterleavingCertificate]] = [dict() for _ in range(m)]
+    step_certs: List[Dict[int, InterleavingCertificate]] = [dict() for _ in indices[1:]]
     out_bars: List[Bar] = []
 
-    for deg in sorted({bar.degree for b in sub for bar in b.bars}):
-        stages_h = [pieces[start + j][deg] for j in range(m + 1)]
-        certs: List[InterleavingCertificate] = []
-        for j in range(m):
-            cert = step_reports[start + j][deg].certificate
-            if cert is None:
-                raise CompletionError(
-                    f"no certificate for degree {deg} between stages {start + j} and {start + j + 1}"
-                )
-            certs.append(cert)
+    for deg in sorted({bar.degree for b in seq[start:] for bar in b.bars}):
+        stages = [pieces[k][deg] for k in indices]
+        walk: List[Dict[int, int]] = []
+        floor = Fraction(0)
+        for j, cert in enumerate(step_reports[k][deg].certificate for k in indices[:-1]):
             step_certs[j][deg] = cert
-        # Cumulative anchors: eps_j sums the remaining per-step costs, so
-        # the re-anchored forward maps need no negative shifts.
-        eps = [Fraction(0)] * (m + 1)
-        for j in range(m - 1, -1, -1):
-            eps[j] = eps[j + 1] + certs[j].total
-        anchored = [stages_h[j].shift(-eps[j]) for j in range(m + 1)]
-        fwd, rev, slk = [], [], []
-        for j in range(m):
-            pad = tau_morphism(anchored[j + 1].shift(-certs[j].b), certs[j].b, field)
-            fwd.append(compose(certs[j].u.shift(-eps[j]), pad))
-            rev.append(certs[j].v.shift(-eps[j + 1]))
-            slk.append(certs[j].b + certs[j].total)
-        system = InductiveSystem(anchored, fwd, slk, rev, field)
-        res = hocolim(system)
-        for ch in res.chains:
-            if not ch.alive:
-                continue
-            los, his = [], []
-            for k, bar_idx in enumerate(ch.indices):
-                stage = ch.birth + k
-                bar = anchored[stage].bars[bar_idx]
-                los.append(bar.interval.lo + eps[stage])
-                his.append(bar.interval.hi + eps[stage])
-            lo, hi = _extrapolate(los), _extrapolate(his)
-            if lo < hi:
-                out_bars.append(Bar(deg, Interval(lo, hi)))
+            partner = _matching(cert)
+            floor = cert.b + cert.total
+            walk.append({i: partner[i] for i, bar in enumerate(stages[j].bars) if bar.interval.length > 2 * floor})
+        for ch in _follow_chains(stages, walk, floor):
+            if ch.alive:
+                ivs = [stages[ch.birth + k].bars[i].interval for k, i in enumerate(ch.indices)]
+                lo, hi = _extrapolate([iv.lo for iv in ivs]), _extrapolate([iv.hi for iv in ivs])
+                if lo < hi:
+                    out_bars.append(Bar(deg, Interval(lo, hi)))
 
     output = Barcode(out_bars)
     final = gamma(output, seq[-1], field=field)

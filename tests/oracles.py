@@ -44,10 +44,19 @@ from persimod.barcodes import Bar, Barcode
 from persimod.cones import _PAIR_CAP, _QUANT, DirectionSet, _dedupe, _default_scales
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
 from persimod.fields import GF2, RationalField
-from persimod.interleaving import DistanceReport, InterleavingCertificate
-from persimod.limits import Chain, HocolimResult, InductiveSystem, _follow_chains, cone_diagonal, gamma_to_zero
+from persimod.interleaving import DistanceReport, InterleavingCertificate, gamma
+from persimod.limits import (
+    Chain,
+    CompletionResult,
+    HocolimResult,
+    InductiveSystem,
+    _extrapolate,
+    cone_diagonal,
+    gamma_to_zero,
+    hocolim,
+)
 from persimod.matching import matching_covering
-from persimod.morphisms import Morphism, _cell_allowed, compose, identity
+from persimod.morphisms import Morphism, _cell_allowed, compose, identity, tau_morphism
 
 
 def field_elements(field) -> List:
@@ -1599,20 +1608,34 @@ def _piece_diagonal(stages, rec, fld) -> Morphism:
     return Morphism(stages[rec.stage], stages[rec.stage + 1], entries, fld)
 
 
+def _chains_oracle(records, final: Barcode, floor):
+    """[(birth, indices, alive)]: from every live bar that no live bar of
+    the stage before maps to, follow sigma forward until a bar is not live;
+    then every bar of `final` longer than `floor` that the last step does
+    not reach."""
+    steps = [{i: rec.result.sigma[p] for p, i in enumerate(rec.live)} for rec in records]
+    out = []
+    for n, step in enumerate(steps):
+        reached = set(steps[n - 1].values()) if n else set()
+        for i in sorted(set(step) - reached):
+            path, k = [i], n
+            while k < len(steps) and path[-1] in steps[k]:
+                path.append(steps[k][path[-1]])
+                k += 1
+            out.append((n, path, k == len(steps)))
+    reached = set(steps[-1].values())
+    out += [(len(steps), [j], True) for j, bar in enumerate(final.bars) if j not in reached and bar.interval.length > floor]
+    return out
+
+
 def hocolim_oracle(system) -> HocolimResult:
     """`hocolim` of a tower of two or more stages, degree by degree."""
-    n_steps = len(system.maps)
     out_bars, chains, cone = [], [], []
     for deg, stages, idx, records in _diagonalized_pieces(system):
-        raw, heads = _follow_chains(records)
-        for j, bar in enumerate(stages[-1].bars):
-            if j not in heads and bar.interval.length > system.slacks[-1]:
-                raw.append({"birth": n_steps, "indices": [j], "alive": True})
-        for ch in raw:
-            full = tuple(idx[ch["birth"] + k][i] for k, i in enumerate(ch["indices"]))
-            chains.append(Chain(deg, ch["birth"], full, ch["alive"]))
-            if ch["alive"]:
-                out_bars.append(stages[-1].bars[ch["indices"][-1]])
+        for birth, path, alive in _chains_oracle(records, stages[-1], system.slacks[-1]):
+            chains.append(Chain(deg, birth, tuple(idx[birth + k][i] for k, i in enumerate(path)), alive))
+            if alive:
+                out_bars.append(stages[-1].bars[path[-1]])
         cone.extend(cone_diagonal(_piece_diagonal(stages, records[-1], system.field)).bars)
     return HocolimResult(Barcode(out_bars), 4 * gamma_to_zero(Barcode(cone)), tuple(chains))
 
@@ -1639,6 +1662,64 @@ def defect_check_oracle(system, n: int):
         rhs = rhs + gamma_to_zero(Barcode(bars))
     rhs = 2 * rhs
     return lhs, rhs, lhs <= rhs
+
+# ---------------------------------------------------------------------------
+# differential oracle for Cauchy completion
+#
+# `limits.complete_cauchy` follows each step certificate's forward matching
+# directly.  This is the synthetic tower it replaced: per degree, re-anchor
+# every stage by the summed certificate totals after it, pad each shifted
+# forward map with a canonical comparison, build and re-verify the tower,
+# take its `hocolim`, and shift each chain's endpoints back.
+
+
+def complete_cauchy_oracle(seq: Sequence[Barcode], field=GF2) -> CompletionResult:
+    """`complete_cauchy` through a synthetic tower, with no tolerance check;
+    the start index is the first whose suffix is Cauchy, the last one
+    included."""
+    degrees = sorted({bar.degree for b in seq for bar in b.bars})
+    pieces = [
+        {deg: sp.get(deg, (Barcode([]), []))[0] for deg in degrees}
+        for sp in (b.split_by_degree() for b in seq)
+    ]
+    reports = [
+        {deg: gamma(pieces[i][deg], pieces[i + 1][deg], field=field) for deg in degrees}
+        for i in range(len(seq) - 1)
+    ]
+    steps = [max((rep.value for rep in reps.values()), default=ExtRat(0)) for reps in reports]
+    start = next(
+        s for s in range(len(seq)) if all(steps[s + j] <= Fraction(1, 2 ** j) for j in range(len(steps) - s))
+    )
+    m = len(seq) - 1 - start
+    step_certs: List[Dict[int, InterleavingCertificate]] = [dict() for _ in range(m)]
+    out_bars: List[Bar] = []
+    for deg in sorted({bar.degree for b in seq[start:] for bar in b.bars}):
+        certs = [reports[start + j][deg].certificate for j in range(m)]
+        for j, cert in enumerate(certs):
+            step_certs[j][deg] = cert
+        eps = [Fraction(0)] * (m + 1)
+        for j in range(m - 1, -1, -1):
+            eps[j] = eps[j + 1] + certs[j].total
+        anchored = [pieces[start + j][deg].shift(-eps[j]) for j in range(m + 1)]
+        fwd, rev, slk = [], [], []
+        for j, cert in enumerate(certs):
+            pad = tau_morphism(anchored[j + 1].shift(-cert.b), cert.b, field)
+            fwd.append(compose(cert.u.shift(-eps[j]), pad))
+            rev.append(cert.v.shift(-eps[j + 1]))
+            slk.append(cert.b + cert.total)
+        res = hocolim(InductiveSystem(anchored, fwd, slk, rev, field))
+        for ch in res.chains:
+            if ch.alive:
+                ends = [anchored[ch.birth + k].bars[i].interval for k, i in enumerate(ch.indices)]
+                shifts = [eps[ch.birth + k] for k in range(len(ends))]
+                lo = _extrapolate([iv.lo + e for iv, e in zip(ends, shifts)])
+                hi = _extrapolate([iv.hi + e for iv, e in zip(ends, shifts)])
+                if lo < hi:
+                    out_bars.append(Bar(deg, Interval(lo, hi)))
+    output = Barcode(out_bars)
+    final = gamma(output, seq[-1], field=field)
+    return CompletionResult(output, start, tuple(range(start, len(seq))), tuple(step_certs), final)
+
 
 # ---------------------------------------------------------------------------
 # differential oracle for the row-dict diagonalization

@@ -180,6 +180,28 @@ def test_complete_tolerance_exits_1(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_complete_refuses_a_sequence_that_is_not_cauchy(tmp_path, capsys):
+    d = tmp_path / "seq"
+    d.mkdir()
+    for i, hi in enumerate((1, 100, 1, 100)):
+        (d / f"F{i}.bc").write_text(f"0 0 {hi}\n")
+    rc, out, err = run(capsys, "complete", str(d), "--tol", "1")
+    assert (rc, out, err) == (1, "", "error: no suffix has consecutive distances bounded by 1, 1/2, 1/4, ...\n")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("0 0 1/2", "bad scalar (denominator divisible by 2)"),
+    ("1 0 1", "entry (1,0) not allowed: no degree-0 generator [0,3/4) -> [5,6)"),
+])
+def test_limit_refuses_a_bad_entry_at_its_line(tmp_path, capsys, entry, message):
+    d = tmp_path / "tower"
+    emit_system(d, geometric_tower(2, 5))
+    (d / "F1.bc").write_text("0 0 7/8\n0 5 6\n")
+    (d / "f0.mor").write_text(f"# target source scalar\n{entry}\n")
+    rc, out, err = run(capsys, "limit", str(d))
+    assert (rc, out, err) == (2, "", f"error: {d / 'f0.mor'}:2: {message}\n")
+
+
 def test_complete_empty_dir_exits_2(tmp_path, capsys):
     d = tmp_path / "seq"
     d.mkdir()

@@ -67,6 +67,18 @@ def test_certificate_construction_reverifies():
         InterleavingCertificate(Fraction(0), Fraction(1), u, bad_v)
 
 
+@pytest.mark.parametrize("a, fld, message", [
+    (-1, GF2, "interleaving shifts must be nonnegative"),
+    (0, PrimeField(5), "certificate maps use different scalar fields"),
+])
+def test_certificate_refuses_a_negative_shift_and_mixed_fields(a, fld, message):
+    F, G = B((0, Interval(0, 10))), B((0, Interval(1, 10)))
+    u = Morphism(F, G, {(0, 0): 1}, field=GF2)
+    v = Morphism(G, F.shift(1), {(0, 0): 1}, field=fld)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        InterleavingCertificate(a, 1, u, v)
+
+
 # --- gamma frozen cases --------------------------------------------------------
 
 

@@ -162,8 +162,10 @@ def test_compose_generator_examples():
     assert compose_generator(Interval(0, 3), Interval(1, 4), Interval(2, 5)) is DEG0
     assert compose_generator(Interval(0, 2), Interval(1, 3), Interval(2, 4)) is ZERO
     assert compose_generator(Interval(0, 5), Interval(0, 5), Interval(0, 5)) is DEG0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no degree-0 generator \[0,1\) -> \[2,3\)$"):
         compose_generator(Interval(0, 1), Interval(2, 3), Interval(2, 4))
+    with pytest.raises(ValueError, match=r"^no degree-0 generator \[1,4\) -> \[5,6\)$"):
+        compose_generator(Interval(0, 3), Interval(1, 4), Interval(5, 6))
 
 
 # --- properties -------------------------------------------------------------

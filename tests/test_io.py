@@ -132,7 +132,7 @@ def test_cloud_round_trip(tmp_path):
 
 def test_cloud_row_with_a_trailing_comment(tmp_path):
     p = tmp_path / "c.csv"
-    p.write_text("# x, y\n0,0.25  # first row\n1.5,-2.0,# second\n")
+    p.write_text("# x, y\n0,0.25  # first row\n , \n1.5,-2.0,# second\n")
     assert parse_cloud(p).points.tolist() == [[0.0, 0.25], [1.5, -2.0]]
 
 
@@ -439,6 +439,28 @@ def test_every_headed_reader_refuses_a_repeated_header_at_its_line(tmp_path, nam
     with pytest.raises(ParseError) as exc:
         validate_file(path)
     assert (exc.value.line, str(exc.value)) == (line, f"{named}:{line}: duplicate {key} header")
+
+
+_FAR = {"F1.bc": "0 5 6\n", "g0.mor": "# target source scalar\n"}
+
+
+@pytest.mark.parametrize("name, text, others, line, message", [
+    ("f0.mor", "0 7 1\n", {}, 1, "entry (0,7) out of range"),
+    ("f0.mor", "0 0 1\n0 0 1\n", {}, 2, "duplicate entry (0,0)"),
+    ("f0.mor", "# target source scalar\n0 0 1/2\n", {}, 2, "bad scalar (denominator divisible by 2)"),
+    ("u.mor", "source: F0.bc\ntarget: F1.bc\n0 0 1/2\n", {}, 3, "bad scalar (denominator divisible by 2)"),
+    ("c.cert", _CERT.replace("[forward]\n0 0 1", "[forward]\n0 0 3/4"), {}, 8, "bad scalar (denominator divisible by 2)"),
+    ("f0.mor", "0 0 1\n", _FAR, 1, "entry (0,0) not allowed: no degree-0 generator [0,3/4) -> [5,6)"),
+    ("u.mor", "source: F1.bc\ntarget: F0.bc\n0 0 1\n", {}, 3, "entry (0,0) not allowed: no degree-0 generator [0,7/8) -> [0,3/4)"),
+    ("c.cert", _CERT.replace("0 1 10", "0 20 30"), {}, 8, "entry (0,0) not allowed: no degree-0 generator [0,10) -> [20,30)"),
+])
+def test_every_entry_reader_refuses_a_bad_entry_at_its_line(tmp_path, name, text, others, line, message):
+    path, named = _reader_fixture(tmp_path, name, text)
+    for other, content in others.items():
+        (tmp_path / other).write_text(content)
+    with pytest.raises(ParseError) as exc:
+        validate_file(path)
+    assert (exc.value.line, str(exc.value)) == (line, f"{named}:{line}: {message}")
 
 
 # --- validate_file -----------------------------------------------------------

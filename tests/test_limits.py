@@ -1,16 +1,18 @@
 """Towers: colimits with error bounds, defect inequalities, Cauchy completion."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, gamma
 from persimod.fields import GF2, QQ, PrimeField
 from persimod.canonical import _solve_reverse
-from persimod.intervals import ExtRat
+from persimod.interleaving import DistanceReport
+from persimod.intervals import NEG_INF, POS_INF, ExtRat
 from persimod.limits import (
     CompletionError,
     InductiveSystem,
@@ -19,8 +21,15 @@ from persimod.limits import (
     defect_check,
     hocolim,
 )
-from persimod.morphisms import Morphism, compose, identity, tau_morphism
-from oracles import defect_check_oracle, equals_tau, hocolim_oracle, inductive_system_refusal_oracle, solve_reverse_oracle
+from persimod.morphisms import InterleavingCertificate, Morphism, compose, identity, tau_morphism
+from oracles import (
+    complete_cauchy_oracle,
+    defect_check_oracle,
+    equals_tau,
+    hocolim_oracle,
+    inductive_system_refusal_oracle,
+    solve_reverse_oracle,
+)
 from conftest import tampered
 from test_canonical import _find_sorted_positions, _random_automorphism
 
@@ -97,6 +106,27 @@ def test_system_refuses_like_the_compose_oracle(fld, seed, how):
     assert got == want
     if how == "planted":
         assert got is None
+
+
+@pytest.mark.parametrize("case, message", [
+    ("maps", "need exactly one forward map per consecutive stage pair"),
+    ("slacks", "need one slack and one (possibly absent) reverse map per step"),
+    ("reverses", "need one slack and one (possibly absent) reverse map per step"),
+    ("fields", "mixed scalar fields in forward maps"),
+])
+def test_system_refuses_a_malformed_tower(case, message):
+    bc = B((0, Interval(0, 1)))
+    stages, maps, slacks, reverses = [bc] * 3, [identity(bc)] * 2, [0, 0], None
+    if case == "maps":
+        maps = maps[:1]
+    elif case == "slacks":
+        slacks = slacks[:1]
+    elif case == "reverses":
+        reverses = [None]
+    else:
+        maps = [identity(bc, GF2), identity(bc, PrimeField(5))]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        InductiveSystem(stages, maps, slacks, reverses)
 
 
 def test_system_rejects_negative_slack():
@@ -398,3 +428,111 @@ def test_complete_certificates_cover_steps():
     assert len(result.certificates) == 4
     for certs in result.certificates:
         assert 0 in certs
+
+
+def test_complete_refuses_a_sequence_with_no_cauchy_suffix():
+    # the last stage alone has no step to bound; a suffix of two or more
+    # stages must hold one
+    seq = [B((0, Interval(0, hi))) for hi in (1, 100, 1, 100)]
+    with pytest.raises(CompletionError, match="^no suffix has consecutive distances bounded by 1, 1/2, 1/4, ...$"):
+        complete_cauchy(seq, 1000)
+    single = complete_cauchy(seq[-1:], 0)
+    assert (single.barcode, single.start, single.certificates) == (seq[-1], 0, ())
+
+
+def test_complete_builds_no_tower(monkeypatch):
+    import persimod.limits as limits
+
+    calls = []
+    for name in ("diagonalize_system", "InductiveSystem", "hocolim"):
+        real = getattr(limits, name)
+        monkeypatch.setattr(limits, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    seq = [B((0, Interval(Fraction(1, 2**n), 1)), (1, Interval(2, POS_INF))) for n in range(1, 7)]
+    result = complete_cauchy(seq, Fraction(1, 4))
+    assert result.barcode == B((0, Interval(0, 1)), (1, Interval(2, POS_INF)))
+    assert calls == []
+
+
+def test_complete_refuses_a_certificate_that_is_not_a_unit_matching(monkeypatch):
+    import persimod.limits as limits
+
+    fld = PrimeField(5)
+    real = limits.gamma
+
+    def scaled(F, G, *, field):
+        # u doubled and v tripled: still a verified interleaving over GF(5)
+        rep = real(F, G, field=field)
+        c = rep.certificate
+        if c is None or not c.u.entries:
+            return rep
+        u = Morphism(c.u.source, c.u.target, {k: 2 for k in c.u.entries}, fld)
+        v = Morphism(c.v.source, c.v.target, {k: 3 for k in c.v.entries}, fld)
+        return DistanceReport(rep.value, InterleavingCertificate(c.a, c.b, u, v))
+
+    monkeypatch.setattr(limits, "gamma", scaled)
+    with pytest.raises(CompletionError, match="not a matching with unit entries"):
+        complete_cauchy(completion_tower(4), 1, field=fld)
+
+
+def cauchy_like_sequence(rng):
+    """1-7 stages of 1-5 bars in degrees {0, 1, 2}: finite, left- and
+    right-infinite bars whose finite ends move by at most 2^-(j+2) at step
+    j, bars that halve at every step until they vanish, short newborns, and
+    now and then a long newcomer or a distant head, which can leave only
+    the last stage Cauchy."""
+    bars = []
+    for _ in range(rng.randint(1, 5)):
+        lo = Fraction(rng.randint(0, 40), 4)
+        hi = lo + Fraction(rng.randint(1, 40), 4)
+        kind = rng.choice(["finite", "finite", "dying", "right", "left"])
+        if kind == "right":
+            hi = POS_INF
+        elif kind == "left":
+            lo = NEG_INF
+        bars.append((rng.choice((0, 1, 2)), lo, hi, kind == "dying"))
+    seq = []
+    for j in range(rng.randint(1, 7)):
+        seq.append(Barcode([(d, Interval(lo, hi)) for d, lo, hi, _ in bars if lo < hi]))
+        step = Fraction(1, 2 ** (j + 2))
+        moved = []
+        for d, lo, hi, dying in bars:
+            if dying:
+                hi = lo + (hi - lo) / 2 if hi - lo > step else lo
+            else:
+                lo += rng.randint(-1, 1) * step if lo != NEG_INF else 0
+                hi += rng.randint(-1, 1) * step if hi != POS_INF else 0
+            moved.append((d, lo, hi, dying))
+        bars = moved
+        if rng.random() < 0.3:
+            lo = Fraction(rng.randint(0, 40), 4)
+            bars.append((rng.choice((0, 1, 2)), lo, lo + step, False))
+        if rng.random() < 0.1:
+            bars.append((0, Fraction(0), Fraction(50), False))
+    if rng.random() < 0.3:
+        seq.insert(0, B((rng.choice((0, 1)), Interval(0, 100))))
+    return seq
+
+
+@seed(2025)
+@settings(max_examples=150, deadline=None)
+@given(rseed=st.integers(0, 2**32))
+def test_completion_matches_the_synthetic_tower(rseed):
+    """Following each step certificate's matching gives what the re-anchored
+    tower and its colimit give: start, indices, barcode, final distance and
+    certificates.  Where only the last stage of two or more is Cauchy, the
+    completion refuses instead."""
+    seq = cauchy_like_sequence(random.Random(rseed))
+    want = complete_cauchy_oracle(seq)
+    if len(seq) > 1 and want.start == len(seq) - 1:
+        with pytest.raises(CompletionError, match="no suffix"):
+            complete_cauchy(seq, 10**9)
+        return
+    got = complete_cauchy(seq, 10**9)
+    assert (got.barcode, got.start, got.indices, got.final_gamma.value) == (
+        want.barcode, want.start, want.indices, want.final_gamma.value
+    )
+
+    def shifts(result):
+        return [sorted((d, c.a, c.b, sorted(c.u.entries.items())) for d, c in certs.items()) for certs in result.certificates]
+
+    assert shifts(got) == shifts(want)

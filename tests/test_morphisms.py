@@ -89,6 +89,13 @@ def test_compose_mismatched_middle():
         compose(f, f)
 
 
+def test_compose_mixed_fields():
+    a, b = B((0, Interval(0, 2))), B((0, Interval(1, 3)))
+    f = Morphism(a, b, {(0, 0): 1}, field=GF2)
+    with pytest.raises(ValueError, match="^mismatched scalar fields$"):
+        compose(f, identity(b, GF5))
+
+
 def test_compose_agrees_with_stalk_oracle(rng):
     for _ in range(40):
         fld = rng.choice([GF2, GF5, QQ])

@@ -218,6 +218,12 @@ def test_spectral_duplicated_essential_raises():
         spectral_invariants(b, "LeftInfinite", 1)
 
 
+def test_spectral_numbers_must_be_finite():
+    b = B((-1, Interval(NEG_INF, POS_INF)))
+    with pytest.raises(ValueError, match="^spectral numbers must be finite$"):
+        spectral_invariants(b, "LeftInfinite", 0)
+
+
 def test_spectral_unknown_convention():
     with pytest.raises(ValueError, match="unknown convention"):
         spectral_invariants(Barcode(), "RightInfinite", 1)
