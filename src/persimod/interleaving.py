@@ -132,17 +132,13 @@ class _IntView:
         for by_degree, (degs, los, his) in zip(sides, cols):
             los = [-inf if x is None else x for x in los]
             his = [inf if x is None else x for x in his]
-            repeats = len(set(zip(degs, los, his))) < len(degs)
             # bars are sorted by degree first, so a degree's bars are one run,
             # and equal bars are adjacent
             for deg in set(degs):
                 i, j = bisect_left(degs, deg), bisect_right(degs, deg)
-                if not repeats:
-                    c_lo, c_hi, counts = los[i:j], his[i:j], [1] * (j - i)
-                else:
-                    starts = [k for k in range(i, j) if k == i or los[k] != los[k - 1] or his[k] != his[k - 1]]
-                    c_lo, c_hi = [los[k] for k in starts], [his[k] for k in starts]
-                    counts = [e - k for k, e in zip(starts, starts[1:] + [j])]
+                starts = [k for k in range(i, j) if k == i or los[k] != los[k - 1] or his[k] != his[k - 1]]
+                c_lo, c_hi = [los[k] for k in starts], [his[k] for k in starts]
+                counts = [e - k for k, e in zip(starts, starts[1:] + [j])]
                 by_degree[deg] = (range(i, j), c_lo, c_hi, [hi - lo for lo, hi in zip(c_lo, c_hi)], counts)
         empty = (range(0), [], [], [], [])
         self.degrees = []
@@ -189,14 +185,10 @@ class _IntView:
                 adj = dict(zip(req, _rows(s, t, [x_lo[i] for i in req], [x_hi[i] for i in req], y_lo, y_hi)))
                 if not all(adj.values()):
                     return False
-
-                def holds(u, v):  # `_rows`' inequalities, for a required u
-                    return u in adj and x_lo[u] <= y_lo[v] + s < x_hi[u] <= y_hi[v] + s and y_lo[v] <= x_lo[u] + t < y_hi[v] <= x_hi[u] + t
-
-                old = warm.get((d, side), {}).items()
+                old = warm.get((d, side), {}).items()  # keep the edges that are still rows of adj
                 warm[d, side] = m = (
-                    {v: u for v, u in old if holds(u, v)} if caps is None
-                    else {v: k for v, h in old if (k := {u: n for u, n in h.items() if holds(u, v)})}
+                    {v: u for v, u in old if v in adj.get(u, ())} if caps is None
+                    else {v: k for v, h in old if (k := {u: n for u, n in h.items() if v in adj.get(u, ())})}
                 )
                 sides.append((req, adj, m, req, caps and (x_cnt, y_cnt)))
         return all(saturate(*side) for side in sides)

@@ -383,6 +383,8 @@ def load_certificate(path, field=GF2):
     if "a" not in headers or "b" not in headers:
         raise ParseError(path, None, "missing a:/b: headers")
     a, b = (_parsed(path, None, "bad shift header", parse_rational, headers[k]) for k in "ab")
+    if a < 0 or b < 0:
+        raise ParseError(path, None, "bad shift header (interleaving shifts must be nonnegative)")
     if "field" in headers:
         field = _parsed(path, None, "bad field header", field_by_name, headers["field"])
 

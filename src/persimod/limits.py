@@ -7,8 +7,11 @@ all degrees at once, rebasing as we go) turns the tower into chains of
 bars; the truncated colimit reports the last witnessed endpoints of every
 surviving chain, plus bars born at the final stage, together with a
 certified bound on how far the truncation can still drift: four times
-the longest bar (`gamma_to_zero`) of the last step's cone (`cone_diagonal`).
-The tower and its contract (`InductiveSystem`) live in `canonical`.
+the longest bar (`gamma_to_zero`) of the last step's cone.  Every tower
+result is read off the step matchings {live bar: partner} that the
+diagonalization verified: the chains, the bound, and the defect
+comparison, whose composite follows the same chains.  The tower and its
+contract (`InductiveSystem`) live in `canonical`.
 
 Cauchy completion subsamples a sequence until consecutive distances halve.
 Each step's verified interleaving certificate has a forward map that
@@ -25,11 +28,11 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
-from .canonical import InductiveSystem, StageDiagonalization, diagonalize_system
+from .canonical import InductiveSystem, diagonalize_system
 from .fields import GF2
 from .intervals import ExtRat, Interval
 from .interleaving import DistanceReport, gamma
-from .morphisms import InterleavingCertificate, Morphism, compose
+from .morphisms import InterleavingCertificate, Morphism, _cell_allowed
 
 __all__ = [
     "CompletionError",
@@ -61,6 +64,38 @@ def gamma_to_zero(b: Barcode) -> ExtRat:
     return max((bar.interval.length for bar in b.bars), default=ExtRat(0))
 
 
+def _diagonal(m: Morphism) -> Dict[int, int]:
+    """{source bar: target bar} of a morphism in diagonal form; ValueError
+    for a non-unit entry or a row or column that carries two entries."""
+    one = m.field.one
+    for (t, s), val in m.entries.items():
+        if val != one:
+            raise ValueError(f"entry at {(t, s)} is {val!r}, not 1: not in diagonal form")
+    step = {s: t for t, s in m.entries}
+    if len(step) != len(m.entries) or len(set(step.values())) != len(step):
+        raise ValueError("row or column carries two entries: not in diagonal form")
+    return step
+
+
+def _cone(src: Barcode, tgt: Barcode, step: Mapping[int, int]) -> Barcode:
+    """Barcode of the mapping cone of the diagonal map that sends source
+    bar s to target bar step[s] by the canonical generator."""
+    bars: List[Bar] = []
+    for s, bar in enumerate(src.bars):
+        d, i = bar.degree, bar.interval
+        if s not in step:
+            bars.append(Bar(d + 1, i))
+            continue
+        j = tgt.bars[step[s]].interval
+        if i.hi < j.hi:
+            bars.append(Bar(d, Interval(i.hi, j.hi)))
+        if i.lo < j.lo:
+            bars.append(Bar(d + 1, Interval(i.lo, j.lo)))
+    hit = set(step.values())
+    bars += [bar for t, bar in enumerate(tgt.bars) if t not in hit]
+    return Barcode(bars)
+
+
 def cone_diagonal(m: Morphism) -> Barcode:
     """Barcode of the mapping cone of a morphism in diagonal form.
 
@@ -71,34 +106,7 @@ def cone_diagonal(m: Morphism) -> Barcode:
     (when b < d) and [a,c) one degree up (when a < c); an unmatched source
     bar survives one degree up, an unmatched target bar in place.
     """
-    one = m.field.one
-    src = m.source
-    tgt = m.target
-    row_of: Dict[int, int] = {}
-    col_of: Dict[int, int] = {}
-    for (t, s), val in m.entries.items():
-        if val != one:
-            raise ValueError(f"entry at {(t, s)} is {val!r}, not 1: not in diagonal form")
-        if t in row_of or s in col_of:
-            raise ValueError("row or column carries two entries: not in diagonal form")
-        row_of[t] = s
-        col_of[s] = t
-    bars: List[Bar] = []
-    for s, bar in enumerate(src.bars):
-        d = bar.degree
-        i = bar.interval
-        if s not in col_of:
-            bars.append(Bar(d + 1, i))
-            continue
-        j = tgt.bars[col_of[s]].interval
-        if i.hi < j.hi:
-            bars.append(Bar(d, Interval(i.hi, j.hi)))
-        if i.lo < j.lo:
-            bars.append(Bar(d + 1, Interval(i.lo, j.lo)))
-    for t, bar in enumerate(tgt.bars):
-        if t not in row_of:
-            bars.append(bar)
-    return Barcode(bars)
+    return _cone(m.source, m.target, _diagonal(m))
 
 
 @dataclass(frozen=True)
@@ -152,12 +160,9 @@ def _follow_chains(stages: Sequence[Barcode], steps: Sequence[Mapping[int, int]]
     return chains
 
 
-def _extended_diagonal(system: InductiveSystem, rec: StageDiagonalization) -> Morphism:
-    """The step's diagonalized map as a full-stage morphism: zero on the
-    columns that were below threshold."""
-    one = system.field.one
-    entries = {(rec.result.sigma[p], i): one for p, i in enumerate(rec.live)}
-    return Morphism(system.stages[rec.stage], system.stages[rec.stage + 1], entries, system.field)
+def _step_matchings(system: InductiveSystem) -> List[Dict[int, int]]:
+    """{live bar: sigma partner} per step, as `canonical_form` verified it."""
+    return [{i: rec.result.sigma[p] for p, i in enumerate(rec.live)} for rec in diagonalize_system(system)]
 
 
 def hocolim(system: InductiveSystem) -> HocolimResult:
@@ -168,34 +173,39 @@ def hocolim(system: InductiveSystem) -> HocolimResult:
     The whole tower is diagonalized stage by stage, all degrees at once;
     chains are listed by degree, and within a degree by birth stage and
     bar index, newborns last."""
-    records = diagonalize_system(system)
-    steps = [{i: rec.result.sigma[p] for p, i in enumerate(rec.live)} for rec in records]
-    chains = _follow_chains(system.stages, steps, system.slacks[-1] if records else 0)
-    final = system.stages[-1]
-    out_bars = [final.bars[ch.indices[-1]] for ch in chains if ch.alive]
-    bound = ExtRat(0)
-    if records:
-        bound = 4 * gamma_to_zero(cone_diagonal(_extended_diagonal(system, records[-1])))
+    stages = system.stages
+    steps = _step_matchings(system)
+    chains = _follow_chains(stages, steps, system.slacks[-1] if steps else 0)
+    out_bars = [stages[-1].bars[ch.indices[-1]] for ch in chains if ch.alive]
+    bound = 4 * gamma_to_zero(_cone(stages[-2], stages[-1], steps[-1])) if steps else ExtRat(0)
     return HocolimResult(Barcode(out_bars), bound, tuple(chains))
 
 
 def defect_check(system: InductiveSystem, n: int):
     """Compare the cone-size of the composite comparison from stage n into
-    the final stage against twice the summed per-step cone sizes.  Returns
-    (lhs, rhs, lhs <= rhs)."""
+    the final stage against twice the summed per-step cone sizes, both read
+    off the step matchings.  Returns (lhs, rhs, lhs <= rhs).  The composite
+    follows each chain born at stage n to the final stage: generators
+    I -> J -> K compose to I -> K, which vanishes unless that cell is allowed.
+    Each step [a, b) -> [c, d) has a <= c and b <= d, so only "the last bar
+    starts before the first ends" can fail, and once it fails it fails for
+    every later bar: checking the two ends equals `compose`'s cleanup."""
     n_steps = len(system.maps)
     if not 0 <= n <= n_steps:
         raise ValueError(f"stage index {n} outside 0..{n_steps}")
     if n == n_steps:
         return ExtRat(0), ExtRat(0), True
-    ext = [_extended_diagonal(system, rec) for rec in diagonalize_system(system)[n:]]
-    comp = ext[0]
-    for nxt in ext[1:]:
-        comp = compose(comp, nxt)
-    lhs = gamma_to_zero(cone_diagonal(comp))
+    stages, steps = system.stages[n:], _step_matchings(system)[n:]
+    first, last = stages[0].bars, stages[-1].bars
+    composite = {
+        ch.indices[0]: ch.indices[-1]
+        for ch in _follow_chains(stages, steps, 0)
+        if ch.birth == 0 and ch.alive and _cell_allowed(first[ch.indices[0]], last[ch.indices[-1]])
+    }
+    lhs = gamma_to_zero(_cone(stages[0], stages[-1], composite))
     rhs = ExtRat(0)
-    for e in ext:
-        rhs = rhs + gamma_to_zero(cone_diagonal(e))
+    for src, tgt, step in zip(stages, stages[1:], steps):
+        rhs = rhs + gamma_to_zero(_cone(src, tgt, step))
     rhs = 2 * rhs
     return lhs, rhs, lhs <= rhs
 
@@ -225,16 +235,6 @@ def _extrapolate(values: Sequence[ExtRat]) -> ExtRat:
             if abs(r) < 1:
                 return ExtRat(vals[-1] + diffs[-1] * r / (1 - r))
     return ExtRat(vals[-1])
-
-
-def _matching(cert: InterleavingCertificate) -> Dict[int, int]:
-    """Source bar -> target bar of a certificate's forward map, which must
-    be a matching with unit entries."""
-    one = cert.u.field.one
-    partner = {s: t for (t, s), val in cert.u.entries.items() if val == one}
-    if len(partner) != len(cert.u.entries) or len(set(partner.values())) != len(partner):
-        raise CompletionError("a step certificate's forward map is not a matching with unit entries")
-    return partner
 
 
 def complete_cauchy(
@@ -293,7 +293,10 @@ def complete_cauchy(
         floor = Fraction(0)
         for j, cert in enumerate(step_reports[k][deg].certificate for k in indices[:-1]):
             step_certs[j][deg] = cert
-            partner = _matching(cert)
+            try:
+                partner = _diagonal(cert.u)
+            except ValueError:
+                raise CompletionError("a step certificate's forward map is not a matching with unit entries") from None
             floor = cert.b + cert.total
             walk.append({i: partner[i] for i, bar in enumerate(stages[j].bars) if bar.interval.length > 2 * floor})
         for ch in _follow_chains(stages, walk, floor):

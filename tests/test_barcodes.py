@@ -9,7 +9,7 @@ from persimod.barcodes import Bar
 from persimod.limits import cone_diagonal, gamma_to_zero
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
 from persimod.morphisms import Morphism, compose, identity, tau_morphism
-from persimod.fields import GF2
+from persimod.fields import GF2, PrimeField
 from oracles import barcode_dims, cone_dims_oracle, cone_strata_ends, strata_for
 
 
@@ -85,9 +85,12 @@ def test_cone_of_zero_map_shifts_source():
 def test_cone_rejects_non_diagonal():
     src = B((0, Interval(0, 10)), (0, Interval(1, 11)))
     tgt = B((0, Interval(2, 12)))
-    m = Morphism(src, tgt, {(0, 0): 1, (0, 1): 1}, field=GF2)
-    with pytest.raises(ValueError):
-        cone_diagonal(m)
+    row = Morphism(src, tgt, {(0, 0): 1, (0, 1): 1}, field=GF2)
+    column = Morphism(tgt, src.shift(2), {(0, 0): 1, (1, 0): 1}, field=GF2)
+    scaled = Morphism(tgt, tgt, {(0, 0): 3}, field=PrimeField(5))
+    for m, message in ((row, "two entries"), (column, "two entries"), (scaled, "is 3, not 1")):
+        with pytest.raises(ValueError, match=message):
+            cone_diagonal(m)
 
 
 def test_cone_of_tau_bounded_by_two_eps(rng):

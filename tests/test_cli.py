@@ -1,27 +1,33 @@
 """Command-line behavior: output lines, exit codes, machine mode, config."""
 
+import functools
 import math
+import random
 import re
 import shlex
 import subprocess
 import sys
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from persimod import Barcode, Interval
 from persimod.cli import MAX_DEMO_DENOM, build_parser, main, rational_degeneracy
-from persimod.fields import PrimeField
+from persimod.fields import GF2, PrimeField
 from persimod.interleaving import gamma
-from persimod.io import emit_plfunction, emit_system, load_certificate, parse_barcode_text
+from persimod.io import emit_certificate, emit_plfunction, emit_system, load_certificate, parse_barcode_text
 from persimod.limits import InductiveSystem, defect_check
 from persimod.morphisms import Morphism
 from persimod.spectral import PLFunction
 
-from test_limits import geometric_tower
+from test_limits import geometric_tower, graded_tower
 
 
 @pytest.fixture
@@ -694,3 +700,83 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "barcode: 1 bars, degrees 0\n"
+
+
+# --- fuzzed readers ------------------------------------------------------------
+
+_NUMBERS = ["-1", "-1/3", "0", "7", "1e300", "1e-300", "99999999999999999999/7", "9" * 400, "inf", "-inf", "nan"]
+
+
+@st.composite
+def _mutated(draw, text):
+    """`text` with one to three edits: a flipped byte, a cut, a deleted or
+    repeated line, a number swapped for a huge or negative one, or a
+    foreign `field:` header."""
+    data = text.encode()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "cut", "delete", "repeat", "number", "field"]))
+        if kind == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif kind == "cut":
+            data = data[: draw(st.integers(0, len(data)))]
+        else:
+            lines = data.decode("utf-8", "replace").splitlines(keepends=True) or [""]
+            at = draw(st.integers(0, len(lines) - 1))
+            numbers = list(re.finditer(r"-?[0-9][0-9/.e]*", lines[at]))
+            if kind == "delete":
+                del lines[at]
+            elif kind == "repeat":
+                lines.insert(at, lines[at])
+            elif kind == "field":
+                lines.insert(at, f"field: {draw(st.sampled_from(['3', '4', 'q', 'zz']))}\n")
+            elif numbers:
+                m = draw(st.sampled_from(numbers))
+                lines[at] = lines[at][: m.start()] + draw(st.sampled_from(_NUMBERS)) + lines[at][m.end():]
+            data = "".join(lines).encode()
+    return data
+
+
+@functools.cache
+def _fuzz_inputs():
+    """A verified two-degree certificate and a four-stage graded tower, built
+    on first use so that collecting this module does not pay for them."""
+    F = parse_barcode_text("0 0 10\n0 2 5\n1 0 3\n1 1 inf\n")
+    G = parse_barcode_text("0 1 10\n0 2 6\n1 1/2 3\n1 1 inf\n")
+    cert = emit_certificate(F, G, gamma(F, G).certificate)
+    stages, fwd, rev, slacks = graded_tower(random.Random(3), GF2, 4)
+    return cert, InductiveSystem(stages, fwd, slacks, rev)
+
+
+_TOWER_FILES = ["F0.bc", "F2.bc", "f0.mor", "f2.mor", "g1.mor", "slacks.txt"]
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_certificates_and_towers_exit_cleanly(tmp_path, monkeypatch, data):
+    monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
+    cert_text, system = _fuzz_inputs()
+    target = data.draw(st.sampled_from(["gamma.cert"] + _TOWER_FILES))
+    tower = tmp_path / "tower"
+    # every example shares one tmp_path: emit_system rewrites each tower file,
+    # and the certificate is rewritten below, so no mutation leaks to the next
+    emit_system(tower, system)
+    if target == "gamma.cert":
+        path = tmp_path / target
+        argv = ["validate", str(path)]
+        text = cert_text
+    else:
+        path = tower / target
+        k = data.draw(st.integers(-1, len(system.stages)))
+        argv = data.draw(st.sampled_from([["limit", str(tower)], ["limit", str(tower), "--defect", str(k)]]))
+        text = path.read_text()
+    path.write_bytes(data.draw(_mutated(text)))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -453,6 +453,9 @@ _FAR = {"F1.bc": "0 5 6\n", "g0.mor": "# target source scalar\n"}
     ("f0.mor", "0 0 1\n", _FAR, 1, "entry (0,0) not allowed: no degree-0 generator [0,3/4) -> [5,6)"),
     ("u.mor", "source: F1.bc\ntarget: F0.bc\n0 0 1\n", {}, 3, "entry (0,0) not allowed: no degree-0 generator [0,7/8) -> [0,3/4)"),
     ("c.cert", _CERT.replace("0 1 10", "0 20 30"), {}, 8, "entry (0,0) not allowed: no degree-0 generator [0,10) -> [20,30)"),
+    # a negative shift is refused at its header, before any entry it leaves without a generator
+    ("c.cert", _CERT.replace("a: 0", "a: -1"), {}, None, "bad shift header (interleaving shifts must be nonnegative)"),
+    ("c.cert", _CERT.replace("a: 0", "a: -1").replace("0 0 1\n", ""), {}, None, "bad shift header (interleaving shifts must be nonnegative)"),
 ])
 def test_every_entry_reader_refuses_a_bad_entry_at_its_line(tmp_path, name, text, others, line, message):
     path, named = _reader_fixture(tmp_path, name, text)
@@ -460,7 +463,8 @@ def test_every_entry_reader_refuses_a_bad_entry_at_its_line(tmp_path, name, text
         (tmp_path / other).write_text(content)
     with pytest.raises(ParseError) as exc:
         validate_file(path)
-    assert (exc.value.line, str(exc.value)) == (line, f"{named}:{line}: {message}")
+    where = named if line is None else f"{named}:{line}"
+    assert (exc.value.line, str(exc.value)) == (line, f"{where}: {message}")
 
 
 # --- validate_file -----------------------------------------------------------

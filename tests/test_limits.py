@@ -263,31 +263,34 @@ def test_defect_single_stage():
 # --- graded towers against the per-degree split -----------------------------------
 
 
-def graded_tower(rng, fld, n_stages, degrees=(0, 1, 2)):
+def graded_tower(rng, fld, n_stages, degrees=(0, 1, 2), march=False):
     """Planted tower over several degrees.  Each step drifts the bars that
     outlive its slack right by at most the slack, drops the rest and adds
     short newcomers in random degrees; a random automorphism rebases the
-    final stage."""
+    final stage.  With `march`, every slack is 1/4, every kept bar drifts
+    by exactly the slack, and every bar is at most 5/4 long, so over six
+    steps a chain reaches a final bar that starts after its first bar
+    ends: their composite generator vanishes."""
     den = 4
     bars = []
     for _ in range(rng.randint(2, 6)):
         lo = Fraction(rng.randint(0, 40), den)
-        bars.append((rng.choice(degrees), Interval(lo, lo + Fraction(rng.randint(1, 40), den))))
+        bars.append((rng.choice(degrees), Interval(lo, lo + Fraction(rng.randint(3, 5) if march else rng.randint(1, 40), den))))
     stages = [Barcode(bars)]
     fwd, rev, slacks = [], [], []
     for _ in range(n_stages - 1):
-        src, eps = stages[-1], Fraction(rng.randint(1, 4), den)
+        src, eps = stages[-1], Fraction(1 if march else rng.randint(1, 4), den)
         kept, tgt_bars = [], []
         for i, bar in enumerate(src):
             if bar.interval.length > eps:
                 a, b = bar.interval.lo.as_fraction(), bar.interval.hi.as_fraction()
-                a2 = a + Fraction(rng.randint(0, int(eps * den)), den)
-                b2 = b + Fraction(rng.randint(0, int(eps * den)), den)
+                a2 = a + (eps if march else Fraction(rng.randint(0, int(eps * den)), den))
+                b2 = b + (eps if march else Fraction(rng.randint(0, int(eps * den)), den))
                 kept.append(i)
                 tgt_bars.append((bar.degree, Interval(a2, b2)))
         for _ in range(rng.randint(0, 3)):
             lo = Fraction(rng.randint(0, 60), den)
-            tgt_bars.append((rng.choice(degrees), Interval(lo, lo + Fraction(rng.randint(1, 8), den))))
+            tgt_bars.append((rng.choice(degrees), Interval(lo, lo + Fraction(rng.randint(1, 2) if march else rng.randint(1, 8), den))))
         tgt = Barcode(tgt_bars)
         planted = _find_sorted_positions(tgt, tgt_bars[: len(kept)])
         fwd.append(Morphism(src, tgt, {(planted[k], i): 1 for k, i in enumerate(kept)}, fld))
@@ -303,9 +306,10 @@ def graded_tower(rng, fld, n_stages, degrees=(0, 1, 2)):
 @pytest.mark.parametrize("fld", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
 def test_graded_towers_match_the_per_degree_split(fld):
     rng = random.Random(0x6AADED)
-    graded = 0
-    for _ in range(12):
-        stages, fwd, rev, slacks = graded_tower(rng, fld, rng.randint(2, 6))
+    graded = vanishing = 0
+    for k in range(16):
+        march = k >= 12
+        stages, fwd, rev, slacks = graded_tower(rng, fld, 7 if march else rng.randint(2, 6), march=march)
         graded += any(len(st.degrees()) > 1 for st in stages)
         for reverses in (rev, None):
             system = InductiveSystem(stages, fwd, slacks, reverses, fld)
@@ -315,7 +319,39 @@ def test_graded_towers_match_the_per_degree_split(fld):
             )
             for n in range(len(stages)):
                 assert defect_check(system, n) == defect_check_oracle(system, n)
-    assert graded >= 6
+            # chains whose composite generator vanishes: the final bar starts
+            # at or after the end of the chain's first bar
+            vanishing += sum(
+                ch.alive and stages[-1].bars[ch.indices[-1]].interval.lo >= stages[ch.birth].bars[ch.indices[0]].interval.hi
+                for ch in out.chains
+            )
+    assert graded >= 6 and vanishing >= 8
+
+
+def test_tower_results_build_no_morphism_after_diagonalization(monkeypatch):
+    import persimod.limits as limits
+    import persimod.morphisms as morphisms
+
+    fld = PrimeField(5)
+    stages, fwd, rev, slacks = graded_tower(random.Random(5), fld, 7, march=True)
+    # a Morphism is built by its validating constructor or by `_trusted`
+    built = []
+    init, trusted = Morphism.__init__, morphisms._trusted
+    monkeypatch.setattr(Morphism, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    monkeypatch.setattr(morphisms, "_trusted", lambda *a: built.append(a) or trusted(*a))
+    for reverses in (rev, None):
+        system = InductiveSystem(stages, fwd, slacks, reverses, fld)
+        built.clear()
+        limits.diagonalize_system(system)
+        diagonalized = len(built)
+        assert diagonalized > 0
+        built.clear()
+        hocolim(system)
+        assert len(built) == diagonalized
+        for n in range(len(fwd)):
+            built.clear()
+            defect_check(system, n)
+            assert len(built) == diagonalized
 
 
 # --- reverse synthesis against the global solve ----------------------------------
