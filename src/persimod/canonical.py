@@ -130,15 +130,20 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
     # m = phi after u and phi by rows, phi^-1 by columns: row t of m maps
     # column s to m[t][s], and phi_inv[c][t] is the (t, c) entry of phi^-1.
     m: Dict[int, Dict[int, object]] = {t: {} for t in range(len(Gp))}
+    # supports[s] is the set of rows t with a cell m[t][s], kept up to date
+    # after each row operation on m.
+    supports = [set() for _ in range(len(G))]
     for (t, s), val in u.entries.items():
         m[t][s] = val
+        supports[s].add(t)
     phi = {t: {t: field.one} for t in range(len(Gp))}
     phi_inv = {t: {t: field.one} for t in range(len(Gp))}
     used = set()
     sigma: Dict[int, int] = {}
 
     for col in range(len(G)):
-        support = [t for t, row in m.items() if col in row]
+        # In ascending rows, so `least` and `fresh` keep the row order.
+        support = sorted(supports[col])
         if not support:
             # Cannot happen when the round-trip contract holds: the
             # comparison map keeps a unit on every (long) diagonal cell,
@@ -174,6 +179,9 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
             mu = m[t][col]
             neg = field.neg(mu)
             _add_row(m[t], m[r], neg, field, lambda s: _cell_allowed(src_bars[s], tgt_bars[t]))
+            # Only the columns of row r can gain or lose a cell in row t.
+            for c in m[r]:
+                (supports[c].add if c in m[t] else supports[c].discard)(t)
             _add_row(phi[t], phi[r], neg, field, lambda s: _cell_allowed(tgt_bars[s], tgt_bars[t]))
             # column r of phi^-1 += mu * column t
             _add_row(phi_inv[r], phi_inv[t], mu, field, lambda k: _cell_allowed(tgt_bars[r], tgt_bars[k]))

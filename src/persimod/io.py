@@ -115,10 +115,6 @@ def _split(path, keys, sections=()):
     return headers, body
 
 
-def _rationals(tokens) -> List[Fraction]:
-    return [parse_rational(tok) for tok in tokens]
-
-
 # -- barcodes ---------------------------------------------------------------
 
 # Bars are stored expanded, one entry per copy, so a multiplicity column is
@@ -173,16 +169,26 @@ def emit_barcode(b: Barcode) -> str:
 
 def parse_plfunction(path) -> PLFunction:
     headers, body = _split(path, ("domain",))
-    samples: List[List[Fraction]] = []
+    # Values repeat, so each distinct token is parsed once, at its first
+    # line; the memo goes with this call.
+    memo: Dict[str, Fraction] = {}
+    bps: List[Fraction] = []
+    vals: List[Fraction] = []
     for n, line in body[None]:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(path, n, f"expected '<breakpoint> <value>', got {line!r}")
-        samples.append(_parsed(path, n, "unknown token", _rationals, parts))
+        b, v = parts
+        if b not in memo:
+            memo[b] = _parsed(path, n, "unknown token", parse_rational, b)
+        if v not in memo:
+            memo[v] = _parsed(path, n, "unknown token", parse_rational, v)
+        bps.append(memo[b])
+        vals.append(memo[v])
     if "domain" not in headers:
         raise ParseError(path, None, "missing 'domain: circle|interval' header")
     try:
-        return PLFunction(headers["domain"], [b for b, _ in samples], [v for _, v in samples])
+        return PLFunction(headers["domain"], bps, vals)
     except ValueError as err:
         raise ParseError(path, None, str(err)) from None
 
@@ -303,7 +309,7 @@ def load_system(dirpath, field=GF2) -> InductiveSystem:
     slacks_path = os.path.join(dirpath, "slacks.txt")
     if n_steps > 0 or os.path.exists(slacks_path):
         for n, line in _lines(_read_text(slacks_path)):
-            slacks.extend(_parsed(slacks_path, n, "unknown token", _rationals, line.split()))
+            slacks.extend(_parsed(slacks_path, n, "unknown token", parse_rational, tok) for tok in line.split())
         if len(slacks) != n_steps:
             raise ParseError(
                 slacks_path, None, f"expected {n_steps} slacks, found {len(slacks)}"

@@ -48,7 +48,9 @@ class PLFunction:
             raise ValueError("breakpoints and values differ in length")
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints")
-        if any(b >= c for b, c in zip(bps, bps[1:])):
+        # Compared as int pairs: a Fraction comparison costs several calls.
+        pairs = [(b.numerator, b.denominator) for b in bps]
+        if any(n * e >= m * d for (n, d), (m, e) in zip(pairs, pairs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "breakpoints", bps)
@@ -66,16 +68,14 @@ def sublevel_barcode(f: PLFunction) -> Barcode:
     """
     m = len(f.values)
     # Dense ranks keep the order and the ties of the values, so the merge
-    # runs on ints and Fractions are looked up only for bar endpoints.  Each
-    # value is hashed once, for its first-seen id.
-    ids = {}
-    first_seen = [ids.setdefault(v, len(ids)) for v in f.values]
-    distinct = list(ids)
-    order = sorted(range(len(distinct)), key=distinct.__getitem__)
-    id_rank = [0] * len(order)
-    for k, i in enumerate(order):
-        id_rank[i] = k
-    r = [id_rank[i] for i in first_seen]
+    # runs on ints.  A level is keyed by its reduced int pair, which hashes
+    # faster than a Fraction; each distinct level keeps one Fraction for
+    # the sort and one ExtRat for the bar endpoints.
+    keys = [(v.numerator, v.denominator) for v in f.values]
+    levels = dict(zip(keys, f.values))
+    order = sorted(levels, key=levels.__getitem__)
+    rank = {key: k for k, key in enumerate(order)}
+    r = list(map(rank.__getitem__, keys))
     edges = [(i, i + 1) for i in range(m - 1)]
     if f.domain == "circle":
         edges.append((m - 1, 0))
@@ -112,11 +112,18 @@ def sublevel_barcode(f: PLFunction) -> Barcode:
             bars.append((0, died, level))
         parent[younger] = elder
 
-    roots = {find(v) for v in range(m)}
-    bars.extend((0, birth[root] // m, inf) for root in roots)
-    ends = [distinct[i] for i in order] + [POS_INF]
+    # The path and the circle are connected: one root is left.
+    bars.append((0, birth[find(0)] // m, inf))
     bars.sort()
-    return Barcode._from_sorted(tuple(Bar(d, Interval(ends[lo], ends[hi])) for d, lo, hi in bars))
+    # Sorted, equal triples are adjacent: each distinct bar is built and
+    # validated once, and its repeats share it.
+    ends = [ExtRat._pair(n, d) for n, d in order] + [POS_INF]
+    out, last, bar = [], None, None
+    for t in bars:
+        if t != last:
+            last, bar = t, Bar(t[0], Interval(ends[t[1]], ends[t[2]]))
+        out.append(bar)
+    return Barcode._from_sorted(tuple(out))
 
 
 @dataclass(frozen=True)

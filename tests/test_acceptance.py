@@ -452,3 +452,16 @@ def test_18_tower_defects_and_colimit_at_60_bars():
     assert res.error_bound == 6 and len(res.barcode) == 60
     digest = hashlib.sha256(repr(res.barcode).encode()).hexdigest()
     assert digest == "3c7cadb95fcb072817db7876dd6258412cb36dedabe30200abf7b2184dca71a6"
+
+
+def test_19_sublevel_of_a_circle_of_10_5_breakpoints(tmp_path, capsys):
+    # Each distinct token parsed once, levels ranked on int pairs, each
+    # distinct bar built once: one run took 0.84-1.11 s of process time on a
+    # shared 2-core machine, and 1.19-1.88 s with a parse per token, a
+    # Fraction hash per sample and a Bar per bar.
+    path = _plf_file(tmp_path / "circle.plf", "circle", random.Random(19), n=100_000)
+    with _budget("19 sublevel through the CLI, a circle of 10^5 breakpoints", 2.5, time.process_time):
+        assert main(["sublevel", path]) == 0
+        bars = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [bar[:2] for bar in bars if bar[2] == "inf"] == [["0", "0"], ["1", "10"]]
+    assert len(bars) == 817

@@ -772,6 +772,12 @@ def test_mutated_certificates_and_towers_exit_cleanly(tmp_path, monkeypatch, dat
         argv = data.draw(st.sampled_from([["limit", str(tower)], ["limit", str(tower), "--defect", str(k)]]))
         text = path.read_text()
     path.write_bytes(data.draw(_mutated(text)))
+    _assert_exits_cleanly(argv)
+
+
+def _assert_exits_cleanly(argv):
+    """`main(argv)` exits 0, 1 or 2, and a nonzero exit leaves exactly one
+    `error:` line and no traceback."""
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(argv)
@@ -780,3 +786,20 @@ def test_mutated_certificates_and_towers_exit_cleanly(tmp_path, monkeypatch, dat
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# One value spelled five ways, and a tie-heavy interval with a plateau.
+_PLF_TEXTS = [
+    "domain: circle\n0 1\n1/2 2/4\n1 -3/4\n3/2 +1/2\n2 05/10\n5/2 0.5\n3 7\n",
+    "# ties and a plateau\ndomain: interval\n0 0\n1 2\n2 1\n3 1\n4 3\n9/2 1\n",
+]
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_pl_functions_exit_cleanly(tmp_path, monkeypatch, data):
+    monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
+    path = tmp_path / "f.plf"
+    path.write_bytes(data.draw(_mutated(data.draw(st.sampled_from(_PLF_TEXTS)))))
+    _assert_exits_cleanly([data.draw(st.sampled_from(["sublevel", "validate"])), str(path)])

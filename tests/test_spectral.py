@@ -1,8 +1,10 @@
 """Sublevel persistence of PL functions and spectral numbers."""
 
 import os
+import random
 import tempfile
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, gamma
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
-from persimod.io import emit_barcode, parse_plfunction
+from persimod.io import ParseError, emit_barcode, parse_plfunction
 from persimod.spectral import (
     PLFunction,
     left_infinite_form,
@@ -143,6 +145,68 @@ def test_sublevel_of_a_file_matches_the_fraction_merge(tokens, domain):
     assert f.values == tuple(Fraction(v) for v in text)
     want = sublevel_merge_oracle(PLFunction(domain, range(len(text)), [Fraction(v) for v in text]))
     assert emit_barcode(sublevel_barcode(f)) == emit_barcode(want)
+
+
+def _file_against_the_merge(tmp_path, domain, bps, tokens):
+    """Write `tokens` as the values of a .plf file at `bps`; the barcode of
+    the parsed file must print as the Fraction merge's barcode of the same
+    values built without the parser."""
+    path = tmp_path / "f.plf"
+    path.write_text(f"domain: {domain}\n" + "".join(f"{b} {v}\n" for b, v in zip(bps, tokens)))
+    f = parse_plfunction(path)
+    want = sublevel_merge_oracle(PLFunction(domain, bps, [Fraction(t) for t in tokens]))
+    got = sublevel_barcode(f)
+    assert emit_barcode(got) == emit_barcode(want)
+    assert got.bars == want.bars
+    return got
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_tie_free_file_with_large_denominators_matches_the_merge(tmp_path, domain):
+    # Numerators prime to distinct denominators: no two values tie.
+    rng = random.Random(41)
+    dens = rng.sample(range(3, 10_008), 2000)
+    nums = [next(k for k in iter(lambda: rng.randint(-10 * d, 10 * d), None) if gcd(k, d) == 1) for d in dens]
+    tokens = [f"{k}/{d}" for k, d in zip(nums, dens)]
+    got = _file_against_the_merge(tmp_path, domain, range(len(tokens)), tokens)
+    assert len(got) > len(tokens) // 4
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_one_value_spelled_five_ways_is_one_level(tmp_path, domain):
+    # 1/2 in five spellings between lower and higher samples: the bars
+    # see one level, so the plateau dies and is born at the same 1/2.
+    rng = random.Random(43)
+    spellings = ["1/2", "2/4", "+1/2", "05/10", "0.5"]
+    tokens = [rng.choice(spellings + ["0", "1", "3/4", "-1/4"]) for _ in range(400)]
+    got = _file_against_the_merge(tmp_path, domain, [Fraction(k, 3) for k in range(400)], tokens)
+    assert {str(e) for bar in got for e in (bar.interval.lo, bar.interval.hi)} <= {"-1/4", "0", "1/2", "3/4", "1", "inf"}
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_large_file_with_few_levels_matches_the_merge(tmp_path, domain):
+    rng = random.Random(47)
+    bps = [Fraction(b, 4) for b in sorted(rng.sample(range(40_000), 10_000))]
+    tokens = [str(Fraction(rng.randint(0, 40), 4)) for _ in bps]
+    got = _file_against_the_merge(tmp_path, domain, bps, tokens)
+    assert len(got.counts()) < len(got) // 3  # many bars repeat
+
+
+def test_a_bad_token_is_refused_at_its_first_line(tmp_path):
+    path = tmp_path / "f.plf"
+    path.write_text("domain: circle\n0 1\n1 x/2\n2 x/2\n3 0\nx/2 1\n")
+    with pytest.raises(ParseError) as err:
+        parse_plfunction(path)
+    assert str(err.value) == f"{path}:3: unknown token (Invalid literal for Fraction: 'x/2')"
+
+
+@pytest.mark.parametrize("rows", [["0 1", "1/2 2", "2/4 0"], ["0 1", "1 2", "1/2 0"], ["0 0", "0 0"]])
+def test_a_repeated_or_decreasing_breakpoint_is_refused(tmp_path, rows):
+    path = tmp_path / "f.plf"
+    path.write_text("domain: interval\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as err:
+        parse_plfunction(path)
+    assert str(err.value) == f"{path}: breakpoints must be strictly increasing"
 
 
 def test_sublevel_shift_equivariance(rng):
