@@ -10,6 +10,7 @@ named constants.  Cube corners and the displacement bound stay exact
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -50,10 +51,13 @@ _QUANT = 0.02
 # The finest angular resolution a direction set can honour: one grid cell.
 _THETA_MIN = math.degrees(_QUANT)
 _PAIR_CAP = 200
-# Entries of one candidates-by-set product in `_max_dot`: 2^18 float64
-# products, 2 MB.  The chunk is the largest temporary of a cone test, so it
-# sets the test's peak memory.
+# Entries of one candidates-by-set product in `_near` and `_dedupe`: 2^18
+# float64 products, 2 MB, unless one row's band alone (two rows' in
+# `_near`) holds more.  The product is the largest temporary of a cone
+# test, so it sets the test's peak memory.
 _DOT_ENTRIES = 2 ** 18
+# Rows `_dedupe` compares with the kept rows at once before its greedy pass.
+_DEDUPE_ROWS = 64
 # Paratingent rank cut, relative to the largest singular value.  A direction
 # set holds renormalized cell centres, each up to _QUANT / 2 per coordinate
 # off its secant, so a sampled subspace reads with singular values off its
@@ -96,12 +100,18 @@ class DirectionSet:
     theta_res: float
 
     def contains(self, v, theta_deg: Optional[float] = None) -> bool:
+        theta = self.theta_res if theta_deg is None else theta_deg
+        if not math.isfinite(theta):
+            raise ValueError(f"theta_deg must be finite, not {theta}")
+        v = np.asarray(v, dtype=float)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(v)
+        # a norm that underflows to 0 or overflows has no direction to test
+        if not (np.all(np.isfinite(v)) and 0 < norm < math.inf):
+            raise ValueError("vector must be finite, with a finite nonzero norm")
         if len(self.vectors) == 0:
             return False
-        theta = self.theta_res if theta_deg is None else theta_deg
-        v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
-        return bool(np.max(self.vectors @ v) >= math.cos(math.radians(theta)) - 1e-12)
+        return bool(np.max(self.vectors @ (v / norm)) >= math.cos(math.radians(theta)) - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -138,54 +148,118 @@ def _default_scales(cloud: PointCloud, x: np.ndarray) -> List[float]:
     return [r0 * 2.0 ** (-j) for j in range(_N_SCALES)]
 
 
-def _quantize(vecs: np.ndarray) -> np.ndarray:
-    """Collapse unit vectors onto the _QUANT grid and renormalize.  The
-    distinct cells come out in lexicographic order, which the greedy
-    `_dedupe` depends on."""
-    if len(vecs) == 0:
-        return vecs
-    cells = np.round(vecs / _QUANT).astype(np.int8)
+def _cells(vecs: np.ndarray) -> np.ndarray:
+    """The _QUANT grid cell of each unit vector, as an int8 row."""
+    return np.round(vecs / _QUANT).astype(np.int8)
+
+
+def _distinct(cells: np.ndarray) -> np.ndarray:
+    """The distinct rows of an int8 array, in lexicographic order."""
     cells = cells[np.lexsort(cells.T[::-1])]
     first = np.ones(len(cells), dtype=bool)
     first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-    cells = cells[first] * _QUANT
+    return cells[first]
+
+
+def _centres(cells: np.ndarray) -> np.ndarray:
+    """The distinct cells, in lexicographic order (which the greedy
+    `_dedupe` depends on), as renormalized cell centres."""
+    if len(cells) == 0:
+        return cells.astype(float)
+    cells = _distinct(cells) * _QUANT
     norms = np.linalg.norm(cells, axis=1)
     keep = norms > 1e-9
     return cells[keep] / norms[keep][:, None]
 
 
-def _max_dot(candidates: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row-wise max of candidates @ vecs.T, in chunks of about _DOT_ENTRIES
-    products and at least two rows.  A sum may round differently in its
-    last bit under another chunking (and a one-row chunk takes another BLAS
-    path); the angular tests compare with cos(theta) - 1e-12, far wider."""
-    chunks = max(1, len(candidates) // max(2, _DOT_ENTRIES // len(vecs)))
-    return np.concatenate([(c @ vecs.T).max(axis=1) for c in np.array_split(candidates, chunks)])
+def _band_half(cos_t: float) -> float:
+    """Unit vectors with u.v >= cos_t lie within this of each other on every
+    coordinate: |u_0 - v_0| <= |u - v| = sqrt(2 - 2 u.v).  The margin covers
+    the rounding of renormalized rows and of their products."""
+    return math.sqrt(max(0.0, 2.0 - 2.0 * cos_t)) + 1e-9
+
+
+def _near(rows: np.ndarray, vecs: np.ndarray, cos_t: float, half: float) -> np.ndarray:
+    """Which rows have a product >= cos_t with some row of vecs; both are
+    sorted by their first coordinate.  A chunk of rows meets only the slice
+    of vecs within `half` of its first coordinates, and a chunk grows while
+    its product stays within _DOT_ENTRIES entries (two rows at least).  A
+    product may round differently in its last bit under another chunking;
+    the angular tests compare with cos(theta) - 1e-12, far wider."""
+    out = np.zeros(len(rows), dtype=bool)
+    keys = vecs[:, 0]
+    lo = np.searchsorted(keys, rows[:, 0] - half, "left").tolist()
+    hi = np.searchsorted(keys, rows[:, 0] + half, "right").tolist()
+    n, a = len(rows), 0
+    while a < n:
+        lo_a = lo[a]
+        b = a + bisect.bisect_right(range(a + 1, n + 1), _DOT_ENTRIES, key=lambda c: (c - a) * (hi[c - 1] - lo_a))
+        b = max(b, min(a + 2, n))
+        if hi[b - 1] > lo_a:
+            out[a:b] = (rows[a:b] @ vecs[lo_a:hi[b - 1]].T).max(axis=1) >= cos_t
+        a = b
+    return out
+
+
+def _greedy(vecs: np.ndarray, cos_t: float) -> List[int]:
+    """Indices of the rows kept by a greedy pass: a row is kept unless its
+    product with a row kept before it reaches cos_t."""
+    kept = np.empty_like(vecs)
+    idx = []
+    for i, v in enumerate(vecs):
+        if not idx or np.max(kept[:len(idx)] @ v) < cos_t:
+            kept[len(idx)] = v
+            idx.append(i)
+    return idx
 
 
 def _dedupe(vecs: np.ndarray, theta_deg: float) -> np.ndarray:
+    """The rows of vecs, in order, that lie over theta from every row kept
+    before them.  A chunk of _DEDUPE_ROWS rows (fewer if its product would
+    pass _DOT_ENTRIES entries) meets only the kept rows in its band of first
+    coordinates, then `_greedy` runs over the chunk's survivors."""
     cos_t = math.cos(math.radians(theta_deg))
-    kept = np.empty_like(vecs)
-    k = 0
-    for v in vecs:
-        if k == 0 or np.max(kept[:k] @ v) < cos_t:
-            kept[k] = v
-            k += 1
-    return kept[:k].copy()
+    half = _band_half(cos_t)
+    order = np.argsort(vecs[:, 0], kind="stable")
+    keys = vecs[order, 0]
+    kept = np.zeros(len(vecs), dtype=bool)
+    a = 0
+    while a < len(vecs):
+        b = min(a + _DEDUPE_ROWS, len(vecs))
+        while True:
+            firsts = vecs[a:b, 0]
+            band = order[np.searchsorted(keys, firsts.min() - half, "left"):
+                         np.searchsorted(keys, firsts.max() + half, "right")]
+            cols = band[kept[band]]
+            if b - a == 1 or (b - a) * len(cols) <= _DOT_ENTRIES:
+                break
+            b = a + max(1, _DOT_ENTRIES // len(cols))
+        fresh = np.arange(a, b)
+        if len(cols):
+            fresh = fresh[(vecs[a:b] @ vecs[cols].T).max(axis=1) < cos_t]
+        kept[fresh[_greedy(vecs[fresh], cos_t)]] = True
+        a = b
+    return vecs[kept]
 
 
 def _persisting(fine: List[np.ndarray], theta_deg: float) -> np.ndarray:
     """Directions present (within theta) at every scale of `fine`: the
-    finest ceil(half) of the scale list, ordered coarse -> fine."""
+    finest ceil(half) of the scale list, ordered coarse -> fine.  Each scale
+    is sorted by first coordinate once, and it is compared only with the
+    candidates that the scales before it kept."""
     if len(fine[-1]) == 0:
         raise ValueError("empty neighborhood at the finest scale")
-    candidates = _quantize(np.concatenate([s for s in fine if len(s)], axis=0))
+    candidates = _centres(_cells(np.concatenate([s for s in fine if len(s)], axis=0)))
     cos_t = math.cos(math.radians(theta_deg)) - 1e-12
-    keep = np.ones(len(candidates), dtype=bool)
+    half = _band_half(cos_t)
+    alive = np.argsort(candidates[:, 0], kind="stable")
     for s in fine:
         if len(s) == 0:
             return candidates[:0]
-        keep &= _max_dot(candidates, s) >= cos_t
+        s = s[np.argsort(s[:, 0], kind="stable")]
+        alive = alive[_near(candidates[alive], s, cos_t, half)]
+    keep = np.zeros(len(candidates), dtype=bool)
+    keep[alive] = True
     return _dedupe(candidates[keep], theta_deg)
 
 
@@ -212,14 +286,19 @@ def _cone(cloud: PointCloud, x, params: ConeParams, pairs: bool) -> DirectionSet
             near = cloud.points[dists <= r]
             if len(near) > _PAIR_CAP:
                 near = near[np.linspace(0, len(near) - 1, _PAIR_CAP).astype(int)]
-            diff = (near[:, None, :] - near[None, :, :]).reshape(-1, cloud.dimension)
+            i, j = np.triu_indices(len(near), 1)
+            diff = near[i] - near[j]
         else:
             diff = cloud.points[(dists > 0) & (dists <= r)] - x
         norms = np.linalg.norm(diff, axis=1)
-        secants = diff[norms > 0] / norms[norms > 0][:, None]
-        # With pairs, diff holds p - q and q - p for every pair, so the set
-        # is closed under v -> -v without appending the negatives.
-        per_scale.append(_quantize(secants))
+        cells = _cells(diff[norms > 0] / norms[norms > 0][:, None])
+        if pairs:
+            # diff holds p - q for each unordered pair.  q - p is its exact
+            # negative, and so is its cell (division and rounding are odd),
+            # so the set is closed under v -> -v.
+            cells = _distinct(cells)
+            cells = np.concatenate([cells, -cells])
+        per_scale.append(_centres(cells))
     return DirectionSet(_persisting(per_scale, params.theta_res), params.theta_res)
 
 

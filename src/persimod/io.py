@@ -210,12 +210,13 @@ def parse_cloud(path):
     # One reader over all rows; `line_num` counts the lines it has consumed.
     reader = csv.reader(line for _, line in numbered)
     for row in reader:
-        n = numbered[reader.line_num - 1][0]
-        cells = [c.strip() for c in row if c.strip()]
+        cells = [c for c in map(str.strip, row) if c]
         if not cells:
             continue
-        rows.append(_parsed(path, n, "unknown token", _floats, cells))
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+        n = numbered[reader.line_num - 1][0]
+        # `list` drains the map inside `_parsed`, so a bad cell names line n
+        rows.append(_parsed(path, n, "unknown token", list, map(float, cells)))
+        if len(cells) != len(rows[0]):
             raise ParseError(path, n, "ragged row")
     if not rows:
         raise ParseError(path, None, "empty point cloud")
@@ -223,10 +224,6 @@ def parse_cloud(path):
         return PointCloud(rows)
     except ValueError as err:
         raise ParseError(path, None, str(err)) from None
-
-
-def _floats(cells) -> List[float]:
-    return [float(c) for c in cells]
 
 
 def emit_cloud(cloud) -> str:

@@ -41,7 +41,7 @@ import numpy as np
 
 from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, check_printable, hom, int_pair
 from persimod.barcodes import Bar, Barcode
-from persimod.cones import _PAIR_CAP, _QUANT, DirectionSet, _dedupe, _default_scales
+from persimod.cones import _PAIR_CAP, _QUANT, DirectionSet, _default_scales
 from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
 from persimod.fields import GF2, RationalField
 from persimod.interleaving import DistanceReport, InterleavingCertificate, gamma
@@ -736,11 +736,14 @@ def sublevel_merge_oracle(f) -> Barcode:
 # ---------------------------------------------------------------------------
 # differential oracle for the cone direction-set kernel
 #
-# `cones` deduplicates rounded cells as int8 rows, bounds the temporaries of
-# `_max_dot`, and takes the negated pair secants from the pair differences.
-# These are the float-row `np.unique`, the 2048-row chunks and the appended
-# negatives they replaced.  `cone_oracle` stands in for `cones._cone`, so a
-# test that patches it in gets today's verdict logic on the old kernel.
+# `cones` deduplicates rounded cells as int8 rows, builds each unordered
+# pair's secant once and negates its cell, and compares each direction only
+# with the rows in its band of first coordinates.  The oracle keeps the
+# float-row `np.unique`, the appended negatives of every ordered pair, the
+# product of every candidate with every direction of every scale, and the
+# greedy dedupe against every row kept so far.  `cone_oracle` stands in for
+# `cones._cone`, so a test that patches it in gets today's verdict logic on
+# the old kernel.
 # `sphere_grid_oracle` walks every angle tuple of the normal grid, where
 # `cones._sphere_grid` skips the tuples past an angle of 0 or 180 degrees.
 
@@ -773,7 +776,19 @@ def _persisting_oracle(fine, theta_deg):
         if len(s) == 0:
             return candidates[:0]
         keep &= max_dot_oracle(candidates, s) >= cos_t
-    return _dedupe(candidates[keep], theta_deg)
+    return dedupe_oracle(candidates[keep], theta_deg)
+
+
+def dedupe_oracle(vecs: np.ndarray, theta_deg: float) -> np.ndarray:
+    """The rows of vecs, in order, over theta from every row kept before."""
+    cos_t = math.cos(math.radians(theta_deg))
+    kept = np.empty_like(vecs)
+    k = 0
+    for v in vecs:
+        if k == 0 or np.max(kept[:k] @ v) < cos_t:
+            kept[k] = v
+            k += 1
+    return kept[:k].copy()
 
 
 def cone_oracle(cloud, x, params, pairs: bool) -> DirectionSet:

@@ -49,14 +49,14 @@ from persimod.morphisms import Morphism, compose, identity
 from persimod.spectral import spectral_invariants, sublevel_barcode
 
 from conftest import rand_barcode, rand_plf
-from oracles import hom_ext_oracle
+from oracles import coisotropy_union_oracle, hom_ext_oracle, rank_q
 from test_canonical import (
     _find_sorted_positions,
     _plant_from,
     _planted_instance,
     _random_automorphism,
 )
-from test_cones import ray_cloud, subspace_cloud
+from test_cones import _union_cloud, _unit_rows, ray_cloud, subspace_cloud
 from test_limits import completion_tower
 
 GF5 = PrimeField(5)
@@ -465,3 +465,32 @@ def test_19_sublevel_of_a_circle_of_10_5_breakpoints(tmp_path, capsys):
         bars = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [bar[:2] for bar in bars if bar[2] == "inf"] == [["0", "0"], ["1", "10"]]
     assert len(bars) == 817
+
+
+def test_20_cone_test_on_two_planes_spanning_four_dimensions(tmp_path, capsys):
+    # Two seeded rational planes in R^6, rays every 5 degrees at RADII:
+    # 2,881 points and tens of thousands of candidate directions per
+    # paratingent set.  Comparing each candidate only with the directions
+    # in its band of first coordinates, one run took 0.84-0.93 s on a
+    # shared 2-core machine, and 4.8-6.3 s against every direction of every
+    # scale.  As in test 14, an untimed verdict comes first: the first of a
+    # process has taken up to 2.4 s.
+    rng = random.Random(20)
+    while True:
+        pieces = [[[Fraction(rng.randint(-4, 4), 2) for _ in range(6)] for _ in range(2)] for _ in range(2)]
+        if rank_q(pieces[0] + pieces[1]) == 4 and all(rank_q(p) == 2 for p in pieces):
+            break
+    want = coisotropy_union_oracle(pieces, 6)
+    cloud = tmp_path / "planes.csv"
+    cloud.write_text("".join(",".join(map(repr, row)) + "\n" for row in _union_cloud(pieces).points.tolist()))
+    cone_coisotropy_test(subspace_cloud((0, 2)), np.zeros(4))
+    capsys.readouterr()
+    with _budget("20 cone-test on two planes spanning four dimensions of R^6", 2.5):
+        rc = main(["--machine", "cone-test", "--cloud", str(cloud), "--point", "0,0,0,0,0,0"])
+        out = capsys.readouterr().out.splitlines()
+    assert (rc, out[0]) == (0, f"verdict={want}")
+    if want == "NotCoisotropic":
+        # the witness is a unit normal of the span, up to the rank cut
+        normal = np.array([float(x) for x in out[1].removeprefix("witness=").split(",")])
+        span = np.concatenate([_unit_rows(p).T for p in pieces])
+        assert abs(np.linalg.norm(normal) - 1) < 1e-9 and np.max(np.abs(span @ normal)) < 0.1

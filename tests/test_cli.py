@@ -803,3 +803,24 @@ def test_mutated_pl_functions_exit_cleanly(tmp_path, monkeypatch, data):
     path = tmp_path / "f.plf"
     path.write_bytes(data.draw(_mutated(data.draw(st.sampled_from(_PLF_TEXTS)))))
     _assert_exits_cleanly([data.draw(st.sampled_from(["sublevel", "validate"])), str(path)])
+
+
+# A half-line with its base point in R^2, and the q1 axis with a stray
+# point in R^4, at radii 2^-k down past the finest default scale.
+_CSV_TEXTS = [
+    "".join(f"{0.5 ** k},0\n" for k in range(11)) + "0,0\n",
+    "# q1 axis in R^4\n0,0,0,0\n0,0.5,0,1\n" + "".join(f"{s * 0.5 ** k},0,0,0\n" for k in range(11) for s in (1, -1)),
+]
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_point_clouds_exit_cleanly(tmp_path, monkeypatch, data):
+    monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
+    text = data.draw(st.sampled_from(_CSV_TEXTS))
+    path = tmp_path / "c.csv"
+    path.write_bytes(data.draw(_mutated(text)))
+    point = ",".join("0" * len(text.splitlines()[-1].split(",")))
+    _assert_exits_cleanly(data.draw(st.sampled_from(
+        [["validate", str(path)], ["cone-test", "--cloud", str(path), "--point", point]])))
