@@ -5,7 +5,10 @@ and `persimod.io` reads every input file, `PERSIMOD_CONFIG` included.
 Exit code 0 on success, 1 on domain errors (bad parameters, failed
 tolerance, undiagonalizable towers), 2 on I/O and parse errors.
 `--machine` switches to line-oriented key=value records; in either mode
-output bytes are deterministic for fixed inputs.
+output bytes are deterministic for fixed inputs.  The float cone code, and
+with it numpy, is imported only by the commands that build a point cloud
+(`cone-test`, `cantor --emit-cloud` and `validate` on a `.csv`), so every
+other command starts without it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import List, Optional
 
 from .barcodes import Bar, Barcode
 from .canonical import DiagonalizationError
-from .cones import ConeParams, _cantor_ratio, cantor_cubes, cone_coisotropy_test, corner_cloud, displacement_bound
+from .cantor import _cantor_ratio, cantor_cubes, corner_cloud, displacement_bound
 from .fields import GF2, field_by_name
 from .intervals import Interval, POS_INF, check_printable, parse_rational
 from .interleaving import check_interleaving, gamma, gamma_symmetric
@@ -273,6 +276,8 @@ def _cmd_complete(args, field) -> int:
 
 
 def _cmd_cone(args, field) -> int:
+    from .cones import ConeParams, cone_coisotropy_test
+
     cloud = parse_cloud(args.cloud)
     point = [float(t) for t in args.point.replace(",", " ").split()]
     params = ConeParams(theta_res=args.theta_res)

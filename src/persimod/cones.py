@@ -1,11 +1,9 @@
-"""Finite-sample tangent cones, a cone-level coisotropy test, and
-Cantor-cube families with their displacement-energy bound.
+"""Finite-sample tangent cones and a cone-level coisotropy test.
 
 Unlike the rest of the package this module works in double precision:
 secant directions of a sampled set are approximate by nature, so the
 scale list and angular resolution are parameters and the tolerances are
-named constants.  Cube corners and the displacement bound stay exact
-(Fractions); only point clouds are floats.
+named constants.  It is the only module that imports numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -26,20 +22,11 @@ __all__ = [
     "Hyperplane",
     "ConeParams",
     "Verdict",
-    "CubeFamily",
     "standard_symplectic_matrix",
     "contingent",
     "paratingent",
     "cone_coisotropy_test",
-    "cantor_cubes",
-    "corner_cloud",
-    "displacement_bound",
 ]
-
-CUBE_BUDGET = 10 ** 6
-# displacement_bound holds 2^(2nk) exactly, so the exponent is capped; a^k is
-# not, and a bound too long for the interpreter to print is refused there.
-BOUND_EXPONENT_BUDGET = 10 ** 4
 
 # Direction sets are deduplicated on a rounding grid of this cell size
 # (about 1.2 degrees) before any angular test; together with the per-scale
@@ -65,6 +52,10 @@ _DEDUPE_ROWS = 64
 # those measured at most 0.7 _QUANT relative to the largest, and directions
 # in the span at least 6 _QUANT; the cut sits at 2.5 grid cells.
 _SV_REL_TOL = 2.5 * _QUANT
+# The largest distance from the base point a cloud may reach, exclusive.
+# Norms square coordinates; a secant between two points within it of the
+# base point is under 2^511 long, so its squared norm stays below 2^1022.
+_MAX_RADIUS = 2.0 ** 510
 # Normal-grid step (degrees), default scale count.
 _GRID_DEG = 10.0
 _N_SCALES = 9
@@ -140,8 +131,17 @@ def standard_symplectic_matrix(n: int) -> np.ndarray:
     return np.block([[zero, -eye], [eye, zero]])
 
 
-def _default_scales(cloud: PointCloud, x: np.ndarray) -> List[float]:
-    dists = np.linalg.norm(cloud.points - x, axis=1)
+def _distances(cloud: PointCloud, x: np.ndarray) -> np.ndarray:
+    """The distance from x to each point of the cloud, which must all be
+    below _MAX_RADIUS; an overflowing norm reads inf, without a warning."""
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(cloud.points - x, axis=1)
+    if not np.max(dists) < _MAX_RADIUS:
+        raise ValueError("secant norms overflow: a point lies 2^510 (about 3.4e153) or farther from the base point")
+    return dists
+
+
+def _default_scales(dists: np.ndarray) -> List[float]:
     r0 = float(np.max(dists))
     if r0 == 0.0:
         raise ValueError("no secants: the cloud has no point distinct from x")
@@ -276,10 +276,10 @@ def _cone(cloud: PointCloud, x, params: ConeParams, pairs: bool) -> DirectionSet
             f"theta_res must be at least {_THETA_MIN:.3f} degrees, the rounding grid, and below 90, "
             f"not {params.theta_res}"
         )
-    scales = list(params.scales) if params.scales is not None else _default_scales(cloud, x)
+    dists = _distances(cloud, x)
+    scales = list(params.scales) if params.scales is not None else _default_scales(dists)
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
-    dists = np.linalg.norm(cloud.points - x, axis=1)
     per_scale = []
     for r in scales[len(scales) // 2:]:
         if pairs:
@@ -419,82 +419,3 @@ def cone_coisotropy_test(cloud: PointCloud, x, params: Optional[ConeParams] = No
             continue
         return Verdict("NotCoisotropic", Hyperplane(nu))
     return Verdict("Coisotropic")
-
-
-@dataclass(frozen=True)
-class CubeFamily:
-    """Level-k cubes of the 2n-fold product of a middle-excluded Cantor set."""
-
-    cubes: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]
-    ratio: Fraction
-    level: int
-    half_dim: int
-
-
-def _cantor_left_endpoints(a: Fraction, k: int) -> List[Fraction]:
-    """Left endpoints of the 2^k level-k intervals of the Cantor set that
-    keeps the outer a-fraction at each step."""
-    ends = [Fraction(0)]
-    for i in range(k):
-        step = a ** i * (1 - a)
-        ends = ends + [e + step for e in ends]
-    return sorted(ends)
-
-
-def _cantor_ratio(a, k: int, n: int) -> Fraction:
-    """a as a Fraction once the parameters of `cantor_cubes` pass its
-    checks, which build nothing."""
-    a = Fraction(a)
-    if not 0 < a < Fraction(1, 2):
-        raise ValueError("ratio must satisfy 0 < a < 1/2 (disjointness)")
-    if k < 1 or n < 1:
-        raise ValueError("level and half-dimension must be >= 1")
-    # 2^e > CUBE_BUDGET exactly when e >= CUBE_BUDGET.bit_length()
-    if 2 * n * k >= CUBE_BUDGET.bit_length():
-        raise ValueError(f"cube count 2^{2 * n * k} exceeds budget {CUBE_BUDGET}")
-    return a
-
-
-def cantor_cubes(a, k: int, n: int) -> CubeFamily:
-    """All 2^{2nk} products of level-k Cantor intervals, edge a^k."""
-    a = _cantor_ratio(a, k, n)
-    ends = _cantor_left_endpoints(a, k)
-    edge = a ** k
-    cubes = tuple(
-        (corner, edge) for corner in itertools.product(ends, repeat=2 * n)
-    )
-    return CubeFamily(cubes, a, k, n)
-
-
-def corner_cloud(family: CubeFamily) -> PointCloud:
-    """Every corner of every cube in the family, as a float point cloud."""
-    dim = 2 * family.half_dim
-    total = len(family.cubes) * 2 ** dim
-    if total > CUBE_BUDGET:
-        raise ValueError(f"corner count {total} exceeds budget {CUBE_BUDGET}")
-    pts = []
-    for corner, edge in family.cubes:
-        for bits in itertools.product((0, 1), repeat=dim):
-            pts.append([float(c + b * edge) for c, b in zip(corner, bits)])
-    return PointCloud(pts)
-
-
-def displacement_bound(a, k: int, n: int) -> Fraction:
-    """The level-k displacement-energy bound 2^{2nk} * a^k: decreasing in k
-    exactly when 2^{2n} a < 1, constant at equality, increasing above."""
-    a = Fraction(a)
-    if not 0 < a < 1:
-        raise ValueError("ratio must lie in (0, 1)")
-    if k < 1 or n < 1:
-        raise ValueError("level and half-dimension must be >= 1")
-    if 2 * n * k > BOUND_EXPONENT_BUDGET:
-        raise ValueError(f"bound exponent 2nk = {2 * n * k} exceeds budget {BOUND_EXPONENT_BUDGET}")
-    r = Fraction(4) ** n * a  # reduced, so r^k is the reduced bound
-    m = max(r.numerator, r.denominator)
-    digits = k * math.log10(m)
-    limit = sys.get_int_max_str_digits()
-    # m^k has about `digits` digits; within one of the interpreter's int/str
-    # limit the exact power decides.
-    if limit and (digits > limit + 1 or (digits > limit - 1 and m ** k >= 10 ** limit)):
-        raise ValueError(f"level-{k} bound has about {int(digits) + 1} digits, over the printable limit of {limit}")
-    return r ** k

@@ -9,6 +9,7 @@ into the homological convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -57,6 +58,15 @@ class PLFunction:
         object.__setattr__(self, "values", vals)
 
 
+def _approx(n: int, d: int) -> float:
+    """n / d correctly rounded, or an infinity of its sign past the float
+    range; either way monotone in n / d."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
 def sublevel_barcode(f: PLFunction) -> Barcode:
     """Sublevel-set persistence of a PL function on an interval or circle.
 
@@ -70,10 +80,13 @@ def sublevel_barcode(f: PLFunction) -> Barcode:
     # Dense ranks keep the order and the ties of the values, so the merge
     # runs on ints.  A level is keyed by its reduced int pair, which hashes
     # faster than a Fraction; each distinct level keeps one Fraction for
-    # the sort and one ExtRat for the bar endpoints.
+    # the sort and one ExtRat for the bar endpoints.  The sort compares
+    # float approximations, which are monotone, and the exact Fractions
+    # only where two approximations are equal.
     keys = [(v.numerator, v.denominator) for v in f.values]
     levels = dict(zip(keys, f.values))
-    order = sorted(levels, key=levels.__getitem__)
+    approx = [_approx(n, d) for n, d in levels]
+    order = [key for _, _, key in sorted(zip(approx, levels.values(), levels))]
     rank = {key: k for k, key in enumerate(order)}
     r = list(map(rank.__getitem__, keys))
     edges = [(i, i + 1) for i in range(m - 1)]

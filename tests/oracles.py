@@ -795,10 +795,10 @@ def cone_oracle(cloud, x, params, pairs: bool) -> DirectionSet:
     x = np.asarray(x, dtype=float)
     if x.shape != (cloud.dimension,):
         raise ValueError(f"base point must have dimension {cloud.dimension}")
-    scales = list(params.scales) if params.scales is not None else _default_scales(cloud, x)
+    dists = np.linalg.norm(cloud.points - x, axis=1)
+    scales = list(params.scales) if params.scales is not None else _default_scales(dists)
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
-    dists = np.linalg.norm(cloud.points - x, axis=1)
     per_scale = []
     for r in scales[len(scales) // 2:]:
         if pairs:

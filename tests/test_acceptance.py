@@ -20,12 +20,8 @@ import numpy as np
 from persimod.barcodes import Barcode
 from persimod.canonical import canonical_form
 from persimod.cli import main, rational_degeneracy
-from persimod.cones import (
-    cantor_cubes,
-    cone_coisotropy_test,
-    corner_cloud,
-    displacement_bound,
-)
+from persimod.cantor import cantor_cubes, corner_cloud, displacement_bound
+from persimod.cones import cone_coisotropy_test
 from persimod.fields import GF2, PrimeField
 from persimod.interleaving import (
     InterleavingCertificate,

@@ -1,6 +1,7 @@
 """Command-line behavior: output lines, exit codes, machine mode, config."""
 
 import functools
+import json
 import math
 import random
 import re
@@ -272,6 +273,25 @@ def test_cone_test_refuses_an_angle_or_point_off_its_domain(tmp_path, capsys, fl
         rc, out, err = run(capsys, *argv, *flags)
     assert (rc, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("rows, rc, out, err", [
+    # secants up to 6e153 long: squared norms stay finite
+    ("0,0\n3e153,0\n-3e153,0\n1,0\n0.5,0\n-1,0\n", 0, "Coisotropic\n", ""),
+    ("0,0\n1e200,0\n5e199,0\n1,0\n0.5,0\n", 1, "",
+     "error: secant norms overflow: a point lies 2^510 (about 3.4e153) or farther from the base point\n"),
+    ("0,0\n3.4e153,0\n1,0\n", 1, "",
+     "error: secant norms overflow: a point lies 2^510 (about 3.4e153) or farther from the base point\n"),
+])
+def test_cone_test_near_the_float_range_warns_nothing(tmp_path, rows, rc, out, err):
+    # A fresh interpreter, so that numpy's warnings are not filtered by an
+    # earlier test; `-W error` turns any of them into a traceback.
+    (tmp_path / "far.csv").write_text(rows)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "persimod.cli", "cone-test", "--cloud", "far.csv", "--point", "0,0"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
 
 
 def _plane_and_axis_cloud():
@@ -702,6 +722,60 @@ def test_module_entry_point_smoke(tmp_path):
     assert proc.stdout == "barcode: 1 bars, degrees 0\n"
 
 
+# Runs each argv through `main` in one fresh process and prints, as the
+# last line, the exit codes and whether numpy was loaded after the
+# commands that read no point cloud and again after `cone-test`.
+_STARTUP_SCRIPT = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+from persimod.cli import main
+plain, cloud = json.loads(sys.argv[1])
+with redirect_stdout(StringIO()):
+    codes = [main(argv) for argv in plain]
+    before = "numpy" in sys.modules
+    codes.append(main(cloud))
+print(json.dumps([codes, before, "numpy" in sys.modules]))
+"""
+
+
+def test_commands_without_a_point_cloud_start_without_numpy(unit_pair, monkeypatch):
+    monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
+    (unit_pair / "f.plf").write_text(emit_plfunction(PLFunction("circle", [0, 1, 2, 3], [0, 2, 1, 3])))
+    (unit_pair / "b.bc").write_text("-1 -inf 7/10\n0 -inf 13/10\n")
+    emit_system(unit_pair / "tower", geometric_tower(2, 5))
+    (unit_pair / "seq").mkdir()
+    for i in range(4):
+        (unit_pair / "seq" / f"F{i}.bc").write_text(f"0 {Fraction(1, 2 ** (i + 1))} 1\n")
+    (unit_pair / "c.csv").write_text("".join(f"{0.5 ** k},0\n" for k in range(11)) + "0,0\n")
+    plain = [
+        ["dist", "gamma", "F.bc", "G.bc", "--certificate", "x.cert"],
+        ["dist", "gamma", "F.bc", "G.bc", "--symmetric", "--certificate", "sym.cert"],
+        ["dist", "check", "F.bc", "G.bc", "--a", "1/2", "--b", "1/2"],
+        ["validate", "F.bc"],
+        ["validate", "f.plf"],
+        ["validate", "x.cert"],
+        ["validate", "tower"],
+        ["sublevel", "f.plf"],
+        ["spectral", "b.bc", "--convention", "LeftInfinite", "--dim", "1"],
+        ["limit", "tower"],
+        ["limit", "tower", "--defect", "1"],
+        ["complete", "seq", "--tol", "1/4"],
+        ["cantor", "--a", "1/4", "--n", "1", "--k", "2"],
+        ["cantor", "--a", "1/8", "--n", "1", "--k", "3", "--bound-table"],
+        ["demo", "rational-degeneracy", "--denom-max", "4"],
+    ]
+    cloud = ["cone-test", "--cloud", "c.csv", "--point", "0,0"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps([plain, cloud])],
+        capture_output=True, text=True, cwd=unit_pair,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * (len(plain) + 1)
+    assert (before, after) == (False, True)
+
+
 # --- fuzzed readers ------------------------------------------------------------
 
 _NUMBERS = ["-1", "-1/3", "0", "7", "1e300", "1e-300", "99999999999999999999/7", "9" * 400, "inf", "-inf", "nan"]
@@ -824,3 +898,42 @@ def test_mutated_point_clouds_exit_cleanly(tmp_path, monkeypatch, data):
     point = ",".join("0" * len(text.splitlines()[-1].split(",")))
     _assert_exits_cleanly(data.draw(st.sampled_from(
         [["validate", str(path)], ["cone-test", "--cloud", str(path), "--point", point]])))
+
+
+# A barcode with a comment, a multiplicity, a negative endpoint and both
+# sublevel essential bars; a second in the homological convention.
+_BC_TEXTS = [
+    "# degree lo hi [multiplicity]\n0 0 inf\n0 2 5 2\n1 -1/2 3\n1 1 inf\n",
+    "-1 -inf 7/10\n0 -inf 13/10\n0 1 2\n",
+]
+_BC_COMMANDS = [
+    ["validate", "F.bc"],
+    ["dist", "gamma", "F.bc", "G.bc", "--certificate", "x.cert"],
+    ["dist", "check", "F.bc", "G.bc", "--a", "1/2", "--b", "1/2"],
+    ["spectral", "F.bc", "--convention", "Sublevel", "--dim", "1"],
+    ["spectral", "F.bc", "--convention", "LeftInfinite", "--dim", "1"],
+]
+
+
+@seed(20261021)
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_barcodes_exit_cleanly(tmp_path, monkeypatch, data):
+    monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F.bc").write_bytes(data.draw(_mutated(data.draw(st.sampled_from(_BC_TEXTS)))))
+    (tmp_path / "G.bc").write_text(data.draw(st.sampled_from(_BC_TEXTS)))
+    _assert_exits_cleanly(data.draw(st.sampled_from(_BC_COMMANDS)))
+
+
+_CONFIG_TEXTS = ["machine = yes\nfield = 5\n", "# defaults\nfield = q\nmachine = 0\n"]
+
+
+@seed(20261021)
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_configs_exit_cleanly(unit_pair, monkeypatch, data):
+    path = unit_pair / "persimod.cfg"
+    path.write_bytes(data.draw(_mutated(data.draw(st.sampled_from(_CONFIG_TEXTS)))))
+    monkeypatch.setenv("PERSIMOD_CONFIG", str(path))
+    _assert_exits_cleanly(["validate", "F.bc"])

@@ -11,14 +11,12 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from persimod import cones
+from persimod.cantor import cantor_cubes, corner_cloud, displacement_bound
 from persimod.cones import (
     ConeParams,
     PointCloud,
-    cantor_cubes,
     cone_coisotropy_test,
     contingent,
-    corner_cloud,
-    displacement_bound,
     paratingent,
     standard_symplectic_matrix,
 )

@@ -112,6 +112,14 @@ def test_sublevel_bar_count(vals, circle):
 _levels = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
 
 
+def _check_runs_against_the_merge(runs, domain):
+    vals = [v for v, length in runs for _ in range(length)]
+    vals = vals if len(vals) > 1 else vals * 2
+    f = PLFunction(domain, range(len(vals)), vals)
+    got, want = sublevel_barcode(f), sublevel_merge_oracle(f)
+    assert got.bars == want.bars and repr(got) == repr(want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(_levels, min_size=1, max_size=6, unique=True).flatmap(
@@ -121,11 +129,29 @@ _levels = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
 )
 def test_rank_merge_matches_the_fraction_merge(runs, domain):
     # few distinct levels make ties; a run of one value is a plateau
-    vals = [v for v, length in runs for _ in range(length)]
-    vals = vals if len(vals) > 1 else vals * 2
-    f = PLFunction(domain, range(len(vals)), vals)
-    got, want = sublevel_barcode(f), sublevel_merge_oracle(f)
-    assert got.bars == want.bars and repr(got) == repr(want)
+    _check_runs_against_the_merge(runs, domain)
+
+
+# Levels 10^-30 apart round to one float, and +-10^400 lie past the float
+# range, so the float approximations of these levels tie in groups of four
+# and only the exact order can rank them.
+_FLOAT_TIES = [
+    sign * (base + Fraction(k, 10 ** 30))
+    for base in (Fraction(1, 3), Fraction(2 ** 60), Fraction(10 ** 300), Fraction(10 ** 400))
+    for sign in (1, -1)
+    for k in range(4)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from(_FLOAT_TIES), min_size=1, max_size=8, unique=True).flatmap(
+        lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)), min_size=1, max_size=14)
+    ),
+    st.sampled_from(["interval", "circle"]),
+)
+def test_levels_with_equal_floats_keep_their_exact_order(runs, domain):
+    _check_runs_against_the_merge(runs, domain)
 
 
 _tokens = st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 40), st.sampled_from(["", "/1", "/4", "/04", "/6"]))
