@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .barcodes import Bar
 from .fields import GF2
-from .intervals import ExtRat, _deg0_plus, _le, _plus
+from .intervals import ExtRat, _le, _lt, _plus, _starts_before_end
 from .morphisms import Morphism, _cell_allowed, _is_round_trip, compose, identity
 
 __all__ = [
@@ -83,10 +83,10 @@ def _add_row(dst: Dict[int, object], src: Dict[int, object], lam, field, allowed
     """dst += lam * src (dst is not src).
 
     A cell that sums to zero, or whose key `allowed` rejects, is dropped.
-    Forbidden cells can only ever hold values that the generator calculus
-    already maps to zero (the row operations we apply are themselves
-    morphisms, and composition kills those paths), so dropping them keeps
-    each matrix equal to the true composite at every step.
+    In `canonical_form` the row operations are themselves morphisms, so
+    every cell they reach is reached through allowed generators and
+    `allowed` is the survival rule of `intervals` at c = 0: each matrix
+    stays the true composite at every step.
     """
     for k, val in src.items():
         val = field.add(dst.get(k, field.zero), field.mul(lam, val))
@@ -118,15 +118,16 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
         raise DiagonalizationError("mismatched scalar fields")
     if v.source != Gp or not v.target.is_shift_of(G, eps):
         raise DiagonalizationError("v must map the target of u back to the shifted source")
-    # hom(I, I + eps) is DEG0 exactly when I is longer than eps >= 0
     n, d = eps.numerator, eps.denominator
     for bar in G.bars:
-        if not _deg0_plus(bar.interval, bar.interval, n, d):
+        if not _starts_before_end(bar.interval, bar.interval, n, d):
             raise DiagonalizationError(f"bar {bar!r} is not longer than the shift {eps}")
     if not _is_round_trip(u, v, eps):
         raise DiagonalizationError("round trip is not the canonical comparison map")
 
-    src_bars, tgt_bars = G.bars, Gp.bars
+    src_his = [bar.interval.hi for bar in G.bars]
+    tgt_los = [bar.interval.lo for bar in Gp.bars]
+    tgt_his = [bar.interval.hi for bar in Gp.bars]
     # m = phi after u and phi by rows, phi^-1 by columns: row t of m maps
     # column s to m[t][s], and phi_inv[c][t] is the (t, c) entry of phi^-1.
     m: Dict[int, Dict[int, object]] = {t: {} for t in range(len(Gp))}
@@ -149,13 +150,9 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
             # comparison map keeps a unit on every (long) diagonal cell,
             # and the tracked matrix stays a genuine factor of it.
             raise DiagonalizationError(f"column {col} has empty support")
-        lo_min = min(Gp.bars[t].interval.lo for t in support)
-        hi_min = min(Gp.bars[t].interval.hi for t in support)
-        least = [
-            t
-            for t in support
-            if Gp.bars[t].interval.lo == lo_min and Gp.bars[t].interval.hi == hi_min
-        ]
+        lo_min = min(tgt_los[t] for t in support)
+        hi_min = min(tgt_his[t] for t in support)
+        least = [t for t in support if tgt_los[t] == lo_min and tgt_his[t] == hi_min]
         if not least:
             raise DiagonalizationError(
                 f"column {col}: support intervals are incomparable (no least element)"
@@ -178,13 +175,13 @@ def canonical_form(u: Morphism, v: Morphism, eps) -> CanonicalFormResult:
             # Row ops touch only row t, so m[t][col] is still in place.
             mu = m[t][col]
             neg = field.neg(mu)
-            _add_row(m[t], m[r], neg, field, lambda s: _cell_allowed(src_bars[s], tgt_bars[t]))
+            _add_row(m[t], m[r], neg, field, lambda s: _lt(tgt_los[t], src_his[s]))
             # Only the columns of row r can gain or lose a cell in row t.
             for c in m[r]:
                 (supports[c].add if c in m[t] else supports[c].discard)(t)
-            _add_row(phi[t], phi[r], neg, field, lambda s: _cell_allowed(tgt_bars[s], tgt_bars[t]))
+            _add_row(phi[t], phi[r], neg, field, lambda s: _lt(tgt_los[t], tgt_his[s]))
             # column r of phi^-1 += mu * column t
-            _add_row(phi_inv[r], phi_inv[t], mu, field, lambda k: _cell_allowed(tgt_bars[r], tgt_bars[k]))
+            _add_row(phi_inv[r], phi_inv[t], mu, field, lambda k: _lt(tgt_los[k], tgt_his[r]))
         used.add(r)
         sigma[col] = r
 
@@ -383,11 +380,11 @@ def diagonalize_system(system: InductiveSystem) -> List[StageDiagonalization]:
     rev = list(system.reverses)
     out: List[StageDiagonalization] = []
     for n, eps in enumerate(slacks):
-        twice = 2 * eps  # a bar is longer than it exactly when hom(I, I + twice) is DEG0
+        twice = 2 * eps
         live = tuple(
             i
             for i, bar in enumerate(system.stages[n].bars)
-            if _deg0_plus(bar.interval, bar.interval, twice.numerator, twice.denominator)
+            if _starts_before_end(bar.interval, bar.interval, twice.numerator, twice.denominator)
         )
         u = fwd[n].restrict_source(live)
         v = rev[n].restrict_target(live)

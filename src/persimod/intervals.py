@@ -20,9 +20,15 @@ written once, as `_lt` and `_le`, and `ExtRat`'s order operators, `hom`
 and `leq` all go through it.  Translating a barcode goes through `_plus`,
 which adds a reduced n/d to one endpoint with one reduction, and checking
 a translation goes through `_is_plus`, which cross-multiplies without
-building the sum.  The offset rule `_deg0_plus` decides whether
-hom(I, J + n/d) is DEG0 the same way, so a map into a translated barcode
-is checked on the untranslated bars.
+building the sum.
+
+One rule decides whether a composite survives.  Let a cell I -> J + c,
+with c >= 0, be reached: through allowed generators (degree-0 entries
+between bars of equal degree), or as the comparison I -> I + c.  Then the
+degrees agree and I <= J + c coordinatewise, so hom(I, J + c) is DEG0
+exactly when lo_J + c < hi_I.  That is `_lt(lo_J, hi_I)` for c = 0 and
+`_starts_before_end(I, J, n, d)` for c = n/d, which reads the
+untranslated bars.
 """
 
 from __future__ import annotations
@@ -269,28 +275,14 @@ def _is_plus(t: ExtRat, s: ExtRat, n: int, d: int) -> bool:
     return not t._kind and t._n * s._d * d == (s._n * d + n * s._d) * t._d
 
 
-def _deg0_plus(i: "Interval", j: "Interval", n: int, d: int) -> bool:
-    """hom(i, j + n/d) is DEG0 for a reduced n/d with d > 0, that is
-    lo_i <= lo_j + n/d < hi_i <= hi_j + n/d, decided by cross-multiplication
-    without building the translate; an infinite endpoint of j stays as it
-    is."""
-    a, b, c, e = i.lo, i.hi, j.lo, j.hi
-    # lo_i <= lo_j + n/d
-    if a._kind != c._kind:
-        if a._kind > c._kind:
-            return False
-    elif not a._kind and a._n * c._d * d > (c._n * d + n * c._d) * a._d:
-        return False
-    # lo_j + n/d < hi_i
+def _starts_before_end(i: "Interval", j: "Interval", n: int, d: int) -> bool:
+    """lo_j + n/d < hi_i for a reduced n/d with d > 0, decided by
+    cross-multiplication without building the translate; an infinite lo_j
+    stays as it is."""
+    c, b = j.lo, i.hi
     if c._kind != b._kind:
-        if c._kind > b._kind:
-            return False
-    elif c._kind or (c._n * d + n * c._d) * b._d >= b._n * c._d * d:
-        return False
-    # hi_i <= hi_j + n/d
-    if b._kind != e._kind:
-        return b._kind < e._kind
-    return bool(b._kind) or b._n * e._d * d <= (e._n * d + n * e._d) * b._d
+        return c._kind < b._kind
+    return not c._kind and (c._n * d + n * c._d) * b._d < b._n * c._d * d
 
 
 def parse_rational(token: str) -> Fraction:
@@ -443,11 +435,11 @@ def compose_generator(i: Interval, j: Interval, k: Interval) -> HomType:
     """Hom class of the composite of the canonical generators I -> J -> K.
 
     Both legs must be nonzero in degree 0; the composite is the canonical
-    generator I -> K, which may itself vanish (the supports may fail to
-    chain up).  Returns hom(i, k).
+    generator I -> K, which vanishes unless K starts before I ends (the
+    survival rule above).  Returns hom(i, k).
     """
     if hom(i, j) is not DEG0:
         raise ValueError(f"no degree-0 generator {i} -> {j}")
     if hom(j, k) is not DEG0:
         raise ValueError(f"no degree-0 generator {j} -> {k}")
-    return hom(i, k)
+    return DEG0 if _lt(k.lo, i.hi) else ZERO

@@ -7,8 +7,8 @@ rule of every headed format: a `key: value` line whose key the format
 names is a header, each key at most once, and a `.cert` file's headers
 come before its `[name]` sections.  `_parsed` is the one refusal of a bad
 token or header value.  All emitters are deterministic
-(sorted, canonical spellings) so emitted bytes are diffable; every parser
-round-trips its emitter exactly.
+(sorted, canonical spellings) so emitted bytes are diffable; within the
+size caps, every parser round-trips its emitter exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .morphisms import InterleavingCertificate, Morphism, _cell_allowed
 from .spectral import PLFunction
 
 __all__ = [
+    "MAX_BARS",
     "MAX_MULTIPLICITY",
     "ParseError",
     "parse_barcode",
@@ -117,9 +118,11 @@ def _split(path, keys, sections=()):
 
 # -- barcodes ---------------------------------------------------------------
 
-# Bars are stored expanded, one entry per copy, so a multiplicity column is
-# capped before anything is allocated for it.
+# Bars are stored expanded, one entry per copy, so a multiplicity column and
+# a barcode's total of copies are capped before anything is allocated for
+# them: the line that would take the total past MAX_BARS is refused.
 MAX_MULTIPLICITY = 100_000
+MAX_BARS = 1_000_000
 
 
 def parse_barcode_text(text: str, path="<string>") -> Barcode:
@@ -138,6 +141,8 @@ def _barcode(path, numbered) -> Barcode:
             raise ParseError(path, n, "multiplicity must be >= 1")
         if mult > MAX_MULTIPLICITY:
             raise ParseError(path, n, f"multiplicity {mult} exceeds the cap of {MAX_MULTIPLICITY}")
+        if len(bars) + mult > MAX_BARS:
+            raise ParseError(path, n, f"{len(bars) + mult} bars exceed the cap of {MAX_BARS} per barcode")
         if lo >= hi:
             raise ParseError(path, n, f"empty interval [{lo},{hi})")
         bars.extend([Bar(degree, Interval(lo, hi))] * mult)

@@ -30,9 +30,9 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from .barcodes import Bar, Barcode
 from .canonical import InductiveSystem, diagonalize_system
 from .fields import GF2
-from .intervals import ExtRat, Interval
+from .intervals import ExtRat, Interval, _lt
 from .interleaving import DistanceReport, gamma
-from .morphisms import InterleavingCertificate, Morphism, _cell_allowed
+from .morphisms import InterleavingCertificate, Morphism
 
 __all__ = [
     "CompletionError",
@@ -185,11 +185,10 @@ def defect_check(system: InductiveSystem, n: int):
     """Compare the cone-size of the composite comparison from stage n into
     the final stage against twice the summed per-step cone sizes, both read
     off the step matchings.  Returns (lhs, rhs, lhs <= rhs).  The composite
-    follows each chain born at stage n to the final stage: generators
-    I -> J -> K compose to I -> K, which vanishes unless that cell is allowed.
-    Each step [a, b) -> [c, d) has a <= c and b <= d, so only "the last bar
-    starts before the first ends" can fail, and once it fails it fails for
-    every later bar: checking the two ends equals `compose`'s cleanup."""
+    follows each chain born at stage n to the final stage.  Each step is an
+    allowed generator, so by the survival rule of `intervals` the chain's
+    composite survives when its last bar starts before its first ends:
+    checking the two ends equals `compose`'s cleanup."""
     n_steps = len(system.maps)
     if not 0 <= n <= n_steps:
         raise ValueError(f"stage index {n} outside 0..{n_steps}")
@@ -200,7 +199,7 @@ def defect_check(system: InductiveSystem, n: int):
     composite = {
         ch.indices[0]: ch.indices[-1]
         for ch in _follow_chains(stages, steps, 0)
-        if ch.birth == 0 and ch.alive and _cell_allowed(first[ch.indices[0]], last[ch.indices[-1]])
+        if ch.birth == 0 and ch.alive and _lt(last[ch.indices[-1]].interval.lo, first[ch.indices[0]].interval.hi)
     }
     lhs = gamma_to_zero(_cone(stages[0], stages[-1], composite))
     rhs = ExtRat(0)

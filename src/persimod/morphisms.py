@@ -8,11 +8,10 @@ the canonical generator between the two interval modules.
 Composition is matrix composition *in the generator calculus*: after the
 ordinary matrix product, any accumulated value sitting at a cell whose own
 generator vanishes (a "phantom" cell, order-valid but support-disjoint)
-is dropped.  One comparison decides which: a cell (t, s) is reached
-through allowed entries A_s -> B_m -> C_t, so the degrees agree,
-A_s.lo <= C_t.lo and A_s.hi <= C_t.hi, and hom(A_s, C_t) is DEG0 exactly
-when C_t.lo < A_s.hi.  This holds only if every Morphism is valid: built
-by the validating constructor, or by `_trusted` from valid maps.
+is dropped.  Every cell of the product is reached through allowed
+entries, so the survival rule of `intervals` decides it with one
+comparison.  This holds only if every Morphism is valid: built by the
+validating constructor, or by `_trusted` from valid maps.
 
 Interleavings, towers and diagonalization all rest on one identity: a
 round trip "f then g" into the c-shift of f's source equals the canonical
@@ -31,7 +30,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
 from .fields import GF2
-from .intervals import DEG0, _deg0_plus, _lt, hom
+from .intervals import DEG0, _lt, _starts_before_end, hom
 
 __all__ = [
     "InterleavingCertificate",
@@ -166,10 +165,9 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 def _tau_entries(source: Barcode, c: Fraction, one) -> Dict[Entry, object]:
     """Diagonal of the comparison from source to its c-shift, c >= 0: bar i
-    survives its own c-shift (c < length) exactly when hom(bar i, bar i + c)
-    is DEG0."""
+    survives its own c-shift exactly when it is longer than c."""
     n, d = c.numerator, c.denominator
-    return {(i, i): one for i, bar in enumerate(source.bars) if _deg0_plus(bar.interval, bar.interval, n, d)}
+    return {(i, i): one for i, bar in enumerate(source.bars) if _starts_before_end(bar.interval, bar.interval, n, d)}
 
 
 def tau_morphism(b: Barcode, c, field=None) -> Morphism:
@@ -186,12 +184,12 @@ def _is_round_trip(f: Morphism, g: Morphism, c: Fraction) -> bool:
 
     Precondition: f and g share a field, and g lands in the c-shift of f's
     source (c >= 0).  Then the composite is read off f's source bars as
-    they are, with no translation built: a nonzero cell (t, s) of the
-    product is kept when hom(bar s, bar t + c) is DEG0.  f and g pair bars
-    of equal degree only, so every cell of the product does too."""
+    they are, with no translation built: each cell (t, s) of the product is
+    reached through allowed entries into bar t + c, so the survival rule of
+    `intervals` decides whether a nonzero one is kept."""
     bars = [bar.interval for bar in f.source.bars]
     n, d, zero = c.numerator, c.denominator, f.field.zero
-    got = {(t, s): x for (t, s), x in _product(f, g).items() if x != zero and _deg0_plus(bars[s], bars[t], n, d)}
+    got = {(t, s): x for (t, s), x in _product(f, g).items() if x != zero and _starts_before_end(bars[s], bars[t], n, d)}
     return got == _tau_entries(f.source, c, f.field.one)
 
 

@@ -20,7 +20,8 @@ Gauss-Jordan, the tracked matrix class under the row-dict
 diagonalization, trial division under the Miller-Rabin primality test,
 and the operator-based hom and translation under the endpoint kernel,
 with `compose` and `equals_tau` on translated barcodes under the one
-round-trip predicate on untranslated bars, the Fraction merge under the
+round-trip predicate on untranslated bars and the three-inequality
+offset rule under its one comparison, the Fraction merge under the
 rank merge of sublevel persistence, the float-row cone kernel under
 the integer-cell one, the full product walk under the pruned normal grid,
 and `Fraction(token)` under the int fast path of `parse_rational` (see
@@ -975,13 +976,17 @@ def compare_oracle(x, y) -> Tuple[bool, bool, bool, bool, bool]:
 #
 # `hom`, `Interval._shifted`, `Interval._is_shift_of` and the round-trip
 # check of `InterleavingCertificate` work on endpoint triples through
-# `intervals._lt`, `_le`, `_plus`, `_is_plus` and `_deg0_plus`; the round
-# trips are checked on untranslated bars.  These are the versions they
-# replaced, which go through ExtRat's operators, translated barcodes,
-# `compose` and `equals_tau`.  `equals_tau` is the check `morphisms` made
-# before `_is_round_trip`: on the composite `compose` builds, it is that
-# predicate's reference, and `InductiveSystem` and `canonical_form` used
-# it too (see `inductive_system_refusal_oracle`).
+# `intervals._lt`, `_le`, `_plus`, `_is_plus` and `_starts_before_end`;
+# the round trips are checked on untranslated bars.  These are the
+# versions they replaced, which go through ExtRat's operators, translated
+# barcodes, `compose` and `equals_tau`.  `equals_tau` is the check
+# `morphisms` made before `_is_round_trip`: on the composite `compose`
+# builds, it is that predicate's reference, and `InductiveSystem` and
+# `canonical_form` used it too (see `inductive_system_refusal_oracle`).
+# `_deg0_plus` is the three-inequality offset rule that every survival
+# check used before the one-comparison `_starts_before_end`; on a cell
+# that meets the survival rule's precondition (see `intervals`) the two
+# agree.
 
 
 def equals_tau(f: Morphism, c) -> bool:
@@ -994,6 +999,30 @@ def equals_tau(f: Morphism, c) -> bool:
         raise ValueError("target is not the c-shift of the source")
     one = f.field.one
     return f.entries == {(i, i): one for i, bar in enumerate(f.source.bars) if bar.interval.length > ExtRat(c)}
+
+
+def _deg0_plus(i: "Interval", j: "Interval", n: int, d: int) -> bool:
+    """hom(i, j + n/d) is DEG0 for a reduced n/d with d > 0, that is
+    lo_i <= lo_j + n/d < hi_i <= hi_j + n/d, decided by cross-multiplication
+    without building the translate; an infinite endpoint of j stays as it
+    is."""
+    a, b, c, e = i.lo, i.hi, j.lo, j.hi
+    # lo_i <= lo_j + n/d
+    if a._kind != c._kind:
+        if a._kind > c._kind:
+            return False
+    elif not a._kind and a._n * c._d * d > (c._n * d + n * c._d) * a._d:
+        return False
+    # lo_j + n/d < hi_i
+    if c._kind != b._kind:
+        if c._kind > b._kind:
+            return False
+    elif c._kind or (c._n * d + n * c._d) * b._d >= b._n * c._d * d:
+        return False
+    # hi_i <= hi_j + n/d
+    if b._kind != e._kind:
+        return b._kind < e._kind
+    return bool(b._kind) or b._n * e._d * d <= (e._n * d + n * e._d) * b._d
 
 
 def hom_operator_oracle(i: Interval, j: Interval):

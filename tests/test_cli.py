@@ -489,6 +489,7 @@ def test_multiplicity_above_cap_exits_2(tmp_path, capsys):
     "case",
     [
         "exponent in a file",
+        "copies in a file",
         "digits in a file",
         "digits of a distance",
         "exponent in a flag",
@@ -501,6 +502,10 @@ def test_oversized_input_ends_in_one_error_line(unit_pair, capsys, case):
     if case == "exponent in a file":
         (unit_pair / "huge.bc").write_text("0 0 1e30000000\n")
         argv, want_rc, want = ("validate", "huge.bc"), 2, "huge.bc:1: unknown token (decimal exponent"
+    elif case == "copies in a file":
+        # the eleventh line of 100,000 copies takes the total past 10^6
+        (unit_pair / "huge.bc").write_text("".join(f"0 {i} {i + 1} 100000\n" for i in range(20)))
+        argv, want_rc, want = ("validate", "huge.bc"), 2, "huge.bc:11: 1100000 bars exceed the cap of 1000000 per barcode"
     elif case == "digits in a file":
         # 10^4300 has 4,301 digits: it parses, but could not be printed back
         (unit_pair / "huge.bc").write_text("0 0 1\n0 0 1e4300\n")
@@ -784,11 +789,16 @@ _NUMBERS = ["-1", "-1/3", "0", "7", "1e300", "1e-300", "99999999999999999999/7",
 @st.composite
 def _mutated(draw, text):
     """`text` with one to three edits: a flipped byte, a cut, a deleted or
-    repeated line, a number swapped for a huge or negative one, or a
-    foreign `field:` header."""
+    repeated line, a dropped `[section]` line, a line's lo and hi tokens
+    swapped, a number swapped for a huge or negative one, or a foreign
+    `field:` header.  None is the directory edit: the file's path holds an
+    empty directory instead."""
     data = text.encode()
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["flip", "cut", "delete", "repeat", "number", "field"]))
+        kind = draw(st.sampled_from(
+            ["flip", "cut", "delete", "repeat", "section", "swap", "number", "field", "directory"]))
+        if kind == "directory":
+            return None
         if kind == "flip" and data:
             at = draw(st.integers(0, len(data) - 1))
             data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
@@ -798,13 +808,22 @@ def _mutated(draw, text):
             lines = data.decode("utf-8", "replace").splitlines(keepends=True) or [""]
             at = draw(st.integers(0, len(lines) - 1))
             numbers = list(re.finditer(r"-?[0-9][0-9/.e]*", lines[at]))
+            sections = [k for k, line in enumerate(lines) if re.fullmatch(r"\s*\[\w+\]\s*", line)]
+            tokens = lines[at].split()
             if kind == "delete":
                 del lines[at]
+            elif kind == "section" and sections:
+                del lines[draw(st.sampled_from(sections))]
+            elif kind == "swap" and len(tokens) >= 2:
+                # lo and hi of a bar, or a breakpoint and its value
+                k = 1 if len(tokens) >= 3 else 0
+                tokens[k], tokens[k + 1] = tokens[k + 1], tokens[k]
+                lines[at] = " ".join(tokens) + "\n"
             elif kind == "repeat":
                 lines.insert(at, lines[at])
             elif kind == "field":
                 lines.insert(at, f"field: {draw(st.sampled_from(['3', '4', 'q', 'zz']))}\n")
-            elif numbers:
+            elif kind == "number" and numbers:
                 m = draw(st.sampled_from(numbers))
                 lines[at] = lines[at][: m.start()] + draw(st.sampled_from(_NUMBERS)) + lines[at][m.end():]
             data = "".join(lines).encode()
@@ -845,8 +864,23 @@ def test_mutated_certificates_and_towers_exit_cleanly(tmp_path, monkeypatch, dat
         k = data.draw(st.integers(-1, len(system.stages)))
         argv = data.draw(st.sampled_from([["limit", str(tower)], ["limit", str(tower), "--defect", str(k)]]))
         text = path.read_text()
-    path.write_bytes(data.draw(_mutated(text)))
-    _assert_exits_cleanly(argv)
+    _assert_exits_cleanly_on(path, data.draw(_mutated(text)), argv)
+
+
+def _assert_exits_cleanly_on(path, data, argv):
+    """`_assert_exits_cleanly(argv)` with `data` written at `path`, or with
+    an empty directory there for None.  Examples share one tmp_path, so the
+    directory goes afterwards and the next example can write the file."""
+    if data is None:
+        path.unlink(missing_ok=True)
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    try:
+        _assert_exits_cleanly(argv)
+    finally:
+        if data is None:
+            path.rmdir()
 
 
 def _assert_exits_cleanly(argv):
@@ -875,8 +909,8 @@ _PLF_TEXTS = [
 def test_mutated_pl_functions_exit_cleanly(tmp_path, monkeypatch, data):
     monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
     path = tmp_path / "f.plf"
-    path.write_bytes(data.draw(_mutated(data.draw(st.sampled_from(_PLF_TEXTS)))))
-    _assert_exits_cleanly([data.draw(st.sampled_from(["sublevel", "validate"])), str(path)])
+    argv = [data.draw(st.sampled_from(["sublevel", "validate"])), str(path)]
+    _assert_exits_cleanly_on(path, data.draw(_mutated(data.draw(st.sampled_from(_PLF_TEXTS)))), argv)
 
 
 # A half-line with its base point in R^2, and the q1 axis with a stray
@@ -894,9 +928,9 @@ def test_mutated_point_clouds_exit_cleanly(tmp_path, monkeypatch, data):
     monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
     text = data.draw(st.sampled_from(_CSV_TEXTS))
     path = tmp_path / "c.csv"
-    path.write_bytes(data.draw(_mutated(text)))
+    mutated = data.draw(_mutated(text))
     point = ",".join("0" * len(text.splitlines()[-1].split(",")))
-    _assert_exits_cleanly(data.draw(st.sampled_from(
+    _assert_exits_cleanly_on(path, mutated, data.draw(st.sampled_from(
         [["validate", str(path)], ["cone-test", "--cloud", str(path), "--point", point]])))
 
 
@@ -921,9 +955,32 @@ _BC_COMMANDS = [
 def test_mutated_barcodes_exit_cleanly(tmp_path, monkeypatch, data):
     monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "F.bc").write_bytes(data.draw(_mutated(data.draw(st.sampled_from(_BC_TEXTS)))))
+    mutated = data.draw(_mutated(data.draw(st.sampled_from(_BC_TEXTS))))
     (tmp_path / "G.bc").write_text(data.draw(st.sampled_from(_BC_TEXTS)))
-    _assert_exits_cleanly(data.draw(st.sampled_from(_BC_COMMANDS)))
+    _assert_exits_cleanly_on(tmp_path / "F.bc", mutated, data.draw(st.sampled_from(_BC_COMMANDS)))
+
+
+# Two standalone maps between two small graded barcodes: one into G + 1/2,
+# and one into G with scalars that differ over GF(2) and GF(5).
+_MOR_BARS = ("0 0 inf\n0 2 5 2\n1 -1/2 3\n1 1 inf\n", "0 1 inf\n0 2 6 2\n1 0 3\n1 1 inf\n")
+_MOR_TEXTS = [
+    "# target source scalar\nsource: F.bc\ntarget: G.bc\nshift: 1/2\n0 0 1\n1 1 1\n2 2 1\n3 3 1\n",
+    "source: F.bc\ntarget: G.bc\n0 0 3\n1 1 1\n2 2 4\n3 3 1\n",
+]
+
+
+@seed(20261022)
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_standalone_morphisms_exit_cleanly(tmp_path, monkeypatch, data):
+    monkeypatch.delenv("PERSIMOD_CONFIG", raising=False)
+    files = dict(zip(("F.bc", "G.bc"), _MOR_BARS), **{"f.mor": data.draw(st.sampled_from(_MOR_TEXTS))})
+    target = data.draw(st.sampled_from(["f.mor", "f.mor", "F.bc"]))
+    for name, text in files.items():
+        if name != target:
+            (tmp_path / name).write_text(text)
+    argv = ["--field", data.draw(st.sampled_from(["2", "5"])), "validate", str(tmp_path / "f.mor")]
+    _assert_exits_cleanly_on(tmp_path / target, data.draw(_mutated(files[target])), argv)
 
 
 _CONFIG_TEXTS = ["machine = yes\nfield = 5\n", "# defaults\nfield = q\nmachine = 0\n"]
@@ -934,6 +991,5 @@ _CONFIG_TEXTS = ["machine = yes\nfield = 5\n", "# defaults\nfield = q\nmachine =
 @given(st.data())
 def test_mutated_configs_exit_cleanly(unit_pair, monkeypatch, data):
     path = unit_pair / "persimod.cfg"
-    path.write_bytes(data.draw(_mutated(data.draw(st.sampled_from(_CONFIG_TEXTS)))))
     monkeypatch.setenv("PERSIMOD_CONFIG", str(path))
-    _assert_exits_cleanly(["validate", "F.bc"])
+    _assert_exits_cleanly_on(path, data.draw(_mutated(data.draw(st.sampled_from(_CONFIG_TEXTS)))), ["validate", "F.bc"])

@@ -1,8 +1,9 @@
 """The trusted constructors, checked for exact agreement with the
 validating rebuilds kept in `oracles.py`, and `compose`'s one comparison
 per cell against a full hom on each; the int-pair ExtRat against the
-Fraction-backed one; the offset rule and the untranslated round-trip
-check against hom and `compose` on built translates; the explicit-stack
+Fraction-backed one; the survival rule against hom and the
+three-inequality offset rule on built translates, and the untranslated
+round-trip check against `compose` on them; the explicit-stack
 augmenting search against the recursive one; the covering matching and
 its windowed adjacency against the full-merge, all-pairs versions, and
 the matching on classes of equal bars against the per-copy graph; and
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, canonical
 from persimod.fields import GF2, PrimeField, QQ
-from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _deg0_plus, hom, leq
+from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _starts_before_end, hom, leq
 from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
 from persimod.matching import _saturating, _try_augment, matching_covering
 from persimod.morphisms import Morphism, _cell_allowed, _is_round_trip, _product, compose, identity, tau_morphism
@@ -194,8 +195,11 @@ def test_interval_translation_matches_operator_oracle(den, data):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_offset_kernel_matches_hom_of_the_translate(den, data):
-    """`_deg0_plus(i, j, n, d)` against hom and the stalk oracle on the
-    built translate j + n/d: shifts 0, on the bars' grid and coprime to it,
+    """`_starts_before_end(i, j, n, d)` against the built translate
+    j + n/d: it is lo_j + n/d < hi_i on every draw, and where i <= j + n/d
+    coordinatewise (the survival rule's precondition) it is hom(i, j + n/d)
+    is DEG0, which the stalk oracle and the three-inequality rule it
+    replaced confirm.  Shifts are 0, on the bars' grid and coprime to it,
     and the shifts that put lo_j + c on lo_i or hi_i, or hi_j + c on hi_i,
     with i moved off the grid first half the time."""
     i, j = data.draw(interval_pairs(den))
@@ -205,9 +209,12 @@ def test_offset_kernel_matches_hom_of_the_translate(den, data):
     boundaries = [(x - y).as_fraction() for x, y in ends]
     c = data.draw(st.one_of(st.just(Fraction(0)), shifts(den), *(st.just(b) for b in boundaries)))
     moved = j.shift(c)
-    want = hom(i, moved) is DEG0
-    assert want == (hom_ext_oracle(i, moved) == (1, 0))
-    assert _deg0_plus(i, j, c.numerator, c.denominator) == want
+    got = _starts_before_end(i, j, c.numerator, c.denominator)
+    assert got == (moved.lo < i.hi)
+    if leq(i, moved):
+        want = hom(i, moved) is DEG0
+        assert want == (hom_ext_oracle(i, moved) == (1, 0)) == oracles._deg0_plus(i, j, c.numerator, c.denominator)
+        assert got == want
 
 
 @pytest.mark.parametrize("den", [4, 997])
@@ -582,6 +589,42 @@ def test_is_round_trip_matches_equals_tau_of_compose(field, data):
         assert _is_round_trip(f, g, total) == want
         if how == "planted":
             assert want
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_survival_rule_precondition_holds_on_every_round_trip_cell(field, data):
+    """Every cell the round-trip check decides meets the survival rule's
+    precondition, and there the one comparison agrees with the
+    three-inequality rule: each cell (t, s) of `_product(f, g)` for f: A -> B
+    and g: B -> A + c, and each diagonal cell of the comparison A -> A + c,
+    has equal degrees and A_s <= A_t + c on the built translate.  The pairs
+    are both round trips of a planted certificate and random realized
+    maps, at c = 0 too, with bars infinite on either side."""
+    F, G, a, b = data.draw(decision_inputs(data.draw(st.sampled_from((4, 997)))))
+    if data.draw(st.booleans()):
+        a = b = Fraction(0)
+    total = a + b
+    cert = check_interleaving(F, G, a, b, field=field)
+    if cert is not None and data.draw(st.booleans()):
+        trips = [
+            (cert.u, Morphism(cert.u.target, F.shift(total), cert.v.entries, field)),
+            (cert.v, Morphism(cert.v.target, G.shift(total), cert.u.entries, field)),
+        ]
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        u = rand_realized_morphism(rng, F, G.shift(a), field)
+        trips = [(u, rand_realized_morphism(rng, u.target, F.shift(total), field))]
+    n, d = total.numerator, total.denominator
+    for f, g in trips:
+        bars = f.source.bars
+        moved = g.target.bars
+        cells = list(_product(f, g)) + [(i, i) for i in range(len(bars))]
+        for t, s in cells:
+            assert bars[s].degree == moved[t].degree and leq(bars[s].interval, moved[t].interval)
+            got = _starts_before_end(bars[s].interval, bars[t].interval, n, d)
+            assert got == oracles._deg0_plus(bars[s].interval, bars[t].interval, n, d)
 
 
 def _recording(fn, log):

@@ -200,6 +200,13 @@ def test_hom_agrees_with_stalk_oracle(i, j):
     assert hom(i, j) is expected
 
 
+@given(interval_st, interval_st, interval_st)
+def test_compose_generator_is_the_hom_of_its_ends(i, j, k):
+    # the survival rule's one comparison against the full classifier
+    if hom(i, j) is DEG0 and hom(j, k) is DEG0:
+        assert compose_generator(i, j, k) is hom(i, k)
+
+
 @given(interval_st, interval_st, interval_st, interval_st)
 def test_generator_calculus_associative(i, j, k, l):
     # composing along a chain of four realizable generators lands on hom(i, l)

@@ -62,6 +62,24 @@ def test_barcode_emit_splits_runs_above_the_multiplicity_cap(monkeypatch):
     assert parse_barcode_text(text) == b
 
 
+def test_barcode_total_copies_are_capped_at_the_line_that_passes_the_cap(tmp_path, monkeypatch):
+    """Twenty lines of 100,000 copies ask for 2,000,000 bars; the eleventh
+    takes the total past MAX_BARS and is refused before its copies are
+    built, while one line of 100,000 copies still reads.  A total equal to
+    the cap reads."""
+    import persimod.io as pio
+
+    p = tmp_path / "many.bc"
+    p.write_text("".join(f"0 {i} {i + 1} 100000\n" for i in range(20)))
+    with pytest.raises(ParseError, match=r"many\.bc:11: 1100000 bars exceed the cap of 1000000 per barcode"):
+        parse_barcode(p)
+    assert len(parse_barcode_text("0 0 1 100000\n").bars) == 100_000
+    monkeypatch.setattr(pio, "MAX_BARS", 5)
+    assert len(parse_barcode_text("0 0 1 3\n1 0 1\n0 1 2\n").bars) == 5
+    with pytest.raises(ParseError, match=r"<string>:3: 6 bars exceed the cap of 5 per barcode"):
+        parse_barcode_text("0 0 1 3\n1 0 1\n0 1 2 2\n")
+
+
 def test_barcode_parse_accepts_comments_and_infinities():
     text = """
     # clipped
