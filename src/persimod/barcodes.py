@@ -5,11 +5,16 @@ cohomological degree d.  Barcodes are stored as tuples sorted by
 (degree, lo, hi) with multiplicity expanded into repeated entries, so a
 bar's index in the sorted tuple is its address in every matrix indexed
 by the barcode.  The empty barcode is the zero object.
+
+A run is a stretch of consecutive bars of one degree on one `Interval`
+object, as a multiplicity column or `[bar] * k` makes.  A per-bar step that
+reads only those immutable objects is done once per run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .intervals import Interval
@@ -64,8 +69,7 @@ class Barcode:
     __slots__ = ("bars",)
 
     def __init__(self, bars: Iterable[BarLike] = ()):
-        items = sorted((_as_bar(b) for b in bars), key=Bar.key)
-        object.__setattr__(self, "bars", tuple(items))
+        _set_bars(self, tuple(sorted(map(_as_bar, bars), key=Bar.key)))
 
     @staticmethod
     def _from_sorted(bars: Tuple[Bar, ...]) -> "Barcode":
@@ -106,23 +110,28 @@ class Barcode:
     # -- structure helpers ---------------------------------------------------
 
     def shift(self, c) -> "Barcode":
+        """The translate by c; the copies of a run share one shifted Bar."""
         c = Fraction(c)
         n, d = c.numerator, c.denominator
-        bars = []
+        bars, iv, deg = [], None, None
         for b in self.bars:
-            out = Bar.__new__(Bar)
-            _set_degree(out, b.degree)
-            _set_interval(out, b.interval._shifted(n, d))
+            if b.interval is not iv or b.degree != deg:
+                iv, deg, out = b.interval, b.degree, Bar.__new__(Bar)
+                _set_degree(out, deg)
+                _set_interval(out, iv._shifted(n, d))
             bars.append(out)
         return Barcode._from_sorted(tuple(bars))
 
     def is_shift_of(self, other: "Barcode", c) -> bool:
         """Whether this barcode equals other.shift(c), compared bar by bar
-        without building the shift."""
+        without building the shift; a pair on the two Interval objects of the
+        pair before it has their verdict."""
         c = Fraction(c)
-        n, d = c.numerator, c.denominator
-        return len(self.bars) == len(other.bars) and all(
-            t.degree == s.degree and t.interval._is_shift_of(s.interval, n, d) for t, s in zip(self.bars, other.bars)
+        n, d, tb, sb = c.numerator, c.denominator, self.bars, other.bars
+        return len(tb) == len(sb) and all(
+            t.degree == s.degree
+            and (t.interval is p.interval and s.interval is q.interval or t.interval._is_shift_of(s.interval, n, d))
+            for t, s, p, q in zip(tb, sb, (_NO_BAR,) + tb, (_NO_BAR,) + sb)
         )
 
     def degrees(self) -> List[int]:
@@ -145,13 +154,8 @@ class Barcode:
 
     def counts(self) -> List[Tuple[Bar, int]]:
         """Bars with multiplicities, in canonical order."""
-        out: List[Tuple[Bar, int]] = []
-        for b in self.bars:
-            if out and out[-1][0] == b:
-                out[-1] = (b, out[-1][1] + 1)
-            else:
-                out.append((b, 1))
-        return out
+        return [(b, len(list(copies))) for b, copies in groupby(self.bars)]
 
 
 _set_bars = Barcode.bars.__set__
+_NO_BAR = Bar(0, None)  # the pair before the first: its interval is no Interval

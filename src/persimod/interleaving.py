@@ -98,48 +98,53 @@ class _IntView:
 
     Per degree, in increasing order, `degrees` holds one side per barcode
     and the capacities of both sides.  Equal bars are adjacent in a sorted
-    barcode, and each run of them is one class: a side is the index range
-    of its bars of that degree, then the lo ends, hi ends, lengths and
-    copy counts of its classes, in order, so the lo ends increase.  The
+    barcode, and each stretch of them is one class: a side is the index
+    range of its bars of that degree, then the lo ends, hi ends, lengths
+    and copy counts of its classes, in order, so the lo ends increase.  The
     capacities are the two sides' copy counts, or None when no class of
-    the degree has a second copy.
+    the degree has a second copy.  Endpoints are read and scaled once per
+    run (see `barcodes`), and classes are formed from the runs.
     """
 
     __slots__ = ("scale", "reach", "inf", "degrees")
 
     def __init__(self, F: Barcode, G: Barcode, shifts: Sequence[Fraction] = (), unit: int = 1):
-        cols = [
-            (
-                [bar.degree for bar in bc.bars],
-                [int_pair(bar.interval.lo) for bar in bc.bars],
-                [int_pair(bar.interval.hi) for bar in bc.bars],
-            )
-            for bc in (F, G)
-        ]
+        cols = []
+        for bars in (F.bars, G.bars):
+            # per run: its degree, int pairs and first index; then the end
+            degs, los, his, at, iv, deg = [], [], [], [], None, None
+            for k, bar in enumerate(bars):
+                if bar.interval is not iv or bar.degree != deg:
+                    iv, deg = bar.interval, bar.degree
+                    degs.append(deg)
+                    los.append(int_pair(iv.lo))
+                    his.append(int_pair(iv.hi))
+                    at.append(k)
+            cols.append((degs, los, his, at + [len(bars)]))
         dens = {s.denominator for s in shifts}
-        dens.update(p[1] for _, los, his in cols for ends in (los, his) for p in ends if p)
+        dens.update(p[1] for _, los, his, _ in cols for ends in (los, his) for p in ends if p)
         scale = unit * lcm(*dens)
         # `p and ...` keeps an infinite endpoint's None
         cols = [
-            (degs, [p and p[0] * (scale // p[1]) for p in los], [p and p[0] * (scale // p[1]) for p in his])
-            for degs, los, his in cols
+            (degs, [p and p[0] * (scale // p[1]) for p in los], [p and p[0] * (scale // p[1]) for p in his], at)
+            for degs, los, his, at in cols
         ]
-        big = max((abs(x) for _, los, his in cols for ends in (los, his) for x in ends if x is not None), default=0)
+        big = max((abs(x) for _, los, his, _ in cols for ends in (los, his) for x in ends if x is not None), default=0)
         self.scale = scale
         self.reach = 4 * big + sum(s.numerator * (scale // s.denominator) for s in shifts)
         self.inf = inf = big + self.reach + 1
         fd, gd = sides = ({}, {})
-        for by_degree, (degs, los, his) in zip(sides, cols):
+        for by_degree, (degs, los, his, at) in zip(sides, cols):
             los = [-inf if x is None else x for x in los]
             his = [inf if x is None else x for x in his]
-            # bars are sorted by degree first, so a degree's bars are one run,
-            # and equal bars are adjacent
+            # bars are sorted by degree first, so a degree's runs are
+            # consecutive, and equal bars are adjacent
             for deg in set(degs):
                 i, j = bisect_left(degs, deg), bisect_right(degs, deg)
                 starts = [k for k in range(i, j) if k == i or los[k] != los[k - 1] or his[k] != his[k - 1]]
                 c_lo, c_hi = [los[k] for k in starts], [his[k] for k in starts]
-                counts = [e - k for k, e in zip(starts, starts[1:] + [j])]
-                by_degree[deg] = (range(i, j), c_lo, c_hi, [hi - lo for lo, hi in zip(c_lo, c_hi)], counts)
+                counts = [at[e] - at[k] for k, e in zip(starts, starts[1:] + [j])]
+                by_degree[deg] = (range(at[i], at[j]), c_lo, c_hi, [hi - lo for lo, hi in zip(c_lo, c_hi)], counts)
         empty = (range(0), [], [], [], [])
         self.degrees = []
         for deg in sorted(set(fd) | set(gd)):
@@ -213,8 +218,8 @@ class _IntView:
             if m is None:
                 return None
             for i, j in m.items():
-                u_entries[(g_idx[j], f_idx[i])] = 1
-                v_entries[(f_idx[i], g_idx[j])] = 1
+                s, t = f_idx[i], g_idx[j]
+                u_entries[t, s] = v_entries[s, t] = 1
         return u_entries, v_entries
 
 

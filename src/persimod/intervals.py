@@ -137,7 +137,8 @@ class ExtRat:
         return NotImplemented
 
     # Equal values are equal triples, since finite pairs are reduced; the
-    # order goes through `_lt` and `_le` below.
+    # order goes through `_lt` and `_le` below, and returns NotImplemented,
+    # as `_coerce` does, for an operand that is not a value.
 
     def __eq__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
@@ -147,27 +148,19 @@ class ExtRat:
 
     def __lt__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _lt(self, other)
+        return other if other is NotImplemented else _lt(self, other)
 
     def __le__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _le(self, other)
+        return other if other is NotImplemented else _le(self, other)
 
     def __gt__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _lt(other, self)
+        return other if other is NotImplemented else _lt(other, self)
 
     def __ge__(self, other):
         other = other if type(other) is ExtRat else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _le(other, self)
+        return other if other is NotImplemented else _le(other, self)
 
     def __hash__(self):
         if self._kind != 0:
@@ -224,13 +217,9 @@ class ExtRat:
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        if self._kind > 0:
-            return "inf"
-        if self._kind < 0:
-            return "-inf"
-        if self._d == 1:
-            return str(self._n)
-        return f"{self._n}/{self._d}"
+        if self._kind:
+            return "inf" if self._kind > 0 else "-inf"
+        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
 
     def __repr__(self):
         return f"ExtRat({str(self)!r})"

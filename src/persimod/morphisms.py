@@ -57,22 +57,22 @@ class Morphism:
     __slots__ = ("source", "target", "entries", "field")
 
     def __init__(self, source: Barcode, target: Barcode, entries: Mapping[Entry, object], field=GF2):
-        src_bars, tgt_bars = source.bars, target.bars
-        n_src, n_tgt = len(src_bars), len(tgt_bars)
+        src_bars, tgt_bars, n_src, n_tgt = source.bars, target.bars, len(source), len(target)
         canon, zero = field.canon, field.zero
         clean: Dict[Entry, object] = {}
+        ok_src = ok_tgt = None  # the intervals of the last allowed cell
         for (t, s), raw in entries.items():
             if not (0 <= s < n_src and 0 <= t < n_tgt):
                 raise IndexError(f"entry index {(t, s)} out of range")
             val = canon(raw)
             if val == zero:
                 continue
-            if not _cell_allowed(src_bars[s], tgt_bars[t]):
+            src, tgt = src_bars[s], tgt_bars[t]
+            same = src.interval is ok_src and tgt.interval is ok_tgt and src.degree == tgt.degree
+            if not (same or _cell_allowed(src, tgt)):
                 raise ValueError(
-                    f"entry at {(t, s)} not allowed: no degree-0 generator "
-                    f"{src_bars[s].interval} -> {tgt_bars[t].interval}"
-                )
-            clean[(t, s)] = val
+                    f"entry at {(t, s)} not allowed: no degree-0 generator {src.interval} -> {tgt.interval}")
+            clean[(t, s)], ok_src, ok_tgt = val, src.interval, tgt.interval
         for name, value in zip(Morphism.__slots__, (source, target, clean, field)):
             object.__setattr__(self, name, value)
 
@@ -166,14 +166,18 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 def _tau_entries(source: Barcode, c: Fraction, one) -> Dict[Entry, object]:
     """Diagonal of the comparison from source to its c-shift, c >= 0: bar i
     survives its own c-shift exactly when it is longer than c."""
-    n, d = c.numerator, c.denominator
-    return {(i, i): one for i, bar in enumerate(source.bars) if _starts_before_end(bar.interval, bar.interval, n, d)}
+    n, d, iv, out = c.numerator, c.denominator, None, {}
+    for i, bar in enumerate(source.bars):
+        if bar.interval is not iv:
+            iv, keep = bar.interval, _starts_before_end(bar.interval, bar.interval, n, d)
+        if keep:
+            out[i, i] = one
+    return out
 
 
 def tau_morphism(b: Barcode, c, field=None) -> Morphism:
     """Diagonal comparison morphism B -> shift(B, c) for c >= 0."""
-    field = field or GF2
-    c = Fraction(c)
+    c, field = Fraction(c), field or GF2
     if c < 0:
         raise ValueError(f"negative shift {c}")
     return Morphism(b, b.shift(c), _tau_entries(b, c, field.one), field)
@@ -189,7 +193,12 @@ def _is_round_trip(f: Morphism, g: Morphism, c: Fraction) -> bool:
     `intervals` decides whether a nonzero one is kept."""
     bars = [bar.interval for bar in f.source.bars]
     n, d, zero = c.numerator, c.denominator, f.field.zero
-    got = {(t, s): x for (t, s), x in _product(f, g).items() if x != zero and _starts_before_end(bars[s], bars[t], n, d)}
+    got, i, j = {}, None, None
+    for (t, s), x in _product(f, g).items():
+        if bars[s] is not i or bars[t] is not j:  # else the last cell's verdict holds
+            i, j, keep = bars[s], bars[t], _starts_before_end(bars[s], bars[t], n, d)
+        if keep and x != zero:
+            got[t, s] = x
     return got == _tau_entries(f.source, c, f.field.one)
 
 
@@ -216,10 +225,8 @@ class InterleavingCertificate:
             raise ValueError("round trip through G is not the canonical comparison")
         if not _is_round_trip(v, u, total):
             raise ValueError("round trip through F is not the canonical comparison")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        for name, value in zip(InterleavingCertificate.__slots__, (a, b, u, v)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):
         raise AttributeError("certificates are immutable")

@@ -883,12 +883,22 @@ def _assert_exits_cleanly_on(path, data, argv):
             path.rmdir()
 
 
+# Process seconds one fuzzed command may take.  The slowest example of the
+# six fuzz tests took 0.06 s, the first of a kind paying its imports; a
+# mutation that makes the work unbounded shows up as a failure here.
+EXAMPLE_BUDGET_S = 1.0
+
+
 def _assert_exits_cleanly(argv):
-    """`main(argv)` exits 0, 1 or 2, and a nonzero exit leaves exactly one
-    `error:` line and no traceback."""
+    """`main(argv)` exits 0, 1 or 2 within `EXAMPLE_BUDGET_S` of process
+    time, and a nonzero exit leaves exactly one `error:` line and no
+    traceback."""
     out, err = StringIO(), StringIO()
+    start = time.process_time()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(argv)
+    took = time.process_time() - start
+    assert took < EXAMPLE_BUDGET_S, f"{argv} took {took:.2f} s of process time"
     assert rc in (0, 1, 2)
     if rc:
         lines = err.getvalue().splitlines()

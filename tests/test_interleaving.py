@@ -306,9 +306,9 @@ def test_identical_bars_decide_within_budget():
     # copy.  Matched per copy, the greedy search augments along paths of
     # every length up to n.
     F = B(*[(0, Interval(0, 10))] * 1600)
-    start = time.perf_counter()
+    start = time.process_time()
     cert = check_interleaving(F, F, 0, 0)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert cert is not None and cert.total == 0
     assert elapsed < 15, f"check_interleaving took {elapsed:.1f} s"
 
@@ -323,9 +323,9 @@ def test_ten_thousand_identical_bars_decide_within_budget():
     # One class of 10,000 copies: the decision pushes them all along one
     # path.
     F = B(*[(0, Interval(0, 10))] * 10_000)
-    start = time.perf_counter()
+    start = time.process_time()
     cert = check_interleaving(F, F, 0, 0)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert cert is not None and cert.total == 0
     assert elapsed < 2, f"check_interleaving took {elapsed:.1f} s"
 
@@ -335,9 +335,9 @@ def test_gamma_on_repeated_bars_within_budget():
     # one class against one, and each verified "yes" expands 1,600 pairs.
     k = 1600
     F, G = B(*[(0, Interval(0, 1))] * k), B(*[(0, Interval(Fraction(1, 3), Fraction(4, 3)))] * k)
-    start = time.perf_counter()
+    start = time.process_time()
     report = gamma(F, G)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert report.value == ExtRat(Fraction(1, 3))
     cert = report.certificate
     assert cert.total == Fraction(1, 3) and len(cert.u.entries) == len(cert.v.entries) == k
