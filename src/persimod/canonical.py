@@ -395,5 +395,8 @@ def diagonalize_system(system: InductiveSystem) -> List[StageDiagonalization]:
         out.append(StageDiagonalization(stage=n, live=live, result=res))
         if n + 1 < len(slacks):
             fwd[n + 1] = compose(res.phi_inverse, fwd[n + 1])
-            rev[n + 1] = compose(rev[n + 1], res.phi.shift(slacks[n + 1]))
+            # rev[n + 1] lands in the slack-shift of phi's object, and Hom
+            # is translation-invariant: phi's entries hold there unchanged.
+            t = rev[n + 1].target
+            rev[n + 1] = compose(rev[n + 1], Morphism(t, t, res.phi.entries, res.phi.field))
     return out

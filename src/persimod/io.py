@@ -264,6 +264,14 @@ def _parse_morphism_entries(path, field) -> Tuple[Dict[str, str], List[Tuple[int
 
 
 def _build_morphism(path, source: Barcode, target: Barcode, entries, field) -> Morphism:
+    """The morphism of parsed entries, checked by its constructor; a refused
+    file is scanned again in line order to name its first faulty line."""
+    table = {(t, s): scalar for t, s, scalar, _ in entries}
+    if len(table) == len(entries):  # else a duplicate: named below
+        try:
+            return Morphism(source, target, table, field)
+        except (IndexError, ValueError, ZeroDivisionError):
+            pass
     table = {}
     for t, s, scalar, n in entries:
         if not (0 <= t < len(target.bars) and 0 <= s < len(source.bars)):

@@ -10,8 +10,10 @@ certified bound on how far the truncation can still drift: four times
 the longest bar (`gamma_to_zero`) of the last step's cone.  Every tower
 result is read off the step matchings {live bar: partner} that the
 diagonalization verified: the chains, the bound, and the defect
-comparison, whose composite follows the same chains.  The tower and its
-contract (`InductiveSystem`) live in `canonical`.
+comparison, whose composite follows the same chains.  A bound or a
+defect side is read off the cone's bar ends (`_cone_ends`), with no
+barcode built.  The tower and its contract (`InductiveSystem`) live in
+`canonical`.
 
 Cauchy completion subsamples a sequence until consecutive distances halve.
 Each step's verified interleaving certificate has a forward map that
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .barcodes import Bar, Barcode
 from .canonical import InductiveSystem, diagonalize_system
@@ -77,23 +79,28 @@ def _diagonal(m: Morphism) -> Dict[int, int]:
     return step
 
 
-def _cone(src: Barcode, tgt: Barcode, step: Mapping[int, int]) -> Barcode:
-    """Barcode of the mapping cone of the diagonal map that sends source
-    bar s to target bar step[s] by the canonical generator."""
-    bars: List[Bar] = []
+def _cone_ends(src: Barcode, tgt: Barcode, step: Mapping[int, int]) -> Iterator[Tuple[int, ExtRat, ExtRat]]:
+    """(degree, lo, hi) of each bar of the mapping cone of the diagonal map
+    that sends source bar s to target bar step[s] by the canonical
+    generator: source bars first, then the target bars that no source bar
+    hits."""
     for s, bar in enumerate(src.bars):
         d, i = bar.degree, bar.interval
         if s not in step:
-            bars.append(Bar(d + 1, i))
+            yield d + 1, i.lo, i.hi
             continue
         j = tgt.bars[step[s]].interval
-        if i.hi < j.hi:
-            bars.append(Bar(d, Interval(i.hi, j.hi)))
-        if i.lo < j.lo:
-            bars.append(Bar(d + 1, Interval(i.lo, j.lo)))
+        if _lt(i.hi, j.hi):
+            yield d, i.hi, j.hi
+        if _lt(i.lo, j.lo):
+            yield d + 1, i.lo, j.lo
     hit = set(step.values())
-    bars += [bar for t, bar in enumerate(tgt.bars) if t not in hit]
-    return Barcode(bars)
+    yield from ((b.degree, b.interval.lo, b.interval.hi) for t, b in enumerate(tgt.bars) if t not in hit)
+
+
+def _cone_size(src: Barcode, tgt: Barcode, step: Mapping[int, int]) -> ExtRat:
+    """`gamma_to_zero` of that cone, read off its ends without building it."""
+    return max((hi - lo for _, lo, hi in _cone_ends(src, tgt, step)), default=ExtRat(0))
 
 
 def cone_diagonal(m: Morphism) -> Barcode:
@@ -106,7 +113,7 @@ def cone_diagonal(m: Morphism) -> Barcode:
     (when b < d) and [a,c) one degree up (when a < c); an unmatched source
     bar survives one degree up, an unmatched target bar in place.
     """
-    return _cone(m.source, m.target, _diagonal(m))
+    return Barcode(Bar(d, Interval(lo, hi)) for d, lo, hi in _cone_ends(m.source, m.target, _diagonal(m)))
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,7 @@ def hocolim(system: InductiveSystem) -> HocolimResult:
     steps = _step_matchings(system)
     chains = _follow_chains(stages, steps, system.slacks[-1] if steps else 0)
     out_bars = [stages[-1].bars[ch.indices[-1]] for ch in chains if ch.alive]
-    bound = 4 * gamma_to_zero(_cone(stages[-2], stages[-1], steps[-1])) if steps else ExtRat(0)
+    bound = 4 * _cone_size(stages[-2], stages[-1], steps[-1]) if steps else ExtRat(0)
     return HocolimResult(Barcode(out_bars), bound, tuple(chains))
 
 
@@ -201,10 +208,10 @@ def defect_check(system: InductiveSystem, n: int):
         for ch in _follow_chains(stages, steps, 0)
         if ch.birth == 0 and ch.alive and _lt(last[ch.indices[-1]].interval.lo, first[ch.indices[0]].interval.hi)
     }
-    lhs = gamma_to_zero(_cone(stages[0], stages[-1], composite))
+    lhs = _cone_size(stages[0], stages[-1], composite)
     rhs = ExtRat(0)
     for src, tgt, step in zip(stages, stages[1:], steps):
-        rhs = rhs + gamma_to_zero(_cone(src, tgt, step))
+        rhs = rhs + _cone_size(src, tgt, step)
     rhs = 2 * rhs
     return lhs, rhs, lhs <= rhs
 

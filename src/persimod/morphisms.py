@@ -79,13 +79,6 @@ class Morphism:
     def __setattr__(self, *a):
         raise AttributeError("Morphism is immutable")
 
-    def shift(self, c) -> "Morphism":
-        """Translate source and target by c (an endomorphism's barcode once);
-        the matrix is unchanged."""
-        src = self.source.shift(c)
-        tgt = src if self.target is self.source else self.target.shift(c)
-        return _trusted(src, tgt, dict(self.entries), self.field)
-
     def restrict_source(self, indices: Sequence[int]) -> "Morphism":
         idx, pos = _positions(indices, len(self.source))
         ent = {(t, pos[s]): v for (t, s), v in self.entries.items() if s in pos}
@@ -119,9 +112,9 @@ def _positions(indices: Sequence[int], n: int) -> Tuple[List[int], Dict[int, int
 
 def _trusted(source: Barcode, target: Barcode, entries: Dict[Entry, object], field) -> Morphism:
     """Trusted constructor: `entries` are canonical, nonzero and allowed.
-    `shift` keeps valid entries (hom is translation-invariant), restriction
-    each kept entry's pair of bars; `identity` sets one on cells (i, i), and
-    hom(I, I) is DEG0; `compose` keeps the cells the one comparison allows."""
+    Restriction keeps each kept entry's pair of bars; `identity` sets one
+    on cells (i, i), and hom(I, I) is DEG0; `compose` keeps the cells the
+    one comparison allows."""
     out = Morphism.__new__(Morphism)
     for name, value in zip(Morphism.__slots__, (source, target, entries, field)):
         object.__setattr__(out, name, value)

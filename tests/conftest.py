@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 from fractions import Fraction
@@ -26,6 +27,15 @@ def subprocess_imports_package_under_test(monkeypatch):
     root = str(Path(persimod.__file__).resolve().parent.parent)
     rest = os.environ.get("PYTHONPATH")
     monkeypatch.setenv("PYTHONPATH", root + os.pathsep + rest if rest else root)
+
+
+def perfbench_gen():
+    """The benchmark's input generators, `perfbench/gen.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -24,8 +24,9 @@ round-trip predicate on untranslated bars and the three-inequality
 offset rule under its one comparison, the Fraction merge under the
 rank merge of sublevel persistence, the float-row cone kernel under
 the integer-cell one, the full product walk under the pruned normal grid,
-and `Fraction(token)` under the int fast path of `parse_rational` (see
-their sections).
+the reverse maps rebased on a shifted phi and the cones built as barcodes
+under the tower readings off the cone ends, and `Fraction(token)` under
+the int fast path of `parse_rational` (see their sections).
 Direct sums of morphisms are reference code for the graded checks.
 """
 
@@ -43,7 +44,13 @@ import numpy as np
 from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, Interval, NEG_INF, POS_INF, check_printable, hom, int_pair
 from persimod.barcodes import Bar, Barcode
 from persimod.cones import _PAIR_CAP, _QUANT, DirectionSet, _default_scales
-from persimod.canonical import CanonicalFormResult, DiagonalizationError, diagonalize_system
+from persimod.canonical import (
+    CanonicalFormResult,
+    DiagonalizationError,
+    StageDiagonalization,
+    canonical_form,
+    diagonalize_system,
+)
 from persimod.fields import GF2, RationalField
 from persimod.interleaving import DistanceReport, InterleavingCertificate, gamma
 from persimod.limits import (
@@ -52,6 +59,7 @@ from persimod.limits import (
     HocolimResult,
     InductiveSystem,
     _extrapolate,
+    _follow_chains,
     cone_diagonal,
     gamma_to_zero,
     hocolim,
@@ -1707,6 +1715,80 @@ def defect_check_oracle(system, n: int):
     rhs = 2 * rhs
     return lhs, rhs, lhs <= rhs
 
+
+# ---------------------------------------------------------------------------
+# differential oracles for the tower readings
+#
+# `diagonalize_system` rebases each reverse map on phi with the reverse
+# map's own target as phi's object, and `limits` reads each cone size off
+# the cone's bar ends.  These are the code they replaced: the rebase on a
+# translate of phi built as a new morphism, and each cone built as a
+# barcode whose longest bar is then taken.
+
+
+def diagonalize_system_oracle(system) -> List[StageDiagonalization]:
+    """`diagonalize_system`, rebasing each reverse map on phi shifted by the
+    next slack."""
+    system = system.with_reverses()
+    slacks, fwd, rev, out = system.slacks, list(system.maps), list(system.reverses), []
+    for n, eps in enumerate(slacks):
+        live = tuple(i for i, bar in enumerate(system.stages[n].bars) if bar.interval.length > 2 * eps)
+        try:
+            res = canonical_form(fwd[n].restrict_source(live), rev[n].restrict_target(live), eps)
+        except DiagonalizationError as err:
+            raise DiagonalizationError(f"stage {n}: {err}", stage=n) from err
+        out.append(StageDiagonalization(stage=n, live=live, result=res))
+        if n + 1 < len(slacks):
+            fwd[n + 1] = compose(res.phi_inverse, fwd[n + 1])
+            rev[n + 1] = compose(rev[n + 1], morphism_shift_oracle(res.phi, slacks[n + 1]))
+    return out
+
+
+def cone_barcode_oracle(src: Barcode, tgt: Barcode, step) -> Barcode:
+    """Barcode of the mapping cone of the diagonal map that sends source
+    bar s to target bar step[s] by the canonical generator."""
+    bars: List[Bar] = []
+    for s, bar in enumerate(src.bars):
+        d, i = bar.degree, bar.interval
+        if s not in step:
+            bars.append(Bar(d + 1, i))
+            continue
+        j = tgt.bars[step[s]].interval
+        if i.hi < j.hi:
+            bars.append(Bar(d, Interval(i.hi, j.hi)))
+        if i.lo < j.lo:
+            bars.append(Bar(d + 1, Interval(i.lo, j.lo)))
+    hit = set(step.values())
+    bars += [bar for t, bar in enumerate(tgt.bars) if t not in hit]
+    return Barcode(bars)
+
+
+def tower_readings_oracle(system):
+    """(`hocolim`, [`defect_check` at every index]) of a tower, from
+    `diagonalize_system_oracle`, with each cone built by
+    `cone_barcode_oracle` and measured by `gamma_to_zero`."""
+    stages = system.stages
+    steps = [{i: rec.result.sigma[p] for p, i in enumerate(rec.live)} for rec in diagonalize_system_oracle(system)]
+    size = lambda src, tgt, step: gamma_to_zero(cone_barcode_oracle(src, tgt, step))
+    chains = _follow_chains(stages, steps, system.slacks[-1] if steps else 0)
+    out_bars = [stages[-1].bars[ch.indices[-1]] for ch in chains if ch.alive]
+    bound = 4 * size(stages[-2], stages[-1], steps[-1]) if steps else ExtRat(0)
+    triples = []
+    for n in range(len(steps)):
+        first, last = stages[n].bars, stages[-1].bars
+        composite = {
+            ch.indices[0]: ch.indices[-1]
+            for ch in _follow_chains(stages[n:], steps[n:], 0)
+            if ch.birth == 0 and ch.alive and last[ch.indices[-1]].interval.lo < first[ch.indices[0]].interval.hi
+        }
+        rhs = ExtRat(0)
+        for src, tgt, step in zip(stages[n:], stages[n + 1:], steps[n:]):
+            rhs = rhs + size(src, tgt, step)
+        lhs, rhs = size(stages[n], stages[-1], composite), 2 * rhs
+        triples.append((lhs, rhs, lhs <= rhs))
+    triples.append((ExtRat(0), ExtRat(0), True))
+    return HocolimResult(Barcode(out_bars), bound, tuple(chains)), triples
+
 # ---------------------------------------------------------------------------
 # differential oracle for Cauchy completion
 #
@@ -1748,8 +1830,8 @@ def complete_cauchy_oracle(seq: Sequence[Barcode], field=GF2) -> CompletionResul
         fwd, rev, slk = [], [], []
         for j, cert in enumerate(certs):
             pad = tau_morphism(anchored[j + 1].shift(-cert.b), cert.b, field)
-            fwd.append(compose(cert.u.shift(-eps[j]), pad))
-            rev.append(cert.v.shift(-eps[j + 1]))
+            fwd.append(compose(morphism_shift_oracle(cert.u, -eps[j]), pad))
+            rev.append(morphism_shift_oracle(cert.v, -eps[j + 1]))
             slk.append(cert.b + cert.total)
         res = hocolim(InductiveSystem(anchored, fwd, slk, rev, field))
         for ch in res.chains:

@@ -10,14 +10,12 @@ across threads, so the cone checks (11, 12, 14, 16 and 20) keep wall time.
 """
 
 import hashlib
-import importlib.util
 import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +46,7 @@ from persimod.limits import InductiveSystem, complete_cauchy, cone_diagonal, def
 from persimod.morphisms import Morphism, compose, identity
 from persimod.spectral import spectral_invariants, sublevel_barcode
 
-from conftest import rand_barcode, rand_plf
+from conftest import perfbench_gen, rand_barcode, rand_plf
 from oracles import coisotropy_union_oracle, hom_ext_oracle, rank_q
 from test_canonical import (
     _find_sorted_positions,
@@ -419,15 +417,6 @@ def test_17_symmetric_distance_at_512_bars():
     assert cert.a == cert.b and again.total == rep.value.as_fraction()
 
 
-def _perfbench_gen():
-    """The benchmark's input generators, `perfbench/gen.py`."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # (lhs, rhs) of defect_check at stages 0..15 of the tower below; every
 # index holds its inequality.
 DEFECTS_60_16 = [
@@ -438,11 +427,14 @@ DEFECTS_60_16 = [
 
 
 def test_18_tower_defects_and_colimit_at_60_bars():
-    # 0.30-0.58 s of process time on a shared 2-core machine, and
-    # 0.67-0.72 s with a full hom on every product cell of `compose`;
-    # each defect check re-diagonalizes the whole tower.  The pinned
-    # defects, bound and barcode are the ones that composition gave.
-    stages, fwd, rev, slacks = _perfbench_gen().planted_tower(random.Random(31), GF5, 60, 16)
+    # Each defect check re-diagonalizes the whole tower and reads its cone
+    # sizes off the step matchings: 0.25-0.45 s of process time on a shared
+    # 2-core machine (six fresh processes), against 0.31-0.60 s with every
+    # cone built as a sorted barcode and every reverse map rebased on a
+    # shifted copy of phi, and 0.67-0.72 s before that with a full hom on
+    # every product cell of `compose`.  The pinned defects, bound and
+    # barcode are the ones that composition gave.
+    stages, fwd, rev, slacks = perfbench_gen().planted_tower(random.Random(31), GF5, 60, 16)
     system = InductiveSystem(stages, fwd, slacks, rev, GF5)
     with _budget("18 tower of 60 bars x 16 stages: defect_check at every index, hocolim", 1.5):
         triples = [defect_check(system, n) for n in range(len(stages))]
@@ -508,3 +500,29 @@ def test_21_one_certificate_on_100000_copies_a_side():
         cert = check_interleaving(F, G, 0, Fraction(1, 3))
     again = InterleavingCertificate(cert.a, cert.b, cert.u, cert.v)
     assert again.total == Fraction(1, 3) and len(again.u.entries) == len(again.v.entries) == k
+
+
+# (lhs, rhs) of defect_check at stages 0..15 of the tower below; every
+# index holds its inequality.
+DEFECTS_120_16 = [
+    ("31/4", "125/2"), ("15/2", "59"), ("7", "54"), ("13/2", "48"), ("6", "43"), ("11/2", "75/2"),
+    ("19/4", "33"), ("9/2", "61/2"), ("4", "26"), ("7/2", "22"), ("3", "18"), ("3", "15"),
+    ("11/4", "21/2"), ("7/4", "9/2"), ("7/4", "7/2"), ("0", "0"),
+]
+
+
+def test_22_tower_defects_and_colimit_at_120_bars():
+    # As in check 18, at twice the bars: 0.47-0.66 s of process time on a
+    # shared 2-core machine (six fresh processes), against 0.57-1.10 s with
+    # every cone built as a sorted barcode and every reverse map rebased on
+    # a shifted copy of phi.
+    stages, fwd, rev, slacks = perfbench_gen().planted_tower(random.Random(31), GF5, 120, 16)
+    system = InductiveSystem(stages, fwd, slacks, rev, GF5)
+    with _budget("22 tower of 120 bars x 16 stages: defect_check at every index, hocolim", 2):
+        triples = [defect_check(system, n) for n in range(len(stages))]
+        res = hocolim(system)
+    assert [(str(lhs), str(rhs)) for lhs, rhs, _ in triples] == DEFECTS_120_16
+    assert all(ok is True for _, _, ok in triples)
+    assert res.error_bound == 7 and len(res.barcode) == 102
+    digest = hashlib.sha256(repr(res.barcode).encode()).hexdigest()
+    assert digest == "33d13134388e53aeea3cfca6d35339c84be5c7254f1a6426f381e4b8bd10905d"

@@ -3,7 +3,8 @@ validating rebuilds kept in `oracles.py`, and `compose`'s one comparison
 per cell against a full hom on each; the int-pair ExtRat against the
 Fraction-backed one; the survival rule against hom and the
 three-inequality offset rule on built translates, and the untranslated
-round-trip check against `compose` on them; the explicit-stack
+round-trip check against `compose` on them; cone sizes read off the
+cone's ends against the built cone barcode; the explicit-stack
 augmenting search against the recursive one; the covering matching and
 its windowed adjacency against the full-merge, all-pairs versions, and
 the matching on classes of equal bars against the per-copy graph; and
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from persimod import Barcode, Interval, canonical
+from persimod import Bar, Barcode, Interval, canonical, limits
 from persimod.fields import GF2, PrimeField, QQ
 from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _starts_before_end, hom, leq
 from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
@@ -33,6 +34,7 @@ from oracles import (
     certificate_refusal_oracle,
     compare_oracle,
     compose_hom_filter_oracle,
+    cone_barcode_oracle,
     equals_tau,
     hom_ext_oracle,
     hom_operator_oracle,
@@ -40,7 +42,6 @@ from oracles import (
     interval_is_shift_of_oracle,
     interval_shift_oracle,
     matching_covering_oracle,
-    morphism_shift_oracle,
     restrict_oracle,
     shift_oracle,
     solve_reverse_scan_oracle,
@@ -229,20 +230,6 @@ def test_barcode_restrict_matches_validating_rebuild(den, data):
 
 
 @pytest.mark.parametrize("den", [4, 997])
-@pytest.mark.parametrize("field", [GF2, PrimeField(3), QQ])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_morphism_shift_matches_validating_rebuild(den, field, data):
-    src, tgt = data.draw(barcodes(den, max_size=5)), data.draw(barcodes(den, max_size=5))
-    m = rand_realized_morphism(random.Random(data.draw(st.integers(0, 2**32))), src, tgt, field)
-    c = data.draw(signed_shifts(den))
-    got, want = m.shift(c), morphism_shift_oracle(m, c)
-    assert got == want
-    got.entries.clear()
-    assert m.entries == want.entries
-
-
-@pytest.mark.parametrize("den", [4, 997])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_tau_and_compose_match_validating_constructors(den, data):
@@ -260,6 +247,26 @@ def test_tau_and_compose_match_validating_constructors(den, data):
 
 
 FIELDS = pytest.mark.parametrize("field", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+
+
+@pytest.mark.parametrize("den", [4, 997])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cone_sizes_read_off_the_ends_match_the_built_cone(den, data):
+    src = data.draw(barcodes(den, max_size=6))
+    tgt = data.draw(st.one_of(barcodes(den, max_size=6), st.just(src)))
+    # a partial injection: unmatched bars on both sides, and an empty cone
+    # where equal barcodes are matched bar for bar
+    pairs = st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(tgt) - 1))
+    step = dict(data.draw(st.lists(pairs, unique_by=(lambda p: p[0], lambda p: p[1])))) if src and tgt else {}
+    want = cone_barcode_oracle(src, tgt, step)
+    assert limits._cone_size(src, tgt, step) == limits.gamma_to_zero(want)
+    assert Barcode(Bar(d, Interval(lo, hi)) for d, lo, hi in limits._cone_ends(src, tgt, step)) == want
+    diagonal = {s: t for s, t in step.items() if _cell_allowed(src.bars[s], tgt.bars[t])}
+    m = Morphism(src, tgt, {(t, s): 1 for s, t in diagonal.items()})
+    assert limits.cone_diagonal(m) == cone_barcode_oracle(src, tgt, diagonal)
+    whole = {i: i for i in range(len(src))}
+    assert limits._cone_size(src, src, whole) == limits.gamma_to_zero(cone_barcode_oracle(src, src, whole)) == 0
 
 
 @st.composite
@@ -312,14 +319,11 @@ def test_compose_drops_phantom_cells_and_cancelled_sums(field):
 def test_restriction_identity_and_shift_match_validating_rebuilds(field, data):
     src, tgt = data.draw(barcodes(4, max_size=6)), data.draw(barcodes(4, max_size=6))
     m = rand_realized_morphism(random.Random(data.draw(st.integers(0, 2**32))), src, tgt, field)
-    c = data.draw(signed_shifts(4))
     keep_src = data.draw(st.lists(st.integers(0, len(src) - 1), max_size=len(src) + 2)) if src else []
     keep_tgt = data.draw(st.lists(st.integers(0, len(tgt) - 1), max_size=len(tgt) + 2)) if tgt else []
-    ident = identity(src, field)
-    outs = [m.restrict_source(keep_src), m.restrict_target(keep_tgt), ident, m.shift(c), ident.shift(c)]
+    outs = [m.restrict_source(keep_src), m.restrict_target(keep_tgt), identity(src, field)]
     for out in outs:
         assert out == Morphism(out.source, out.target, out.entries, out.field)
-    assert outs[-1].target is outs[-1].source and outs[-1] == oracles.morphism_shift_oracle(ident, c)
     assert outs[0].source.bars == restrict_oracle(src, keep_src).bars
     assert outs[1].target.bars == restrict_oracle(tgt, keep_tgt).bars
 

@@ -471,6 +471,11 @@ _FAR = {"F1.bc": "0 5 6\n", "g0.mor": "# target source scalar\n"}
     ("f0.mor", "0 0 1\n", _FAR, 1, "entry (0,0) not allowed: no degree-0 generator [0,3/4) -> [5,6)"),
     ("u.mor", "source: F1.bc\ntarget: F0.bc\n0 0 1\n", {}, 3, "entry (0,0) not allowed: no degree-0 generator [0,7/8) -> [0,3/4)"),
     ("c.cert", _CERT.replace("0 1 10", "0 20 30"), {}, 8, "entry (0,0) not allowed: no degree-0 generator [0,10) -> [20,30)"),
+    # several faults: the first in line order is named, and a zero entry is none
+    ("f0.mor", "0 0 1\n0 7 1\n", _FAR, 1, "entry (0,0) not allowed: no degree-0 generator [0,3/4) -> [5,6)"),
+    ("f0.mor", "0 0 1\n0 0 1/2\n", _FAR, 1, "entry (0,0) not allowed: no degree-0 generator [0,3/4) -> [5,6)"),
+    ("f0.mor", "0 7 1\n0 0 1\n", _FAR, 1, "entry (0,7) out of range"),
+    ("f0.mor", "0 0 2\n0 0 1\n", _FAR, 2, "duplicate entry (0,0)"),
     # a negative shift is refused at its header, before any entry it leaves without a generator
     ("c.cert", _CERT.replace("a: 0", "a: -1"), {}, None, "bad shift header (interleaving shifts must be nonnegative)"),
     ("c.cert", _CERT.replace("a: 0", "a: -1").replace("0 0 1\n", ""), {}, None, "bad shift header (interleaving shifts must be nonnegative)"),

@@ -9,8 +9,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, gamma
-from persimod.fields import GF2, QQ, PrimeField
-from persimod.canonical import _solve_reverse
+from persimod.fields import GF2, QQ, PrimeField, RationalField
+from persimod.canonical import DiagonalizationError, _solve_reverse, diagonalize_system
 from persimod.interleaving import DistanceReport
 from persimod.intervals import NEG_INF, POS_INF, ExtRat
 from persimod.limits import (
@@ -25,12 +25,15 @@ from persimod.morphisms import InterleavingCertificate, Morphism, compose, ident
 from oracles import (
     complete_cauchy_oracle,
     defect_check_oracle,
+    diagonalize_system_oracle,
     equals_tau,
     hocolim_oracle,
     inductive_system_refusal_oracle,
+    morphism_shift_oracle,
     solve_reverse_oracle,
+    tower_readings_oracle,
 )
-from conftest import tampered
+from conftest import perfbench_gen, tampered
 from test_canonical import _find_sorted_positions, _random_automorphism
 
 
@@ -352,6 +355,81 @@ def test_tower_results_build_no_morphism_after_diagonalization(monkeypatch):
             built.clear()
             defect_check(system, n)
             assert len(built) == diagonalized
+
+
+# --- tower readings against the shifted-phi rebase and the built cones ------------
+
+
+class _MenuQ(RationalField):
+    """Q with a finite menu of scalars, from which `planted_tower`'s basis
+    moves draw; it equals QQ."""
+
+    __slots__ = ()
+
+    def elements(self):
+        return [Fraction(k, 2) for k in range(-4, 5)]
+
+
+GEN = perfbench_gen()
+TOWER_FIELDS = pytest.mark.parametrize("fld", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+
+
+def _tower(kind, rng, fld, rebase):
+    """A planted or graded tower; with `rebase`, a random change of basis at
+    every middle stage, so that every step needs its own phi."""
+    if kind == "planted":
+        stages, fwd, rev, slacks = GEN.planted_tower(rng, _MenuQ() if fld == QQ else fld, rng.randint(1, 10), rng.randint(2, 6))
+    else:
+        stages, fwd, rev, slacks = graded_tower(rng, fld, 7 if kind == "march" else rng.randint(2, 6), march=kind == "march")
+    for k in range(1, len(stages) - 1 if rebase else 1):
+        psi, psi_inv = _random_automorphism(stages[k], rng, fld)
+        fwd[k - 1], fwd[k] = compose(fwd[k - 1], psi), compose(psi_inv, fwd[k])
+        rev[k - 1], rev[k] = compose(psi_inv, rev[k - 1]), compose(rev[k], morphism_shift_oracle(psi, slacks[k]))
+    return stages, fwd, rev, slacks
+
+
+@TOWER_FIELDS
+@seed(20261023)
+@settings(max_examples=60, deadline=None)
+@given(
+    rseed=st.integers(0, 2**32),
+    kind=st.sampled_from(["graded", "march", "planted"]),
+    rebase=st.booleans(),
+    given_rev=st.booleans(),
+)
+def test_tower_readings_match_the_shifted_rebase_and_the_built_cones(fld, rseed, kind, rebase, given_rev):
+    stages, fwd, rev, slacks = _tower(kind, random.Random(rseed), fld, rebase)
+    system = InductiveSystem(stages, fwd, slacks, rev if given_rev else None, fld)
+    got, want = diagonalize_system(system), diagonalize_system_oracle(system)
+    assert len(got) == len(want) == len(fwd)
+    for g, w in zip(got, want):
+        assert (g.stage, g.live, g.result.sigma) == (w.stage, w.live, w.result.sigma)
+        for name in ("phi", "phi_inverse", "diagonalized"):
+            a, b = getattr(g.result, name), getattr(w.result, name)
+            assert (a.source.bars, a.target.bars, a.entries) == (b.source.bars, b.target.bars, b.entries)
+    res, triples = tower_readings_oracle(system)
+    out = hocolim(system)
+    assert (out.barcode, out.error_bound, out.chains) == (res.barcode, res.error_bound, res.chains)
+    assert [defect_check(system, n) for n in range(len(stages))] == triples
+
+
+@TOWER_FIELDS
+def test_a_reverse_map_replaced_after_construction_is_refused(fld):
+    stages, fwd, rev, slacks = graded_tower(random.Random(11), fld, 5)
+    checked = 0
+    for k, eps in enumerate(slacks):
+        if not any(bar.interval.length > 2 * eps for bar in stages[k].bars):
+            continue  # no live bar: an empty round trip is the comparison
+        checked += 1
+        off_shift = Morphism(stages[k + 1], stages[k].shift(eps + Fraction(1, 997)), {}, fld)
+        no_round_trip = Morphism(stages[k + 1], stages[k].shift(eps), {}, fld)
+        for bad, message in ((off_shift, "v must map"), (no_round_trip, "round trip")):
+            system = InductiveSystem(stages, fwd, slacks, rev, fld)
+            object.__setattr__(system, "reverses", system.reverses[:k] + (bad,) + system.reverses[k + 1:])
+            for read in (diagonalize_system, hocolim, lambda system: defect_check(system, 0)):
+                with pytest.raises(DiagonalizationError, match=f"^stage {k}: {message}"):
+                    read(system)
+    assert checked >= 3
 
 
 # --- reverse synthesis against the global solve ----------------------------------
