@@ -19,9 +19,9 @@ scaled bars of every degree and probes them through one adjacency
 builder, and a public `check_interleaving` call builds a one-shot view of
 its own and scales its shifts into it.  Probes stay in the view's units:
 `gamma`'s probes hand `check_interleaving` int pairs, so each "yes" is a
-certificate and shifts become Fractions only for it; `gamma_symmetric`'s
-probes only decide, saturating each side's required bars from the last
-probe's matchings, and its one certificate is built at the optimum.
+certificate and shifts become Fractions only for it; `gamma_symmetric`
+bisects ints with no grid, its probes only decide, greedy-started from the
+last probe's matchings, and its one certificate is built at the optimum.
 """
 
 from __future__ import annotations
@@ -152,12 +152,16 @@ class _IntView:
             caps = None if len(f[0]) == len(f[1]) and len(g[0]) == len(g[1]) else (f[4], g[4])
             self.degrees.append((f, g, caps))
 
+    def endpoints(self) -> List[int]:
+        """The sorted distinct finite endpoints of F and G."""
+        return sorted({x for *sides, _ in self.degrees for side in sides for ends in side[1:3] for x in ends if abs(x) < self.inf})
+
     def grid(self) -> Tuple[List[int], List[int]]:
         """The sorted endpoint differences (0 included) and the sorted finite
         bar lengths of F and G."""
         inf = self.inf
         bars = [bar for *sides, _ in self.degrees for _, los, his, _, _ in sides for bar in zip(los, his)]
-        pts = sorted({x for bar in bars for x in bar if -inf < x < inf})
+        pts = self.endpoints()
         diffs = {0}
         for i, x in enumerate(pts):
             diffs.update(y - x for y in pts[i + 1:])
@@ -182,7 +186,12 @@ class _IntView:
     def decides(self, a: int, b: int, warm: Dict) -> bool:
         """Whether `entries(a, b)` finds a covering matching: by Mendelsohn-
         Dulmage, whether each side's required classes saturate on their own.
-        `warm` keeps each (degree, side)'s matching from the last probe."""
+        `saturate` starts from the last probe's matching in `warm`, cut to
+        this probe's rows, where each required class left exposed has taken
+        its first neighbour with room (as many copies as fit).  Only required
+        classes are matched, and those that can all be saturated are
+        independent in the transversal matroid, so a path augments to each
+        exposed one from any start whenever all can be: the answer stays."""
         sides = []
         for d, (f, g, caps) in enumerate(self.degrees):
             for side, (s, t, (_, x_lo, x_hi, x_len, x_cnt), (_, y_lo, y_hi, _, y_cnt)) in enumerate(((a, b, f, g), (b, a, g, f))):
@@ -191,10 +200,15 @@ class _IntView:
                 if not all(adj.values()):
                     return False
                 old = warm.get((d, side), {}).items()  # keep the edges that are still rows of adj
-                warm[d, side] = m = (
-                    {v: u for v, u in old if v in adj.get(u, ())} if caps is None
-                    else {v: k for v, h in old if (k := {u: n for u, n in h.items() if v in adj.get(u, ())})}
-                )
+                if caps is None:
+                    warm[d, side] = m = {v: u for v, u in old if v in adj.get(u, ())}
+                    held, room = set(m.values()), lambda v: v not in m
+                else:
+                    warm[d, side] = m = {v: k for v, h in old if (k := {u: n for u, n in h.items() if v in adj.get(u, ())})}
+                    held, room = {u for h in m.values() for u in h}, lambda v: y_cnt[v] - sum(m.get(v, {}).values())
+                for u in req:  # the greedy start
+                    if u not in held and (v := next((v for v in adj[u] if room(v)), None)) is not None:
+                        m[v] = u if caps is None else {**m.get(v, {}), u: min(x_cnt[u], room(v))}
                 sides.append((req, adj, m, req, caps and (x_cnt, y_cnt)))
         return all(saturate(*side) for side in sides)
 
@@ -337,23 +351,43 @@ def gamma(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     return DistanceReport(ExtRat(cert.total), cert)
 
 
+def _candidates(pts: Sequence[int], lo: int, hi: int, limit: int) -> Optional[List[int]]:
+    """The sorted candidates for c strictly between lo and hi: 0, and the
+    differences of the sorted even ints `pts` and their halves; None once
+    over `limit` are seen, a pair's difference and half counted apart."""
+    zero = {0} if lo < 0 < hi else set()
+    runs, seen = [], len(zero)
+    for k, x in enumerate(pts):
+        for s in (1, 2):  # two bisects bound the y with lo < (y - x) / s < hi
+            i = bisect_right(pts, x + s * lo, k + 1)
+            runs.append((x, s, i, bisect_left(pts, x + s * hi, i)))
+            seen += runs[-1][3] - i
+            if seen > limit:
+                return None
+    return None if seen > limit else sorted(zero.union((pts[k] - x) // s for x, s, i, j in runs for k in range(i, j)))
+
+
 def gamma_symmetric(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     """Least 2c such that a (c, c)-interleaving exists.
 
-    The candidates for c are the endpoint differences and their halves, all
-    ints in one view at twice the common denominator D.  The least feasible
-    difference is binary-searched, then the halves below it and above the
-    next smaller difference.  Probes only decide, warm-started; the one
-    certificate is built and re-verified at the optimum."""
+    At twice the common denominator every candidate for c (0, an endpoint
+    difference or half of one) is an int, and feasibility is monotone, so c
+    is the least feasible int, bisected on (lo, hi] from (-1, the top
+    difference] (see `gamma`): ints are halved, counted while they span over
+    2 * m.bit_length() bits, m the finite endpoints, and the candidates left
+    inside are listed and bisected once at most m.  Memory is O(m); probes
+    only decide, and the certificate is built and re-verified at the optimum."""
     view = _IntView(F, G, unit=2)
     if view.infinite_mismatch():
         return DistanceReport(POS_INF, None)
-    diffs, _ = view.grid()  # even: every endpoint is a multiple of 2
-    warm: Dict = {}
-    # the top difference D interleaves (see `gamma`)
-    top = _min_feasible(diffs, lambda c: view.decides(c, c, warm))
-    below = diffs[bisect_left(diffs, top) - 1] if top else -1
-    got = _min_feasible([d // 2 for d in diffs if below < d // 2 < top], lambda c: view.decides(c, c, warm))
-    got = top if got is None else got
-    cert = check_interleaving(F, G, got, got, field=field, _view=view)
+    pts, warm = view.endpoints(), {}  # even: every endpoint is a multiple of 2
+    lo, hi = -1, pts[-1] - pts[0] if pts else 0
+    while hi - lo > 1:
+        if (hi - lo).bit_length() > 2 * len(pts).bit_length() and (cands := _candidates(pts, lo, hi, len(pts))) is not None:
+            got = _min_feasible(cands, lambda c: view.decides(c, c, warm))
+            hi = hi if got is None else got
+            break
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if view.decides(mid, mid, warm) else (mid, hi)
+    cert = check_interleaving(F, G, hi, hi, field=field, _view=view)
     return DistanceReport(ExtRat(cert.total), cert)

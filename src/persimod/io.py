@@ -17,6 +17,7 @@ import csv
 import io as _io
 import os
 import re
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -250,8 +251,12 @@ def _parse_entry(path, n: int, line: str) -> Tuple[int, int, Fraction, int]:
     return (*_parsed(path, n, "unknown token", _entry_tokens, parts), n)
 
 
-def _entry_tokens(parts) -> Tuple[int, int, Fraction]:
-    return int(parts[0]), int(parts[1]), parse_rational(parts[2])
+def _entry_tokens(parts) -> Tuple[int, int, int | Fraction]:
+    # parse_rational's digit test: an integer stays an int, which a prime
+    # field reduces without an inverse; parse_rational refuses an over-long one
+    digits = parts[2][1:] if parts[2][:1] in ("+", "-") else parts[2]
+    whole = digits.isascii() and digits.isdigit() and not 0 < sys.get_int_max_str_digits() < len(digits)
+    return int(parts[0]), int(parts[1]), int(parts[2]) if whole else parse_rational(parts[2])
 
 
 def _parse_morphism_entries(path, field) -> Tuple[Dict[str, str], List[Tuple[int, int, Fraction, int]]]:

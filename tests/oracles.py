@@ -52,7 +52,7 @@ from persimod.canonical import (
     diagonalize_system,
 )
 from persimod.fields import GF2, RationalField
-from persimod.interleaving import DistanceReport, InterleavingCertificate, gamma
+from persimod.interleaving import DistanceReport, InterleavingCertificate, _IntView, _rows, check_interleaving, gamma
 from persimod.limits import (
     Chain,
     CompletionResult,
@@ -64,7 +64,7 @@ from persimod.limits import (
     gamma_to_zero,
     hocolim,
 )
-from persimod.matching import matching_covering
+from persimod.matching import matching_covering, saturate
 from persimod.morphisms import Morphism, _cell_allowed, compose, identity, tau_morphism
 
 
@@ -639,6 +639,54 @@ def gamma_symmetric_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
         return DistanceReport(POS_INF, None)
     value = ExtRat(got)
     return DistanceReport(value, check_interleaving_oracle(F, G, got / 2, got / 2, field))
+
+
+def _warm_decides_oracle(view: _IntView, a: int, b: int, warm: Dict) -> bool:
+    """`_IntView.decides` before its greedy start: the last probe's
+    matchings, cut to this probe's rows, are saturated as they are."""
+    sides = []
+    for d, (f, g, caps) in enumerate(view.degrees):
+        for side, (s, t, (_, x_lo, x_hi, x_len, x_cnt), (_, y_lo, y_hi, _, y_cnt)) in enumerate(((a, b, f, g), (b, a, g, f))):
+            req = [i for i, ln in enumerate(x_len) if ln > a + b]
+            adj = dict(zip(req, _rows(s, t, [x_lo[i] for i in req], [x_hi[i] for i in req], y_lo, y_hi)))
+            if not all(adj.values()):
+                return False
+            old = warm.get((d, side), {}).items()
+            warm[d, side] = m = (
+                {v: u for v, u in old if v in adj.get(u, ())} if caps is None
+                else {v: k for v, h in old if (k := {u: n for u, n in h.items() if v in adj.get(u, ())})}
+            )
+            sides.append((req, adj, m, req, caps and (x_cnt, y_cnt)))
+    return all(saturate(*side) for side in sides)
+
+
+def gamma_symmetric_grid_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
+    """`gamma_symmetric` over the difference grid: the least feasible
+    endpoint difference of the unit-2 view, then the least feasible half
+    between the next smaller difference and it, with warm probes that
+    saturate without a greedy start; the certificate at the optimum."""
+    view = _IntView(F, G, unit=2)
+    if view.infinite_mismatch():
+        return DistanceReport(POS_INF, None)
+    diffs, _ = view.grid()
+    warm: Dict = {}
+    top = _min_feasible_oracle(diffs, lambda c: _warm_decides_oracle(view, c, c, warm))
+    below = diffs[diffs.index(top) - 1] if top else -1
+    got = _min_feasible_oracle([d // 2 for d in diffs if below < d // 2 < top], lambda c: _warm_decides_oracle(view, c, c, warm))
+    got = top if got is None else got
+    cert = check_interleaving(F, G, got, got, field=field, _view=view)
+    return DistanceReport(ExtRat(cert.total), cert)
+
+
+def candidates_oracle(pts: Sequence[int], lo: int, hi: int) -> List[int]:
+    """Every candidate for c strictly between lo and hi, once per way it
+    arises: 0, then each pair's difference and each pair's half difference."""
+    out = [0] if lo < 0 < hi else []
+    for x in pts:
+        for y in pts:
+            if y > x:
+                out.extend(d for d in (y - x, (y - x) // 2) if lo < d < hi)
+    return out
 
 
 # ---------------------------------------------------------------------------

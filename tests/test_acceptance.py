@@ -13,6 +13,7 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -329,7 +330,9 @@ def test_12_coisotropy_verdicts():
 def test_13_generic_denominator_distances():
     # Endpoints of denominator 997 make the difference grid, and so the
     # probe count, as large as the pair allows; the budget keeps that cost
-    # from coming back unseen.
+    # from coming back unseen.  0.91-0.93 s of process time on a shared
+    # 2-core machine, nearly all of it `gamma` at 32 bars; the four
+    # symmetric searches took 0.028 s, and 0.057-0.059 s over the grid.
     with _budget("13 den=997: gamma at 32 bars, gamma_symmetric at 128 bars", 8):
         for seed in (2, 3):
             rng = random.Random(seed)
@@ -403,11 +406,12 @@ def test_16_cone_test_on_a_line_in_high_dimension(tmp_path, capsys):
 
 
 def test_17_symmetric_distance_at_512_bars():
-    # Decide-only, warm-started probes: 0.84-1.11 s of wall time in three
-    # runs on a shared 2-core machine, at most 1.8 s in earlier ones, so
-    # over 2x under the budget.  Probes saturating from nothing took 2.9 s,
-    # and a full covering matching on every probe 4.9-6.4 s.  The
-    # certificate at the optimum is re-verified from its maps.
+    # Decide-only, greedy-started probes on an int bracket: 0.37-0.38 s of
+    # process time in three fresh processes on a shared 2-core machine,
+    # against 0.87-0.90 s over the difference grid without a greedy start.
+    # Probes saturating from nothing took 2.9 s, and a full covering
+    # matching on every probe 4.9-6.4 s.  The certificate at the optimum is
+    # re-verified from its maps.
     rng = random.Random(2)
     F, G = rand_barcode(rng, 512, den=997), rand_barcode(rng, 512, den=997)
     with _budget("17 den=997: gamma_symmetric at 512 bars", 4):
@@ -526,3 +530,46 @@ def test_22_tower_defects_and_colimit_at_120_bars():
     assert res.error_bound == 7 and len(res.barcode) == 102
     digest = hashlib.sha256(repr(res.barcode).encode()).hexdigest()
     assert digest == "33d13134388e53aeea3cfca6d35339c84be5c7254f1a6426f381e4b8bd10905d"
+
+
+def _distinct_prime_pair(rng, n):
+    """Two n-bar barcodes whose 2n bars have distinct prime denominators in
+    [1000, 9999], both ends of a bar over its own prime."""
+    primes = [p for p in range(1000, 10000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+    def bar(p):
+        lo = Fraction(rng.randint(0, 10 * p), p)
+        return 0, Interval(lo, lo + Fraction(rng.randint(1, 10 * p), p))
+
+    chosen = rng.sample(primes, 2 * n)
+    return Barcode([bar(p) for p in chosen[:n]]), Barcode([bar(p) for p in chosen[n:]])
+
+
+def test_23_symmetric_distances_without_the_difference_grid():
+    # The int bracket builds no grid, lists its candidates once at most one
+    # per endpoint is left, and its probes start greedily.  At 1024 bars of
+    # den=997 this took 1.2-1.4 s of process time on a shared 2-core
+    # machine, and 6.2-7.8 s over the grid.  Over 600 distinct prime
+    # denominators, a 2,300-digit scale, 300 bars took 0.12-0.16 s and
+    # traced 3.2 MB, against 3.9-4.4 s and 728 MB over the grid.  The peak
+    # is traced in a second call, since tracing slows it.
+    rng = random.Random(2)
+    F, G = rand_barcode(rng, 1024, den=997), rand_barcode(rng, 1024, den=997)
+    with _budget("23a den=997: gamma_symmetric at 1024 bars", 4):
+        rep = gamma_symmetric(F, G)
+    cert = rep.certificate
+    again = InterleavingCertificate(cert.a, cert.b, cert.u, cert.v)
+    assert cert.a == cert.b and again.total == rep.value.as_fraction() == Fraction(1768, 997)
+    F, G = _distinct_prime_pair(random.Random(23), 300)
+    with _budget("23b 300 bars over distinct prime denominators: gamma_symmetric", 1):
+        rep = gamma_symmetric(F, G)
+    cert = rep.certificate
+    again = InterleavingCertificate(cert.a, cert.b, cert.u, cert.v)
+    assert cert.a == cert.b and again.total == rep.value.as_fraction()
+    tracemalloc.start()
+    try:
+        assert gamma_symmetric(F, G).value == rep.value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB, bound 32 MB"

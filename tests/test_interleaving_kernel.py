@@ -3,19 +3,28 @@ gamma_symmetric, checked for exact agreement with the Fraction/ExtRat
 implementation kept in `oracles.py`, and its scaled view of one (F, G)
 probed against the per-probe scaling kept there."""
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetric
-from persimod.interleaving import _IntView
+from persimod.interleaving import _IntView, _candidates
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
-from conftest import assert_same_entries
-from oracles import check_interleaving_oracle, gamma_oracle, gamma_symmetric_oracle, int_matching_entries_oracle
+from persimod.io import emit_certificate
+from conftest import assert_same_entries, rand_barcode
+from oracles import (
+    candidates_oracle,
+    check_interleaving_oracle,
+    gamma_oracle,
+    gamma_symmetric_grid_oracle,
+    gamma_symmetric_oracle,
+    int_matching_entries_oracle,
+)
 
 KINDS = ("finite", "finite", "finite", "left", "right", "both")
 
@@ -24,14 +33,21 @@ def _interval(kind, lo, hi):
     return Interval(NEG_INF if kind in ("left", "both") else lo, POS_INF if kind in ("right", "both") else hi)
 
 
+# 3- and 4-digit primes: endpoints over several of them put the common
+# denominator, and so the view's scale, far beyond the endpoints' count.
+PRIMES = (101, 103, 107, 109, 113, 997, 1009, 1013, 1019, 7919, 9967, 9973)
+
+
 @st.composite
 def barcode_pairs(draw, den, max_size=4):
-    """(F, G) on degrees {0, 1} with endpoints k/den, infinite bars of
+    """(F, G) on degrees {0, 1} with endpoints k/den (with den a tuple, each
+    endpoint and length over a denominator drawn from it), infinite bars of
     every kind and repeated bars.  Half the time G keeps F's degrees and
     infinite sides with fresh endpoints, so the search runs instead of
     stopping at a mismatch."""
-    endpoint = st.integers(0, 10 * den).map(lambda k: Fraction(k, den))
-    length = st.integers(1, 10 * den).map(lambda k: Fraction(k, den))
+    dens = st.sampled_from(den if isinstance(den, tuple) else (den,))
+    endpoint = dens.flatmap(lambda d: st.integers(0, 10 * d).map(lambda k: Fraction(k, d)))
+    length = dens.flatmap(lambda d: st.integers(1, 10 * d).map(lambda k: Fraction(k, d)))
 
     def bar(degree, kind):
         lo = draw(endpoint)
@@ -74,6 +90,69 @@ def test_gamma_matches_fraction_oracle(den, data):
 def test_gamma_symmetric_matches_fraction_oracle(den, data):
     F, G = data.draw(barcode_pairs(den, max_size=12))
     assert report_key(gamma_symmetric(F, G)) == report_key(gamma_symmetric_oracle(F, G))
+
+
+def symmetric_key(F, G, report):
+    """A symmetric search's value, (a, b), entries and certificate file."""
+    cert = report.certificate
+    return report.value, cert and (cert.a, cert.b, cert.u.entries, cert.v.entries, emit_certificate(F, G, cert))
+
+
+@pytest.mark.parametrize("den", [4, 997, PRIMES])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gamma_symmetric_matches_the_grid_search(den, data):
+    """The int bisection with its listed candidates and greedy-started
+    probes gives the grid search's value, (a, b), entries and `.cert` bytes:
+    on pairs, on F against itself and against an empty side."""
+    F, G = data.draw(barcode_pairs(den, max_size=data.draw(st.sampled_from((4, 12)))))
+    F, G = data.draw(st.sampled_from(((F, G), (F, F), (F, Barcode([])), (Barcode([]), G))))
+    assert symmetric_key(F, G, gamma_symmetric(F, G)) == symmetric_key(F, G, gamma_symmetric_grid_oracle(F, G))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.sets(st.integers(-40, 40), max_size=10),
+    ends=st.tuples(st.integers(-2, 90), st.integers(0, 90)),
+    nudge=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    limit=st.integers(0, 60),
+    huge=st.booleans(),
+)
+# Over 0, 2, 4 on (-1, 10): 0 once, the differences 2, 4, 2 and the halves
+# 1, 2, 1, so seven are seen.  Then 0 and a half past the float range, and
+# 0 alone over no endpoints.
+@example(points={0, 1, 2}, ends=(-1, 11), nudge=(0, 0), limit=7, huge=False)
+@example(points={0, 1, 2}, ends=(-1, 11), nudge=(0, 0), limit=6, huge=False)
+@example(points={-1, 1}, ends=(0, 4), nudge=(1, 0), limit=4, huge=True)
+@example(points=set(), ends=(0, 1), nudge=(1, 1), limit=0, huge=False)
+def test_candidates_match_a_brute_force_list(points, ends, nudge, limit, huge):
+    """`_candidates` lists what a scan of every pair finds strictly between
+    lo and hi, 0 included when lo is negative, and refuses exactly when
+    more than `limit` are seen; also on ints past the float range."""
+    unit = 10 ** 400 if huge else 1
+    pts = sorted(2 * unit * x for x in points)
+    lo = ends[0] * unit - nudge[0]
+    hi = lo + ends[1] * unit + nudge[1]
+    want = candidates_oracle(pts, lo, hi)
+    assert _candidates(pts, lo, hi, limit) == (sorted(set(want)) if len(want) <= limit else None)
+
+
+def test_gamma_symmetric_builds_no_grid(monkeypatch):
+    # `gamma_symmetric` answers as before with `grid` refused, on den=997
+    # pairs and on a scale past 1e308; `gamma` still searches its grid.
+    pairs = [_far_pair()]
+    for seed in (2, 3):
+        rng = random.Random(seed)
+        pairs.append((rand_barcode(rng, 32, den=997), rand_barcode(rng, 32, den=997)))
+    want = [symmetric_key(F, G, gamma_symmetric(F, G)) for F, G in pairs]
+
+    def refuse(view):
+        raise RuntimeError("grid built")
+
+    monkeypatch.setattr(_IntView, "grid", refuse)
+    assert [symmetric_key(F, G, gamma_symmetric(F, G)) for F, G in pairs] == want
+    with pytest.raises(RuntimeError, match="grid built"):
+        gamma(*pairs[0])
 
 
 @pytest.mark.parametrize("den", [4, 997])
@@ -257,18 +336,21 @@ def _primes_above(start, count):
     return out
 
 
-def test_scaled_endpoints_beyond_float_range():
-    # 64 distinct prime denominators near 1e5: the common denominator, and
-    # so every scaled endpoint, exceeds 1e308, where int + float('inf')
-    # would raise OverflowError.
+def _far_pair():
+    """A pair over 64 distinct prime denominators near 1e5, with one
+    infinite bar a side: the common denominator, and so every scaled
+    endpoint, exceeds 1e308."""
     primes = _primes_above(100_000, 64)
-    scale = 1
-    for p in primes:
-        scale *= p
-    assert scale > 10 ** 308
     pairs = list(zip(primes[::2], primes[1::2]))
     F = Barcode([(0, Interval(Fraction(1, p), 5 + Fraction(1, q))) for p, q in pairs] + [(0, Interval(0, POS_INF))])
     G = Barcode([(0, Interval(Fraction(2, p), 5 + Fraction(2, q))) for p, q in pairs] + [(0, Interval(1, POS_INF))])
+    return F, G
+
+
+def test_scaled_endpoints_beyond_float_range():
+    # Past 1e308, int + float('inf') would raise OverflowError.
+    F, G = _far_pair()
+    assert _IntView(F, G).scale > 10 ** 308
 
     cert = check_interleaving(F, G, Fraction(1, 7), 1)
     assert cert is not None and cert.total == Fraction(8, 7)

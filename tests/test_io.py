@@ -22,6 +22,7 @@ from persimod.io import (
     parse_cloud,
     parse_plfunction,
     validate_file,
+    _entry_tokens,
 )
 from persimod.limits import InductiveSystem
 from persimod.morphisms import Morphism
@@ -488,6 +489,40 @@ def test_every_entry_reader_refuses_a_bad_entry_at_its_line(tmp_path, name, text
         validate_file(path)
     where = named if line is None else f"{named}:{line}"
     assert (exc.value.line, str(exc.value)) == (line, f"{where}: {message}")
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("f0.mor", "0 0 RUN\n", 1),
+    ("u.mor", "source: F0.bc\ntarget: F1.bc\n0 0 RUN\n", 3),
+    ("c.cert", _CERT.replace("[forward]\n0 0 1", "[forward]\n0 0 RUN"), 8),
+])
+def test_an_over_long_integer_scalar_is_refused_in_the_programs_words(tmp_path, name, text, line):
+    # an integer scalar is read with int, which would refuse an over-long one
+    # with advice to call sys.set_int_max_str_digits()
+    for run in ("9" * 4301, "-" + "9" * 4301, "+" + "0" * 4301):
+        path, named = _reader_fixture(tmp_path, name, text.replace("RUN", run))
+        with pytest.raises(ParseError) as exc:
+            validate_file(path)
+        assert (exc.value.line, str(exc.value)) == (line, f"{named}:{line}: unknown token (digit run over the limit of 4300)")
+
+
+def test_an_integer_scalar_stays_an_int(tmp_path):
+    # A signed run of ASCII digits is an int, which a prime field reduces
+    # without an inverse; any other token is a Fraction, as before.
+    tokens = ("7", "-12", "+0", "9" * 4300, "3/4", "-6/1", "1.5", "2e1", "1_0")
+    got = [_entry_tokens(["0", "1", tok])[2] for tok in tokens]
+    assert got == [7, -12, 0, int("9" * 4300), Fraction(3, 4), -6, Fraction(3, 2), 20, 10]
+    assert [type(x) for x in got] == [int] * 4 + [Fraction] * 5
+    gf5 = PrimeField(5)
+    F, G = B((0, Interval(0, 10))), B((0, Interval(1, 10)))
+    cert = check_interleaving(F, G, 0, 1, field=gf5)
+    text = emit_certificate(F, G, cert)
+    assert "0 0 1\n[reverse]" in text
+    for scalar in ("6", "-4", "6/1", "-24/6"):
+        p = tmp_path / "c.cert"
+        p.write_text(text.replace("0 0 1\n[reverse]", f"0 0 {scalar}\n[reverse]"))
+        _, _, back = load_certificate(p)
+        assert back.u.entries == cert.u.entries and back.v.entries == cert.v.entries
 
 
 # --- validate_file -----------------------------------------------------------
