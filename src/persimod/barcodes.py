@@ -111,7 +111,7 @@ class Barcode:
 
     def shift(self, c) -> "Barcode":
         """The translate by c; the copies of a run share one shifted Bar."""
-        c = Fraction(c)
+        c = c if type(c) is Fraction else Fraction(c)
         n, d = c.numerator, c.denominator
         bars, iv, deg = [], None, None
         for b in self.bars:
@@ -126,7 +126,7 @@ class Barcode:
         """Whether this barcode equals other.shift(c), compared bar by bar
         without building the shift; a pair on the two Interval objects of the
         pair before it has their verdict."""
-        c = Fraction(c)
+        c = c if type(c) is Fraction else Fraction(c)
         n, d, tb, sb = c.numerator, c.denominator, self.bars, other.bars
         return len(tb) == len(sb) and all(
             t.degree == s.degree

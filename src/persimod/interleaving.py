@@ -79,8 +79,12 @@ def _rows(a: int, b: int, los: Sequence[int], his: Sequence[int], o_lo: Sequence
         # top = min(x-1, y), hi_min = max(x, y+1), without two builtin calls
         x, y, hi_max = hi - a, lo + b, hi + b
         top, hi_min = (x - 1, y + 1) if x <= y else (y, x)
-        window = range(bisect_left(o_lo, lo - a), bisect_right(o_lo, top))
-        rows.append([j for j in window if hi_min <= o_hi[j] <= hi_max])
+        rows.append(row := [])  # not a comprehension, which builds a function per row
+        j, end = bisect_left(o_lo, lo - a), bisect_right(o_lo, top)
+        while j < end:
+            if hi_min <= o_hi[j] <= hi_max:
+                row.append(j)
+            j += 1
     return rows
 
 
@@ -262,29 +266,25 @@ def check_interleaving(F: Barcode, G: Barcode, a, b, *, field=GF2, _view: Option
         return None
     # shifts become Fractions only for a certificate
     a, b = Fraction(a, view.scale), Fraction(b, view.scale)
-    u_entries, v_entries = found
-    u = Morphism(F, G.shift(a), u_entries, field)
-    v = Morphism(G, F.shift(b), v_entries, field)
+    u = Morphism(F, G.shift(a), found[0], field)
+    v = Morphism(G, F.shift(b), found[1], field)
     return InterleavingCertificate(a, b, u, v)
 
 
 def _min_feasible(candidates: Sequence[int], feasible) -> Optional[int]:
-    """Least candidate accepted by `feasible`, assuming monotone feasibility."""
-    if not candidates or not feasible(candidates[-1]):
-        return None
-    lo, hi = 0, len(candidates) - 1
+    """Least candidate accepted by `feasible`, assuming monotone feasibility;
+    the top candidate is tried first."""
+    lo, hi, k = 0, len(candidates), len(candidates) - 1
     while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return candidates[lo]
+        lo, hi = (lo, k) if feasible(candidates[k]) else (k + 1, hi)
+        k = (lo + hi) // 2
+    return candidates[lo] if lo < len(candidates) else None
 
 
-def _least_total(view: _IntView, decide) -> Optional[Tuple[int, int]]:
-    """An optimal (a, b), the least a+b accepted by `decide(a, b)`, or None
-    when no point of the grid is accepted.
+def _least_total(F: Barcode, G: Barcode, field, view: _IntView) -> Optional[Tuple[int, int]]:
+    """An optimal (a, b), the least a+b at which `check_interleaving` finds
+    an (a, b)-interleaving of F and G on `view`, or None when no point of
+    the grid is accepted.
 
     Feasibility is upward closed in (a, b), so for a fixed coordinate the
     other one is binary-searched.  The scan walks the grid of endpoint
@@ -293,40 +293,37 @@ def _least_total(view: _IntView, decide) -> Optional[Tuple[int, int]]:
     orientations are scanned: either coordinate of an optimal pair may be
     the gridded one.  The grid is taken over all degrees at once, so it
     holds every corner of the intersected per-degree staircases.  Grid,
-    lengths, candidates and the pair are ints in the units of the one view
-    of the problem, which `decide` also probes.
+    lengths, candidates and the pair are ints in the units of the view.
     """
     if not view.degrees:
         return 0, 0
     diffs, lengths = view.grid()
     diff_set = set(diffs)
-    cache: Dict[Tuple[int, int], bool] = {}
-
-    def cached(a: int, b: int) -> bool:
-        key = (a, b)
-        if key not in cache:
-            cache[key] = decide(a, b)
-        return cache[key]
-
+    feasible: Dict[Tuple[int, int], bool] = {}
     best: Optional[int] = None
     best_pair: Optional[Tuple[int, int]] = None
 
     def partner_candidates(x: int) -> List[int]:
+        # lengths are distinct and sorted, so ln - x < best - x reads ln < best
         head = diffs if best is None else diffs[:bisect_left(diffs, best - x)]
-        extra = {ln - x for ln in lengths[bisect_right(lengths, x):]} - diff_set
-        if best is not None:
-            extra = {v for v in extra if v < best - x}
-        return sorted(head + list(extra)) if extra else head
+        top = None if best is None else bisect_left(lengths, best)
+        extra = [ln - x for ln in lengths[bisect_right(lengths, x):top] if ln - x not in diff_set]
+        return sorted(head + extra) if extra else head
+
+    def probe(a: int, b: int) -> bool:
+        if (a, b) not in feasible:
+            feasible[a, b] = check_interleaving(F, G, a, b, field=field, _view=view) is not None
+        return feasible[a, b]
 
     for x in diffs:
         if best is not None and x >= best:
             break
         cands = partner_candidates(x)
-        got = _min_feasible(cands, lambda t: cached(x, t))
+        got = _min_feasible(cands, lambda t: probe(x, t))
         if got is not None and (best is None or x + got < best):
             best, best_pair = x + got, (x, got)
             cands = partner_candidates(x)
-        got = _min_feasible(cands, lambda t: cached(t, x))
+        got = _min_feasible(cands, lambda t: probe(t, x))
         if got is not None and (best is None or x + got < best):
             best, best_pair = x + got, (got, x)
     return best_pair
@@ -340,14 +337,10 @@ def gamma(F: Barcode, G: Barcode, *, field=GF2) -> DistanceReport:
     view = _IntView(F, G)
     if view.infinite_mismatch():
         return DistanceReport(POS_INF, None)
-
-    def decide(a: int, b: int) -> bool:
-        return check_interleaving(F, G, a, b, field=field, _view=view) is not None
-
     # With no infinite mismatch (D, D) interleaves, D the top grid
     # difference: no finite bar is longer than D, and infinite bars of one
     # kind pair across.  So the search finds a pair.
-    cert = check_interleaving(F, G, *_least_total(view, decide), field=field, _view=view)
+    cert = check_interleaving(F, G, *_least_total(F, G, field, view), field=field, _view=view)
     return DistanceReport(ExtRat(cert.total), cert)
 
 

@@ -279,13 +279,12 @@ def parse_rational(token: str) -> Fraction:
     ValueError unless it can be printed back: its numerator and denominator
     may have at most the interpreter's int/str digit limit of digits.
     Fraction builds 10**exponent for a decimal exponent, so an exponent over
-    that limit is refused before that unbounded work.  A token of ASCII
-    digits with an optional sign and an optional /denominator is built from
-    its two ints without Fraction's regex.  Any token with a run of digits
-    over the limit is refused in the program's words."""
+    that limit is refused before that unbounded work.  A token of decimal
+    digits (int reads those that Fraction's regex does) with an optional
+    sign and /denominator is built from its two ints without the regex.
+    A run of digits over the limit is refused in the program's words."""
     num, slash, den = token.partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+    if (num.isdecimal() or num[:1] in ("+", "-") and num[1:].isdecimal()) and (not slash or den.isdecimal()):
         try:
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         except ValueError:

@@ -186,8 +186,11 @@ def matching_covering(
     required class is required, and the answer matches copies.
     """
     req_l = set(required_left)
+    for u in req_l:  # a loop, not a generator: most calls of a distance search end here
+        if not adj[u]:
+            return None
     req_r = set(required_right)
-    if any(not adj[u] for u in req_l) or not req_r <= set().union(*adj):
+    if not req_r <= set().union(*adj):
         return None
     order_l = sorted(req_l) + [u for u in range(num_left) if u not in req_l]
     m1 = _saturating(order_l, adj, req_l, caps)

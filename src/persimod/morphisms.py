@@ -170,8 +170,8 @@ def _tau_entries(source: Barcode, c: Fraction, one) -> Dict[Entry, object]:
 
 def tau_morphism(b: Barcode, c, field=None) -> Morphism:
     """Diagonal comparison morphism B -> shift(B, c) for c >= 0."""
-    c, field = Fraction(c), field or GF2
-    if c < 0:
+    c, field = c if type(c) is Fraction else Fraction(c), field or GF2
+    if c.numerator < 0:
         raise ValueError(f"negative shift {c}")
     return Morphism(b, b.shift(c), _tau_entries(b, c, field.one), field)
 
@@ -202,8 +202,8 @@ class InterleavingCertificate:
     __slots__ = ("a", "b", "u", "v")
 
     def __init__(self, a, b, u: Morphism, v: Morphism):
-        a, b = Fraction(a), Fraction(b)
-        if a < 0 or b < 0:
+        a, b = (a if type(a) is Fraction else Fraction(a)), (b if type(b) is Fraction else Fraction(b))
+        if a.numerator < 0 or b.numerator < 0:
             raise ValueError("interleaving shifts must be nonnegative")
         F, G = u.source, v.source
         if u.field != v.field:

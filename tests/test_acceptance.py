@@ -573,3 +573,30 @@ def test_23_symmetric_distances_without_the_difference_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB, bound 32 MB"
+
+
+def test_24_small_distances_at_the_cost_of_their_bars():
+    # Small answers pay fixed costs per probe and per certificate, not per
+    # bar: 300 seeded 4-bar den=997 pairs through gamma, 20 dyadic 3-bar
+    # sequences through complete_cauchy (43,904 check_interleaving calls
+    # and 4,003 certificates together), and the 400 certificates of the
+    # answers and completion steps rebuilt.  0.69-0.89 s of process time
+    # on a shared 2-core machine, and 0.89-1.20 s with every shift amount
+    # rebuilt as a Fraction, a comprehension per adjacency row and four
+    # calls per gamma probe.
+    rng = random.Random(24)
+    pairs = [(rand_barcode(rng, 4, den=997), rand_barcode(rng, 4, den=997)) for _ in range(300)]
+    gen = perfbench_gen()
+    seqs = [gen.cauchy_sequence(rng, n_bars=3) for _ in range(20)]
+    with _budget("24 gamma on 300 4-bar pairs, complete_cauchy on 20 sequences, certificates rebuilt", 1.5):
+        reports = [gamma(F, G) for F, G in pairs]
+        completions = [complete_cauchy(seq, Fraction(1, 2 ** (len(seq) - 3))) for seq in seqs]
+        certs = [rep.certificate for rep in reports] + [
+            cert for res in completions for step in res.certificates for cert in step.values()
+        ]
+        again = [InterleavingCertificate(cert.a, cert.b, cert.u, cert.v) for cert in certs]
+    assert [c.total for c in again] == [c.total for c in certs]
+    assert [rep.value for rep in reports] == [ExtRat(c.total) for c in again[: len(reports)]]
+    assert all(res.final_gamma.value <= Fraction(1, 2 ** (len(seq) - 3)) for res, seq in zip(completions, seqs))
+    digest = hashlib.sha256(repr([(str(r.value), r.certificate.a, r.certificate.b) for r in reports]).encode()).hexdigest()
+    assert digest == "f715714fa71a57a1159aba4344d255064a4858f696c3f681c543240d081e5c94"

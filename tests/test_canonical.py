@@ -390,6 +390,26 @@ def test_dying_short_bar_excluded():
     assert out[0].result.sigma == {0: 1}
 
 
+def test_row_filter_drops_a_phantom_cell_that_would_change_phi():
+    # Clearing column 0 (pivot row 1, [7/2, 23/2)) adds row 1 into row 2,
+    # and so reaches cell (2, 1): bar [19/2, 33/2) starts after source bar
+    # [2, 9) ends, so the composite is zero there and the row filter drops
+    # the sum.  Kept, the cell would put row 2 into column 1's support, and
+    # clearing it would add row 0 into row 2 of phi: another basis, which
+    # the checks would pass, but not the tracked elimination's.
+    GF3 = PrimeField(3)
+    G = B((0, Interval(Fraction(3, 2), Fraction(23, 2))), (0, Interval(2, 9)), (0, Interval(Fraction(19, 2), 15)))
+    Gp = B((0, Interval(Fraction(5, 2), 11)), (0, Interval(Fraction(7, 2), Fraction(23, 2))),
+           (0, Interval(Fraction(19, 2), Fraction(33, 2))))
+    u = Morphism(G, Gp, {(0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 2, (2, 2): 1}, field=GF3)
+    v = Morphism(Gp, G.shift(2), {(0, 0): 2, (0, 1): 1, (1, 0): 1, (2, 2): 1}, field=GF3)
+    (stage,) = diagonalize_system(InductiveSystem([G, Gp], [u], [2], [v], GF3))
+    got = stage.result
+    assert got == canonical_form(u, v, 2) == canonical_form_tracked_oracle(u, v, 2)
+    assert got.phi.entries == {(0, 0): 1, (1, 0): 2, (1, 1): 1, (2, 1): 1, (2, 2): 1}
+    assert got.sigma == {0: 1, 1: 0, 2: 2}
+
+
 def test_failed_postcondition_raises(monkeypatch):
     # A wrong identity makes the tracked-inverse check fail; it must raise
     # DiagonalizationError rather than rely on assert, which -O strips.

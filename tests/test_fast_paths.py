@@ -1,5 +1,6 @@
 """The trusted constructors, checked for exact agreement with the
-validating rebuilds kept in `oracles.py`, and `compose`'s one comparison
+validating rebuilds kept in `oracles.py`, for shift amounts in every form
+the checker takes as for their plain Fractions, and `compose`'s one comparison
 per cell against a full hom on each; the int-pair ExtRat against the
 Fraction-backed one; the survival rule against hom and the
 three-inequality offset rule on built translates, and the untranslated
@@ -12,6 +13,8 @@ the windowed reverse synthesis against the full scan."""
 
 import operator
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -246,7 +249,88 @@ def test_tau_and_compose_match_validating_constructors(den, data):
     assert h == Morphism(h.source, h.target, h.entries, h.field)
 
 
-FIELDS = pytest.mark.parametrize("field", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
+class _Worded(Fraction):
+    """A Fraction subclass that prints itself in its own words: the checker
+    must read it as the plain Fraction of its value."""
+
+    def __str__(self):
+        return "worded"
+
+    __repr__ = __str__
+
+
+# A shift amount in each form the checker takes: an int, a str, a Fraction
+# and a Fraction subclass, nonnegative and negative.
+SHIFT_AMOUNTS = [2, "1/3", Fraction(5, 7), _Worded(1, 3), -2, "-1/3", Fraction(-5, 7), _Worded(-1, 3)]
+AMOUNT_IDS = ["int", "str", "Fraction", "subclass", "negative-int", "negative-str", "negative-Fraction", "negative-subclass"]
+RUNS = Barcode([(0, Interval(0, 1))] * 2 + [(0, Interval(Fraction(1, 3), 4)), (1, Interval(NEG_INF, 2)), (1, Interval(1, POS_INF))])
+
+
+def _refusal(build):
+    try:
+        build()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("amount", SHIFT_AMOUNTS, ids=AMOUNT_IDS)
+def test_every_form_of_a_shift_amount_gives_the_results_of_its_fraction(amount):
+    # A Fraction is taken as it is and its sign read off the numerator;
+    # every other form is rebuilt.  Results, and refusals word for word,
+    # are those of the plain Fraction, through the validating rebuilds.
+    c = Fraction(amount)
+    shifted = RUNS.shift(amount)
+    assert shifted == shift_oracle(RUNS, c) and all(type(bar.interval.lo) is ExtRat for bar in shifted)
+    assert shifted.is_shift_of(RUNS, amount) and not shift_oracle(RUNS, c + 1).is_shift_of(RUNS, amount)
+    if c < 0:
+        assert _refusal(lambda: tau_morphism(RUNS, amount)) == f"negative shift {c}"
+        u = v = tau_morphism(RUNS, 0)
+    else:
+        t = tau_morphism(RUNS, amount)
+        assert t == Morphism(RUNS, shift_oracle(RUNS, c), tau_entries_oracle(RUNS, c))
+        u = v = t
+    for a, b in ((amount, amount), (amount, 0), (0, amount)):
+        want = certificate_refusal_oracle(Fraction(a), Fraction(b), u, v)
+        assert _refusal(lambda: InterleavingCertificate(a, b, u, v)) == want
+        if want is None:
+            cert = InterleavingCertificate(a, b, u, v)
+            assert (type(cert.a), type(cert.b), cert.a, cert.b) == (Fraction, Fraction, Fraction(a), Fraction(b))
+            assert repr(cert) == f"InterleavingCertificate(a={Fraction(a)}, b={Fraction(b)}, total={Fraction(a) + Fraction(b)})"
+
+
+def test_negative_shift_amounts_are_refused_under_python_O():
+    # The sign is read off the numerator, not asserted: with asserts
+    # stripped every form of a negative amount is still refused, in the
+    # words of its plain Fraction.
+    code = (
+        "from fractions import Fraction\n"
+        "from persimod import Barcode, Interval\n"
+        "from persimod.morphisms import InterleavingCertificate, tau_morphism\n"
+        "class Worded(Fraction):\n"
+        "    def __str__(self):\n"
+        "        return 'worded'\n"
+        "B = Barcode([(0, Interval(0, 1))])\n"
+        "u = tau_morphism(B, 0)\n"
+        "for amount in (-2, '-1/3', Fraction(-5, 7), Worded(-1, 3)):\n"
+        "    for build in (lambda: tau_morphism(B, amount), lambda: InterleavingCertificate(amount, 0, u, u),\n"
+        "                  lambda: InterleavingCertificate(0, amount, u, u)):\n"
+        "        try:\n"
+        "            build()\n"
+        "            print('accepted')\n"
+        "        except ValueError as err:\n"
+        "            print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    refused = ["interleaving shifts must be nonnegative"] * 2
+    assert proc.stdout.splitlines() == (
+        ["negative shift -2"] + refused + ["negative shift -1/3"] + refused
+        + ["negative shift -5/7"] + refused + ["negative shift -1/3"] + refused
+    )
+
+
+FIELDS =pytest.mark.parametrize("field", [GF2, PrimeField(5), QQ], ids=["GF2", "GF5", "QQ"])
 
 
 @pytest.mark.parametrize("den", [4, 997])

@@ -84,7 +84,10 @@ def _outcome(parse, token):
 _FRAGMENTS = ["0", "00", "7", "42", "+", "-", "/", "_", ".", "e", "E", " ", "\t",
               "\u0662", "\uff17", "\u00b2", "\u0669\u0660"]
 _SHAPED = ["/0", "1/", "/2", "-", "+", "", "1/-2", "1/+2", "+-5", "--1", "0/0", "-0", "+007/010",
-           "1_000", "1/2_0", " 3", "3\n", "1 /2", "1.5", ".5", "5.", "1e3", "-2.5E-2", "1e", "e5"]
+           "1_000", "1/2_0", " 3", "3\n", "1 /2", "1.5", ".5", "5.", "1e3", "-2.5E-2", "1e", "e5",
+           # decimal digits beyond ASCII, which int reads as Fraction's regex
+           # does, and a superscript digit, which neither reads
+           "\u0662/\uff17", "-\u0669\u0660", "+\uff17/\u0662\u0660", "\u00b2/3", "3/\u00b2", "-\u00b2"]
 
 
 @st.composite
@@ -94,7 +97,7 @@ def _long_tokens(draw):
     k = draw(st.integers(limit - 3, limit + 1))
     if draw(st.booleans()):  # a run in a token that Fraction reads
         return draw(st.sampled_from(
-            ["9" * k + ".5", "1." + "0" * k, "-." + "9" * k, "1e" + "0" * k + "1", "1_" + "9" * k]
+            ["9" * k + ".5", "1." + "0" * k, "-." + "9" * k, "1e" + "0" * k + "1", "1_" + "9" * k, "-" + "\u0662" * k]
         ))
     num = draw(st.sampled_from(["", "+", "-"])) + "9" * draw(st.integers(limit - 3, limit + 1))
     if draw(st.booleans()):
