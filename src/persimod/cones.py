@@ -142,10 +142,17 @@ def _distances(cloud: PointCloud, x: np.ndarray) -> np.ndarray:
 
 
 def _default_scales(dists: np.ndarray) -> List[float]:
+    """r0, the largest distance from x, halved eight times.  Where the
+    finest of those holds no other point, the scales run geometrically from
+    r0 down to exactly the nearest other point's distance instead."""
     r0 = float(np.max(dists))
     if r0 == 0.0:
         raise ValueError("no secants: the cloud has no point distinct from x")
-    return [r0 * 2.0 ** (-j) for j in range(_N_SCALES)]
+    scales = [r0 * 2.0 ** (-j) for j in range(_N_SCALES)]
+    near = float(np.min(dists[dists > 0]))
+    steps = [r0 * (near / r0) ** (j / (_N_SCALES - 1)) for j in range(_N_SCALES - 1)] + [near]
+    # kept only where they strictly decrease: not where near is r0 to rounding
+    return steps if scales[-1] < near and all(b < a for a, b in zip(steps, steps[1:])) else scales
 
 
 def _cells(vecs: np.ndarray) -> np.ndarray:

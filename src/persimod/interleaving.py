@@ -19,9 +19,11 @@ scaled bars of every degree and probes them through one adjacency
 builder, and a public `check_interleaving` call builds a one-shot view of
 its own and scales its shifts into it.  Probes stay in the view's units:
 `gamma`'s probes hand `check_interleaving` int pairs, so each "yes" is a
-certificate and shifts become Fractions only for it; `gamma_symmetric`
-bisects ints with no grid, its probes only decide, greedy-started from the
-last probe's matchings, and its one certificate is built at the optimum.
+certificate and shifts become Fractions only for it, and a line of its
+scan whose top candidate fails costs that one probe and no candidate
+list; `gamma_symmetric` bisects ints with no grid, its probes only
+decide, greedy-started from the last probe's matchings, and its one
+certificate is built at the optimum.
 """
 
 from __future__ import annotations
@@ -292,7 +294,10 @@ def _least_total(F: Barcode, G: Barcode, field, view: _IntView) -> Optional[Tupl
     length-minus-coordinate values complete the candidate set.  Both
     orientations are scanned: either coordinate of an optimal pair may be
     the gridded one.  The grid is taken over all degrees at once, so it
-    holds every corner of the intersected per-degree staircases.  Grid,
+    holds every corner of the intersected per-degree staircases.  A line's
+    top candidate comes from two bisects and is probed first; only where
+    it interleaves is the line's candidate list built and bisected, so a
+    line whose top candidate fails costs one probe and no list.  Grid,
     lengths, candidates and the pair are ints in the units of the view.
     """
     if not view.degrees:
@@ -318,14 +323,18 @@ def _least_total(F: Barcode, G: Barcode, field, view: _IntView) -> Optional[Tupl
     for x in diffs:
         if best is not None and x >= best:
             break
-        cands = partner_candidates(x)
-        got = _min_feasible(cands, lambda t: probe(x, t))
-        if got is not None and (best is None or x + got < best):
-            best, best_pair = x + got, (x, got)
-            cands = partner_candidates(x)
-        got = _min_feasible(cands, lambda t: probe(t, x))
-        if got is not None and (best is None or x + got < best):
-            best, best_pair = x + got, (got, x)
+        for swap in (False, True):
+            # max(partner_candidates(x)) by two bisects: a length ln - x that
+            # is a grid difference lies below best - x, so the head holds it
+            i, j = (len(diffs), len(lengths)) if best is None else (bisect_left(diffs, best - x), bisect_left(lengths, best))
+            if not i:
+                break  # best fell to x: no candidate is left, and 0 heads the grid
+            top = max(diffs[i - 1], lengths[j - 1] - x) if j else diffs[i - 1]
+            if not (probe(top, x) if swap else probe(x, top)):
+                continue  # the line costs one probe and no list
+            # every candidate lies below best - x, and the top one is a memo hit
+            got = _min_feasible(partner_candidates(x), (lambda t: probe(t, x)) if swap else (lambda t: probe(x, t)))
+            best, best_pair = x + got, ((got, x) if swap else (x, got))
     return best_pair
 
 

@@ -8,32 +8,37 @@ implementations favour obviousness over speed.
 
 The exceptions are the differential oracles kept to check a faster
 library path against its earlier implementation: the Fraction/ExtRat
-interleaving search under the integer kernel, the validating rebuilds
-and the full-hom composite under the trusted constructors and the
-one-comparison `compose`, the recursive augmenting search under
-the matching, the full-merge matching and all-pairs adjacency under the
-windowed decision kernel, the per-degree tower split under graded
-diagonalization, the Fraction-backed ExtRat under the int-pair one, the
-global round-trip solve and the full bar scan under the windowed
-per-block reverse synthesis, the dense solver under its sparse
-Gauss-Jordan, the tracked matrix class under the row-dict
-diagonalization, trial division under the Miller-Rabin primality test,
-and the operator-based hom and translation under the endpoint kernel,
-with `compose` and `equals_tau` on translated barcodes under the one
-round-trip predicate on untranslated bars and the three-inequality
-offset rule under its one comparison, the Fraction merge under the
-rank merge of sublevel persistence, the float-row cone kernel under
-the integer-cell one, the full product walk under the pruned normal grid,
-the reverse maps rebased on a shifted phi and the cones built as barcodes
-under the tower readings off the cone ends, and `Fraction(token)` under
-the int fast path of `parse_rational` (see their sections).
-Direct sums of morphisms are reference code for the graded checks.
+interleaving search under the integer kernel, the line scan that built
+every candidate list under the one that probes a line's top candidate
+first, the validating rebuilds and the full-hom composite under the
+trusted constructors and the one-comparison `compose`, the recursive
+augmenting search under the matching, the full-merge matching and
+all-pairs adjacency under the windowed decision kernel, the per-degree
+tower split under graded diagonalization, the Fraction-backed ExtRat
+under the int-pair one, the global round-trip solve and the full bar
+scan under the windowed per-block reverse synthesis, the dense solver
+under its sparse Gauss-Jordan, the tracked matrix class under the
+row-dict diagonalization, trial division under the Miller-Rabin
+primality test, and the operator-based hom and translation under the
+endpoint kernel, with `compose` and `equals_tau` on translated barcodes
+under the one round-trip predicate on untranslated bars and the
+three-inequality offset rule under its one comparison, the Fraction
+merge under the rank merge of sublevel persistence, the float-row cone
+kernel under the integer-cell one, the full product walk under the
+pruned normal grid, the reverse maps rebased on a shifted phi and the
+cones built as barcodes under the tower readings off the cone ends, and
+`Fraction(token)` under the int fast path of `parse_rational` (see their
+sections).
+Direct sums of morphisms are reference code for the graded checks.  The
+bottleneck distance of the isometry theorem shares no code with the
+interleaving kernel at all; it reads bars and nothing else.
 """
 
 import math
 import operator
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -52,7 +57,7 @@ from persimod.canonical import (
     diagonalize_system,
 )
 from persimod.fields import GF2, RationalField
-from persimod.interleaving import DistanceReport, InterleavingCertificate, _IntView, _rows, check_interleaving, gamma
+from persimod.interleaving import DistanceReport, InterleavingCertificate, _IntView, _min_feasible, _rows, check_interleaving, gamma
 from persimod.limits import (
     Chain,
     CompletionResult,
@@ -687,6 +692,122 @@ def candidates_oracle(pts: Sequence[int], lo: int, hi: int) -> List[int]:
             if y > x:
                 out.extend(d for d in (y - x, (y - x) // 2) if lo < d < hi)
     return out
+
+
+def least_total_scan_oracle(F: Barcode, G: Barcode, field, view: _IntView) -> Optional[Tuple[int, int]]:
+    """`interleaving._least_total` as it was before each line probed its
+    top candidate first: every line builds its candidate list and hands it
+    to `_min_feasible`, even where the top candidate, its first probe,
+    fails.  The probes, their order and the pair are the same."""
+    if not view.degrees:
+        return 0, 0
+    diffs, lengths = view.grid()
+    diff_set = set(diffs)
+    feasible: Dict[Tuple[int, int], bool] = {}
+    best: Optional[int] = None
+    best_pair: Optional[Tuple[int, int]] = None
+
+    def partner_candidates(x: int) -> List[int]:
+        # lengths are distinct and sorted, so ln - x < best - x reads ln < best
+        head = diffs if best is None else diffs[:bisect_left(diffs, best - x)]
+        top = None if best is None else bisect_left(lengths, best)
+        extra = [ln - x for ln in lengths[bisect_right(lengths, x):top] if ln - x not in diff_set]
+        return sorted(head + extra) if extra else head
+
+    def probe(a: int, b: int) -> bool:
+        if (a, b) not in feasible:
+            feasible[a, b] = check_interleaving(F, G, a, b, field=field, _view=view) is not None
+        return feasible[a, b]
+
+    for x in diffs:
+        if best is not None and x >= best:
+            break
+        cands = partner_candidates(x)
+        got = _min_feasible(cands, lambda t: probe(x, t))
+        if got is not None and (best is None or x + got < best):
+            best, best_pair = x + got, (x, got)
+            cands = partner_candidates(x)
+        got = _min_feasible(cands, lambda t: probe(t, x))
+        if got is not None and (best is None or x + got < best):
+            best, best_pair = x + got, (got, x)
+    return best_pair
+
+
+# ---------------------------------------------------------------------------
+# the isometry theorem: a bottleneck distance that shares no kernel code
+#
+# For barcodes the interleaving distance is the bottleneck distance
+# (Chazal, Cohen-Steiner, Glisse, Guibas and Oudot 2009; Lesnick 2015;
+# Bauer and Lesnick 2015).  In the package's terms an (a, b)-interleaving
+# exists iff, in every degree, d_B(F, G + (a - b)/2) <= (a + b)/2, where
+# G + s adds s to every endpoint of G: a bar longer than a + b has a
+# diagonal cost, half its length, above (a + b)/2.  So `gamma_symmetric`
+# is 2 max over degrees of d_B(F, G).  The bars are read as Fraction pairs
+# (None for an infinite end); an infinite bar matches only a bar infinite
+# on the same sides, at the L-infinity distance of their finite ends, and
+# never the diagonal.  Each degree is one square cost matrix, bars and
+# the other side's diagonal copies, matched by Kuhn's augmenting paths at
+# each bisected candidate cost.
+
+
+def _bar_ends(bc: Barcode, degree: int, s: Fraction) -> List[Tuple[Optional[Fraction], Optional[Fraction]]]:
+    out = []
+    for bar in bc.bars:
+        if bar.degree == degree:
+            lo, hi = bar.interval.lo, bar.interval.hi
+            out.append((lo.as_fraction() + s if lo.is_finite else None, hi.as_fraction() + s if hi.is_finite else None))
+    return out
+
+
+def _pair_cost(x, y) -> Optional[Fraction]:
+    if (x[0] is None) != (y[0] is None) or (x[1] is None) != (y[1] is None):
+        return None  # bars of different kinds never match
+    return max((abs(p - q) for p, q in zip(x, y) if p is not None), default=Fraction(0))
+
+
+def _diagonal_cost(x) -> Optional[Fraction]:
+    return None if None in x else (x[1] - x[0]) / 2
+
+
+def _perfect_matching(cost, c) -> bool:
+    match: List[Optional[int]] = [None] * len(cost)  # column -> row
+
+    def augment(r, seen):
+        for k, w in enumerate(cost[r]):
+            if w is not None and w <= c and k not in seen:
+                seen.add(k)
+                if match[k] is None or augment(match[k], seen):
+                    match[k] = r
+                    return True
+        return False
+
+    return all(augment(r, set()) for r in range(len(cost)))
+
+
+def _bottleneck(X, Y):
+    n, m = len(X), len(Y)
+    cost = [[_pair_cost(x, y) for y in Y] + [_diagonal_cost(x) if k == i else None for k in range(n)] for i, x in enumerate(X)]
+    cost += [[_diagonal_cost(y) if k == j else None for k in range(m)] + [Fraction(0)] * n for j, y in enumerate(Y)]
+    if not cost:
+        return Fraction(0)
+    cands = sorted({w for row in cost for w in row if w is not None})
+    lo, hi = 0, len(cands)  # the least feasible candidate, or len(cands): none
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _perfect_matching(cost, cands[mid]) else (mid + 1, hi)
+    return cands[lo] if lo < len(cands) else math.inf
+
+
+def bottleneck_oracle(F: Barcode, G: Barcode, s=Fraction(0)):
+    """The largest over degrees of d_B(F, G + s), a Fraction or math.inf."""
+    degrees = {bar.degree for bc in (F, G) for bar in bc.bars}
+    return max((_bottleneck(_bar_ends(F, d, Fraction(0)), _bar_ends(G, d, Fraction(s))) for d in degrees), default=Fraction(0))
+
+
+def translate_test_oracle(F: Barcode, G: Barcode, a, b) -> bool:
+    """Whether an (a, b)-interleaving exists, by the isometry theorem."""
+    a, b = Fraction(a), Fraction(b)
+    return bottleneck_oracle(F, G, (a - b) / 2) <= (a + b) / 2
 
 
 # ---------------------------------------------------------------------------

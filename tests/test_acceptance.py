@@ -14,12 +14,14 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from persimod import interleaving
 from persimod.barcodes import Barcode
 from persimod.canonical import canonical_form
 from persimod.cli import main, rational_degeneracy
@@ -575,22 +577,43 @@ def test_23_symmetric_distances_without_the_difference_grid():
     assert peak <= 32 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB, bound 32 MB"
 
 
-def test_24_small_distances_at_the_cost_of_their_bars():
+def test_24_small_distances_at_the_cost_of_their_bars(monkeypatch):
     # Small answers pay fixed costs per probe and per certificate, not per
     # bar: 300 seeded 4-bar den=997 pairs through gamma, 20 dyadic 3-bar
-    # sequences through complete_cauchy (43,904 check_interleaving calls
-    # and 4,003 certificates together), and the 400 certificates of the
-    # answers and completion steps rebuilt.  0.69-0.89 s of process time
-    # on a shared 2-core machine, and 0.89-1.20 s with every shift amount
-    # rebuilt as a Fraction, a comprehension per adjacency row and four
-    # calls per gamma probe.
+    # sequences through complete_cauchy (43,904 check_interleaving calls and
+    # 4,003 certificates together), and the 400 certificates of the answers
+    # and completion steps rebuilt.  0.69-0.89 s of process time on a shared
+    # 2-core machine, and 0.89-1.20 s with every shift amount rebuilt as a
+    # Fraction, a comprehension per adjacency row and four calls per gamma
+    # probe.  The budget also passes at those older costs, so the calls are
+    # counted too, through the names `interleaving` calls them by, and
+    # pinned exactly per phase.  A line of gamma's scan whose top candidate
+    # fails costs one probe and no candidate list: 685 and 292
+    # `_min_feasible` calls, against 44,844 and 1,238 when every line built
+    # its list.
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("check_interleaving", "matching_covering", "_min_feasible"):
+        monkeypatch.setattr(interleaving, name, counted(name, getattr(interleaving, name)))
+    monkeypatch.setattr(InterleavingCertificate, "__init__", counted("certificates", InterleavingCertificate.__init__))
+    phases = []
     rng = random.Random(24)
     pairs = [(rand_barcode(rng, 4, den=997), rand_barcode(rng, 4, den=997)) for _ in range(300)]
     gen = perfbench_gen()
     seqs = [gen.cauchy_sequence(rng, n_bars=3) for _ in range(20)]
     with _budget("24 gamma on 300 4-bar pairs, complete_cauchy on 20 sequences, certificates rebuilt", 1.5):
         reports = [gamma(F, G) for F, G in pairs]
+        phases.append(dict(counts))
+        counts.clear()
         completions = [complete_cauchy(seq, Fraction(1, 2 ** (len(seq) - 3))) for seq in seqs]
+        phases.append(dict(counts))
         certs = [rep.certificate for rep in reports] + [
             cert for res in completions for step in res.certificates for cert in step.values()
         ]
@@ -600,3 +623,7 @@ def test_24_small_distances_at_the_cost_of_their_bars():
     assert all(res.final_gamma.value <= Fraction(1, 2 ** (len(seq) - 3)) for res, seq in zip(completions, seqs))
     digest = hashlib.sha256(repr([(str(r.value), r.certificate.a, r.certificate.b) for r in reports]).encode()).hexdigest()
     assert digest == "f715714fa71a57a1159aba4344d255064a4858f696c3f681c543240d081e5c94"
+    assert phases == [
+        {"check_interleaving": 41216, "matching_covering": 41216, "certificates": 2768, "_min_feasible": 685},
+        {"check_interleaving": 2688, "matching_covering": 2688, "certificates": 1235, "_min_feasible": 292},
+    ]

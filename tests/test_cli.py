@@ -345,6 +345,17 @@ def test_cantor_emit_cloud(capsys):
     assert len(out.splitlines()) == 16
 
 
+def test_readme_emit_cloud_example_gets_a_verdict(tmp_path, capsys):
+    # README's pipeline: the corners of the level-2 family, then a cone test
+    # at one of them.  The nearest corner lies farther than r0 / 256, so the
+    # default scales reach down to it; the exact answer is vacuous.
+    rc, out, _ = run(capsys, "cantor", "--a", "1/4", "--n", "1", "--k", "2", "--emit-cloud")
+    assert rc == 0
+    (tmp_path / "corners.csv").write_text(out)
+    assert run(capsys, "cone-test", "--cloud", str(tmp_path / "corners.csv"), "--point", "0,0") == (
+        0, "CoisotropicVacuous\n", "")
+
+
 def test_cantor_domain_error_exits_1(capsys):
     rc, _, err = run(capsys, "cantor", "--a", "1/2", "--n", "1", "--k", "1")
     assert rc == 1

@@ -132,6 +132,31 @@ def test_contingent_empty_finest_scale():
         contingent(cloud, (0, 0), params=ConeParams(scales=(1.0, 0.5, 0.25, 0.125)))
 
 
+@pytest.mark.parametrize("a, k, n", [(Fraction(1, 4), 1, 1), (Fraction(1, 4), 2, 1)])
+def test_default_scales_reach_the_nearest_corner(a, k, n):
+    """On these corner clouds the nearest other corner lies farther than
+    r0 / 256 from every corner, so the halved scales held no point there.
+    The scales run down to it instead, and every corner gets the exact
+    answer: near a point of a disjoint closed cube the set is that cube."""
+    cloud = corner_cloud(cantor_cubes(a, k, n))
+    for x in cloud.points:
+        dists = np.linalg.norm(cloud.points - x, axis=1)
+        scales = cones._default_scales(dists)
+        near = np.min(dists[dists > 0])
+        assert scales[0] == np.max(dists) and scales[-1] == near > scales[0] / 256
+        assert len(scales) == 9 and all(finer < coarser for coarser, finer in zip(scales, scales[1:]))
+        assert cone_coisotropy_test(cloud, x).kind == "CoisotropicVacuous"
+
+
+def test_default_scales_halve_where_the_finest_holds_a_point():
+    """Where r0 / 256 reaches a point, and where the nearest point is as far
+    as the farthest, the scales are r0 halved eight times, as before."""
+    for dists in (np.array([0.0, 1.0, 0.5, 2.0 ** -8]), np.array([0.0, 1.0, 2.0 ** -9]), np.array([1.0, 1.0])):
+        assert cones._default_scales(dists) == [2.0 ** -j for j in range(9)]
+    with pytest.raises(ValueError, match="empty neighborhood"):
+        contingent(PointCloud([[0.0, 0.0], [1.0, 0.0]]), (0, 0))
+
+
 def test_cone_input_validation():
     cloud = ray_cloud([(1, 0)])
     with pytest.raises(ValueError, match="dimension 2"):

@@ -1,7 +1,8 @@
 """The integer endpoint kernel under check_interleaving, gamma and
 gamma_symmetric, checked for exact agreement with the Fraction/ExtRat
-implementation kept in `oracles.py`, and its scaled view of one (F, G)
-probed against the per-probe scaling kept there."""
+implementation kept in `oracles.py`, its scaled view of one (F, G)
+probed against the per-probe scaling kept there, and `gamma`'s line scan
+probe for probe against the scan that listed every line's candidates."""
 
 import random
 import subprocess
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetric
+from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetric, interleaving
 from persimod.interleaving import _IntView, _candidates
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
 from persimod.io import emit_certificate
+import oracles
 from conftest import assert_same_entries, rand_barcode
 from oracles import (
     candidates_oracle,
@@ -24,6 +26,7 @@ from oracles import (
     gamma_symmetric_grid_oracle,
     gamma_symmetric_oracle,
     int_matching_entries_oracle,
+    least_total_scan_oracle,
 )
 
 KINDS = ("finite", "finite", "finite", "left", "right", "both")
@@ -39,8 +42,8 @@ PRIMES = (101, 103, 107, 109, 113, 997, 1009, 1013, 1019, 7919, 9967, 9973)
 
 
 @st.composite
-def barcode_pairs(draw, den, max_size=4):
-    """(F, G) on degrees {0, 1} with endpoints k/den (with den a tuple, each
+def barcode_pairs(draw, den, max_size=4, degrees=(0, 1)):
+    """(F, G) on `degrees` with endpoints k/den (with den a tuple, each
     endpoint and length over a denominator drawn from it), infinite bars of
     every kind and repeated bars.  Half the time G keeps F's degrees and
     infinite sides with fresh endpoints, so the search runs instead of
@@ -58,7 +61,7 @@ def barcode_pairs(draw, den, max_size=4):
         repeats = draw(st.lists(st.sampled_from(bars), max_size=max_size - len(bars))) if 0 < len(bars) < max_size else []
         return Barcode(bars + repeats)
 
-    shapes = st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(KINDS)), max_size=max_size)
+    shapes = st.lists(st.tuples(st.sampled_from(degrees), st.sampled_from(KINDS)), max_size=max_size)
     shape = draw(shapes)
     F = barcode(shape)
     if draw(st.booleans()):
@@ -90,6 +93,47 @@ def test_gamma_matches_fraction_oracle(den, data):
 def test_gamma_symmetric_matches_fraction_oracle(den, data):
     F, G = data.draw(barcode_pairs(den, max_size=12))
     assert report_key(gamma_symmetric(F, G)) == report_key(gamma_symmetric_oracle(F, G))
+
+
+def logged_gamma(F, G):
+    """`gamma`'s value and pair, and every `check_interleaving` call it made
+    as (a, b, verdict), the search's probes and then the certificate's."""
+    log, check = [], interleaving.check_interleaving
+
+    def logged(F, G, a, b, **kwargs):
+        cert = check(F, G, a, b, **kwargs)
+        log.append((a, b, cert is not None))
+        return cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interleaving, "check_interleaving", logged)
+        mp.setattr(oracles, "check_interleaving", logged)
+        report = gamma(F, G)
+    cert = report.certificate
+    return log, (report.value, cert and (cert.a, cert.b))
+
+
+@pytest.mark.parametrize("den", [1, 4, 997])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gamma_scan_probes_as_the_listing_scan(den, data):
+    """Probing each line's top candidate before its list is built makes the
+    same probes, in the same order, and finds the same value and pair as
+    the scan that built every line's list: on degrees {0} and {0, 1}, with
+    infinite and repeated bars, empty sides and pairs at distance 0.  Half
+    the pairs are the suite's seeded finite ones, where a line's top
+    candidate is now and then a length rather than a grid difference."""
+    degrees, size = data.draw(st.sampled_from(((0,), (0, 1)))), data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        F, G = rand_barcode(rng, size, degrees, den=den), rand_barcode(rng, size, degrees, den=den)
+    else:
+        F, G = data.draw(barcode_pairs(den, max_size=size, degrees=degrees))
+    F, G = data.draw(st.sampled_from(((F, G),) * 4 + ((F, F), (F, Barcode([])), (Barcode([]), G), (Barcode([]), Barcode([])))))
+    new = logged_gamma(F, G)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interleaving, "_least_total", least_total_scan_oracle)
+        assert logged_gamma(F, G) == new
 
 
 def symmetric_key(F, G, report):
