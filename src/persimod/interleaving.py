@@ -193,11 +193,8 @@ class _IntView:
         """Whether `entries(a, b)` finds a covering matching: by Mendelsohn-
         Dulmage, whether each side's required classes saturate on their own.
         `saturate` starts from the last probe's matching in `warm`, cut to
-        this probe's rows, where each required class left exposed has taken
-        its first neighbour with room (as many copies as fit).  Only required
-        classes are matched, and those that can all be saturated are
-        independent in the transversal matroid, so a path augments to each
-        exposed one from any start whenever all can be: the answer stays."""
+        this probe's rows; it matches only required classes, so its greedy
+        start keeps the answer."""
         sides = []
         for d, (f, g, caps) in enumerate(self.degrees):
             for side, (s, t, (_, x_lo, x_hi, x_len, x_cnt), (_, y_lo, y_hi, _, y_cnt)) in enumerate(((a, b, f, g), (b, a, g, f))):
@@ -206,16 +203,11 @@ class _IntView:
                 if not all(adj.values()):
                     return False
                 old = warm.get((d, side), {}).items()  # keep the edges that are still rows of adj
-                if caps is None:
-                    warm[d, side] = m = {v: u for v, u in old if v in adj.get(u, ())}
-                    held, room = set(m.values()), lambda v: v not in m
-                else:
-                    warm[d, side] = m = {v: k for v, h in old if (k := {u: n for u, n in h.items() if v in adj.get(u, ())})}
-                    held, room = {u for h in m.values() for u in h}, lambda v: y_cnt[v] - sum(m.get(v, {}).values())
-                for u in req:  # the greedy start
-                    if u not in held and (v := next((v for v in adj[u] if room(v)), None)) is not None:
-                        m[v] = u if caps is None else {**m.get(v, {}), u: min(x_cnt[u], room(v))}
-                sides.append((req, adj, m, req, caps and (x_cnt, y_cnt)))
+                warm[d, side] = m = (
+                    {v: u for v, u in old if v in adj.get(u, ())} if caps is None
+                    else {v: k for v, h in old if (k := {u: n for u, n in h.items() if v in adj.get(u, ())})}
+                )
+                sides.append((req, adj, m, adj, caps and (x_cnt, y_cnt)))
         return all(saturate(*side) for side in sides)
 
     def entries(self, a: int, b: int):

@@ -39,6 +39,7 @@ import operator
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -69,7 +70,7 @@ from persimod.limits import (
     gamma_to_zero,
     hocolim,
 )
-from persimod.matching import matching_covering, saturate
+from persimod.matching import _try_augment, matching_covering
 from persimod.morphisms import Morphism, _cell_allowed, compose, identity, tau_morphism
 
 
@@ -647,7 +648,7 @@ def gamma_symmetric_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
 
 
 def _warm_decides_oracle(view: _IntView, a: int, b: int, warm: Dict) -> bool:
-    """`_IntView.decides` before its greedy start: the last probe's
+    """`_IntView.decides` without a greedy start: the last probe's
     matchings, cut to this probe's rows, are saturated as they are."""
     sides = []
     for d, (f, g, caps) in enumerate(view.degrees):
@@ -661,8 +662,8 @@ def _warm_decides_oracle(view: _IntView, a: int, b: int, warm: Dict) -> bool:
                 {v: u for v, u in old if v in adj.get(u, ())} if caps is None
                 else {v: k for v, h in old if (k := {u: n for u, n in h.items() if v in adj.get(u, ())})}
             )
-            sides.append((req, adj, m, req, caps and (x_cnt, y_cnt)))
-    return all(saturate(*side) for side in sides)
+            sides.append((req, adj, m, set(req), caps and (x_cnt, y_cnt)))
+    return all(saturate_without_greedy_start(*side) for side in sides)
 
 
 def gamma_symmetric_grid_oracle(F: Barcode, G: Barcode, field=GF2) -> DistanceReport:
@@ -1590,12 +1591,13 @@ def augment_oracle(order, adj) -> Tuple[Dict[int, int], List[bool]]:
 # ---------------------------------------------------------------------------
 # differential oracle for the covering matching and its adjacency
 #
-# `matching` skips visited right vertices with a path-compressed map and
-# returns the left-saturating matching when it already covers the right
-# side; `interleaving._IntView.entries` builds each row from an index
-# window over G's sorted lo ends.  These are the versions they replaced:
-# a `seen` set re-tested per neighbour, the second matching and merge on
-# every call, and the adjacency tested against every bar of G.
+# `matching` returns the left-saturating matching when it already covers
+# the right side; `interleaving._IntView.entries` builds each row from an
+# index window over G's sorted lo ends.  These are the versions they
+# replaced: the second matching and merge on every call, and the adjacency
+# tested against every bar of G.  Both start each saturation greedy, as
+# `matching.saturate` does, so that their entries are the library's;
+# `covering_exists_oracle` decides without the greedy start.
 
 
 def _try_augment_scan(root, adj, match_r, seen) -> bool:
@@ -1623,10 +1625,49 @@ def _try_augment_scan(root, adj, match_r, seen) -> bool:
 
 def _saturating_oracle(order, adj, required):
     match_r: Dict[int, int] = {}
+    for u in order:  # greedy start: each required vertex takes a free neighbour
+        if u in required:
+            free = [v for v in adj[u] if v not in match_r]
+            if free:
+                match_r[free[0]] = u
+    matched = set(match_r.values())
     for u in order:
-        if not _try_augment_scan(u, adj, match_r, set()) and u in required:
+        if u not in matched and not _try_augment_scan(u, adj, match_r, set()) and u in required:
             return None
     return {u: v for v, u in match_r.items()}
+
+
+def saturate_without_greedy_start(order, adj, match_r, required, caps=None) -> bool:
+    """`matching.saturate` before its greedy start: augment from each vertex
+    of `order` in turn, up to capacity; False if a `required` one can't."""
+    if caps is None:
+        held = set(match_r.values())
+        return all(u in held or _try_augment(u, adj, match_r) or u not in required for u in order)
+    cap_l, cap_r = caps
+    held = Counter()
+    for h in match_r.values():
+        held.update(h)
+    for u in order:
+        need = cap_l[u] - held[u]
+        while need and (got := _try_augment(u, adj, match_r, cap_r, need)):
+            need -= got
+        if need and u in required:
+            return False
+    return True
+
+
+def covering_exists_oracle(num_left, num_right, adj, required_left, required_right, caps=None) -> bool:
+    """Whether a matching covers every required vertex, by Mendelsohn-
+    Dulmage: each side's required vertices saturate from nothing, without
+    a greedy start."""
+    radj: List[List[int]] = [[] for _ in range(num_right)]
+    for u in range(num_left):
+        for v in adj[u]:
+            radj[v].append(u)
+    return all(
+        saturate_without_greedy_start(sorted(req), rows, {}, set(req), caps and caps[::side])
+        for rows, req, side in ((adj, required_left, 1), (radj, required_right, -1))
+    )
 
 
 def matching_covering_oracle(num_left, num_right, adj, required_left, required_right):

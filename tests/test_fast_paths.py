@@ -38,6 +38,7 @@ from oracles import (
     compare_oracle,
     compose_hom_filter_oracle,
     cone_barcode_oracle,
+    covering_exists_oracle,
     equals_tau,
     hom_ext_oracle,
     hom_operator_oracle,
@@ -465,7 +466,7 @@ def test_augmenting_search_matches_recursive(data):
     adj = [sorted(data.draw(st.sets(st.integers(0, n_right - 1)))) if n_right else [] for _ in range(n_left)]
     order = data.draw(st.permutations(range(n_left)))
     match_r = {}
-    found = [_try_augment(u, adj, match_r, {}) for u in order]
+    found = [_try_augment(u, adj, match_r) for u in order]
     want_r, want_found = augment_oracle(order, adj)
     assert found == want_found
     assert list(match_r.items()) == list(want_r.items())
@@ -498,6 +499,18 @@ def test_early_return_equals_full_merge(graph):
     m1 = _saturating(sorted(req_l) + [u for u in range(n_left) if u not in req_l], adj, req_l)
     assume(m1 is not None and req_r <= set(m1.values()))
     assert matching_covering(*graph) == m1 == matching_covering_oracle(*graph)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=bipartite(), data=st.data())
+def test_greedy_start_keeps_every_covering_decision(graph, data):
+    # Saturations that start greedy answer None exactly when saturations
+    # from nothing without the greedy start do, with capacities or not.
+    n_left, n_right = graph[:2]
+    caps = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)) for n in (n_left, n_right))
+    for given_caps in (None, caps):
+        got = matching_covering(*graph, given_caps)
+        assert (got is None) == (not covering_exists_oracle(*graph, given_caps))
 
 
 @settings(max_examples=400, deadline=None)

@@ -46,9 +46,16 @@ def test_gamma_symmetric_is_twice_the_bottleneck_distance(den, data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_check_interleaving_decides_the_translate_test(den, data):
-    """An (a, b)-interleaving exists iff d_B(F, G + (a - b)/2) <= (a + b)/2."""
+    """An (a, b)-interleaving exists iff d_B(F, G + (a - b)/2) <= (a + b)/2.
+    A share of the pairs put a + b at a bar's length, where that bar may
+    but need not be matched."""
     F, G = data.draw(near_pairs(den))
-    for a, b in data.draw(st.lists(st.tuples(shifts(den), shifts(den)), min_size=1, max_size=4)):
+    pairs = data.draw(st.lists(st.tuples(shifts(den), shifts(den)), min_size=1, max_size=4))
+    lengths = [ln.as_fraction() for bar in (*F.bars, *G.bars) if (ln := bar.interval.length).is_finite]
+    for ln in data.draw(st.lists(st.sampled_from(lengths), max_size=2)) if lengths else ():
+        a = ln * data.draw(st.integers(0, 4)) / 4
+        pairs.append((a, ln - a))
+    for a, b in pairs:
         assert (check_interleaving(F, G, a, b) is not None) == translate_test_oracle(F, G, a, b)
 
 
