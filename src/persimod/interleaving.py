@@ -70,21 +70,20 @@ class DistanceReport:
         return self.value
 
 
-def _rows(a: int, b: int, los: Sequence[int], his: Sequence[int], o_lo: Sequence[int], o_hi: Sequence[int]) -> List[List[int]]:
-    """Rows of bars (los, his) of F against classes (o_lo, o_hi) of G at (a, b),
-    or with b, a and the sides swapped, of G against F.  Bars x, y pair when
-    hom(F_x, G_y + a) and hom(G_y, F_x + b) are DEG0: xlo <= ylo+a < xhi <=
-    yhi+a and ylo <= xlo+b < yhi <= xhi+b.  So yhi is in [max(xhi-a, xlo+b+1),
-    xhi+b] and ylo in [xlo-a, min(xhi-a-1, xlo+b)], a window of two bisects."""
-    rows = []
+def _rows(a: int, b: int, los: Sequence[int], his: Sequence[int], o_lo: Sequence[int], o_hi: Sequence[int], o_len: Sequence[int]) -> List[List[int]]:
+    """Rows of bars (los, his) of F against classes (o_lo, o_hi, o_len) of G at (a, b), or with b,
+    a and the sides swapped, of G against F: pairs with a bar longer than a+b (no covering matching
+    needs two bars that may both go unmatched) where hom(F_x, G_y + a), hom(G_y, F_x + b) are DEG0,
+    xlo <= ylo+a < xhi <= yhi+a and ylo <= xlo+b < yhi <= xhi+b.  A long bar implies the strict ones
+    (x: ylo+a <= xlo+a+b < xhi, yhi >= xhi-a > xlo+b; y: xhi >= yhi-b > ylo+a, xlo+b <= ylo+a+b <
+    yhi), so they are the L-inf box: ylo in [xlo-a, xlo+b] by two bisects, yhi in [xhi-a, xhi+b]."""
+    total, rows = a + b, []
     for lo, hi in zip(los, his):
-        # top = min(x-1, y), hi_min = max(x, y+1), without two builtin calls
-        x, y, hi_max = hi - a, lo + b, hi + b
-        top, hi_min = (x - 1, y + 1) if x <= y else (y, x)
+        hi_min, hi_max, long = hi - a, hi + b, hi - lo > total
         rows.append(row := [])  # not a comprehension, which builds a function per row
-        j, end = bisect_left(o_lo, lo - a), bisect_right(o_lo, top)
+        j, end = bisect_left(o_lo, lo - a), bisect_right(o_lo, lo + b)
         while j < end:
-            if hi_min <= o_hi[j] <= hi_max:
+            if hi_min <= o_hi[j] <= hi_max and (long or o_len[j] > total):
                 row.append(j)
             j += 1
     return rows
@@ -197,9 +196,9 @@ class _IntView:
         start keeps the answer."""
         sides = []
         for d, (f, g, caps) in enumerate(self.degrees):
-            for side, (s, t, (_, x_lo, x_hi, x_len, x_cnt), (_, y_lo, y_hi, _, y_cnt)) in enumerate(((a, b, f, g), (b, a, g, f))):
+            for side, (s, t, (_, x_lo, x_hi, x_len, x_cnt), (_, y_lo, y_hi, y_len, y_cnt)) in enumerate(((a, b, f, g), (b, a, g, f))):
                 req = [i for i, ln in enumerate(x_len) if ln > a + b]
-                adj = dict(zip(req, _rows(s, t, [x_lo[i] for i in req], [x_hi[i] for i in req], y_lo, y_hi)))
+                adj = dict(zip(req, _rows(s, t, [x_lo[i] for i in req], [x_hi[i] for i in req], y_lo, y_hi, y_len)))
                 if not all(adj.values()):
                     return False
                 old = warm.get((d, side), {}).items()  # keep the edges that are still rows of adj
@@ -215,15 +214,15 @@ class _IntView:
         units with a + b <= reach, and convert it to entry dictionaries for
         (u, v); None when no interleaving exists.
 
-        Rows (`_rows`) join classes of equal bars.  A bar longer than a+b
-        must be matched, and repeated bars are matched with capacities, so
-        the copies of a class are paired in index order.
+        Rows (`_rows`) join classes of equal bars, never two no longer than
+        a+b.  A bar longer than a+b must be matched, and repeated bars are
+        matched with capacities, so a class's copies pair in index order.
         """
         total = a + b
         u_entries: Dict[Tuple[int, int], int] = {}
         v_entries: Dict[Tuple[int, int], int] = {}
         for (f_idx, f_lo, f_hi, f_len, _), (g_idx, g_lo, g_hi, g_len, _), caps in self.degrees:
-            adj = _rows(a, b, f_lo, f_hi, g_lo, g_hi)
+            adj = _rows(a, b, f_lo, f_hi, g_lo, g_hi, g_len)
             req_l = [i for i, ln in enumerate(f_len) if ln > total]
             req_r = [j for j, ln in enumerate(g_len) if ln > total]
             m = matching_covering(len(f_lo), len(g_lo), adj, req_l, req_r, caps)

@@ -5,11 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import persimod
 from persimod import Barcode, Interval
 from persimod.fields import GF2
-from persimod.intervals import hom, DEG0
+from persimod.intervals import NEG_INF, hom, DEG0
 from persimod.morphisms import InterleavingCertificate, Morphism
 from oracles import field_elements, is_blown_up_covering
 
@@ -50,6 +51,20 @@ def rand_barcode(rng, n_bars, degrees=(0,), lo_range=(0, 10), den=4, max_len=10)
         lo = Fraction(rng.randint(lo_range[0] * den, lo_range[1] * den), den)
         ln = Fraction(rng.randint(1, max_len * den), den)
         bars.append((rng.choice(degrees), Interval(lo, lo + ln)))
+    return Barcode(bars)
+
+
+@st.composite
+def nudged(draw, F, den, most=3):
+    """F with every finite endpoint moved by at most most/den, each bar kept
+    nonempty."""
+    step = st.integers(-most, most).map(lambda k: Fraction(k, den))
+    bars = []
+    for bar in F.bars:
+        lo, hi = bar.interval.lo, bar.interval.hi
+        lo = lo if lo == NEG_INF else lo + draw(step)
+        hi = hi if hi.is_pos_inf else max(hi + draw(step), lo + Fraction(1, den))
+        bars.append((bar.degree, Interval(lo, hi)))
     return Barcode(bars)
 
 

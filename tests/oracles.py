@@ -540,8 +540,10 @@ def _infinite_signature(bc: Barcode) -> Dict[Tuple[int, bool, bool], int]:
     return out
 
 
-def matching_entries_oracle(F: Barcode, G: Barcode, a, b):
-    """(u_entries, v_entries) of a covering matching at shifts (a, b), or None."""
+def matching_entries_oracle(F: Barcode, G: Barcode, a, b, short_pairs: bool = False):
+    """(u_entries, v_entries) of a covering matching at shifts (a, b), or None.
+    Bars x, y are adjacent when both `hom`s are DEG0 and, unless
+    `short_pairs`, one of them is longer than a + b."""
     a, b = Fraction(a), Fraction(b)
     fd, gd = F.split_by_degree(), G.split_by_degree()
     u_entries: Dict[Tuple[int, int], int] = {}
@@ -553,7 +555,8 @@ def matching_entries_oracle(F: Barcode, G: Barcode, a, b):
         g_shifted = [bar.interval.shift(a) for bar in g_piece.bars]
         adj = [
             [j for j, gbar in enumerate(g_piece.bars)
-             if hom(fbar.interval, g_shifted[j]) is DEG0 and hom(gbar.interval, f_shifted[i]) is DEG0]
+             if hom(fbar.interval, g_shifted[j]) is DEG0 and hom(gbar.interval, f_shifted[i]) is DEG0
+             and (short_pairs or fbar.interval.length > a + b or gbar.interval.length > a + b)]
             for i, fbar in enumerate(f_piece.bars)
         ]
         req_l = [i for i, bar in enumerate(f_piece.bars) if bar.interval.length > a + b]
@@ -567,9 +570,9 @@ def matching_entries_oracle(F: Barcode, G: Barcode, a, b):
     return u_entries, v_entries
 
 
-def check_interleaving_oracle(F: Barcode, G: Barcode, a, b, field=GF2):
+def check_interleaving_oracle(F: Barcode, G: Barcode, a, b, field=GF2, short_pairs: bool = False):
     """Verified certificate at (a, b) from the Fraction adjacency, or None."""
-    found = matching_entries_oracle(F, G, a, b)
+    found = matching_entries_oracle(F, G, a, b, short_pairs)
     if found is None:
         return None
     u = Morphism(F, G.shift(a), found[0], field)
@@ -652,9 +655,9 @@ def _warm_decides_oracle(view: _IntView, a: int, b: int, warm: Dict) -> bool:
     matchings, cut to this probe's rows, are saturated as they are."""
     sides = []
     for d, (f, g, caps) in enumerate(view.degrees):
-        for side, (s, t, (_, x_lo, x_hi, x_len, x_cnt), (_, y_lo, y_hi, _, y_cnt)) in enumerate(((a, b, f, g), (b, a, g, f))):
+        for side, (s, t, (_, x_lo, x_hi, x_len, x_cnt), (_, y_lo, y_hi, y_len, y_cnt)) in enumerate(((a, b, f, g), (b, a, g, f))):
             req = [i for i, ln in enumerate(x_len) if ln > a + b]
-            adj = dict(zip(req, _rows(s, t, [x_lo[i] for i in req], [x_hi[i] for i in req], y_lo, y_hi)))
+            adj = dict(zip(req, _rows(s, t, [x_lo[i] for i in req], [x_hi[i] for i in req], y_lo, y_hi, y_len)))
             if not all(adj.values()):
                 return False
             old = warm.get((d, side), {}).items()
@@ -1726,9 +1729,9 @@ def _int_bars(barcodes: Sequence[Barcode], shifts: Sequence[Fraction] = ()):
 
 def _int_covering_graphs(F: Barcode, G: Barcode, a, b):
     """Per degree, the bars of F and of G as (index, lo, hi) from one
-    scaling per call, the adjacency at (a, b) with every pair of bars
-    tested, and the bars longer than a + b on each side: one vertex per
-    copy of a bar."""
+    scaling per call, the adjacency at (a, b) with every pair of bars that
+    holds one longer than a + b tested, and the bars longer than a + b on
+    each side: one vertex per copy of a bar."""
     a, b = Fraction(a), Fraction(b)
     scale, (fb, gb) = _int_bars((F, G), (a, b))
     a = a.numerator * (scale // a.denominator)
@@ -1748,7 +1751,8 @@ def _int_covering_graphs(F: Barcode, G: Barcode, a, b):
         f_bars, g_bars = fd.get(deg, []), gd.get(deg, [])
         adj = [
             [j for j, (_, glo, ghi) in enumerate(g_bars)
-             if flo <= glo + a < fhi <= ghi + a and glo <= flo + b < ghi <= fhi + b]
+             if flo <= glo + a < fhi <= ghi + a and glo <= flo + b < ghi <= fhi + b
+             and max(fhi - flo, ghi - glo) > total]
             for _, flo, fhi in f_bars
         ]
         req_l = [i for i, (_, lo, hi) in enumerate(f_bars) if hi - lo > total]

@@ -28,7 +28,7 @@ from persimod.intervals import DEG0, DEG1, ZERO, ExtRat, NEG_INF, POS_INF, _star
 from persimod.interleaving import InterleavingCertificate, _IntView, check_interleaving
 from persimod.matching import _saturating, _try_augment, matching_covering
 from persimod.morphisms import Morphism, _cell_allowed, _is_round_trip, _product, compose, identity, tau_morphism
-from conftest import assert_same_entries, rand_realized_morphism, tampered
+from conftest import assert_same_entries, nudged, rand_realized_morphism, tampered
 from test_limits import _reverse_problems
 import oracles
 from oracles import (
@@ -559,17 +559,7 @@ def decision_inputs(draw, den):
     """(F, G, a, b): G is drawn afresh or as F with every finite endpoint
     moved by at most 2, so both answers are common; a and b include 0."""
     F = draw(barcodes(den))
-    if draw(st.booleans()):
-        G = draw(barcodes(den))
-    else:
-        move = st.integers(-2 * den, 2 * den).map(lambda k: Fraction(k, den))
-        bars = []
-        for bar in F.bars:
-            lo, hi = bar.interval.lo, bar.interval.hi
-            lo = lo if lo == NEG_INF else lo + draw(move)
-            hi = hi if hi.is_pos_inf else max(hi + draw(move), lo + Fraction(1, den))
-            bars.append((bar.degree, Interval(lo, hi)))
-        G = Barcode(bars)
+    G = draw(barcodes(den)) if draw(st.booleans()) else draw(nudged(F, den, 2 * den))
     shift = st.integers(0, 6 * den).map(lambda k: Fraction(k, 2 * den))
     return F, G, draw(shift), draw(shift)
 

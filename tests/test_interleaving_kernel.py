@@ -18,7 +18,7 @@ from persimod.interleaving import _IntView, _candidates
 from persimod.intervals import ExtRat, NEG_INF, POS_INF
 from persimod.io import emit_certificate
 import oracles
-from conftest import assert_same_entries, rand_barcode
+from conftest import assert_same_entries, nudged, rand_barcode
 from oracles import (
     candidates_oracle,
     check_interleaving_oracle,
@@ -221,11 +221,15 @@ def test_gamma_symmetric_builds_no_grid(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_check_interleaving_matches_fraction_oracle(den, data):
+    """Entries as from the Fraction `hom` adjacency on pairs with a bar
+    longer than a + b, and the decision as with every `hom` pair, since a
+    covering matching needs no pair of two bars that may go unmatched."""
     F, G = data.draw(barcode_pairs(den))
     a, b = data.draw(shifts(den)), data.draw(shifts(den))
     got, want = (None if c is None else (c.u.entries, c.v.entries)
                  for c in (check_interleaving(F, G, a, b), check_interleaving_oracle(F, G, a, b)))
     assert_same_entries(F, G, a, b, got, want)
+    assert (got is None) == (check_interleaving_oracle(F, G, a, b, short_pairs=True) is None)
 
 
 @pytest.mark.parametrize("den", [4, 997])
@@ -286,9 +290,17 @@ def out_of_range(view, a, b):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_view_probes_match_per_probe_scaling_oracle(den, data):
+    # Half the time G is F nudged by at most 3/den, and some shifts lie
+    # below a bar's length with a + b above it: so at den=997 too a bar and
+    # its nudged copy are both short and in each other's box, and the rows
+    # that leave them apart are put to the test.
     F, G = data.draw(barcode_pairs(den))
+    G = data.draw(nudged(F, den)) if data.draw(st.booleans()) else G
+    lengths = [ln.as_fraction() for bar in F.bars if (ln := bar.interval.length).is_finite]
+    eighths = st.lists(st.tuples(st.sampled_from(lengths), st.integers(4, 7), st.integers(4, 7)), max_size=3) if lengths else st.just([])
+    near = [(ln * p / 8, ln * q / 8) for ln, p, q in data.draw(eighths)]
     probes = data.draw(st.lists(st.tuples(probe_shifts(den), probe_shifts(den)), min_size=1, max_size=12))
-    for a, b in probes + [(Fraction(0), Fraction(0))]:
+    for a, b in probes + near + [(Fraction(0), Fraction(0))]:
         want = int_matching_entries_oracle(F, G, a, b)
         # the Fraction route scales (F, G) and the shifts afresh
         cert = check_interleaving(F, G, a, b)
@@ -298,7 +310,8 @@ def test_view_probes_match_per_probe_scaling_oracle(den, data):
     view = _IntView(F, G)
     scale, reach = view.scale, view.reach
     units = st.one_of(st.just(0), st.integers(0, 12 * scale), st.integers(0, reach))
-    for a, b in data.draw(st.lists(st.tuples(units, units), min_size=1, max_size=12)) + [(0, 0)]:
+    near = [(int(a * scale), int(b * scale)) for a, b in near]
+    for a, b in data.draw(st.lists(st.tuples(units, units), min_size=1, max_size=12)) + near + [(0, 0)]:
         a = min(a, reach)
         b = min(b, reach - a)
         want = int_matching_entries_oracle(F, G, Fraction(a, scale), Fraction(b, scale))

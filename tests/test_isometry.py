@@ -2,16 +2,20 @@
 distance is the bottleneck distance.  `bottleneck_oracle` in `oracles.py`
 matches bars and diagonal copies in Fractions and shares no code with the
 interleaving kernel, so these checks hold the kernel's decisions and
-distances against an independent textbook computation."""
+distances against an independent textbook computation.  The adjacency
+behind them is the L-inf box of the theorem, checked by brute force."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persimod import Barcode, check_interleaving, gamma, gamma_symmetric
+from persimod import Barcode, Interval, check_interleaving, gamma, gamma_symmetric
+from persimod.interleaving import _rows
+from persimod.intervals import DEG0, hom
 from oracles import bottleneck_oracle, translate_test_oracle
 from test_interleaving_kernel import barcode_pairs, shifts
 
@@ -76,3 +80,26 @@ def test_gamma_pair_passes_the_translate_test_and_no_smaller_total_does(den, dat
         a = bound * p
         b = (bound - a) * q  # a + b < bound
         assert not translate_test_oracle(F, G, a, b)
+
+
+def test_rows_are_the_box_on_pairs_with_a_long_bar():
+    """Every pair of int bars x, y on [0, 6] at every a, b in [0, 3]: where
+    one bar is longer than a + b, `_rows` pairs them exactly when
+    hom(x, y + a) and hom(y, x + b) are DEG0 in Fractions, and it never
+    pairs two bars that are both at most a + b long."""
+    bars = [(lo, hi) for lo in range(7) for hi in range(lo + 1, 7)]
+    o_lo, o_hi, o_len = [lo for lo, _ in bars], [hi for _, hi in bars], [hi - lo for lo, hi in bars]
+    long_pairs, wrong, short = 0, [], []
+    for a, b, (lo, hi) in product(range(4), range(4), bars):
+        row = _rows(a, b, [lo], [hi], o_lo, o_hi, o_len)[0]
+        x = Interval(lo, hi)
+        for j, (ylo, yhi) in enumerate(bars):
+            if max(hi - lo, yhi - ylo) > a + b:
+                long_pairs += 1
+                y = Interval(ylo, yhi)
+                if (j in row) != (hom(x, y.shift(Fraction(a))) is DEG0 and hom(y, x.shift(Fraction(b))) is DEG0):
+                    wrong.append((a, b, x, y))
+            elif j in row:
+                short.append((a, b, lo, hi, ylo, yhi))
+    assert long_pairs == 3508 and wrong == []
+    assert short == []
