@@ -3,12 +3,12 @@
 One command per process; the parser dispatches it to `run(args, field)`,
 and `persimod.io` reads every input file, `PERSIMOD_CONFIG` included.
 Exit code 0 on success, 1 on domain errors (bad parameters, failed
-tolerance, undiagonalizable towers), 2 on I/O and parse errors.
-`--machine` switches to line-oriented key=value records; in either mode
-output bytes are deterministic for fixed inputs.  The float cone code, and
-with it numpy, is imported only by the commands that build a point cloud
-(`cone-test`, `cantor --emit-cloud` and `validate` on a `.csv`), so every
-other command starts without it.
+tolerance, undiagonalizable towers), 2 on I/O and parse errors, 141 when
+the reader closes stdout early.  `--machine` switches to line-oriented
+key=value records; in either mode output bytes are deterministic for fixed
+inputs.  The float cone code, and with it numpy, is imported only by the
+commands that build a point cloud (`cone-test`, `cantor --emit-cloud` and
+`validate` on a `.csv`), so every other command starts without it.
 """
 
 from __future__ import annotations
@@ -347,7 +347,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
         field = cfg.get("field", "2") if args.field is None else args.field
         args.machine = args.machine or _switch(cfg.get("machine", "no"))
-        return args.run(args, field_by_name(field))
+        code = args.run(args, field_by_name(field))
+        sys.stdout.flush()  # so a write into a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left early; fd 1 to devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 141
     except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -60,7 +60,7 @@ class Morphism:
         src_bars, tgt_bars, n_src, n_tgt = source.bars, target.bars, len(source), len(target)
         canon, zero = field.canon, field.zero
         clean: Dict[Entry, object] = {}
-        ok_src = ok_tgt = None  # the intervals of the last allowed cell
+        ok_src = ok_tgt = None  # the intervals of the last allowed cell; hom(I, I) is DEG0
         for (t, s), raw in entries.items():
             if not (0 <= s < n_src and 0 <= t < n_tgt):
                 raise IndexError(f"entry index {(t, s)} out of range")
@@ -68,7 +68,7 @@ class Morphism:
             if val == zero:
                 continue
             src, tgt = src_bars[s], tgt_bars[t]
-            same = src.interval is ok_src and tgt.interval is ok_tgt and src.degree == tgt.degree
+            same = (src.interval is ok_src and tgt.interval is ok_tgt or src.interval is tgt.interval) and src.degree == tgt.degree
             if not (same or _cell_allowed(src, tgt)):
                 raise ValueError(
                     f"entry at {(t, s)} not allowed: no degree-0 generator {src.interval} -> {tgt.interval}")

@@ -1,6 +1,7 @@
 """Diagonalization of half-interleaved morphisms and of whole towers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,11 @@ from persimod.canonical import (
     diagonalize_system,
 )
 from persimod.fields import GF2, QQ, PrimeField
-from persimod.intervals import hom, leq, DEG0
+from persimod import morphisms
+from persimod.intervals import ExtRat, hom, leq, DEG0
 from persimod.limits import InductiveSystem
 from persimod.morphisms import Morphism, _cell_allowed, compose, identity, tau_morphism
+from conftest import perfbench_gen
 from oracles import canonical_form_tracked_oracle, direct_sum, field_elements, merge_barcodes
 
 GF5 = PrimeField(5)
@@ -438,3 +441,96 @@ def test_stage_error_reports_stage(monkeypatch):
         diagonalize_system(system)
     assert exc.value.stage == 1
     assert str(exc.value).startswith("stage 1: postcondition failed: tracked inverse")
+
+
+@pytest.mark.parametrize("faulty, message", [
+    (1, "tracked matrix drifted from the recomputed composite"),
+    (2, "tracked inverse fails on the left"),
+    (3, "tracked inverse fails on the right"),
+])
+def test_each_composite_check_raises(monkeypatch, faulty, message):
+    # The result is the composite of u and phi, checked against the tracked
+    # matrix; a wrong composite must fail that check, not pass as the result.
+    import persimod.canonical as canonical
+
+    calls = []
+
+    def compose_wrong_at_call(f, g):
+        calls.append(f)
+        out = compose(f, g)
+        return Morphism(out.source, out.target, {}, out.field) if len(calls) == faulty else out
+
+    monkeypatch.setattr(canonical, "compose", compose_wrong_at_call)
+    g = B((0, Interval(0, 10)))
+    with pytest.raises(DiagonalizationError, match=f"^postcondition failed: {message}$"):
+        canonical_form(identity(g), tau_morphism(g, 1, field=GF2), 1)
+
+
+def test_an_unscaled_pivot_fails_the_diagonal_check(monkeypatch):
+    # With no row scaled, phi, its inverse and the composite stay
+    # consistent, but the pivot keeps its unit 2.
+    import persimod.canonical as canonical
+
+    monkeypatch.setattr(canonical, "_scale_row", lambda row, lam, field: None)
+    g = B((0, Interval(0, 10)))
+    u = Morphism(g, g, {(0, 0): 2}, field=GF5)
+    v = Morphism(g, g.shift(1), {(0, 0): 3}, field=GF5)
+    with pytest.raises(DiagonalizationError, match="^postcondition failed: result is not a 0/1 diagonal$"):
+        canonical_form(u, v, 1)
+
+
+def test_a_pivot_row_used_twice_fails_the_injectivity_check(monkeypatch):
+    # Past a round-trip check that passes everything and a `used` set that
+    # forgets its rows, two columns pivot on one row, and the result is a
+    # 0/1 matrix that is no diagonal.
+    import persimod.canonical as canonical
+
+    class Forgetful(set):
+        def __contains__(self, item):
+            return False
+
+    monkeypatch.setattr(canonical, "_is_round_trip", lambda f, g, c: True)
+    monkeypatch.setattr(canonical, "set", Forgetful, raising=False)
+    I = Interval(0, 10)
+    g, gp = B((0, I), (0, I)), B((0, I))
+    u = Morphism(g, gp, {(0, 0): 1, (0, 1): 1}, field=GF2)
+    with pytest.raises(DiagonalizationError, match="^postcondition failed: two source bars share a target bar$"):
+        canonical_form(u, Morphism(gp, g.shift(1), {}, field=GF2), 1)
+
+
+def test_a_far_target_fails_the_drift_check(monkeypatch):
+    import persimod.canonical as canonical
+
+    monkeypatch.setattr(canonical, "_is_round_trip", lambda f, g, c: True)
+    g, gp = B((0, Interval(0, 10))), B((0, Interval(5, 20)))
+    u = Morphism(g, gp, {(0, 0): 1}, field=GF2)
+    with pytest.raises(DiagonalizationError, match=r"^matched pair \[0,10\) -> \[5,20\) drifts by more than 1$"):
+        canonical_form(u, Morphism(gp, g.shift(1), {}, field=GF2), 1)
+
+
+def test_diagonalize_system_pins_its_checks(monkeypatch):
+    # One whole-tower diagonalization of the towers workload's shape (30
+    # bars, 8 stages, reverses given): validated Morphism builds, `hom`
+    # calls of the entry check, and ExtRat comparisons, all of which come
+    # from the pivot search.  20, 29 and 30 + 35 here; 27, 800 and 30 + 375
+    # when the diagonal was validated a second time, every diagonal cell
+    # of phi and its inverse went through `hom`, and a support of one row
+    # went through `min` and the least-row filter.
+    stages, fwd, rev, slacks = perfbench_gen().planted_tower(random.Random(31), GF5, 30, 8)
+    system = InductiveSystem(stages, fwd, slacks, rev, GF5)
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(Morphism, "__init__", counted("Morphism", Morphism.__init__))
+    monkeypatch.setattr(morphisms, "hom", counted("hom", morphisms.hom))
+    monkeypatch.setattr(ExtRat, "__lt__", counted("ExtRat <", ExtRat.__lt__))
+    monkeypatch.setattr(ExtRat, "__eq__", counted("ExtRat ==", ExtRat.__eq__))
+    out = diagonalize_system(system)
+    assert [len(st.result.sigma) for st in out] == [len(st.live) for st in out]
+    assert counts == {"Morphism": 20, "hom": 29, "ExtRat <": 30, "ExtRat ==": 35}

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import os
 import random
 import re
 import shlex
@@ -736,6 +737,29 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "barcode: 1 bars, degrees 0\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_pipe_exits_quietly(tmp_path, unbuffered):
+    # The read end is closed before the child starts, so its first write
+    # fails with EPIPE: no error line, no traceback, no "Exception ignored"
+    # from the flush at exit, and not the bad-input code 2.  Buffered (the
+    # default for a pipe), the write happens only when stdout is flushed.
+    (tmp_path / "F.bc").write_text("0 0 10\n")
+    (tmp_path / "G.bc").write_text("0 1 10\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "persimod.cli", "--machine", "dist", "gamma", "F.bc", "G.bc"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 # Runs each argv through `main` in one fresh process and prints, as the

@@ -29,6 +29,18 @@ def test_strict_constructor_rejects_phantom_cell():
         Morphism(src, tgt, {(0, 0): 1}, field=GF2)
 
 
+def test_a_bars_own_interval_in_another_degree_is_refused():
+    # A cell whose two bars lie on one Interval object skips `hom` only in
+    # one degree: across degrees there is no generator, also right after an
+    # allowed cell on that interval.
+    I = Interval(0, 10)
+    b = B((0, I), (1, I))
+    assert Morphism(b, b, {(0, 0): 1, (1, 1): 1}).entries == {(0, 0): 1, (1, 1): 1}
+    for entries in ({(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1, (1, 0): 1}, {(1, 1): 1, (0, 1): 1}):
+        with pytest.raises(ValueError, match="not allowed"):
+            Morphism(b, b, entries)
+
+
 def test_empty_entries_is_zero_morphism():
     src, tgt = B((0, Interval(0, 10))), B((0, Interval(1, 11)))
     assert Morphism(src, tgt, {(0, 0): 0}) == Morphism(src, tgt, {})
