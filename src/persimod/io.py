@@ -17,6 +17,7 @@ import csv
 import io as _io
 import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -294,6 +295,7 @@ def _build_morphism(path, source: Barcode, target: Barcode, entries, field) -> M
 # -- tower directories ------------------------------------------------------
 
 _STAGE_RE = re.compile(r"^F(\d+)\.bc$")
+_MAP_RE = re.compile(r"^[fg]\d+\.mor$")
 
 
 def stage_files(dirpath) -> List[str]:
@@ -363,19 +365,19 @@ def _check_headers(path, headers, want_source, want_target, want_shift):
 
 
 def emit_system(dirpath, system: InductiveSystem) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    for i, stage in enumerate(system.stages):
-        _write(os.path.join(dirpath, f"F{i}.bc"), emit_barcode(stage))
+    """Write the tower into `dirpath`; a tower file there that this system
+    does not write (a longer tower's stage, an old reverse map) is removed."""
+    files = {f"F{i}.bc": emit_barcode(stage) for i, stage in enumerate(system.stages)}
     if system.maps:
-        _write(
-            os.path.join(dirpath, "slacks.txt"),
-            "\n".join(str(s) for s in system.slacks) + "\n",
-        )
-    for n, f in enumerate(system.maps):
-        _write(os.path.join(dirpath, f"f{n}.mor"), _emit_entries(f))
-    for n, g in enumerate(system.reverses):
-        if g is not None:
-            _write(os.path.join(dirpath, f"g{n}.mor"), _emit_entries(g))
+        files["slacks.txt"] = "\n".join(str(s) for s in system.slacks) + "\n"
+    files.update((f"f{n}.mor", _emit_entries(f)) for n, f in enumerate(system.maps))
+    files.update((f"g{n}.mor", _emit_entries(g)) for n, g in enumerate(system.reverses) if g is not None)
+    os.makedirs(dirpath, exist_ok=True)
+    for name in os.listdir(dirpath):
+        if name not in files and (_STAGE_RE.match(name) or _MAP_RE.match(name) or name == "slacks.txt"):
+            os.remove(os.path.join(dirpath, name))
+    for name, text in files.items():
+        _write(os.path.join(dirpath, name), text)
 
 
 def _emit_entries(f: Morphism) -> str:
@@ -386,8 +388,12 @@ def _emit_entries(f: Morphism) -> str:
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+    # open()'s own flags less O_TRUNC: the file is overwritten in place and then cut to
+    # length, since truncating it on open costs a flush on some filesystems.
+    with open(path, "w", encoding="utf-8", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
         fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # /dev/null and pipes cannot be cut
+            fh.truncate()
 
 
 # -- certificate files ------------------------------------------------------

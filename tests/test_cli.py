@@ -96,6 +96,119 @@ def test_dist_gamma_over_gf5(unit_pair, capsys):
     assert out.startswith("1 exact")
 
 
+# --- certificate files are overwritten in place --------------------------------
+
+
+@pytest.fixture
+def two_pairs(unit_pair):
+    """unit_pair plus a pair whose certificate is longer: B.bc, C.bc."""
+    (unit_pair / "B.bc").write_text("0 0 10\n0 1 5 3\n1 2 9\n1 3 4\n")
+    (unit_pair / "C.bc").write_text("0 1 10\n0 1 6 3\n1 2 8\n1 3 5\n")
+    return unit_pair
+
+
+def _certify(capsys, left, right, path):
+    rc, _, err = run(capsys, "dist", "gamma", left, right, "--certificate", path)
+    assert (rc, err) == (0, "")
+    return Path(path).read_bytes()
+
+
+def test_certificate_write_never_truncates_on_open(two_pairs, capsys, monkeypatch):
+    import persimod.io as pio
+
+    os_open, opened = os.open, []
+
+    def spy_os_open(path, flags, *args, **kw):
+        opened.append((path, flags, args))
+        return os_open(path, flags, *args, **kw)
+
+    writes = []
+
+    def spy_open(file, mode="r", *args, **kw):
+        if set(mode) & set("wax+"):
+            writes.append((file, mode, kw.get("opener")))
+        return open(file, mode, *args, **kw)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(pio, "open", spy_open, raising=False)
+    for left, right in [("B.bc", "C.bc"), ("F.bc", "G.bc")]:
+        _certify(capsys, left, right, "gamma.cert")
+    # every writing open() hands the path to os.open, and no O_TRUNC reaches it
+    assert [(f, opener is not None) for f, _, opener in writes] == [("gamma.cert", True)] * 2
+    assert [(p, args) for p, _, args in opened] == [("gamma.cert", (0o666,))] * 2
+    for _, flags, _ in opened:
+        assert flags & os.O_TRUNC == 0
+        assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+
+
+def test_rewritten_certificate_equals_a_fresh_write(two_pairs, capsys):
+    long_cert = _certify(capsys, "B.bc", "C.bc", "long.cert")
+    short_cert = _certify(capsys, "F.bc", "G.bc", "short.cert")
+    assert len(long_cert) > len(short_cert) and not long_cert.startswith(short_cert)
+    _certify(capsys, "B.bc", "C.bc", "gamma.cert")
+    os.link("gamma.cert", "linked.cert")
+    os.chmod("gamma.cert", 0o640)
+    inode = os.stat("gamma.cert").st_ino
+    for left, right, fresh in [("F.bc", "G.bc", short_cert), ("B.bc", "C.bc", long_cert)] * 2:
+        assert _certify(capsys, left, right, "gamma.cert") == fresh
+        assert Path("linked.cert").read_bytes() == fresh
+        assert (os.stat("gamma.cert").st_ino, os.stat("gamma.cert").st_mode & 0o777) == (inode, 0o640)
+        assert run(capsys, "validate", "gamma.cert")[:1] == (0,)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_certificate_mode_follows_the_umask_as_open_does(unit_pair, capsys, umask):
+    old = os.umask(umask)
+    try:
+        _certify(capsys, "F.bc", "G.bc", "new.cert")
+        with open("reference.cert", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert os.stat("new.cert").st_mode == os.stat("reference.cert").st_mode
+
+
+def _target_table(d):
+    """Each `--certificate` target with the exit code and stderr it gives."""
+    d.joinpath("adir").mkdir()
+    d.joinpath("ro.cert").write_text("old\n")
+    os.chmod(d / "ro.cert", 0o444)
+    d.joinpath("real.cert").write_text("old " * 40 + "\n")
+    d.joinpath("link.cert").symlink_to("real.cert")
+    # a privileged user writes a read-only file anyway, as open() does
+    ro = (0, "") if os.access(d / "ro.cert", os.W_OK) else (2, "error: [Errno 13] Permission denied: 'ro.cert'\n")
+    return {
+        "/dev/null": (2, "error: /dev/null: missing section [source]\n"),
+        "adir": (2, "error: [Errno 21] Is a directory: 'adir'\n"),
+        "ro.cert": ro,
+        "missing/x.cert": (2, "error: [Errno 2] No such file or directory: 'missing/x.cert'\n"),
+        "link.cert": (0, ""),
+    }
+
+
+def test_certificate_targets_keep_their_exit_code_and_error(unit_pair, capsys):
+    table = _target_table(unit_pair)
+    got = {t: run(capsys, "dist", "gamma", "F.bc", "G.bc", "--certificate", t)[::2] for t in table}
+    assert got == table
+    assert (unit_pair / "link.cert").is_symlink()
+    assert (unit_pair / "real.cert").read_bytes() == _certify(capsys, "F.bc", "G.bc", "fresh.cert")
+
+
+def test_descriptor_is_closed_when_wrapping_it_fails(unit_pair, capsys, monkeypatch):
+    os_open, handed = os.open, []
+
+    def directory_fd(path, flags, *args):
+        handed.append(os_open(".", os.O_RDONLY))
+        return handed[-1]
+
+    monkeypatch.setattr(os, "open", directory_fd)
+    rc, _, err = run(capsys, "dist", "gamma", "F.bc", "G.bc", "--certificate", "gamma.cert")
+    monkeypatch.undo()
+    assert (rc, err) == (2, "error: [Errno 21] Is a directory: 'gamma.cert'\n")
+    with pytest.raises(OSError):
+        os.fstat(handed[0])
+
+
 def test_dist_check(unit_pair, capsys):
     rc, out, _ = run(capsys, "dist", "check", "F.bc", "G.bc", "--a", "0", "--b", "1")
     assert (rc, out) == (0, "interleaved\n")

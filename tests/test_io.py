@@ -193,6 +193,34 @@ def test_system_without_reverses(tmp_path):
     assert tuple(back.reverses) == (None, None)
 
 
+def _tower_files(system):
+    n = len(system.stages)
+    names = {f"F{i}.bc" for i in range(n)} | {f"f{i}.mor" for i in range(n - 1)}
+    names |= {f"g{i}.mor" for i, g in enumerate(system.reverses) if g is not None}
+    return names | ({"slacks.txt"} if n > 1 else set())
+
+
+@pytest.mark.parametrize("first, second", [
+    (geometric_tower(2, 7), geometric_tower(2, 5, with_reverses=False)),
+    (geometric_tower(2, 5, with_reverses=False), geometric_tower(2, 7)),
+    (geometric_tower(2, 7), geometric_tower(2, 3)),
+])
+def test_emit_system_over_an_old_tower_round_trips(tmp_path, first, second):
+    d = tmp_path / "tower"
+    emit_system(d, first)
+    unrelated = {"notes.txt": "keep\n", "F.bc": "0 0 1\n", "h0.mor": "# kept\n", "slacks.bak": "1\n"}
+    for name, text in unrelated.items():
+        (d / name).write_text(text)
+    emit_system(d, second)
+    back = load_system(d)
+    assert back.stages == second.stages
+    assert back.slacks == second.slacks
+    assert [f.entries for f in back.maps] == [f.entries for f in second.maps]
+    assert [g and g.entries for g in back.reverses] == [g and g.entries for g in second.reverses]
+    assert {p.name for p in d.iterdir()} == _tower_files(second) | set(unrelated)
+    assert all((d / name).read_text() == text for name, text in unrelated.items())
+
+
 def test_load_system_directory_errors(tmp_path):
     with pytest.raises(ParseError, match="not a directory"):
         load_system(tmp_path / "nowhere")
